@@ -36,7 +36,6 @@ from .channel import (  # noqa: F401
     WorstCaseShrink,
     Zero,
     apply_channel,
-    cancellation_oracle,
     worst_case_eta,
 )
 from .circuit import (  # noqa: F401

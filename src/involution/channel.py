@@ -17,6 +17,12 @@ strictly increasing and alternating.
 The eta_n are adversarial perturbations within [-eta_minus, +eta_plus],
 consumed one per input transition index (including transitions whose
 output is later canceled).
+
+Every channel kind is one incremental state (``channel_state``): ``feed``
+processes an input transition, ``commit`` decides a record that can no
+longer be canceled, and ``survivors`` is the output once the whole input has
+been fed.  ``apply_channel`` and the engine in ``circuit`` both drive it and
+differ only in when they decide a record.
 """
 
 from __future__ import annotations
@@ -193,8 +199,57 @@ class TransitionRecord:
     guard_hit: bool = False
 
 
+class _PureState:
+    """Incremental pure delay: every record survives."""
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.log: list[TransitionRecord] = []
+
+    def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
+        """Process one input transition; returns (record, canceled partner or None)."""
+        rec = TransitionRecord(len(self.log) + 1, t, value, math.nan, self.delay, 0.0, t + self.delay)
+        self.log.append(rec)
+        return rec, None
+
+    def commit(self, rec: TransitionRecord) -> bool:
+        """Decide a record that can no longer be canceled; True if it reaches the output."""
+        return True
+
+    def survivors(self) -> list[TransitionRecord]:
+        """The output records once the whole input has been fed (batch use only)."""
+        return [r for r in self.log if self.commit(r)]
+
+
+class _InertialState(_PureState):
+    """Incremental inertial delay: an arrival within ``window`` suppresses the previous record."""
+
+    def __init__(self, delay: float, window: float, initial_value: int):
+        super().__init__(delay)
+        self.window = window
+        self.value = initial_value
+
+    def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
+        prev = self.log[-1] if self.log else None
+        if prev is not None and not prev.canceled and t - prev.time <= self.window:
+            prev.canceled = True
+        else:
+            prev = None
+        rec, _ = super().feed(t, value)
+        return rec, prev
+
+    def commit(self, rec: TransitionRecord) -> bool:
+        if rec.canceled:
+            return False
+        if rec.value == self.value:
+            rec.canceled = True  # coalesced: output already at this value
+            return False
+        self.value = rec.value
+        return True
+
+
 class _InvolutionState:
-    """Incremental channel algorithm state, shared by apply_channel and the engine."""
+    """Incremental (eta-)involution channel; a survivor at or before a committed output raises."""
 
     def __init__(self, df: DelayFunction, source: EtaSource | None):
         self.df = df
@@ -204,6 +259,8 @@ class _InvolutionState:
         self.index = 0
         self.stack: list[TransitionRecord] = []
         self.log: list[TransitionRecord] = []
+        self.committed_last = -math.inf
+        self.commit_margin = math.inf
 
     def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
         """Process one input transition; returns (record, canceled partner or None)."""
@@ -229,76 +286,53 @@ class _InvolutionState:
                     f"guard-canceled transition at t={t} has no surviving predecessor"
                 )
             self.stack.append(rec)
+            margin = rec.out_time - self.committed_last
+            if margin < self.commit_margin:
+                self.commit_margin = margin
+                if margin <= 0:
+                    raise ChannelError(
+                        f"arrival at t={t} would retro-cancel a committed output at {self.committed_last}"
+                    )
         return rec, partner
 
+    def commit(self, rec: TransitionRecord) -> bool:
+        if rec.canceled:
+            return False
+        try:
+            self.stack.remove(rec)
+        except ValueError as exc:
+            raise ChannelError("released record not pending") from exc
+        self.committed_last = max(self.committed_last, rec.out_time)
+        return True
 
-def _apply_involution(df: DelayFunction, source: EtaSource | None, s: Signal):
-    state = _InvolutionState(df, source)
-    for tr in s.transitions:
-        state.feed(tr.time, tr.value)
-    out = make_signal(s.initial_value, [(r.out_time, r.value) for r in state.stack])
-    return out, state.log
+    def survivors(self) -> list[TransitionRecord]:
+        return self.stack
 
 
-def _apply_inertial(spec: Inertial, s: Signal):
-    log = []
-    trs = s.transitions
-    value = s.initial_value
-    out = []
-    for i, tr in enumerate(trs):
-        gap = trs[i + 1].time - tr.time if i + 1 < len(trs) else math.inf
-        suppressed = gap <= spec.window
-        rec = TransitionRecord(i + 1, tr.time, tr.value, math.nan, spec.delay, 0.0, tr.time + spec.delay)
-        if suppressed:
-            rec.canceled = True
-        elif tr.value != value:
-            out.append((rec.out_time, tr.value))
-            value = tr.value
-        else:
-            rec.canceled = True  # coalesced no-op after a suppression
-        log.append(rec)
-    return make_signal(s.initial_value, out), log
+def channel_state(spec: ChannelSpec, initial_value: int, strategy: AdversaryStrategy | None = None):
+    """The incremental state of a channel whose input starts at ``initial_value``.
+
+    ``strategy`` replaces an eta-involution channel's own adversary strategy.
+    """
+    if isinstance(spec, Pure):
+        return _PureState(spec.delay)
+    if isinstance(spec, Inertial):
+        return _InertialState(spec.delay, spec.window, initial_value)
+    if isinstance(spec, Involution):
+        return _InvolutionState(spec.df, None)
+    if isinstance(spec, EtaInvolution):
+        source = EtaSource(strategy if strategy is not None else spec.strategy, spec.bounds)
+        return _InvolutionState(spec.df, source)
+    raise ChannelError(f"unknown channel spec {spec!r}")
 
 
 def apply_channel(spec: ChannelSpec, s: Signal) -> tuple[Signal, list[TransitionRecord]]:
     """Channel function: map an input signal to the output signal plus a per-transition log."""
-    if isinstance(spec, Pure):
-        log = [
-            TransitionRecord(i + 1, tr.time, tr.value, math.nan, spec.delay, 0.0, tr.time + spec.delay)
-            for i, tr in enumerate(s.transitions)
-        ]
-        return s.shifted(spec.delay), log
-    if isinstance(spec, Inertial):
-        return _apply_inertial(spec, s)
-    if isinstance(spec, Involution):
-        return _apply_involution(spec.df, None, s)
-    if isinstance(spec, EtaInvolution):
-        source = EtaSource(spec.strategy, spec.bounds)
-        return _apply_involution(spec.df, source, s)
-    raise ChannelError(f"unknown channel spec {spec!r}")
-
-
-def cancellation_oracle(pending: list[float]) -> list[int]:
-    """Surviving indices under exhaustive pairwise cancellation marking.
-
-    Independent quadratic reference for the incremental stack rule: repeatedly
-    mark the leftmost adjacent surviving pair (n, m) with
-    pending[n] >= pending[m], until no such pair remains.
-    """
-    alive = [True] * len(pending)
-    while True:
-        prev = None
-        hit = False
-        for i, ok in enumerate(alive):
-            if not ok:
-                continue
-            if prev is not None and pending[prev] >= pending[i]:
-                alive[prev] = alive[i] = False
-                hit = True
-                break
-            prev = i
-        if not hit:
-            return [i for i, ok in enumerate(alive) if ok]
+    state = channel_state(spec, s.initial_value)
+    for tr in s.transitions:
+        state.feed(tr.time, tr.value)
+    out = make_signal(s.initial_value, [(r.out_time, r.value) for r in state.survivors()])
+    return out, state.log
 
 
 # eta-sequence file for FixedSequence strategies: header "n,eta", 1-based index.

@@ -23,15 +23,15 @@ frontier; an arrival that could retro-cancel a committed output raises
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import channel as ch
-from .delay_model import DelayFunction, ExpChannelParams, exp_channel, read_delay_samples, tabulated_channel
+from .delay_model import DelayFunction, ExpChannelParams, delta_min, exp_channel, read_delay_samples, tabulated_channel
 from .rootfind import bisect_root
 from .signals import Signal, make_signal
 
@@ -359,54 +359,44 @@ class Execution:
     circuit: Circuit
 
 
-def _release_window(df: DelayFunction, eta_minus: float, rising_pending: bool) -> float:
-    """Root w of S + delta(S) = eta_minus for the edge that could cancel the pending.
+def _release_window(df: DelayFunction, eta_minus: float, dmin: float, value: int) -> float:
+    """Root w of S + delta(S) = eta_minus for the edge that could cancel a pending ``value``.
 
-    Rounded up by twice the root tolerance: releasing later than the exact
-    window is safe, releasing earlier is not.
+    ``dmin`` is ``delta_min(df)``.  Rounded up by twice the root tolerance:
+    releasing later than the exact window is safe, releasing earlier is not.
     """
-    f = df.down if rising_pending else df.up
-    dmin = bisect_root(lambda d: df.up(-d) - d, 0.0, min(df.up(0.0), df.delta_inf_down * (1 - 1e-12)))
+    f = df.down if value == 1 else df.up
     lo = -dmin * (1 + 1e-9) - 1e-12
     return bisect_root(lambda s: s + f(s) - eta_minus, lo, eta_minus + 1e-9) + 2e-12
 
 
 class _ChannelRuntime:
-    def __init__(self, edge: ChannelEdge, strategy_override: ch.AdversaryStrategy | None):
-        self.edge = edge
-        spec = edge.spec
-        self.kind = type(spec).__name__
-        self.committed_last = -math.inf
-        self.commit_margin = math.inf
-        self.delivered: list[tuple[float, int]] = []
-        self.last_committed_value: int | None = None
-        self.active_beyond_horizon = False
-        self.state: ch._InvolutionState | None = None
-        self.source: ch.EtaSource | None = None
-        self.w_rising = self.w_falling = 0.0
-        self.inertial_pending: ch.TransitionRecord | None = None
-        self.inertial_log: list[ch.TransitionRecord] = []
-        if isinstance(spec, ch.Involution):
-            self.state = ch._InvolutionState(spec.df, None)
-            self.w_rising = _release_window(spec.df, 0.0, True)
-            self.w_falling = _release_window(spec.df, 0.0, False)
-        elif isinstance(spec, ch.EtaInvolution):
-            strategy = strategy_override if strategy_override is not None else spec.strategy
-            self.source = ch.EtaSource(strategy, spec.bounds)
-            self.state = ch._InvolutionState(spec.df, self.source)
-            self.w_rising = _release_window(spec.df, spec.bounds.eta_minus, True)
-            self.w_falling = _release_window(spec.df, spec.bounds.eta_minus, False)
-        if self.w_rising > 0 or self.w_falling > 0:
-            raise CausalityFault(
-                f"channel {edge.name!r}: eta_minus exceeds delta(0); "
-                "pending outputs cannot be committed causally"
-            )
+    """A channel's incremental state, plus when the engine decides its records.
 
-    @property
-    def log(self) -> list[ch.TransitionRecord]:
-        if self.state is not None:
-            return self.state.log
-        return self.inertial_log
+    ``decide_at(rec)`` is the time after which ``rec`` can no longer be
+    canceled; it is None for a pure channel, whose records are delivered at once.
+    """
+
+    def __init__(self, edge: ChannelEdge, initial_value: int, strategy_override: ch.AdversaryStrategy | None):
+        spec = edge.spec
+        self.edge = edge
+        self.state = ch.channel_state(spec, initial_value, strategy_override)
+        self.delivered: list[tuple[float, int]] = []
+        self.decide_at: Callable[[ch.TransitionRecord], float] | None = None
+        if isinstance(spec, ch.Inertial):
+            if spec.window > spec.delay:
+                raise CausalityFault(f"channel {edge.name!r}: inertial window exceeds delay; not causally executable")
+            self.decide_at = lambda rec: rec.time + spec.window
+        elif isinstance(spec, (ch.Involution, ch.EtaInvolution)):
+            eta_minus = spec.bounds.eta_minus if isinstance(spec, ch.EtaInvolution) else 0.0
+            dmin = delta_min(spec.df)
+            w = tuple(_release_window(spec.df, eta_minus, dmin, value) for value in (0, 1))
+            if max(w) > 0:
+                raise CausalityFault(
+                    f"channel {edge.name!r}: eta_minus exceeds delta(0); "
+                    "pending outputs cannot be committed causally"
+                )
+            self.decide_at = lambda rec: max(rec.time, rec.out_time + w[rec.value])
 
 
 def execute(
@@ -436,16 +426,6 @@ def execute(
         if not isinstance(circuit.channels[name].spec, ch.EtaInvolution):
             raise EngineError(f"channel {name!r} is not an eta-involution channel")
 
-    runtimes = {
-        name: _ChannelRuntime(edge, strategies.get(name))
-        for name, edge in circuit.channels.items()
-    }
-    for name, edge in circuit.channels.items():
-        if isinstance(edge.spec, ch.Inertial) and edge.spec.window > edge.spec.delay:
-            raise CausalityFault(
-                f"channel {name!r}: inertial window exceeds delay; not causally executable"
-            )
-
     # Initial values propagate statically: a channel's initial output value is
     # its source vertex's initial value.
     values: dict[str, int] = {}
@@ -461,14 +441,17 @@ def execute(
             pin_values[edge.dst][edge.dst_pin] = src_initial
         else:
             values[edge.dst] = src_initial
-        runtimes[edge.name].last_committed_value = src_initial
+    runtimes = {
+        name: _ChannelRuntime(edge, initial_of_vertex[edge.src], strategies.get(name))
+        for name, edge in circuit.channels.items()
+    }
 
     vertex_events: dict[str, list[tuple[float, int]]] = {v: [] for v in values}
     initial_values = dict(values)
 
     heap: list[tuple[float, int, int, str, Any]] = []
     seq = itertools.count()
-    trail: list[tuple] = []
+    trail: collections.deque[tuple] = collections.deque(maxlen=100)
 
     def schedule(t: float, prio: int, kind: str, payload: Any) -> None:
         heapq.heappush(heap, (t, prio, next(seq), kind, payload))
@@ -499,38 +482,14 @@ def execute(
 
     def channel_arrival(edge: ChannelEdge, t: float, v: int) -> None:
         rt = runtimes[edge.name]
-        spec = edge.spec
-        if isinstance(spec, ch.Pure):
-            rec = ch.TransitionRecord(len(rt.inertial_log) + 1, t, v, math.nan, spec.delay, 0.0, t + spec.delay)
-            rt.inertial_log.append(rec)
-            schedule(t + spec.delay, 0, "deliver", (edge.name, rec))
-            return
-        if isinstance(spec, ch.Inertial):
-            prev = rt.inertial_pending
-            if prev is not None and not prev.canceled and t - prev.time <= spec.window:
-                prev.canceled = True
-            rec = ch.TransitionRecord(len(rt.inertial_log) + 1, t, v, math.nan, spec.delay, 0.0, t + spec.delay)
-            rt.inertial_log.append(rec)
-            rt.inertial_pending = rec
-            schedule(t + spec.window, 2, "inertial_check", (edge.name, rec))
-            return
-        # involution kinds
         try:
             rec, _partner = rt.state.feed(t, v)
         except ch.ChannelError as exc:
             raise CausalityFault(f"channel {edge.name!r}: {exc}") from exc
-        if not rec.canceled:
-            # commit audit: a surviving pending scheduled at or before the
-            # committed frontier should have canceled a committed output
-            margin = rec.out_time - rt.committed_last
-            rt.commit_margin = min(rt.commit_margin, margin)
-            if margin <= 0:
-                raise CausalityFault(
-                    f"channel {edge.name!r}: arrival at t={t} would retro-cancel a committed "
-                    f"output at {rt.committed_last}"
-                )
-            w = rt.w_rising if rec.value == 1 else rt.w_falling
-            schedule(max(t, rec.out_time + w), 2, "release", (edge.name, rec))
+        if rt.decide_at is None:
+            schedule(rec.out_time, 0, "deliver", (edge.name, rec))
+        elif not rec.canceled:
+            schedule(rt.decide_at(rec), 2, "release", (edge.name, rec))
 
     for port in circuit.input_ports:
         for tr in inputs[port].transitions:
@@ -544,11 +503,7 @@ def execute(
     while heap:
         t, prio, _, kind, payload = heapq.heappop(heap)
         if t > horizon:
-            if kind == "deliver":
-                active.add(payload[0])
-            elif kind == "stim":
-                active.add(payload[0])
-            elif kind in ("release", "inertial_check"):
+            if kind != "eval":  # a stimulus, delivery or release still to come
                 active.add(payload[0])
             continue
         event_count += 1
@@ -556,11 +511,9 @@ def execute(
             raise HorizonExceeded(
                 f"event budget {events_max} exhausted at t={t} (oscillation?); "
                 f"last event {kind} {payload!r}",
-                events=trail[-100:],
+                events=list(trail),
             )
         trail.append((t, kind, payload))
-        if len(trail) > 200:
-            del trail[:100]
 
         if kind == "stim":
             port, v = payload
@@ -576,41 +529,24 @@ def execute(
             deliver(circuit.channels[name], rec.out_time, rec.value)
         elif kind == "release":
             name, rec = payload
-            rt = runtimes[name]
-            if rec.canceled:
-                continue
             try:
-                rt.state.stack.remove(rec)
-            except ValueError as exc:
-                raise CausalityFault(f"channel {name!r}: released record not pending") from exc
-            rt.committed_last = max(rt.committed_last, rec.out_time)
+                committed = runtimes[name].state.commit(rec)
+            except ch.ChannelError as exc:
+                raise CausalityFault(f"channel {name!r}: {exc}") from exc
+            if not committed:
+                continue
             if rec.out_time < t:
                 raise CausalityFault(
                     f"channel {name!r}: committed output at {rec.out_time} lies before decision time {t}"
                 )
             if rec.out_time > horizon:
-                rt.active_beyond_horizon = True
-                continue
-            schedule(rec.out_time, 0, "deliver", (name, rec))
-        elif kind == "inertial_check":
-            name, rec = payload
-            rt = runtimes[name]
-            if rec.canceled:
-                continue
-            if rec.value == rt.last_committed_value:
-                rec.canceled = True  # coalesced: output already at this value
-                continue
-            rt.last_committed_value = rec.value
-            if rec.out_time > horizon:
-                rt.active_beyond_horizon = True
+                active.add(name)
                 continue
             schedule(rec.out_time, 0, "deliver", (name, rec))
 
-    channel_signals = {}
-    for name, rt in runtimes.items():
-        channel_signals[name] = make_signal(initial_of_vertex.get(rt.edge.src, 0), rt.delivered)
-        if rt.active_beyond_horizon or (rt.state is not None and rt.state.stack):
-            active.add(name)
+    channel_signals = {
+        name: make_signal(initial_of_vertex[rt.edge.src], rt.delivered) for name, rt in runtimes.items()
+    }
 
     vertex_signals = {
         name: make_signal(initial_values[name], events) for name, events in vertex_events.items()
@@ -638,16 +574,20 @@ def execute(
         horizon=horizon,
         vertex_signals=vertex_signals,
         channel_signals=channel_signals,
-        channel_logs={name: rt.log for name, rt in runtimes.items()},
+        channel_logs={name: rt.state.log for name, rt in runtimes.items()},
         eta_sequences={
-            name: list(rt.source.drawn) for name, rt in runtimes.items() if rt.source is not None
+            name: list(rt.state.source.drawn)
+            for name, rt in runtimes.items()
+            if isinstance(rt.edge.spec, ch.EtaInvolution)
         },
         event_count=event_count,
         stabilized=stabilized,
         resolved_value=resolved,
         active_at_horizon=active,
         commit_margins={
-            name: rt.commit_margin for name, rt in runtimes.items() if rt.state is not None
+            name: rt.state.commit_margin
+            for name, rt in runtimes.items()
+            if isinstance(rt.state, ch._InvolutionState)
         },
         circuit=circuit,
     )

@@ -58,6 +58,49 @@ def ref_first_pulse(d0):
     return ref_delay(d0 - REF_D_INF) + d0 - REF_D_INF
 
 
+def cancellation_oracle(pending):
+    """Surviving indices under exhaustive pairwise cancellation marking.
+
+    Independent quadratic reference for the incremental stack rule: repeatedly
+    mark the leftmost adjacent surviving pair (n, m) with
+    pending[n] >= pending[m], until no such pair remains.
+    """
+    alive = [True] * len(pending)
+    while True:
+        prev = None
+        hit = False
+        for i, ok in enumerate(alive):
+            if not ok:
+                continue
+            if prev is not None and pending[prev] >= pending[i]:
+                alive[prev] = alive[i] = False
+                hit = True
+                break
+            prev = i
+        if not hit:
+            return [i for i, ok in enumerate(alive) if ok]
+
+
+def inertial_oracle(initial_value, transitions, delay, window):
+    """Look-ahead inertial delay on ``(time, value)`` pairs.
+
+    Returns the output pairs and one canceled flag per input transition.  A
+    transition followed by the next one within ``window`` is suppressed; a
+    remaining one that repeats the current output value is coalesced.
+    """
+    out, canceled = [], []
+    value = initial_value
+    for i, (t, v) in enumerate(transitions):
+        gap = transitions[i + 1][0] - t if i + 1 < len(transitions) else math.inf
+        if gap <= window or v == value:
+            canceled.append(True)
+        else:
+            out.append((t + delay, v))
+            value = v
+            canceled.append(False)
+    return out, canceled
+
+
 # Values frozen after confirming them with the oracles above (see the
 # assertions in test_acceptance.py, which recompute each one).
 REF_TAU_STAR = 0.6491832629580262

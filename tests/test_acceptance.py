@@ -27,7 +27,6 @@ from involution.channel import (
     WorstCaseShrink,
     Zero,
     apply_channel,
-    cancellation_oracle,
 )
 from involution.circuit import execute, or_loop_circuit
 from involution.delay_model import (
@@ -49,6 +48,7 @@ from involution.waveform_lab import (
 )
 
 import oracles
+from oracles import cancellation_oracle
 
 
 def report(num: int, text: str, passed: bool, extra: str = "") -> None:

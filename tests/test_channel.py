@@ -16,7 +16,6 @@ from involution.channel import (
     UniformRandom,
     Zero,
     apply_channel,
-    cancellation_oracle,
     read_eta_sequence,
     worst_case_eta,
     write_eta_sequence,
@@ -24,6 +23,7 @@ from involution.channel import (
 from involution.signals import make_signal, pulse
 
 import oracles
+from oracles import cancellation_oracle
 
 
 def random_alternating_signal(rng, max_transitions=20):
@@ -96,6 +96,15 @@ class TestPureAndInertial:
         out, _ = apply_channel(Pure(1.0), pulse(0, 0.1))
         assert [(t.time, t.value) for t in out.transitions] == [(1.0, 1), (1.1, 0)]
 
+    def test_pure_is_a_shift(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            s = random_alternating_signal(rng)
+            d = float(rng.uniform(0.0, 2.0))
+            out, log = apply_channel(Pure(d), s)
+            assert out == s.shifted(d)
+            assert not any(r.canceled for r in log)
+
     def test_inertial_suppresses_short_pulse(self):
         out, _ = apply_channel(Inertial(1.0, 0.2), pulse(0, 0.1))
         assert out.is_zero
@@ -108,6 +117,40 @@ class TestPureAndInertial:
         s = make_signal(0, [(0.0, 1), (0.5, 0), (0.55, 1), (2.0, 0)])
         out, _ = apply_channel(Inertial(1.0, 0.2), s)
         assert [(t.time, t.value) for t in out.transitions] == [(1.0, 1), (3.0, 0)]
+
+
+class TestInertialOracle:
+    WINDOW = 0.2
+
+    def glitch_train(self, rng):
+        """Gaps at, below and above the window, so suppressions run back to back."""
+        initial = int(rng.integers(2))
+        t, pairs = 0.0, []
+        for i in range(int(rng.integers(0, 30))):
+            r = rng.random()
+            if r < 0.2:
+                t += self.WINDOW
+            elif r < 0.6:
+                t += float(rng.uniform(0.0, self.WINDOW))
+            else:
+                t += float(rng.uniform(self.WINDOW, 3.0))
+            pairs.append((t, (initial + i + 1) % 2))
+        return make_signal(initial, pairs)
+
+    def test_agrees_on_random_glitch_trains(self):
+        rng = np.random.default_rng(7)
+        coalesced = 0
+        for _ in range(500):
+            s = self.glitch_train(rng)
+            pairs = [(tr.time, tr.value) for tr in s.transitions]
+            out, log = apply_channel(Inertial(1.0, self.WINDOW), s)
+            want, canceled = oracles.inertial_oracle(s.initial_value, pairs, 1.0, self.WINDOW)
+            assert [(tr.time, tr.value) for tr in out.transitions] == want
+            assert [r.canceled for r in log] == canceled
+            assert [(r.time, r.value) for r in log] == pairs
+            gaps = [b[0] - a[0] for a, b in zip(pairs, pairs[1:])] + [math.inf]
+            coalesced += sum(c and g > self.WINDOW for c, g in zip(canceled, gaps))
+        assert coalesced > 0  # the coalescing rule was exercised
 
 
 class TestCancellationOracle:

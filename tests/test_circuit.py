@@ -261,6 +261,7 @@ class TestChains:
         with pytest.raises(HorizonExceeded) as exc_info:
             execute(c, {}, horizon=1e9, events_max=5000)
         assert exc_info.value.events  # oscillation diagnosis attached
+        assert len(exc_info.value.events) == 100
 
     def test_missing_input_rejected(self, loop_no_ht):
         with pytest.raises(EngineError):

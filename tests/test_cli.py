@@ -151,3 +151,12 @@ class TestWaveform:
 def test_usage_error_exit_code():
     assert main(["simulate"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, fig4):
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    ref = ["--tau", "1", "--t-p", "0.5", "--vth", "0.5"]
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["analyze", *ref, "--horizon", "5"]) == 2
+    assert main(["simulate", str(fig4), str(stim), "--horizon", "30", "--tol", "1e-9", *out]) == 2
+    assert main(["spf-sweep", *ref, "--grid", "0.3", "0.3", "0.3", "--horizon", "20", "--seed", "1", *out]) == 2
