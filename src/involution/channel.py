@@ -199,22 +199,39 @@ class TransitionRecord:
     guard_hit: bool = False
 
 
+def _cancel_pair(earlier: TransitionRecord, later: TransitionRecord) -> None:
+    earlier.canceled = later.canceled = True
+    earlier.canceled_with, later.canceled_with = later.index, earlier.index
+
+
 class _PureState:
-    """Incremental pure delay: every record survives."""
+    """Incremental pure delay: every record survives, except that two records
+    rounded onto one output time cancel (the involution channels' tie rule)."""
 
     def __init__(self, delay: float):
         self.delay = delay
         self.log: list[TransitionRecord] = []
+        self.last: TransitionRecord | None = None  # latest surviving record
+
+    def _record(self, t: float, value: int) -> TransitionRecord:
+        rec = TransitionRecord(len(self.log) + 1, t, value, math.nan, self.delay, 0.0, t + self.delay)
+        self.log.append(rec)
+        return rec
 
     def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
         """Process one input transition; returns (record, canceled partner or None)."""
-        rec = TransitionRecord(len(self.log) + 1, t, value, math.nan, self.delay, 0.0, t + self.delay)
-        self.log.append(rec)
-        return rec, None
+        rec = self._record(t, value)
+        partner = self.last
+        if partner is None or partner.out_time != rec.out_time:
+            self.last = rec
+            return rec, None
+        _cancel_pair(partner, rec)
+        self.last = next((r for r in reversed(self.log) if not r.canceled), None)
+        return rec, partner
 
     def commit(self, rec: TransitionRecord) -> bool:
         """Decide a record that can no longer be canceled; True if it reaches the output."""
-        return True
+        return not rec.canceled
 
     def survivors(self) -> list[TransitionRecord]:
         """The output records once the whole input has been fed (batch use only)."""
@@ -235,8 +252,7 @@ class _InertialState(_PureState):
             prev.canceled = True
         else:
             prev = None
-        rec, _ = super().feed(t, value)
-        return rec, prev
+        return self._record(t, value), prev
 
     def commit(self, rec: TransitionRecord) -> bool:
         if rec.canceled:
@@ -276,10 +292,7 @@ class _InvolutionState:
         partner = None
         if self.stack and self.stack[-1].out_time >= rec.out_time:
             partner = self.stack.pop()
-            partner.canceled = True
-            partner.canceled_with = rec.index
-            rec.canceled = True
-            rec.canceled_with = partner.index
+            _cancel_pair(partner, rec)
         else:
             if rec.out_time == -math.inf:
                 raise ChannelError(
@@ -351,9 +364,14 @@ def read_eta_sequence(path) -> list[float]:
         r = csv.reader(fh)
         header = next(r, None)
         if header != ["n", "eta"]:
-            raise ChannelError(f"bad eta-sequence header {header!r}")
-        for n, e in r:
-            if int(n) != len(out) + 1:
-                raise ChannelError(f"eta-sequence rows must be consecutive from 1, got n={n}")
-            out.append(float(e))
+            raise ChannelError(f"{path}: line 1: bad eta-sequence header {header!r}")
+        for row in r:
+            try:
+                n, e = row
+                n, e = int(n), float(e)
+            except ValueError as exc:
+                raise ChannelError(f"{path}: line {r.line_num}: bad eta-sequence row {row!r} ({exc})") from exc
+            if n != len(out) + 1:
+                raise ChannelError(f"{path}: line {r.line_num}: rows must be numbered consecutively from 1, got n={n}")
+            out.append(e)
     return out

@@ -27,6 +27,7 @@ import collections
 import heapq
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -223,8 +224,23 @@ class Circuit:
 def _parse_endpoint(text: str) -> tuple[str, int | None]:
     if "." in text:
         vertex, pin = text.rsplit(".", 1)
-        return vertex, int(pin)
+        try:
+            return vertex, int(pin)
+        except ValueError:
+            raise NetlistError(f"endpoint {text!r}: pin must be an integer") from None
     return text, None
+
+
+def _integer(where: str, field: str, x: Any) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise NetlistError(f"{where}: {field} must be an integer, got {x!r}")
+    return x
+
+
+def _number(where: str, field: str, x: Any) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise NetlistError(f"{where}: {field} must be a number, got {x!r}")
+    return x
 
 
 def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
@@ -232,11 +248,17 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
 
     kind = entry["kind"]
     params = dict(entry.get("params", {}))
+    where = f"channel {entry['name']!r}"
+
+    def num(field: str, x: Any) -> float:
+        return _number(where, field, x)
 
     def build_df() -> DelayFunction:
         if "exp" in params:
             e = params.pop("exp")
-            return exp_channel(ExpChannelParams(e["tau"], e["t_p"], e["vth"]))
+            return exp_channel(
+                ExpChannelParams(num("exp.tau", e["tau"]), num("exp.t_p", e["t_p"]), num("exp.vth", e["vth"]))
+            )
         if "table" in params:
             path = params.pop("table")
             if base_dir is not None and not os.path.isabs(path):
@@ -245,19 +267,19 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
             up = [(t, du) for t, du, _ in rows if du is not None]
             down = [(t, dd) for t, _, dd in rows if dd is not None]
             meta = params.pop("asymptotes")
-            return tabulated_channel(up, down, meta["up"], meta["down"])
+            return tabulated_channel(up, down, num("asymptotes.up", meta["up"]), num("asymptotes.down", meta["down"]))
         raise NetlistError(f"channel params need 'exp' or 'table', got {sorted(params)}")
 
     if kind == "pure":
-        spec: ch.ChannelSpec = ch.Pure(params.pop("d"))
+        spec: ch.ChannelSpec = ch.Pure(num("d", params.pop("d")))
     elif kind == "inertial":
-        spec = ch.Inertial(params.pop("d"), params.pop("window"))
+        spec = ch.Inertial(num("d", params.pop("d")), num("window", params.pop("window")))
     elif kind == "involution":
         spec = ch.Involution(build_df())
     elif kind == "eta_involution":
         df = build_df()
         eta = entry.get("eta", {"plus": 0.0, "minus": 0.0})
-        bounds = ch.EtaBounds(eta_minus=eta["minus"], eta_plus=eta["plus"])
+        bounds = ch.EtaBounds(eta_minus=num("eta.minus", eta["minus"]), eta_plus=num("eta.plus", eta["plus"]))
         strat_doc = entry.get("strategy", {"variant": "zero"})
         variant = strat_doc["variant"]
         if variant == "zero":
@@ -265,7 +287,7 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
         elif variant == "worst_case_shrink":
             strategy = ch.WorstCaseShrink()
         elif variant == "uniform_random":
-            strategy = ch.UniformRandom(seed=int(strat_doc["seed"]))
+            strategy = ch.UniformRandom(seed=_integer(where, "strategy.seed", strat_doc["seed"]))
         elif variant == "fixed_sequence":
             path = strat_doc["file"]
             if base_dir is not None and not os.path.isabs(path):
@@ -307,7 +329,10 @@ def parse_circuit(document: dict | str, base_dir: str | None = None) -> Circuit:
     for g in doc.get("gates", []):
         if set(g) - _GATE_KEYS:
             raise NetlistError(f"gate {g.get('name')!r}: unknown keys {sorted(set(g) - _GATE_KEYS)}")
-        gates.append(Gate(g["name"], g["function"], g["arity"], g["initial"]))
+        where = f"gate {g['name']!r}"
+        gates.append(
+            Gate(g["name"], g["function"], _integer(where, "arity", g["arity"]), _integer(where, "initial", g["initial"]))
+        )
     for c in doc.get("channels", []):
         if set(c) - _CHANNEL_KEYS:
             raise NetlistError(f"channel {c.get('name')!r}: unknown keys {sorted(set(c) - _CHANNEL_KEYS)}")
@@ -526,7 +551,8 @@ def execute(
             vertex_transition(gate_name, t, v)
         elif kind == "deliver":
             name, rec = payload
-            deliver(circuit.channels[name], rec.out_time, rec.value)
+            if not rec.canceled:  # a pure record can cancel with a later one rounded onto its time
+                deliver(circuit.channels[name], rec.out_time, rec.value)
         elif kind == "release":
             name, rec = payload
             try:

@@ -8,8 +8,12 @@ spf-sweep  sweep input pulse widths through the storage-loop filter circuit
 waveform   run the analog RC surrogate: crossings, deviations, exp fit
 
 All times are seconds.  Every command writes a run manifest (seeds, digests,
-tolerances) sufficient to reproduce the run; output files are written to a
-temporary name and renamed into place so failures leave no partial files.
+tolerances) sufficient to reproduce the run.  Each output file is written to
+a temporary name first, so a failure leaves neither a partial file nor the
+temporary one.  New bytes are then renamed into place; bytes identical to
+the existing file leave that file (and its inode) as it is and only set its
+mtime to the end of the run.  ``manifest.json`` carries the run's timestamp,
+so it is the output a build rule should depend on.
 
 Exit codes: 0 ok, 2 usage, 3 input/parse error, 4 model-constraint error,
 5 engine error.
@@ -23,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -50,10 +55,49 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _unchanged(path: str, tmp: str) -> bool:
+    """True if ``path`` is a regular file holding exactly the bytes of ``tmp``.
+
+    Compared chunk by chunk, not with ``filecmp``: its cache is keyed on
+    (size, mtime), so a long-lived process could call a rewritten file equal.
+    """
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    if not stat.S_ISREG(st.st_mode) or st.st_size != os.stat(tmp).st_size:
+        return False
+    with open(path, "rb") as old, open(tmp, "rb") as new:
+        while True:
+            chunk = old.read(65536)
+            if chunk != new.read(65536):
+                return False
+            if not chunk:
+                return True
+
+
 def _atomic_write(path: str, writer) -> None:
+    """Publish ``writer``'s output at ``path``; an unchanged file is only touched.
+
+    ``writer`` writes ``path + ".tmp"``.  New bytes are renamed over ``path``
+    (with the flush a rename onto an existing file costs); identical bytes
+    leave ``path`` and its inode in place and set its mtime to now.  If
+    anything fails, the temporary file is removed and ``path`` is untouched.
+    """
     tmp = path + ".tmp"
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        if _unchanged(path, tmp):
+            os.remove(tmp)
+            os.utime(path)
+        else:
+            os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _write_json(path: str, obj) -> None:
@@ -96,7 +140,7 @@ def cmd_simulate(args) -> int:
         stimuli = read_trace(args.stimulus)
     except OSError as exc:
         return _error("io", str(exc), EXIT_PARSE)
-    except (NetlistError, SignalError, json.JSONDecodeError, DelayModelError, KeyError) as exc:
+    except (NetlistError, SignalError, json.JSONDecodeError, DelayModelError, ch.ChannelError, KeyError) as exc:
         return _error("parse", str(exc), EXIT_PARSE)
     try:
         e = execute(circuit, stimuli, args.horizon, events_max=args.events_max)

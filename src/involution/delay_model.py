@@ -246,13 +246,11 @@ def read_delay_samples(path) -> list[tuple[float, float | None, float | None]]:
         r = csv.reader(fh)
         header = next(r, None)
         if header != ["T", "delta_up", "delta_down"]:
-            raise DelayModelError(f"bad delay-sample header {header!r}")
-        for T, du, dd in r:
-            rows.append(
-                (
-                    float(T),
-                    float(du) if du.strip() else None,
-                    float(dd) if dd.strip() else None,
-                )
-            )
+            raise DelayModelError(f"{path}: line 1: bad delay-sample header {header!r}")
+        for row in r:
+            try:
+                T, du, dd = row
+                rows.append((float(T), float(du) if du.strip() else None, float(dd) if dd.strip() else None))
+            except ValueError as exc:
+                raise DelayModelError(f"{path}: line {r.line_num}: bad delay-sample row {row!r} ({exc})") from exc
     return rows

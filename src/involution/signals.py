@@ -203,14 +203,19 @@ def read_trace(path) -> dict[str, Signal]:
         r = csv.reader(fh)
         header = next(r, None)
         if header != ["signal", "time", "value"]:
-            raise SignalError(f"bad trace header {header!r}")
-        for name, time_s, value_s in r:
-            value = int(value_s)
-            if time_s.strip() == "-inf":
+            raise SignalError(f"{path}: line 1: bad trace header {header!r}")
+        for row in r:
+            try:
+                name, time_s, value_s = row
+                value = int(value_s)
+                time = None if time_s.strip() == "-inf" else float(time_s)
+            except ValueError as exc:
+                raise SignalError(f"{path}: line {r.line_num}: bad trace row {row!r} ({exc})") from exc
+            if time is None:
                 initials[name] = value
                 raw.setdefault(name, [])
             else:
-                raw.setdefault(name, []).append((float(time_s), value))
+                raw.setdefault(name, []).append((time, value))
     out = {}
     for name, transitions in raw.items():
         if name not in initials:

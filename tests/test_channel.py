@@ -105,6 +105,16 @@ class TestPureAndInertial:
             assert out == s.shifted(d)
             assert not any(r.canceled for r in log)
 
+    def test_pure_rounding_tie_cancels(self):
+        # two inputs one ulp apart that the delay rounds onto one output time
+        t1, t2 = 3.9043828960234284, 3.904382896023429
+        assert t1 < t2 and t1 + 0.5306 == t2 + 0.5306
+        s = make_signal(0, [(1.0, 1), (t1, 0), (t2, 1), (6.0, 0)])
+        out, log = apply_channel(Pure(0.5306), s)
+        assert [(t.time, t.value) for t in out.transitions] == [(1.0 + 0.5306, 1), (6.0 + 0.5306, 0)]
+        assert [r.canceled for r in log] == [False, True, True, False]
+        assert log[1].canceled_with == 3 and log[2].canceled_with == 2
+
     def test_inertial_suppresses_short_pulse(self):
         out, _ = apply_channel(Inertial(1.0, 0.2), pulse(0, 0.1))
         assert out.is_zero
@@ -254,3 +264,15 @@ def test_eta_sequence_csv_roundtrip(tmp_path):
     path = tmp_path / "etas.csv"
     write_eta_sequence(path, [0.01, -0.02, 0.0])
     assert read_eta_sequence(path) == [0.01, -0.02, 0.0]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("eta\n1,0.0\n", 1), ("n,eta\n1,0.0\n2,x\n", 3), ("n,eta\n1\n", 2), ("n,eta\n2,0.0\n", 2)],
+    ids=["header", "value", "columns", "numbering"],
+)
+def test_malformed_eta_sequence_names_the_line(tmp_path, text, line):
+    path = tmp_path / "etas.csv"
+    path.write_text(text)
+    with pytest.raises(ChannelError, match=f"line {line}:"):
+        read_eta_sequence(path)

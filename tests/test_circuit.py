@@ -127,6 +127,42 @@ class TestParse:
         with pytest.raises(NetlistError):
             parse_circuit(doc)
 
+    @pytest.mark.parametrize(
+        "path, bad, field",
+        [
+            (("gates", 1, "arity"), "1", "arity"),
+            (("gates", 0, "initial"), 0.0, "initial"),
+            (("gates", 1, "arity"), True, "arity"),
+            (("channels", 0, "params", "d"), "0", "d"),
+            (("channels", 1, "params", "exp", "tau"), None, "exp.tau"),
+            (("channels", 2, "params", "exp", "vth"), "0.75", "exp.vth"),
+            (("channels", 1, "eta", "minus"), [0.0], "eta.minus"),
+        ],
+        ids=["arity-str", "initial-float", "arity-bool", "d", "exp.tau", "exp.vth", "eta.minus"],
+    )
+    def test_field_types_rejected(self, path, bad, field):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(NetlistError, match=f"{field} must be"):
+            parse_circuit(doc)
+
+    def test_non_integer_pin_rejected(self):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        doc["channels"][0]["to"] = "or1.x"
+        with pytest.raises(NetlistError, match="pin must be an integer"):
+            parse_circuit(doc)
+
+    def test_inertial_field_types_rejected(self):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        doc["channels"][2] = {
+            "name": "ht", "from": "or1", "to": "buf1.0", "kind": "inertial", "params": {"d": 1.0, "window": "0.1"}
+        }
+        with pytest.raises(NetlistError, match="channel 'ht': window must be a number"):
+            parse_circuit(doc)
+
     def test_table_and_eta_file_references(self, tmp_path, ref):
         from involution.channel import write_eta_sequence
         from involution.delay_model import write_delay_samples
@@ -361,6 +397,26 @@ class TestAcyclicEquivalence:
 
             report = verify_execution(e)
             assert report.ok, report.mismatches
+
+
+class TestPureRoundingTie:
+    def test_tied_records_are_not_delivered(self):
+        # the delay rounds the inputs at t1 < t2 onto one output time: the pair
+        # cancels, as in apply_channel, instead of raising NonMonotoneTimes
+        t1, t2 = 3.9043828960234284, 3.904382896023429
+        circuit = Circuit(
+            ["i"],
+            ["o"],
+            [Gate("b", "BUF", 1, 0)],
+            [ChannelEdge("c", "i", "b", 0, Pure(0.5306)), ChannelEdge("co", "b", "o", None, Pure(0.0))],
+        )
+        stim = make_signal(0, [(1.0, 1), (t1, 0), (t2, 1), (6.0, 0)])
+        e = execute(circuit, {"i": stim}, horizon=20.0)
+        expected, _ = apply_channel(Pure(0.5306), stim)
+        assert e.channel_signals["c"] == expected
+        assert [(t.time, t.value) for t in e.vertex_signals["o"].transitions] == [(1.5306, 1), (6.5306, 0)]
+        assert [r.canceled for r in e.channel_logs["c"]] == [False, True, True, False]
+        assert verify_execution(e).ok
 
 
 class TestVerifyExecution:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from involution.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, main
+from involution.channel import write_eta_sequence
+from involution.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, _atomic_write, main
 from involution.signals import pulse, read_trace, write_trace
 
 from test_circuit import FIG4_NETLIST
@@ -59,6 +61,92 @@ class TestSimulate:
         assert main(["simulate", str(fig4), str(stim), "--horizon", "30", "--out", str(out2)]) == EXIT_OK
         for name in ("o.csv", "or1.csv", "chan_c.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+    def test_rerun_publishes_only_changed_files(self, tmp_path):
+        # two independent wires: changing b's stimulus leaves every a-file unchanged
+        wires = {
+            "ports": [{"name": n, "direction": d} for n, d in (("a", "in"), ("b", "in"), ("x", "out"), ("y", "out"))],
+            "gates": [],
+            "channels": [
+                {"name": "ca", "from": "a", "to": "x", "kind": "pure", "params": {"d": 1.0}},
+                {"name": "cb", "from": "b", "to": "y", "kind": "pure", "params": {"d": 1.0}},
+            ],
+        }
+        netlist, stim, out = tmp_path / "wires.json", tmp_path / "stim.csv", tmp_path / "out"
+        netlist.write_text(json.dumps(wires))
+        argv = ["simulate", str(netlist), str(stim), "--horizon", "10", "--out", str(out)]
+        write_trace(stim, {"a": pulse(0, 1), "b": pulse(0, 1)})
+        assert main(argv) == EXIT_OK
+        before = {p.name: p.stat() for p in out.iterdir()}
+
+        # b's falling edge moves from 1.0 to 2.0: the changed files keep their size
+        write_trace(stim, {"a": pulse(0, 1), "b": pulse(0, 2)})
+        started = tmp_path / "second_run_started"
+        started.touch()
+        assert main(argv) == EXIT_OK
+        after = {p.name: p.stat() for p in out.iterdir()}
+
+        assert set(after) == set(before)  # no *.tmp left behind
+        for name in ("a.csv", "x.csv", "chan_ca.csv"):
+            assert after[name].st_ino == before[name].st_ino, name
+            assert after[name].st_mtime_ns >= started.stat().st_mtime_ns, name
+        for name in ("b.csv", "y.csv", "chan_cb.csv"):
+            assert after[name].st_size == before[name].st_size, name
+            assert after[name].st_ino != before[name].st_ino, name
+        fresh = tmp_path / "fresh"
+        assert main([*argv[:-1], str(fresh)]) == EXIT_OK
+        for name in after:
+            if name.endswith(".csv"):
+                assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert after["manifest.json"].st_ino != before["manifest.json"].st_ino
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"][str(stim)] == hashlib.sha256(stim.read_bytes()).hexdigest()
+
+    def test_malformed_trace_row_is_parse_error(self, tmp_path, fig4, capsys):
+        stim = tmp_path / "stim.csv"
+        stim.write_text("signal,time,value\ni,-inf,0\ni,abc,1\n")
+        assert main(["simulate", str(fig4), str(stim), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parse" and "line 3" in err["message"]
+
+    def test_malformed_eta_sequence_is_parse_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        doc["channels"][1]["strategy"] = {"variant": "fixed_sequence", "file": "etas.csv"}
+        netlist = tmp_path / "fig4.json"
+        netlist.write_text(json.dumps(doc))
+        (tmp_path / "etas.csv").write_text("index,eta\n1,0.0\n")
+        stim = write_stimulus(tmp_path, pulse(0, 1.5))
+        assert main(["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parse" and "eta-sequence header" in err["message"]
+        write_eta_sequence(tmp_path / "etas.csv", [0.0])
+        assert main(["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_netlist_field_type_is_parse_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        doc["gates"][1]["arity"] = "1"
+        netlist = tmp_path / "fig4.json"
+        netlist.write_text(json.dumps(doc))
+        stim = write_stimulus(tmp_path, pulse(0, 1.5))
+        assert main(["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parse" and "arity must be an integer" in err["message"]
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_tmp(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("old\n")
+
+    def writer(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        _atomic_write(str(path), writer)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
 
 class TestAnalyze:

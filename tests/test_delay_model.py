@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from involution.delay_model import (
+    DelayModelError,
     DomainViolation,
     ExpChannelParams,
     InvalidParams,
@@ -205,6 +206,14 @@ def test_delay_sample_csv_roundtrip(tmp_path):
     path = tmp_path / "samples.csv"
     write_delay_samples(path, rows)
     assert read_delay_samples(path) == rows
+
+
+@pytest.mark.parametrize("row", ["0.5,abc,", "0.5,0.9", "x,0.9,1.0"])
+def test_malformed_delay_sample_row_names_the_line(tmp_path, row):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"T,delta_up,delta_down\n0.0,0.8,0.9\n{row}\n")
+    with pytest.raises(DelayModelError, match="line 3:"):
+        read_delay_samples(path)
 
 
 def test_bisect_root_tolerance():

@@ -14,6 +14,7 @@ from involution.signals import (
     make_signal,
     pulse,
     pulses_to_signal,
+    SignalError,
     read_trace,
     value_at,
     write_trace,
@@ -184,3 +185,11 @@ def test_trace_header_is_stable(tmp_path):
     first, second = path.read_text().splitlines()[:2]
     assert first == "signal,time,value"
     assert second == "s,-inf,0"
+
+
+@pytest.mark.parametrize("row", ["i,abc,1", "i,1.0", "i,1.0,x", "i,1.0,1,2"])
+def test_malformed_trace_row_names_the_line(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"signal,time,value\ni,-inf,0\n{row}\n")
+    with pytest.raises(SignalError, match="line 3:"):
+        read_trace(path)
