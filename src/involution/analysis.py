@@ -81,6 +81,13 @@ def solve_tau(df: DelayFunction, bounds: ch.EtaBounds) -> float:
     Bisection inside the guaranteed bracket; a 1000-point scan below the
     bracket asserts no earlier root (and takes it, with a warning, if one
     shows up).
+
+    The scan can never fire.  h(t) = delta_down(eta_plus - t) +
+    delta_up(-eta_minus - t) - t is strictly decreasing wherever it is
+    defined, for any pair of non-decreasing delay functions: both arguments
+    fall as t grows, so both delays are non-increasing in t, and -t is
+    strictly decreasing.  Hence h(lo) > 0, checked below, gives h(t) > 0 for
+    every t < lo, and no root lies below the bracket.
     """
     holds, margin = constraint_C(df, bounds)
     if not holds:
@@ -317,14 +324,16 @@ def run_spf_sweep(
     """Execute the storage-loop circuit over a grid of input widths.
 
     One run per (width, strategy); the zero-input run carries delta0=None.
+    All runs share one circuit, whose loop channel ``c`` takes each run's
+    strategy as an override.
     """
     char = characterize(df, bounds)
     strategies = strategies or {"zero": ch.Zero()}
+    circuit = or_loop_circuit(ch.EtaInvolution(df, bounds), ht_params)
     points: list[SweepPoint] = []
 
     def one_run(stimulus: Signal, delta0: float | None, label: str, strategy: ch.AdversaryStrategy):
-        circuit = or_loop_circuit(ch.EtaInvolution(df, bounds, strategy), ht_params)
-        e = execute(circuit, {"i": stimulus}, horizon, events_max=events_max)
+        e = execute(circuit, {"i": stimulus}, horizon, {"c": strategy}, events_max=events_max)
         or_sig = e.vertex_signals["or1"]
         out_sig = e.vertex_signals["o"]
         pulses = decompose_pulses(or_sig, horizon)

@@ -54,6 +54,8 @@ class EtaBounds:
     eta_plus: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.eta_minus) and math.isfinite(self.eta_plus)):
+            raise ChannelError(f"eta bounds must be finite, got {self}")
         if self.eta_minus < 0 or self.eta_plus < 0:
             raise ChannelError(f"eta bounds must be non-negative, got {self}")
 
@@ -142,7 +144,7 @@ class Pure:
     delay: float
 
     def __post_init__(self) -> None:
-        if self.delay < 0:
+        if not self.delay >= 0:
             raise ChannelError(f"pure delay must be >= 0, got {self.delay}")
 
 

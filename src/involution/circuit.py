@@ -12,7 +12,13 @@ Feedback commit rule
 A channel's pending output at time u may still be canceled by a later input
 transition at time t whenever t - u <= w, where w is the root of
 S + delta(S) = eta_minus for the opposite-edge delay function (w >= -delta_min,
-and w < 0 for any channel satisfying the faithfulness constraint).  The engine
+and w < 0 for any channel satisfying the faithfulness constraint).  For an
+exp-channel the root has a closed form: a pending rising output is canceled
+through delta_down, and
+
+    w = tau * ln(1 + exp((eta_minus + d_inf_up - d_inf_down)/tau)) - d_inf_up,
+
+with d_inf_up and d_inf_down swapped for a pending falling output.  The engine
 therefore releases a pending output to downstream consumers only once
 simulation time has reached u + w; releasing never schedules into the past
 for w <= 0.  A channel whose bounds force w > 0 cannot be executed causally
@@ -27,6 +33,7 @@ import collections
 import heapq
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -243,30 +250,39 @@ def _number(where: str, field: str, x: Any) -> float:
     return x
 
 
+_JSON_KIND = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(where: str, field: str, x: Any, kind: type) -> Any:
+    if not isinstance(x, kind):
+        raise NetlistError(f"{where}: {field} must be {_JSON_KIND[kind]}, got {type(x).__name__}")
+    return x
+
+
 def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
     import os
 
     kind = entry["kind"]
-    params = dict(entry.get("params", {}))
     where = f"channel {entry['name']!r}"
+    params = dict(_typed(where, "params", entry.get("params", {}), dict))
 
     def num(field: str, x: Any) -> float:
         return _number(where, field, x)
 
     def build_df() -> DelayFunction:
         if "exp" in params:
-            e = params.pop("exp")
+            e = _typed(where, "exp", params.pop("exp"), dict)
             return exp_channel(
                 ExpChannelParams(num("exp.tau", e["tau"]), num("exp.t_p", e["t_p"]), num("exp.vth", e["vth"]))
             )
         if "table" in params:
-            path = params.pop("table")
+            path = _typed(where, "table", params.pop("table"), str)
             if base_dir is not None and not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             rows = read_delay_samples(path)
             up = [(t, du) for t, du, _ in rows if du is not None]
             down = [(t, dd) for t, _, dd in rows if dd is not None]
-            meta = params.pop("asymptotes")
+            meta = _typed(where, "asymptotes", params.pop("asymptotes"), dict)
             return tabulated_channel(up, down, num("asymptotes.up", meta["up"]), num("asymptotes.down", meta["down"]))
         raise NetlistError(f"channel params need 'exp' or 'table', got {sorted(params)}")
 
@@ -278,9 +294,9 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
         spec = ch.Involution(build_df())
     elif kind == "eta_involution":
         df = build_df()
-        eta = entry.get("eta", {"plus": 0.0, "minus": 0.0})
+        eta = _typed(where, "eta", entry.get("eta", {"plus": 0.0, "minus": 0.0}), dict)
         bounds = ch.EtaBounds(eta_minus=num("eta.minus", eta["minus"]), eta_plus=num("eta.plus", eta["plus"]))
-        strat_doc = entry.get("strategy", {"variant": "zero"})
+        strat_doc = _typed(where, "strategy", entry.get("strategy", {"variant": "zero"}), dict)
         variant = strat_doc["variant"]
         if variant == "zero":
             strategy: ch.AdversaryStrategy = ch.Zero()
@@ -289,7 +305,7 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
         elif variant == "uniform_random":
             strategy = ch.UniformRandom(seed=_integer(where, "strategy.seed", strat_doc["seed"]))
         elif variant == "fixed_sequence":
-            path = strat_doc["file"]
+            path = _typed(where, "strategy.file", strat_doc["file"], str)
             if base_dir is not None and not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             strategy = ch.FixedSequence(tuple(ch.read_eta_sequence(path)))
@@ -311,35 +327,45 @@ _CHANNEL_KEYS = {"name", "from", "to", "kind", "params", "eta", "strategy"}
 def parse_circuit(document: dict | str, base_dir: str | None = None) -> Circuit:
     """Validate a netlist document (JSON text or parsed dict) into a Circuit.
 
-    Unknown keys are rejected.  All structural violations are collected and
-    reported together.
+    Unknown keys are rejected, and every container and name is type-checked
+    before it is read.  All structural violations are collected and reported
+    together.
     """
-    doc = json.loads(document) if isinstance(document, str) else document
+    doc = _typed("netlist", "document", json.loads(document) if isinstance(document, str) else document, dict)
     unknown = set(doc) - {"ports", "gates", "channels"}
     if unknown:
         raise NetlistError(f"unknown top-level keys {sorted(unknown)}")
 
+    def entries(key: str, known: set[str]) -> list[tuple[str, dict]]:
+        out = []
+        for k, e in enumerate(_typed("netlist", key, doc.get(key, []), list)):
+            _typed("netlist", f"{key}[{k}]", e, dict)
+            where = f"{key[:-1]} {e.get('name')!r}"
+            if set(e) - known:
+                raise NetlistError(f"{where}: unknown keys {sorted(set(e) - known)}")
+            _typed(where, "name", e["name"], str)
+            out.append((where, e))
+        return out
+
     inputs, outputs, gates, edges = [], [], [], []
-    for p in doc.get("ports", []):
-        if set(p) - _PORT_KEYS:
-            raise NetlistError(f"port {p.get('name')!r}: unknown keys {sorted(set(p) - _PORT_KEYS)}")
-        (inputs if p["direction"] == "in" else outputs).append(p["name"])
+    for where, p in entries("ports", _PORT_KEYS):
         if p["direction"] not in ("in", "out"):
-            raise NetlistError(f"port {p['name']!r}: direction must be 'in' or 'out'")
-    for g in doc.get("gates", []):
-        if set(g) - _GATE_KEYS:
-            raise NetlistError(f"gate {g.get('name')!r}: unknown keys {sorted(set(g) - _GATE_KEYS)}")
-        where = f"gate {g['name']!r}"
+            raise NetlistError(f"{where}: direction must be 'in' or 'out'")
+        (inputs if p["direction"] == "in" else outputs).append(p["name"])
+    for where, g in entries("gates", _GATE_KEYS):
         gates.append(
-            Gate(g["name"], g["function"], _integer(where, "arity", g["arity"]), _integer(where, "initial", g["initial"]))
+            Gate(
+                g["name"],
+                _typed(where, "function", g["function"], str),
+                _integer(where, "arity", g["arity"]),
+                _integer(where, "initial", g["initial"]),
+            )
         )
-    for c in doc.get("channels", []):
-        if set(c) - _CHANNEL_KEYS:
-            raise NetlistError(f"channel {c.get('name')!r}: unknown keys {sorted(set(c) - _CHANNEL_KEYS)}")
-        src, src_pin = _parse_endpoint(c["from"])
+    for where, c in entries("channels", _CHANNEL_KEYS):
+        src, src_pin = _parse_endpoint(_typed(where, "from", c["from"], str))
         if src_pin is not None:
-            raise NetlistError(f"channel {c['name']!r}: 'from' must be a gate or port, not a pin")
-        dst, dst_pin = _parse_endpoint(c["to"])
+            raise NetlistError(f"{where}: 'from' must be a gate or port, not a pin")
+        dst, dst_pin = _parse_endpoint(_typed(where, "to", c["to"], str))
         edges.append(ChannelEdge(c["name"], src, dst, dst_pin, _parse_channel_spec(c, base_dir)))
     return Circuit(inputs, outputs, gates, edges)
 
@@ -384,12 +410,23 @@ class Execution:
     circuit: Circuit
 
 
+def _softplus(x: float) -> float:
+    """ln(1 + e^x), without overflow for large x."""
+    return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
+
+
 def _release_window(df: DelayFunction, eta_minus: float, dmin: float, value: int) -> float:
     """Root w of S + delta(S) = eta_minus for the edge that could cancel a pending ``value``.
 
-    ``dmin`` is ``delta_min(df)``.  Rounded up by twice the root tolerance:
-    releasing later than the exact window is safe, releasing earlier is not.
+    Closed form for an exp-channel (see the module docstring); otherwise
+    bisection above -``dmin``, where ``dmin`` is ``delta_min(df)``.  Rounded
+    up by twice the root tolerance: releasing later than the exact window is
+    safe, releasing earlier is not.
     """
+    if df.params is not None:
+        own, other = (df.delta_inf_up, df.delta_inf_down) if value == 1 else (df.delta_inf_down, df.delta_inf_up)
+        tau = df.params.tau
+        return tau * _softplus((eta_minus + own - other) / tau) - own + 2e-12
     f = df.down if value == 1 else df.up
     lo = -dmin * (1 + 1e-9) - 1e-12
     return bisect_root(lambda s: s + f(s) - eta_minus, lo, eta_minus + 1e-9) + 2e-12

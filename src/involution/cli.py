@@ -364,15 +364,45 @@ def cmd_waveform(args) -> int:
     return EXIT_OK
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse ``type=`` that parses with ``kind`` and rejects values failing ``ok``."""
+
+    def parse(text: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return x
+
+    return parse
+
+
+class _GridAction(argparse.Action):
+    """Checks START <= STOP and STEP > 0 across the three values of ``--grid``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        start, stop, step = values
+        if not step > 0:
+            raise argparse.ArgumentError(self, f"STEP must be > 0, got {step}")
+        if start > stop:
+            raise argparse.ArgumentError(self, f"START {start} exceeds STOP {stop}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="involution", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and > 0")
 
     def run_args(p, events_max=True):
-        p.add_argument("--horizon", type=float, default=60.0, help="simulation horizon in seconds")
+        p.add_argument("--horizon", type=positive, default=60.0, help="simulation horizon in seconds")
         if events_max:
-            p.add_argument("--events-max", type=int, default=10**6, help="event budget per run")
+            p.add_argument(
+                "--events-max", type=_checked(int, lambda k: k >= 1, ">= 1"), default=10**6, help="event budget per run"
+            )
         p.add_argument("--out", default="out", help="output directory")
 
     def delay_args(p):
@@ -400,18 +430,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spf-sweep", help="sweep pulse widths through the storage-loop filter", allow_abbrev=False)
     delay_args(p)
     eta_args(p)
-    p.add_argument("--grid", nargs=3, type=float, metavar=("START", "STOP", "STEP"), default=[0.1, 1.5, 0.05])
+    p.add_argument(
+        "--grid",
+        nargs=3,
+        type=_checked(float, math.isfinite, "finite"),
+        action=_GridAction,
+        metavar=("START", "STOP", "STEP"),
+        default=[0.1, 1.5, 0.05],
+    )
     p.add_argument("--strategy", action="append", default=None, choices=["zero", "worst", "random"])
-    p.add_argument("--seeds", type=int, default=3, help="number of random-strategy seeds")
-    p.add_argument("--epsilon", type=float, default=None, help="minimum legal output pulse width")
+    p.add_argument(
+        "--seeds", type=_checked(int, lambda k: k >= 0, ">= 0"), default=3, help="number of random-strategy seeds"
+    )
+    p.add_argument("--epsilon", type=positive, default=None, help="minimum legal output pulse width")
     run_args(p)
     p.set_defaults(func=cmd_spf_sweep)
 
     p = sub.add_parser("waveform", help="analog RC surrogate: crossings, deviations, fit", allow_abbrev=False)
     delay_args(p)
     p.add_argument("--amplitude", type=float, default=0.0, help="rail disturbance fraction [0, 0.2]")
-    p.add_argument("--period", type=float, default=None, help="disturbance period (default: tau)")
-    p.add_argument("--eta-plus", dest="eta_plus", type=float, default=None)
+    p.add_argument("--period", type=positive, default=None, help="disturbance period (default: tau)")
+    p.add_argument(
+        "--eta-plus", dest="eta_plus", type=_checked(float, lambda x: math.isfinite(x) and x >= 0, "finite and >= 0")
+    )
     p.add_argument("--stimulus", default=None, help="stimulus trace CSV (default: calibration train)")
     p.add_argument("--seed", type=int, default=0, help="seed of the disturbance phases and the fit's random starts")
     run_args(p, events_max=False)

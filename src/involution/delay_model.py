@@ -51,10 +51,10 @@ class ExpChannelParams:
     vth_norm: float
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise InvalidParams(f"tau must be > 0, got {self.tau}")
-        if not self.t_p > 0:
-            raise InvalidParams(f"t_p must be > 0, got {self.t_p}")
+        if not 0 < self.tau < math.inf:
+            raise InvalidParams(f"tau must be finite and > 0, got {self.tau}")
+        if not 0 < self.t_p < math.inf:
+            raise InvalidParams(f"t_p must be finite and > 0, got {self.t_p}")
         if not 0 < self.vth_norm < 1:
             raise InvalidParams(f"vth_norm must lie in (0,1), got {self.vth_norm}")
 
@@ -198,9 +198,12 @@ def check_involution(df: DelayFunction, grid: Sequence[float], tol: float) -> In
 def delta_min(df: DelayFunction) -> float:
     """The unique positive d with delta_up(-d) = d (= delta_down(-d)).
 
-    Bracketed bisection on delta_up(-d) - d, which is positive at d=0 by
+    For an exp-channel this is exactly T_p: delta_up(-T_p) = T_p.  Otherwise
+    bracketed bisection on delta_up(-d) - d, which is positive at d=0 by
     strict causality and negative before the domain edge.
     """
+    if df.params is not None:
+        return df.params.t_p
     f0 = df.up(0.0)
     if not f0 > 0:
         raise NoBracket(f"delay function is not strictly causal: delta_up(0)={f0}")

@@ -1,9 +1,11 @@
 """Bracketed scalar root finding.
 
-Every scalar root in this package (delay-function fixed points, the pulse
-train period, release windows) goes through the same bisection utility:
+Every scalar root in this package without a closed form (the pulse train
+period, the critical input width, and delta_min and the release windows of
+tabulated and custom delay pairs) goes through the same bisection utility:
 the bracketed functions are continuous and monotone, so bisection is
-unconditionally safe.
+unconditionally safe.  An exp-channel's delta_min and release windows are
+closed forms (``delay_model.delta_min``, ``circuit._release_window``).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from involution.analysis import (
     ConstraintCViolated,
     Regime,
     SearchFailed,
+    SweepPoint,
     characterize,
     classify_pulse,
     constraint_C,
@@ -20,6 +21,7 @@ from involution.analysis import (
 from involution.channel import (
     EtaBounds,
     EtaInvolution,
+    FixedSequence,
     Involution,
     UniformRandom,
     WorstCaseShrink,
@@ -333,6 +335,45 @@ class TestPulseCountGrowth:
 
 
 class TestSweepRunner:
+    def test_one_circuit_equals_a_circuit_per_run(self, ref):
+        # the sweep builds its circuit once and overrides the loop's strategy
+        # per run; building a circuit per run must give the same points
+        char = characterize(ref, BOUNDS)
+        strategies = {
+            "zero": Zero(),
+            "worst": WorstCaseShrink(),
+            "random[4]": UniformRandom(seed=4),
+            "fixed": FixedSequence((0.05, -0.1, 0.02, -0.03, 0.05)),
+        }
+        grid = [0.3, 0.9, char.tilde_delta0, 1.2, 1.6]
+        horizon = 30.0
+        for ht in (None, dimension_ht_buffer(3.0 * char.tau_star, char.duty)):
+            want = []
+            for label, strategy in strategies.items():
+                for d0 in [None, *grid]:
+                    circuit = or_loop_circuit(EtaInvolution(ref, BOUNDS, strategy), ht)
+                    stimulus = make_signal(0, []) if d0 is None else pulse(0.0, d0)
+                    e = execute(circuit, {"i": stimulus}, horizon)
+                    or_sig, out_sig = e.vertex_signals["or1"], e.vertex_signals["o"]
+                    if {"or1", "c"} & e.active_at_horizon or not e.stabilized["o"]:
+                        resolved = "osc"
+                    else:
+                        resolved = str(out_sig.value_at(horizon))
+                    want.append(
+                        SweepPoint(
+                            d0,
+                            label,
+                            strategy.seed if isinstance(strategy, UniformRandom) else None,
+                            "zero" if d0 is None else classify_pulse(char, d0).value,
+                            max(0, len(decompose_pulses(or_sig, horizon)) - 1),
+                            resolved,
+                            or_sig.last_time(),
+                            or_sig,
+                            out_sig,
+                        )
+                    )
+            assert run_spf_sweep(ref, BOUNDS, ht, grid, strategies, horizon=horizon) == want
+
     def test_regimes_and_verdict(self, ref, zero_eta):
         char = characterize(ref, zero_eta)
         ht = dimension_ht_buffer(3.0 * char.tau_star, char.duty)

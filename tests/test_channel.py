@@ -96,6 +96,13 @@ class TestPureAndInertial:
         out, _ = apply_channel(Pure(1.0), pulse(0, 0.1))
         assert [(t.time, t.value) for t in out.transitions] == [(1.0, 1), (1.1, 0)]
 
+    def test_nan_delays_rejected(self):
+        # a NaN pure delay surfaced as "transition times not strictly increasing at t=nan"
+        with pytest.raises(ChannelError, match="pure delay"):
+            Pure(math.nan)
+        with pytest.raises(ChannelError, match="inertial delay"):
+            Inertial(math.nan, 0.1)
+
     def test_pure_is_a_shift(self):
         rng = np.random.default_rng(8)
         for _ in range(200):

@@ -1,7 +1,13 @@
 import json
+import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from involution import circuit as circuit_module, delay_model
 
 from involution.channel import (
     EtaBounds,
@@ -26,12 +32,15 @@ from involution.circuit import (
     MultipleDrivers,
     NetlistError,
     UnknownFunction,
+    _ChannelRuntime,
+    _release_window,
     execute,
     or_loop_circuit,
     parse_circuit,
     verify_execution,
 )
-from involution.delay_model import ExpChannelParams, exp_channel
+from involution.delay_model import ExpChannelParams, custom_channel, delta_min, exp_channel, tabulated_channel
+from involution.rootfind import bisect_root
 from involution.signals import Signal, make_signal, pulse
 
 FIG4_NETLIST = {
@@ -149,6 +158,35 @@ class TestParse:
         with pytest.raises(NetlistError, match=f"{field} must be"):
             parse_circuit(doc)
 
+    @pytest.mark.parametrize(
+        "path, bad, message",
+        [
+            ((), ["netlist"], "netlist: document must be an object, got list"),
+            (("ports",), ["i", "o"], "netlist: ports[0] must be an object, got str"),
+            (("gates",), {"or1": {}}, "netlist: gates must be a list, got dict"),
+            (("channels",), "ci", "netlist: channels must be a list, got str"),
+            (("ports", 0, "name"), ["i"], "port ['i']: name must be a string, got list"),
+            (("gates", 0, "function"), ["OR"], "gate 'or1': function must be a string, got list"),
+            (("channels", 0, "from"), 5, "channel 'ci': from must be a string, got int"),
+            (("channels", 0, "params"), [1.0], "channel 'ci': params must be an object, got list"),
+            (("channels", 1, "params", "exp"), [1.0, 0.5, 0.5], "channel 'c': exp must be an object, got list"),
+            (("channels", 1, "eta"), [0.0, 0.0], "channel 'c': eta must be an object, got list"),
+            (("channels", 1, "strategy"), "zero", "channel 'c': strategy must be an object, got str"),
+        ],
+        ids=["document", "ports", "gates", "channels", "name", "function", "from", "params", "exp", "eta", "strategy"],
+    )
+    def test_container_shapes_rejected(self, path, bad, message):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        if not path:
+            doc = bad
+        else:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+        with pytest.raises(NetlistError, match=re.escape(message)):
+            parse_circuit(doc)
+
     def test_non_integer_pin_rejected(self):
         doc = json.loads(json.dumps(FIG4_NETLIST))
         doc["channels"][0]["to"] = "or1.x"
@@ -233,6 +271,61 @@ class TestOrLoop:
         e2 = execute(loop_no_ht, {"i": pulse(0, 0.87)}, horizon=60.0)
         assert e1.vertex_signals["or1"].transitions == e2.vertex_signals["or1"].transitions
         assert e1.event_count == e2.event_count
+
+
+def exact_window(p: ExpChannelParams, eta_minus: float, value: int) -> Decimal:
+    """The root of S + delta(S) = eta_minus in 60-digit arithmetic, from the same closed form."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tau, t_p, vth = Decimal(p.tau), Decimal(p.t_p), Decimal(p.vth_norm)
+        d_up, d_down = t_p - tau * (1 - vth).ln(), t_p - tau * vth.ln()
+        own, other = (d_up, d_down) if value == 1 else (d_down, d_up)
+        return tau * (1 + ((Decimal(eta_minus) + own - other) / tau).exp()).ln() - own
+
+
+class TestReleaseWindow:
+    @given(
+        tau=st.floats(0.05, 20.0),
+        t_p_ratio=st.floats(0.05, 5.0),
+        vth=st.floats(0.05, 0.95),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+        value=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_closed_form_matches_bisection(self, tau, t_p_ratio, vth, frac, value):
+        p = ExpChannelParams(tau, tau * t_p_ratio, vth)
+        df = exp_channel(p)
+        # eta_minus in [0, delta(0)) of the edge that cancels a pending `value`
+        eta_minus = frac * (df.down if value == 1 else df.up)(0.0)
+        closed = _release_window(df, eta_minus, delta_min(df), value)
+        generic = custom_channel(df.up, df.down, df.delta_inf_up, df.delta_inf_down)  # params=None: bisection
+        bisected = _release_window(generic, eta_minus, delta_min(generic), value)
+        assert abs(closed - bisected) <= 1e-12
+        assert Decimal(closed) >= exact_window(p, eta_minus, value)
+
+    def test_only_non_exp_pairs_bisect(self, ref, monkeypatch):
+        calls = []
+
+        def counting(f, lo, hi, **kw):
+            calls.append((lo, hi))
+            return bisect_root(f, lo, hi, **kw)
+
+        monkeypatch.setattr(circuit_module, "bisect_root", counting)
+        monkeypatch.setattr(delay_model, "bisect_root", counting)
+        edge = lambda spec: ChannelEdge("c", "or1", "or1", 1, spec)  # noqa: E731
+        _ChannelRuntime(edge(Involution(ref)), 0, None)
+        assert calls == []
+        t = np.linspace(-0.4, 6.0, 200)
+        table = tabulated_channel(
+            [(x, ref.up(x)) for x in t], [(x, ref.down(x)) for x in t], ref.delta_inf_up, ref.delta_inf_down
+        )
+        _ChannelRuntime(edge(Involution(table)), 0, None)
+        assert len(calls) == 3  # delta_min and both release windows
+
+    def test_huge_eta_minus_is_rejected_not_overflowed(self, ref):
+        c = or_loop_circuit(EtaInvolution(ref, EtaBounds(eta_minus=1000.0, eta_plus=0.0), Zero()))
+        with pytest.raises(CausalityFault, match="eta_minus exceeds delta"):
+            execute(c, {"i": pulse(0, 1)}, horizon=5.0)
 
 
 class TestChains:

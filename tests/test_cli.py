@@ -1,10 +1,11 @@
 import hashlib
 import json
+import math
 
 import pytest
 
 from involution.channel import write_eta_sequence
-from involution.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, _atomic_write, main
+from involution.cli import EXIT_CONSTRAINT, EXIT_ENGINE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _atomic_write, main
 from involution.signals import pulse, read_trace, write_trace
 
 from test_circuit import FIG4_NETLIST
@@ -133,6 +134,42 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "parse" and "arity must be an integer" in err["message"]
 
+    @pytest.mark.parametrize(
+        "path, bad",
+        [(("ports",), ["i", "o"]), (("channels", 0, "params"), [1.0])],
+        ids=["ports", "params"],
+    )
+    def test_netlist_shape_is_parse_error(self, tmp_path, capsys, path, bad):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        netlist = tmp_path / "fig4.json"
+        netlist.write_text(json.dumps(doc))
+        stim = write_stimulus(tmp_path, pulse(0, 1.5))
+        assert main(["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parse" and "must be an object" in err["message"]
+
+    def _run_eta_minus(self, tmp_path, eta_minus):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        doc["channels"][1]["eta"]["minus"] = eta_minus
+        netlist = tmp_path / "fig4.json"
+        netlist.write_text(json.dumps(doc))
+        stim = write_stimulus(tmp_path, pulse(0, 1.5))
+        return main(["simulate", str(netlist), str(stim), "--horizon", "30", "--out", str(tmp_path / "o")])
+
+    def test_nan_eta_minus_is_parse_error(self, tmp_path, capsys):
+        assert self._run_eta_minus(tmp_path, math.nan) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "parse" and "eta bounds must be finite" in err["message"]
+
+    def test_huge_eta_minus_is_engine_error(self, tmp_path, capsys):
+        assert self._run_eta_minus(tmp_path, 1000.0) == EXIT_ENGINE
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "engine" and "eta_minus exceeds delta(0)" in err["message"]
+
 
 def test_failed_write_keeps_old_file_and_leaves_no_tmp(tmp_path):
     path = tmp_path / "f.csv"
@@ -248,3 +285,56 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, fig4):
     assert main(["analyze", *ref, "--horizon", "5"]) == 2
     assert main(["simulate", str(fig4), str(stim), "--horizon", "30", "--tol", "1e-9", *out]) == 2
     assert main(["spf-sweep", *ref, "--grid", "0.3", "0.3", "0.3", "--horizon", "20", "--seed", "1", *out]) == 2
+
+
+REF = ["--tau", "1", "--t-p", "0.5", "--vth", "0.5"]
+
+
+def _usage_error(capsys, argv, flag) -> bool:
+    rc = main(argv)
+    return rc == EXIT_USAGE and f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+def test_horizon_must_be_finite_and_positive(tmp_path, fig4, capsys, value):
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    out = ["--out", str(tmp_path / "out"), "--horizon", value]
+    assert _usage_error(capsys, ["simulate", str(fig4), str(stim), *out], "--horizon")
+    assert _usage_error(capsys, ["spf-sweep", *REF, "--grid", "0.3", "0.3", "0.3", *out], "--horizon")
+    assert _usage_error(capsys, ["waveform", *REF, *out], "--horizon")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "grid", [("0.1", "1.5", "0"), ("0.1", "1.5", "-0.1"), ("1.5", "0.1", "0.1"), ("0.1", "nan", "0.1")]
+)
+def test_grid_must_be_finite_and_ordered_with_positive_step(tmp_path, capsys, grid):
+    argv = ["spf-sweep", *REF, "--grid", *grid, "--out", str(tmp_path / "out")]
+    assert _usage_error(capsys, argv, "--grid")
+
+
+def test_events_max_must_be_positive(tmp_path, fig4, capsys):
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    argv = ["simulate", str(fig4), str(stim), "--events-max", "0", "--out", str(tmp_path / "out")]
+    assert _usage_error(capsys, argv, "--events-max")
+
+
+def test_seeds_must_be_non_negative(tmp_path, capsys):
+    argv = ["spf-sweep", *REF, "--strategy", "random", "--seeds", "-1", "--out", str(tmp_path / "out")]
+    assert _usage_error(capsys, argv, "--seeds")
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_epsilon_must_be_finite_and_positive(tmp_path, capsys, value):
+    # a NaN epsilon made the F4 check pass vacuously
+    argv = ["spf-sweep", *REF, "--grid", "0.3", "0.3", "0.3", "--epsilon", value, "--out", str(tmp_path / "out")]
+    assert _usage_error(capsys, argv, "--epsilon")
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--eta-plus", "nan"), ("--eta-plus", "-1"), ("--period", "0"), ("--period", "inf")]
+)
+def test_waveform_budget_and_period_are_checked(tmp_path, capsys, flag, value):
+    # a NaN or negative eta_plus gave coverage 0 and exit 0; --period 0 silently meant tau
+    argv = ["waveform", *REF, "--amplitude", "0.01", flag, value, "--out", str(tmp_path / "out")]
+    assert _usage_error(capsys, argv, flag)

@@ -76,6 +76,12 @@ class TestExpChannel:
         with pytest.raises(InvalidParams):
             ExpChannelParams(1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("tau, t_p", [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_params_rejected(self, tau, t_p):
+        # an infinite T_p made the closed-form release windows NaN
+        with pytest.raises(InvalidParams, match="must be finite"):
+            ExpChannelParams(tau, t_p, 0.5)
+
 
 class TestInvolutionIdentity:
     def test_ref_grid(self, ref):
@@ -135,6 +141,14 @@ class TestDeltaMin:
         for _ in range(50):
             p = random_params(rng)
             assert delta_min(exp_channel(p)) == pytest.approx(p.t_p, abs=1e-9)
+
+    def test_exp_closed_form_is_exactly_t_p(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            p = random_params(rng)
+            df = exp_channel(p)
+            assert delta_min(df) == p.t_p
+            assert df.up(-p.t_p) == pytest.approx(p.t_p, rel=1e-9)
 
     def test_down_agrees_at_root(self, ref):
         d = delta_min(ref)
