@@ -319,16 +319,17 @@ def run_spf_sweep(
     *,
     horizon: float = 60.0,
     events_max: int = 10**6,
-    include_zero_run: bool = True,
 ) -> list[SweepPoint]:
     """Execute the storage-loop circuit over a grid of input widths.
 
-    One run per (width, strategy); the zero-input run carries delta0=None.
+    One run per (width, strategy), plus one zero-input run per strategy that
+    carries delta0=None.  ``strategies`` None means the zero strategy only.
     All runs share one circuit, whose loop channel ``c`` takes each run's
     strategy as an override.
     """
     char = characterize(df, bounds)
-    strategies = strategies or {"zero": ch.Zero()}
+    if strategies is None:
+        strategies = {"zero": ch.Zero()}
     circuit = or_loop_circuit(ch.EtaInvolution(df, bounds), ht_params)
     points: list[SweepPoint] = []
 
@@ -350,8 +351,7 @@ def run_spf_sweep(
         )
 
     for label, strategy in strategies.items():
-        if include_zero_run:
-            one_run(make_signal(0, []), None, label, strategy)
+        one_run(make_signal(0, []), None, label, strategy)
         for d0 in delta0_grid:
             one_run(pulse(0.0, d0), d0, label, strategy)
     return points

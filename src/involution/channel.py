@@ -18,11 +18,33 @@ The eta_n are adversarial perturbations within [-eta_minus, +eta_plus],
 consumed one per input transition index (including transitions whose
 output is later canceled).
 
-Every channel kind is one incremental state (``channel_state``): ``feed``
-processes an input transition, ``commit`` decides a record that can no
-longer be canceled, and ``survivors`` is the output once the whole input has
-been fed.  ``apply_channel`` and the engine in ``circuit`` both drive it and
-differ only in when they decide a record.
+The involution channel is the eta-involution channel with a zero budget
+(``Involution(df)``).  Every channel kind is one incremental state
+(``channel_state``): ``feed`` processes an input transition, ``commit``
+decides a record that can no longer be canceled, and ``survivors`` is the
+output once the whole input has been fed.  ``apply_channel`` and the engine
+in ``circuit`` both drive it and differ only in when they decide a record:
+the engine first calls ``check_causal`` and then decides each record at
+``decide_at(record)`` (None: deliver at once).
+
+Commit rule of the involution channels
+--------------------------------------
+A pending output at time u may still be canceled by a later input
+transition at time t whenever t - u <= w, where w is the root of
+S + delta(S) = eta_minus for the opposite-edge delay function (w >= -delta_min,
+and w < 0 for any channel satisfying the faithfulness constraint).  For an
+exp-channel the root has a closed form: a pending rising output is canceled
+through delta_down, and
+
+    w = tau * ln(1 + exp((eta_minus + d_inf_up - d_inf_down)/tau)) - d_inf_up,
+
+with d_inf_up and d_inf_down swapped for a pending falling output.  The
+engine therefore decides a pending output only once simulation time has
+reached u + w; that never schedules into the past for w <= 0.  A channel
+whose bounds force w > 0 cannot be executed causally and fails
+``check_causal``.  Every arrival is audited against the committed frontier;
+an arrival that could retro-cancel a committed output raises instead of
+silently corrupting the trace.
 """
 
 from __future__ import annotations
@@ -34,7 +56,8 @@ from typing import Union
 
 import numpy as np
 
-from .delay_model import DelayFunction
+from .delay_model import DelayFunction, delta_min
+from .rootfind import bisect_root
 from .signals import Signal, make_signal
 
 
@@ -111,7 +134,6 @@ class EtaSource:
             np.random.default_rng(strategy.seed) if isinstance(strategy, UniformRandom) else None
         )
         self._count = 0
-        self.drawn: list[float] = []
 
     def eta(self, value: int) -> float:
         s, b = self.strategy, self.bounds
@@ -135,7 +157,6 @@ class EtaSource:
             raise ChannelError(f"unknown strategy {s!r}")
         if not -b.eta_minus - 1e-15 <= e <= b.eta_plus + 1e-15:
             raise ChannelError(f"eta={e} outside [{-b.eta_minus}, {b.eta_plus}]")
-        self.drawn.append(e)
         return e
 
 
@@ -163,15 +184,6 @@ class Inertial:
 
 
 @dataclass(frozen=True)
-class Involution:
-    df: DelayFunction
-
-    def __post_init__(self) -> None:
-        if not (self.df.up(0.0) > 0 and self.df.down(0.0) > 0):
-            raise ChannelError("involution channel must be strictly causal")
-
-
-@dataclass(frozen=True)
 class EtaInvolution:
     df: DelayFunction
     bounds: EtaBounds
@@ -182,7 +194,12 @@ class EtaInvolution:
             raise ChannelError("involution channel must be strictly causal")
 
 
-ChannelSpec = Union[Pure, Inertial, Involution, EtaInvolution]
+def Involution(df: DelayFunction) -> EtaInvolution:
+    """The involution channel: the eta-involution channel with a zero budget."""
+    return EtaInvolution(df, EtaBounds())
+
+
+ChannelSpec = Union[Pure, Inertial, EtaInvolution]
 
 
 @dataclass
@@ -231,6 +248,14 @@ class _PureState:
         self.last = next((r for r in reversed(self.log) if not r.canceled), None)
         return rec, partner
 
+    def check_causal(self) -> None:
+        """Raise ChannelError if the engine cannot decide this channel's records causally."""
+
+    def decide_at(self, rec: TransitionRecord) -> float | None:
+        """When the engine decides ``rec``: the time after which it can no longer
+        be canceled, or None to deliver it at its output time without a decision."""
+        return None
+
     def commit(self, rec: TransitionRecord) -> bool:
         """Decide a record that can no longer be canceled; True if it reaches the output."""
         return not rec.canceled
@@ -256,6 +281,13 @@ class _InertialState(_PureState):
             prev = None
         return self._record(t, value), prev
 
+    def check_causal(self) -> None:
+        if self.window > self.delay:
+            raise ChannelError("inertial window exceeds delay; not causally executable")
+
+    def decide_at(self, rec: TransitionRecord) -> float:
+        return rec.time + self.window
+
     def commit(self, rec: TransitionRecord) -> bool:
         if rec.canceled:
             return False
@@ -266,12 +298,38 @@ class _InertialState(_PureState):
         return True
 
 
-class _InvolutionState:
-    """Incremental (eta-)involution channel; a survivor at or before a committed output raises."""
+def _softplus(x: float) -> float:
+    """ln(1 + e^x), without overflow for large x."""
+    return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
 
-    def __init__(self, df: DelayFunction, source: EtaSource | None):
+
+def _release_window(df: DelayFunction, eta_minus: float, dmin: float, value: int) -> float:
+    """Root w of S + delta(S) = eta_minus for the edge that could cancel a pending ``value``.
+
+    Closed form for an exp-channel (see the module docstring); otherwise
+    bisection above -``dmin``, where ``dmin`` is ``delta_min(df)``.  Rounded
+    up by twice the root tolerance: releasing later than the exact window is
+    safe, releasing earlier is not.
+    """
+    if df.params is not None:
+        own, other = (df.delta_inf_up, df.delta_inf_down) if value == 1 else (df.delta_inf_down, df.delta_inf_up)
+        tau = df.params.tau
+        return tau * _softplus((eta_minus + own - other) / tau) - own + 2e-12
+    f = df.down if value == 1 else df.up
+    lo = -dmin * (1 + 1e-9) - 1e-12
+    return bisect_root(lambda s: s + f(s) - eta_minus, lo, eta_minus + 1e-9) + 2e-12
+
+
+class _InvolutionState:
+    """Incremental eta-involution channel (with a zero budget, the involution channel).
+
+    A survivor at or before a committed output raises.
+    """
+
+    def __init__(self, df: DelayFunction, source: EtaSource):
         self.df = df
         self.source = source
+        self.windows = (math.nan, math.nan)  # release window of a pending 0 / 1; set by check_causal
         self.prev_t = -math.inf
         self.prev_delta = 0.0
         self.index = 0
@@ -286,7 +344,7 @@ class _InvolutionState:
         T = t - self.prev_t - self.prev_delta
         base = self.df.delay(value == 1, T)
         guard_hit = base == -math.inf
-        eta = self.source.eta(value) if self.source is not None else 0.0
+        eta = self.source.eta(value)
         delta = base + eta
         rec = TransitionRecord(self.index, t, value, T, delta, eta, t + delta, guard_hit=guard_hit)
         self.log.append(rec)
@@ -309,6 +367,15 @@ class _InvolutionState:
                         f"arrival at t={t} would retro-cancel a committed output at {self.committed_last}"
                     )
         return rec, partner
+
+    def check_causal(self) -> None:
+        dmin = delta_min(self.df)
+        self.windows = tuple(_release_window(self.df, self.source.bounds.eta_minus, dmin, v) for v in (0, 1))
+        if max(self.windows) > 0:
+            raise ChannelError("eta_minus exceeds delta(0); pending outputs cannot be committed causally")
+
+    def decide_at(self, rec: TransitionRecord) -> float:
+        return max(rec.time, rec.out_time + self.windows[rec.value])
 
     def commit(self, rec: TransitionRecord) -> bool:
         if rec.canceled:
@@ -333,8 +400,6 @@ def channel_state(spec: ChannelSpec, initial_value: int, strategy: AdversaryStra
         return _PureState(spec.delay)
     if isinstance(spec, Inertial):
         return _InertialState(spec.delay, spec.window, initial_value)
-    if isinstance(spec, Involution):
-        return _InvolutionState(spec.df, None)
     if isinstance(spec, EtaInvolution):
         source = EtaSource(strategy if strategy is not None else spec.strategy, spec.bounds)
         return _InvolutionState(spec.df, source)

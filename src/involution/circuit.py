@@ -7,24 +7,13 @@ channel.  ``execute`` produces an execution: an assignment of signals to all
 vertices and edges consistent with the gate functions and channel functions
 for the adversary choices drawn during the run.
 
-Feedback commit rule
---------------------
-A channel's pending output at time u may still be canceled by a later input
-transition at time t whenever t - u <= w, where w is the root of
-S + delta(S) = eta_minus for the opposite-edge delay function (w >= -delta_min,
-and w < 0 for any channel satisfying the faithfulness constraint).  For an
-exp-channel the root has a closed form: a pending rising output is canceled
-through delta_down, and
-
-    w = tau * ln(1 + exp((eta_minus + d_inf_up - d_inf_down)/tau)) - d_inf_up,
-
-with d_inf_up and d_inf_down swapped for a pending falling output.  The engine
-therefore releases a pending output to downstream consumers only once
-simulation time has reached u + w; releasing never schedules into the past
-for w <= 0.  A channel whose bounds force w > 0 cannot be executed causally
-and is rejected up front.  Every arrival is audited against the committed
-frontier; an arrival that could retro-cancel a committed output raises
-:class:`CausalityFault` instead of silently corrupting the trace.
+The engine drives every channel through its incremental state
+(``channel.channel_state``) and releases a pending output to downstream
+consumers only at the state's decision time, which ``channel`` derives per
+kind (for the involution channels, from the commit rule documented there).
+A channel that cannot be decided causally, or an arrival that would
+retro-cancel a committed output, raises :class:`CausalityFault` instead of
+silently corrupting the trace.
 """
 
 from __future__ import annotations
@@ -33,14 +22,12 @@ import collections
 import heapq
 import itertools
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import channel as ch
-from .delay_model import DelayFunction, ExpChannelParams, delta_min, exp_channel, read_delay_samples, tabulated_channel
-from .rootfind import bisect_root
+from .delay_model import DelayFunction, ExpChannelParams, exp_channel, read_delay_samples, tabulated_channel
 from .signals import Signal, make_signal
 
 
@@ -220,12 +207,10 @@ class Circuit:
                 f"{len(violations)} netlist violations: " + "; ".join(str(v) for v in violations),
                 violations,
             )
+        self._drivers = {key: self.channels[who[0]] for key, who in drivers.items()}
 
     def driver_of(self, dst: str, pin: int | None = None) -> ChannelEdge:
-        for edge in self.channels.values():
-            if edge.dst == dst and edge.dst_pin == pin:
-                return edge
-        raise KeyError((dst, pin))
+        return self._drivers[(dst, pin)]
 
 
 def _parse_endpoint(text: str) -> tuple[str, int | None]:
@@ -264,6 +249,9 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
 
     kind = entry["kind"]
     where = f"channel {entry['name']!r}"
+    stray = sorted({"eta", "strategy"} & set(entry))
+    if stray and kind != "eta_involution":
+        raise NetlistError(f"{where}: {stray} apply only to eta_involution channels, not {kind!r}")
     params = dict(_typed(where, "params", entry.get("params", {}), dict))
 
     def num(field: str, x: Any) -> float:
@@ -410,57 +398,6 @@ class Execution:
     circuit: Circuit
 
 
-def _softplus(x: float) -> float:
-    """ln(1 + e^x), without overflow for large x."""
-    return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
-
-
-def _release_window(df: DelayFunction, eta_minus: float, dmin: float, value: int) -> float:
-    """Root w of S + delta(S) = eta_minus for the edge that could cancel a pending ``value``.
-
-    Closed form for an exp-channel (see the module docstring); otherwise
-    bisection above -``dmin``, where ``dmin`` is ``delta_min(df)``.  Rounded
-    up by twice the root tolerance: releasing later than the exact window is
-    safe, releasing earlier is not.
-    """
-    if df.params is not None:
-        own, other = (df.delta_inf_up, df.delta_inf_down) if value == 1 else (df.delta_inf_down, df.delta_inf_up)
-        tau = df.params.tau
-        return tau * _softplus((eta_minus + own - other) / tau) - own + 2e-12
-    f = df.down if value == 1 else df.up
-    lo = -dmin * (1 + 1e-9) - 1e-12
-    return bisect_root(lambda s: s + f(s) - eta_minus, lo, eta_minus + 1e-9) + 2e-12
-
-
-class _ChannelRuntime:
-    """A channel's incremental state, plus when the engine decides its records.
-
-    ``decide_at(rec)`` is the time after which ``rec`` can no longer be
-    canceled; it is None for a pure channel, whose records are delivered at once.
-    """
-
-    def __init__(self, edge: ChannelEdge, initial_value: int, strategy_override: ch.AdversaryStrategy | None):
-        spec = edge.spec
-        self.edge = edge
-        self.state = ch.channel_state(spec, initial_value, strategy_override)
-        self.delivered: list[tuple[float, int]] = []
-        self.decide_at: Callable[[ch.TransitionRecord], float] | None = None
-        if isinstance(spec, ch.Inertial):
-            if spec.window > spec.delay:
-                raise CausalityFault(f"channel {edge.name!r}: inertial window exceeds delay; not causally executable")
-            self.decide_at = lambda rec: rec.time + spec.window
-        elif isinstance(spec, (ch.Involution, ch.EtaInvolution)):
-            eta_minus = spec.bounds.eta_minus if isinstance(spec, ch.EtaInvolution) else 0.0
-            dmin = delta_min(spec.df)
-            w = tuple(_release_window(spec.df, eta_minus, dmin, value) for value in (0, 1))
-            if max(w) > 0:
-                raise CausalityFault(
-                    f"channel {edge.name!r}: eta_minus exceeds delta(0); "
-                    "pending outputs cannot be committed causally"
-                )
-            self.decide_at = lambda rec: max(rec.time, rec.out_time + w[rec.value])
-
-
 def execute(
     circuit: Circuit,
     inputs: dict[str, Signal],
@@ -468,7 +405,6 @@ def execute(
     strategies: dict[str, ch.AdversaryStrategy] | None = None,
     *,
     events_max: int = 10**6,
-    guard: float | None = None,
 ) -> Execution:
     """Event-driven execution of ``circuit`` up to ``horizon``.
 
@@ -503,10 +439,14 @@ def execute(
             pin_values[edge.dst][edge.dst_pin] = src_initial
         else:
             values[edge.dst] = src_initial
-    runtimes = {
-        name: _ChannelRuntime(edge, initial_of_vertex[edge.src], strategies.get(name))
-        for name, edge in circuit.channels.items()
-    }
+    states = {}
+    for name, edge in circuit.channels.items():
+        states[name] = ch.channel_state(edge.spec, initial_of_vertex[edge.src], strategies.get(name))
+        try:
+            states[name].check_causal()
+        except ch.ChannelError as exc:
+            raise CausalityFault(f"channel {name!r}: {exc}") from exc
+    delivered: dict[str, list[tuple[float, int]]] = {name: [] for name in states}
 
     vertex_events: dict[str, list[tuple[float, int]]] = {v: [] for v in values}
     initial_values = dict(values)
@@ -531,8 +471,7 @@ def execute(
             channel_arrival(edge, t, v)
 
     def deliver(edge: ChannelEdge, t: float, v: int) -> None:
-        rt = runtimes[edge.name]
-        rt.delivered.append((t, v))
+        delivered[edge.name].append((t, v))
         if edge.dst in circuit.gates:
             pin_values[edge.dst][edge.dst_pin] = v
             key = (edge.dst, t)
@@ -543,15 +482,16 @@ def execute(
             vertex_transition(edge.dst, t, v)
 
     def channel_arrival(edge: ChannelEdge, t: float, v: int) -> None:
-        rt = runtimes[edge.name]
+        state = states[edge.name]
         try:
-            rec, _partner = rt.state.feed(t, v)
+            rec, _partner = state.feed(t, v)
         except ch.ChannelError as exc:
             raise CausalityFault(f"channel {edge.name!r}: {exc}") from exc
-        if rt.decide_at is None:
+        at = state.decide_at(rec)
+        if at is None:
             schedule(rec.out_time, 0, "deliver", (edge.name, rec))
         elif not rec.canceled:
-            schedule(rt.decide_at(rec), 2, "release", (edge.name, rec))
+            schedule(at, 2, "release", (edge.name, rec))
 
     for port in circuit.input_ports:
         for tr in inputs[port].transitions:
@@ -593,7 +533,7 @@ def execute(
         elif kind == "release":
             name, rec = payload
             try:
-                committed = runtimes[name].state.commit(rec)
+                committed = states[name].commit(rec)
             except ch.ChannelError as exc:
                 raise CausalityFault(f"channel {name!r}: {exc}") from exc
             if not committed:
@@ -608,22 +548,18 @@ def execute(
             schedule(rec.out_time, 0, "deliver", (name, rec))
 
     channel_signals = {
-        name: make_signal(initial_of_vertex[rt.edge.src], rt.delivered) for name, rt in runtimes.items()
+        name: make_signal(initial_of_vertex[edge.src], delivered[name]) for name, edge in circuit.channels.items()
     }
 
     vertex_signals = {
         name: make_signal(initial_values[name], events) for name, events in vertex_events.items()
     }
 
-    if guard is None:
-        dinfs = [
-            e.spec.df.delta_inf_up
-            for e in circuit.channels.values()
-            if isinstance(e.spec, (ch.Involution, ch.EtaInvolution))
-        ]
-        delays = [e.spec.delay for e in circuit.channels.values() if isinstance(e.spec, (ch.Pure, ch.Inertial))]
-        guard = 10.0 * max(dinfs) if dinfs else (10.0 * max(delays) if delays and max(delays) > 0 else horizon / 10.0)
-        guard = min(guard, horizon / 2.0)  # the window must leave room before it
+    involutions = [name for name, edge in circuit.channels.items() if isinstance(edge.spec, ch.EtaInvolution)]
+    dinfs = [circuit.channels[name].spec.df.delta_inf_up for name in involutions]
+    delays = [e.spec.delay for e in circuit.channels.values() if isinstance(e.spec, (ch.Pure, ch.Inertial))]
+    guard = 10.0 * max(dinfs) if dinfs else (10.0 * max(delays) if delays and max(delays) > 0 else horizon / 10.0)
+    guard = min(guard, horizon / 2.0)  # the window must leave room before it
 
     stabilized = {}
     resolved = {}
@@ -637,21 +573,13 @@ def execute(
         horizon=horizon,
         vertex_signals=vertex_signals,
         channel_signals=channel_signals,
-        channel_logs={name: rt.state.log for name, rt in runtimes.items()},
-        eta_sequences={
-            name: list(rt.state.source.drawn)
-            for name, rt in runtimes.items()
-            if isinstance(rt.edge.spec, ch.EtaInvolution)
-        },
+        channel_logs={name: state.log for name, state in states.items()},
+        eta_sequences={name: [rec.eta for rec in states[name].log] for name in involutions},
         event_count=event_count,
         stabilized=stabilized,
         resolved_value=resolved,
         active_at_horizon=active,
-        commit_margins={
-            name: rt.state.commit_margin
-            for name, rt in runtimes.items()
-            if isinstance(rt.state, ch._InvolutionState)
-        },
+        commit_margins={name: states[name].commit_margin for name in involutions},
         circuit=circuit,
     )
 
@@ -690,23 +618,16 @@ def verify_execution(e: Execution) -> VerificationReport:
                 f"(expected {len(exp_trunc.transitions)} transitions, got {len(got.transitions)})"
             )
 
-    pin_sigs: dict[str, list[Signal]] = {}
     for gate in circuit.gates.values():
-        sigs = [None] * gate.arity
-        for edge in circuit.channels.values():
-            if edge.dst == gate.name:
-                sigs[edge.dst_pin] = e.channel_signals[edge.name]
-        pin_sigs[gate.name] = sigs
-
-    for gate in circuit.gates.values():
+        pins = [e.channel_signals[circuit.driver_of(gate.name, pin).name] for pin in range(gate.arity)]
         out = e.vertex_signals[gate.name]
         if out.initial_value != gate.initial_value:
             mismatches.append(f"gate {gate.name}: initial value mismatch")
         times = {0.0}
-        times.update(tr.time for s in pin_sigs[gate.name] for tr in s.transitions if tr.time <= e.horizon)
+        times.update(tr.time for s in pins for tr in s.transitions if tr.time <= e.horizon)
         times.update(tr.time for tr in out.transitions)
         for t in sorted(times):
-            want = gate.evaluate(tuple(s.value_at(t) for s in pin_sigs[gate.name]))
+            want = gate.evaluate(tuple(s.value_at(t) for s in pins))
             if out.value_at(t) != want:
                 mismatches.append(f"gate {gate.name}: value at t={t} is {out.value_at(t)}, expected {want}")
                 break

@@ -37,7 +37,7 @@ from . import __version__
 from . import analysis, channel as ch, waveform_lab as wl
 from .circuit import CausalityFault, EngineError, HorizonExceeded, NetlistError, execute, parse_circuit
 from .delay_model import DelayModelError, ExpChannelParams, delta_min, exp_channel
-from .rootfind import NoBracket
+from .rootfind import XTOL, NoBracket
 from .signals import Signal, SignalError, make_signal, read_trace, write_trace
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def _manifest(out_dir: str, command: str, args: argparse.Namespace, inputs: list
         "inputs": {p: _sha256(p) for p in inputs},
         "horizon": getattr(args, "horizon", None),
         "seeds": extra.pop("seeds", {}),
-        "tolerances": {"root_xtol": 1e-12},
+        "tolerances": {"root_xtol": XTOL},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     doc.update(extra)
@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
             "resolved": e.resolved_value,
             "active_at_horizon": sorted(e.active_at_horizon),
             "seeds": seeds,
-            "eta_sequences": {k: v for k, v in e.eta_sequences.items()},
+            "eta_sequences": e.eta_sequences,
         },
     )
     return EXIT_OK
@@ -197,34 +197,34 @@ def cmd_analyze(args) -> int:
 
 
 def _strategy_set(names: list[str], seeds: int) -> dict[str, ch.AdversaryStrategy]:
+    """The named strategies; argparse ``choices`` has already rejected unknown names."""
     out: dict[str, ch.AdversaryStrategy] = {}
     for name in names:
         if name == "zero":
             out["zero"] = ch.Zero()
         elif name == "worst":
             out["worst"] = ch.WorstCaseShrink()
-        elif name == "random":
+        else:
             for s in range(seeds):
                 out[f"random[{s}]"] = ch.UniformRandom(seed=s)
-        else:
-            raise ValueError(f"unknown strategy {name!r}")
     return out
 
 
 def cmd_spf_sweep(args) -> int:
+    strategies = _strategy_set(args.strategy, args.seeds)
+    if not strategies:
+        return _error("usage", "no strategy to sweep: --strategy random needs --seeds >= 1", EXIT_USAGE)
     try:
         df = exp_channel(_exp_params(args))
         bounds = ch.EtaBounds(eta_minus=args.eta_minus, eta_plus=args.eta_plus)
         char = analysis.characterize(df, bounds)
-        strategies = _strategy_set(args.strategy, args.seeds)
-    except (analysis.ConstraintCViolated, analysis.NoSignChange, DelayModelError, ch.ChannelError) as exc:
+    except (analysis.AnalysisError, DelayModelError, ch.ChannelError) as exc:
         return _error("constraint", str(exc), EXIT_CONSTRAINT)
-    except ValueError as exc:
-        return _error("usage", str(exc), EXIT_USAGE)
     epsilon = args.epsilon if args.epsilon is not None else char.delta_up / 2.0
     try:
         ht = analysis.dimension_ht_buffer(3.0 * char.tau_star, char.duty)
-        grid = list(np.arange(args.grid[0], args.grid[1] + 1e-12, args.grid[2]))
+        # plain floats, so that sweep.csv writes each delta0 as a float literal
+        grid = np.arange(args.grid[0], args.grid[1] + 1e-12, args.grid[2]).tolist()
         points = analysis.run_spf_sweep(
             df, bounds, ht, grid, strategies, horizon=args.horizon, events_max=args.events_max
         )
@@ -274,7 +274,7 @@ def cmd_spf_sweep(args) -> int:
     return EXIT_OK
 
 
-def _calibration_stimuli(df, horizon: float) -> list[Signal]:
+def _calibration_stimuli(df) -> list[Signal]:
     """Two-pulse stimuli spanning a range of previous-output-to-input delays."""
     dmin = delta_min(df)
     dinf = df.delta_inf_up
@@ -306,7 +306,7 @@ def cmd_waveform(args) -> int:
         if args.stimulus:
             stimuli = list(read_trace(args.stimulus).values())
         else:
-            stimuli = _calibration_stimuli(df, args.horizon)
+            stimuli = _calibration_stimuli(df)
     except OSError as exc:
         return _error("io", str(exc), EXIT_PARSE)
     except (DelayModelError, SignalError) as exc:

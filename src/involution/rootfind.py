@@ -5,7 +5,7 @@ period, the critical input width, and delta_min and the release windows of
 tabulated and custom delay pairs) goes through the same bisection utility:
 the bracketed functions are continuous and monotone, so bisection is
 unconditionally safe.  An exp-channel's delta_min and release windows are
-closed forms (``delay_model.delta_min``, ``circuit._release_window``).
+closed forms (``delay_model.delta_min``, ``channel._release_window``).
 """
 
 from __future__ import annotations
@@ -14,19 +14,16 @@ import math
 from typing import Callable
 
 
+XTOL = 1e-12  # absolute tolerance of every bisected root
+MAX_ITER = 200
+
+
 class NoBracket(ArithmeticError):
     """No sign change on the supplied interval."""
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Root of ``f`` on ``[lo, hi]``, located to absolute tolerance ``xtol``.
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` on ``[lo, hi]``, located to absolute tolerance ``XTOL``.
 
     ``f(lo)`` and ``f(hi)`` must have opposite signs; values of -inf/+inf at
     the endpoints count with their sign.  An endpoint that is already an
@@ -41,7 +38,7 @@ def bisect_root(
         raise NoBracket(f"NaN at bracket edge: f({lo})={flo}, f({hi})={fhi}")
     if (flo > 0) == (fhi > 0):
         raise NoBracket(f"no sign change: f({lo})={flo}, f({hi})={fhi}")
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -50,7 +47,7 @@ def bisect_root(
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-        if hi - lo <= xtol:
+        if hi - lo <= XTOL:
             break
     return 0.5 * (lo + hi)
 

@@ -272,10 +272,12 @@ def bin_coverage(
     return out
 
 
+_FIT_STARTS = 20  # three fixed starts plus log-uniform random ones
+
+
 def fit_exp_channel(
     samples: Sequence[tuple[float, float | None, float | None]],
     *,
-    n_starts: int = 20,
     seed: int = 0,
 ) -> tuple[ExpChannelParams, float]:
     """Least-squares fit of (tau, t_p, vth) to delay samples.
@@ -319,7 +321,7 @@ def fit_exp_channel(
 
     rng = np.random.default_rng(seed)
     starts = [np.array([med, 0.3 * med, v]) for v in (0.3, 0.5, 0.7)]
-    while len(starts) < n_starts:
+    while len(starts) < _FIT_STARTS:
         starts.append(
             np.array(
                 [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involution import circuit as circuit_module, delay_model
+from involution import channel as channel_module, delay_model
 
 from involution.channel import (
     EtaBounds,
@@ -18,7 +18,9 @@ from involution.channel import (
     Pure,
     UniformRandom,
     Zero,
+    _release_window,
     apply_channel,
+    channel_state,
 )
 from involution.circuit import (
     AlternationViolation,
@@ -32,8 +34,6 @@ from involution.circuit import (
     MultipleDrivers,
     NetlistError,
     UnknownFunction,
-    _ChannelRuntime,
-    _release_window,
     execute,
     or_loop_circuit,
     parse_circuit,
@@ -201,6 +201,20 @@ class TestParse:
         with pytest.raises(NetlistError, match="channel 'ht': window must be a number"):
             parse_circuit(doc)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("pure", {"d": 1.0}), ("inertial", {"d": 1.0, "window": 0.1}), ("involution", FIG4_NETLIST["channels"][2]["params"])],
+        ids=["pure", "inertial", "involution"],
+    )
+    @pytest.mark.parametrize("field", ["eta", "strategy"])
+    def test_eta_fields_only_on_eta_involution(self, kind, params, field):
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        doc["channels"][2] = {
+            "name": "ht", "from": "or1", "to": "buf1.0", "kind": kind, "params": params, field: doc["channels"][1][field]
+        }
+        with pytest.raises(NetlistError, match=re.escape(f"channel 'ht': ['{field}'] apply only to eta_involution")):
+            parse_circuit(doc)
+
     def test_table_and_eta_file_references(self, tmp_path, ref):
         from involution.channel import write_eta_sequence
         from involution.delay_model import write_delay_samples
@@ -310,16 +324,15 @@ class TestReleaseWindow:
             calls.append((lo, hi))
             return bisect_root(f, lo, hi, **kw)
 
-        monkeypatch.setattr(circuit_module, "bisect_root", counting)
+        monkeypatch.setattr(channel_module, "bisect_root", counting)
         monkeypatch.setattr(delay_model, "bisect_root", counting)
-        edge = lambda spec: ChannelEdge("c", "or1", "or1", 1, spec)  # noqa: E731
-        _ChannelRuntime(edge(Involution(ref)), 0, None)
+        channel_state(Involution(ref), 0).check_causal()
         assert calls == []
         t = np.linspace(-0.4, 6.0, 200)
         table = tabulated_channel(
             [(x, ref.up(x)) for x in t], [(x, ref.down(x)) for x in t], ref.delta_inf_up, ref.delta_inf_down
         )
-        _ChannelRuntime(edge(Involution(table)), 0, None)
+        channel_state(Involution(table), 0).check_causal()
         assert len(calls) == 3  # delta_min and both release windows
 
     def test_huge_eta_minus_is_rejected_not_overflowed(self, ref):

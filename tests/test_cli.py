@@ -239,6 +239,20 @@ class TestSpfSweep:
         verdict = json.loads((out / "spf_verdict.json").read_text())
         assert verdict["f4_witnesses"] == []
 
+    def test_delta0_is_a_plain_float(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["spf-sweep", *REF, "--grid", "0.1", "0.5", "0.2", "--horizon", "20", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        cells = [row.split(",")[0] for row in (out / "sweep.csv").read_text().splitlines()[2:]]
+        assert [float(c) for c in cells] == pytest.approx([0.1, 0.3, 0.5])
+
+    def test_empty_strategy_set_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["spf-sweep", *REF, "--strategy", "random", "--seeds", "0", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "no strategy to sweep" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWaveform:
     def test_zero_disturbance_self_test(self, tmp_path, capsys):
