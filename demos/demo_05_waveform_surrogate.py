@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from involution import (
+    DeviationResult,
     ExpChannelParams,
     Disturbance,
     Involution,
@@ -57,7 +58,7 @@ for _ in range(8):
             samples.extend(s for s in res.samples if math.isfinite(s.T))
 print(f"{len(samples)} paired (T, D) samples from single-pulse sweeps with random phases")
 print(f"{'T range':>22s} {'n':>5s} {'coverage':>9s}")
-for lo, hi, n, cov in bin_coverage(samples, eta_minus, eta_plus, n_bins=4):
+for lo, hi, n, cov in bin_coverage(DeviationResult(samples, eta_minus, eta_plus), n_bins=4):
     print(f"  [{lo:7.3f}, {hi:7.3f}] {n:5d} {cov:9.3f}")
 print("low-T deviations stay inside the budget; large-T ones increasingly escape it.")
 

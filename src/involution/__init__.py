@@ -9,7 +9,6 @@ from .signals import (  # noqa: F401
     decompose_pulses,
     make_signal,
     pulse,
-    pulses_to_signal,
     read_trace,
     value_at,
     write_trace,
@@ -62,6 +61,7 @@ from .analysis import (  # noqa: F401
     tilde_delta0,
 )
 from .waveform_lab import (  # noqa: F401
+    DeviationResult,
     DeviationSample,
     Disturbance,
     RcSurrogateParams,

@@ -222,7 +222,10 @@ def _filters_to_zero(params: ExpChannelParams, stimulus: Signal) -> bool:
     return out.is_zero
 
 
-def dimension_ht_buffer(theta: float, gamma_cap: float, *, max_doublings: int = 40) -> ExpChannelParams:
+_MAX_DOUBLINGS = 40  # of the RC constant in dimension_ht_buffer's search
+
+
+def dimension_ht_buffer(theta: float, gamma_cap: float) -> ExpChannelParams:
     """Exp-channel parameters that filter every pulse train with up-times
     at most ``theta`` and duty cycles at most ``gamma_cap``.
 
@@ -239,7 +242,7 @@ def dimension_ht_buffer(theta: float, gamma_cap: float, *, max_doublings: int = 
     t_p = theta / 10.0
     step = make_signal(0, [(0.0, 1)])
     tau_rc = theta
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         params = ExpChannelParams(tau_rc, t_p, vth)
         ok = _filters_to_zero(params, pulse(0.0, theta))
         if ok and gamma_cap > 0:
@@ -251,7 +254,7 @@ def dimension_ht_buffer(theta: float, gamma_cap: float, *, max_doublings: int = 
         if ok:
             return params
         tau_rc *= 2.0
-    raise SearchFailed(f"no filtering exp-channel found after {max_doublings} doublings")
+    raise SearchFailed(f"no filtering exp-channel found after {_MAX_DOUBLINGS} doublings")
 
 
 @dataclass

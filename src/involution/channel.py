@@ -56,7 +56,7 @@ from typing import Union
 
 import numpy as np
 
-from .delay_model import DelayFunction, delta_min
+from .delay_model import DelayFunction
 from .rootfind import bisect_root
 from .signals import Signal, make_signal
 
@@ -303,27 +303,29 @@ def _softplus(x: float) -> float:
     return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
 
 
-def _release_window(df: DelayFunction, eta_minus: float, dmin: float, value: int) -> float:
+def _release_window(df: DelayFunction, eta_minus: float, value: int) -> float:
     """Root w of S + delta(S) = eta_minus for the edge that could cancel a pending ``value``.
 
     Closed form for an exp-channel (see the module docstring); otherwise
-    bisection above -``dmin``, where ``dmin`` is ``delta_min(df)``.  Rounded
+    bisection up from the edge of delta's domain, where delta is -inf (at
+    -delta_min, the root's lower bound, the interpolation error of a
+    tabulated pair can already make S + delta(S) exceed eta_minus).  Rounded
     up by twice the root tolerance: releasing later than the exact window is
     safe, releasing earlier is not.
     """
+    own, other = (df.delta_inf_up, df.delta_inf_down) if value == 1 else (df.delta_inf_down, df.delta_inf_up)
     if df.params is not None:
-        own, other = (df.delta_inf_up, df.delta_inf_down) if value == 1 else (df.delta_inf_down, df.delta_inf_up)
         tau = df.params.tau
         return tau * _softplus((eta_minus + own - other) / tau) - own + 2e-12
     f = df.down if value == 1 else df.up
-    lo = -dmin * (1 + 1e-9) - 1e-12
-    return bisect_root(lambda s: s + f(s) - eta_minus, lo, eta_minus + 1e-9) + 2e-12
+    return bisect_root(lambda s: s + f(s) - eta_minus, -own, eta_minus + 1e-9) + 2e-12
 
 
 class _InvolutionState:
     """Incremental eta-involution channel (with a zero budget, the involution channel).
 
-    A survivor at or before a committed output raises.
+    A survivor at or before a committed output raises, and so does a
+    cancellation of a record that lies below one.
     """
 
     def __init__(self, df: DelayFunction, source: EtaSource):
@@ -352,6 +354,12 @@ class _InvolutionState:
         partner = None
         if self.stack and self.stack[-1].out_time >= rec.out_time:
             partner = self.stack.pop()
+            if partner.out_time < self.committed_last:
+                # a record committed out of order lies above the partner; the
+                # channel function would cancel that committed record instead
+                raise ChannelError(
+                    f"arrival at t={t} would retro-cancel a committed output at {self.committed_last}"
+                )
             _cancel_pair(partner, rec)
         else:
             if rec.out_time == -math.inf:
@@ -369,8 +377,7 @@ class _InvolutionState:
         return rec, partner
 
     def check_causal(self) -> None:
-        dmin = delta_min(self.df)
-        self.windows = tuple(_release_window(self.df, self.source.bounds.eta_minus, dmin, v) for v in (0, 1))
+        self.windows = tuple(_release_window(self.df, self.source.bounds.eta_minus, v) for v in (0, 1))
         if max(self.windows) > 0:
             raise ChannelError("eta_minus exceeds delta(0); pending outputs cannot be committed causally")
 

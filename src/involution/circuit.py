@@ -22,6 +22,7 @@ import collections
 import heapq
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -71,28 +72,17 @@ class CausalityFault(EngineError):
     pass
 
 
-_GATE_EVAL: dict[str, Callable[[tuple[int, ...]], int]] = {
-    "NOT": lambda v: 1 - v[0],
-    "BUF": lambda v: v[0],
-    "OR": lambda v: int(any(v)),
-    "NOR": lambda v: 1 - int(any(v)),
-    "AND": lambda v: int(all(v)),
-    "NAND": lambda v: 1 - int(all(v)),
-    "XOR": lambda v: sum(v) % 2,
-    "CONST0": lambda v: 0,
-    "CONST1": lambda v: 1,
-}
-
-_GATE_ARITY: dict[str, Callable[[int], bool]] = {
-    "NOT": lambda n: n == 1,
-    "BUF": lambda n: n == 1,
-    "OR": lambda n: n >= 2,
-    "NOR": lambda n: n >= 2,
-    "AND": lambda n: n >= 2,
-    "NAND": lambda n: n >= 2,
-    "XOR": lambda n: n >= 2,
-    "CONST0": lambda n: n == 0,
-    "CONST1": lambda n: n == 0,
+# function -> (output from the pin values, least arity, greatest arity)
+_GATES: dict[str, tuple[Callable[[tuple[int, ...]], int], int, float]] = {
+    "NOT": (lambda v: 1 - v[0], 1, 1),
+    "BUF": (lambda v: v[0], 1, 1),
+    "OR": (lambda v: int(any(v)), 2, math.inf),
+    "NOR": (lambda v: 1 - int(any(v)), 2, math.inf),
+    "AND": (lambda v: int(all(v)), 2, math.inf),
+    "NAND": (lambda v: 1 - int(all(v)), 2, math.inf),
+    "XOR": (lambda v: sum(v) % 2, 2, math.inf),
+    "CONST0": (lambda v: 0, 0, 0),
+    "CONST1": (lambda v: 1, 0, 0),
 }
 
 
@@ -104,9 +94,10 @@ class Gate:
     initial_value: int
 
     def __post_init__(self) -> None:
-        if self.function not in _GATE_EVAL:
+        if self.function not in _GATES:
             raise UnknownFunction(f"gate {self.name!r}: unknown function {self.function!r}")
-        if not _GATE_ARITY[self.function](self.arity):
+        _, least, greatest = _GATES[self.function]
+        if not least <= self.arity <= greatest:
             raise UnknownFunction(
                 f"gate {self.name!r}: function {self.function} does not admit arity {self.arity}"
             )
@@ -114,7 +105,7 @@ class Gate:
             raise NetlistError(f"gate {self.name!r}: initial value must be 0 or 1")
 
     def evaluate(self, values: tuple[int, ...]) -> int:
-        return _GATE_EVAL[self.function](values)
+        return _GATES[self.function][0](values)
 
 
 @dataclass(frozen=True)
@@ -426,30 +417,24 @@ def execute(
 
     # Initial values propagate statically: a channel's initial output value is
     # its source vertex's initial value.
-    values: dict[str, int] = {}
-    for p in circuit.input_ports:
-        values[p] = inputs[p].initial_value
-    for g in circuit.gates.values():
-        values[g.name] = g.initial_value
-    initial_of_vertex = dict(values)
-    pin_values: dict[str, list[int]] = {g.name: [0] * g.arity for g in circuit.gates.values()}
+    initial = {p: inputs[p].initial_value for p in circuit.input_ports}
+    initial.update((g.name, g.initial_value) for g in circuit.gates.values())
+    pin_values = {g.name: [0] * g.arity for g in circuit.gates.values()}
     for edge in circuit.channels.values():
-        src_initial = initial_of_vertex.get(edge.src)
         if edge.dst in circuit.gates:
-            pin_values[edge.dst][edge.dst_pin] = src_initial
-        else:
-            values[edge.dst] = src_initial
+            pin_values[edge.dst][edge.dst_pin] = initial[edge.src]
+        else:  # an output port
+            initial[edge.dst] = initial[edge.src]
     states = {}
     for name, edge in circuit.channels.items():
-        states[name] = ch.channel_state(edge.spec, initial_of_vertex[edge.src], strategies.get(name))
+        states[name] = ch.channel_state(edge.spec, initial[edge.src], strategies.get(name))
         try:
             states[name].check_causal()
         except ch.ChannelError as exc:
             raise CausalityFault(f"channel {name!r}: {exc}") from exc
     delivered: dict[str, list[tuple[float, int]]] = {name: [] for name in states}
-
-    vertex_events: dict[str, list[tuple[float, int]]] = {v: [] for v in values}
-    initial_values = dict(values)
+    # a vertex's current value is its last transition's, else its initial one
+    vertex_events: dict[str, list[tuple[float, int]]] = {v: [] for v in initial}
 
     heap: list[tuple[float, int, int, str, Any]] = []
     seq = itertools.count()
@@ -461,12 +446,16 @@ def execute(
     pending_evals: set[tuple[str, float]] = set()
 
     def vertex_transition(name: str, t: float, v: int) -> None:
-        if values[name] == v:
+        events = vertex_events[name]
+        if events:
+            last_t, last_v = events[-1]
+            if last_v == v:
+                return
+            if t < last_t:
+                raise CausalityFault(f"vertex {name!r}: transition at {t} precedes {last_t}")
+        elif initial[name] == v:
             return
-        if vertex_events[name] and t < vertex_events[name][-1][0]:
-            raise CausalityFault(f"vertex {name!r}: transition at {t} precedes {vertex_events[name][-1][0]}")
-        values[name] = v
-        vertex_events[name].append((t, v))
+        events.append((t, v))
         for edge in circuit.outgoing.get(name, []):
             channel_arrival(edge, t, v)
 
@@ -548,12 +537,9 @@ def execute(
             schedule(rec.out_time, 0, "deliver", (name, rec))
 
     channel_signals = {
-        name: make_signal(initial_of_vertex[edge.src], delivered[name]) for name, edge in circuit.channels.items()
+        name: make_signal(initial[edge.src], delivered[name]) for name, edge in circuit.channels.items()
     }
-
-    vertex_signals = {
-        name: make_signal(initial_values[name], events) for name, events in vertex_events.items()
-    }
+    vertex_signals = {name: make_signal(initial[name], events) for name, events in vertex_events.items()}
 
     involutions = [name for name, edge in circuit.channels.items() if isinstance(edge.spec, ch.EtaInvolution)]
     dinfs = [circuit.channels[name].spec.df.delta_inf_up for name in involutions]

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, channel as ch, waveform_lab as wl
-from .circuit import CausalityFault, EngineError, HorizonExceeded, NetlistError, execute, parse_circuit
+from .circuit import EngineError, NetlistError, execute, parse_circuit
 from .delay_model import DelayModelError, ExpChannelParams, delta_min, exp_channel
 from .rootfind import XTOL, NoBracket
 from .signals import Signal, SignalError, make_signal, read_trace, write_trace
@@ -142,10 +142,7 @@ def cmd_simulate(args) -> int:
         return _error("io", str(exc), EXIT_PARSE)
     except (NetlistError, SignalError, json.JSONDecodeError, DelayModelError, ch.ChannelError, KeyError) as exc:
         return _error("parse", str(exc), EXIT_PARSE)
-    try:
-        e = execute(circuit, stimuli, args.horizon, events_max=args.events_max)
-    except (HorizonExceeded, CausalityFault, EngineError) as exc:
-        return _error("engine", str(exc), EXIT_ENGINE)
+    e = execute(circuit, stimuli, args.horizon, events_max=args.events_max)
     os.makedirs(args.out, exist_ok=True)
     for name, sig in {**e.vertex_signals, **{f"chan_{k}": v for k, v in e.channel_signals.items()}}.items():
         _atomic_write(os.path.join(args.out, f"{name}.csv"), lambda tmp, s=sig, n=name: write_trace(tmp, {n: s}))
@@ -230,8 +227,6 @@ def cmd_spf_sweep(args) -> int:
         )
     except analysis.SearchFailed as exc:
         return _error("constraint", str(exc), EXIT_CONSTRAINT)
-    except (HorizonExceeded, CausalityFault, EngineError) as exc:
-        return _error("engine", str(exc), EXIT_ENGINE)
 
     verdict = analysis.spf_check(
         [p.out_signal for p in points], [p.delta0 for p in points], epsilon
@@ -314,26 +309,19 @@ def cmd_waveform(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     eta_plus = args.eta_plus if args.eta_plus is not None else 0.02 * delta_min(df)
-    all_samples: list[wl.DeviationSample] = []
-    fit_rows: list[tuple[float, float | None, float | None]] = []
+    samples: list[wl.DeviationSample] = []
     try:
         eta_minus = wl.eta_minus_for(df, eta_plus)
         for stim in stimuli:
             crossings = wl.synth_crossings(params, stim, args.horizon, rng=rng)
-            res = wl.deviation_analysis(stim, crossings, df, eta_plus)
-            all_samples.extend(res.samples)
-            _, log = ch.apply_channel(ch.Involution(df), stim)
-            for rec, (t_c, edge) in zip([r for r in log if not r.canceled], crossings):
-                if math.isfinite(rec.T):
-                    fit_rows.append(
-                        (rec.T, t_c - rec.time, None) if edge == "rising" else (rec.T, None, t_c - rec.time)
-                    )
+            samples.extend(wl.deviation_analysis(stim, crossings, df, eta_plus).samples)
     except (wl.EtaBudgetInvalid, DelayModelError) as exc:
         return _error("constraint", str(exc), EXIT_CONSTRAINT)
 
-    covered = sum(1 for s in all_samples if -eta_minus <= s.D <= eta_plus)
-    coverage = covered / len(all_samples) if all_samples else 1.0
-    result = wl.DeviationResult(all_samples, eta_minus, eta_plus, coverage, 0, 0)
+    result = wl.DeviationResult(samples, eta_minus, eta_plus)
+    fit_rows = [
+        (s.T, s.delay, None) if s.edge == "rising" else (s.T, None, s.delay) for s in samples if math.isfinite(s.T)
+    ]
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "deviations.csv"), lambda tmp: wl.write_deviation_csv(tmp, result))
     fit_report = {}
@@ -346,7 +334,7 @@ def cmd_waveform(args) -> int:
         )
     except wl.FitDiverged as exc:
         fit_report = {"error": str(exc)}
-    bins = wl.bin_coverage(all_samples, eta_minus, eta_plus)
+    bins = wl.bin_coverage(result)
     _manifest(
         args.out,
         "waveform",
@@ -356,11 +344,11 @@ def cmd_waveform(args) -> int:
             "seeds": {"phase": args.seed},
             "eta_plus": eta_plus,
             "eta_minus": eta_minus,
-            "coverage": coverage,
+            "coverage": result.coverage,
             "bins": [{"T_lo": a, "T_hi": b, "n": n, "coverage": c} for a, b, n, c in bins],
         },
     )
-    print(json.dumps({"coverage": coverage, "samples": len(all_samples), "fit": fit_report}))
+    print(json.dumps({"coverage": result.coverage, "samples": len(samples), "fit": fit_report}))
     return EXIT_OK
 
 
@@ -471,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         args.strategy = ["zero"]
     try:
         return args.func(args)
-    except (HorizonExceeded, CausalityFault, EngineError) as exc:
+    except EngineError as exc:  # HorizonExceeded and CausalityFault among them
         return _error("engine", str(exc), EXIT_ENGINE)
     except (NetlistError, SignalError, DelayModelError) as exc:
         return _error("parse", str(exc), EXIT_PARSE)

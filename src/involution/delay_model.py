@@ -65,19 +65,17 @@ class ExpChannelParams:
 
 @dataclass(frozen=True)
 class DelayFunction:
-    """A (delta_up, delta_down) pair with asymptotes and optional analytic derivatives.
+    """A (delta_up, delta_down) pair with its asymptotes.
 
-    ``up``/``down`` return -inf at and below the domain edge; derivatives are
-    only defined strictly inside the domain.
+    ``up``/``down`` return -inf at and below the domain edge.  ``params`` is
+    set exactly for an exp-channel; every closed form (delta_min, the
+    derivatives, the release windows) reads it.
     """
 
-    kind: str
     delta_inf_up: float
     delta_inf_down: float
     _up: Callable[[float], float]
     _down: Callable[[float], float]
-    _d_up: Callable[[float], float] | None = None
-    _d_down: Callable[[float], float] | None = None
     params: ExpChannelParams | None = None
 
     def up(self, T: float) -> float:
@@ -106,15 +104,7 @@ def exp_channel(p: ExpChannelParams) -> DelayFunction:
     def down(T: float) -> float:
         return tau * math.log1p(-math.exp(-(T + d_inf_up) / tau)) + d_inf_down
 
-    def d_up(T: float) -> float:
-        q = math.exp(-(T + d_inf_down) / tau)
-        return q / (1.0 - q)
-
-    def d_down(T: float) -> float:
-        q = math.exp(-(T + d_inf_up) / tau)
-        return q / (1.0 - q)
-
-    return DelayFunction("exp", d_inf_up, d_inf_down, up, down, d_up, d_down, p)
+    return DelayFunction(d_inf_up, d_inf_down, up, down, p)
 
 
 def tabulated_channel(
@@ -155,13 +145,8 @@ def tabulated_channel(
 
         return f
 
-    return DelayFunction(
-        "tabulated",
-        delta_inf_up,
-        delta_inf_down,
-        build(samples_up, delta_inf_up),
-        build(samples_down, delta_inf_down),
-    )
+    up, down = build(samples_up, delta_inf_up), build(samples_down, delta_inf_down)
+    return DelayFunction(delta_inf_up, delta_inf_down, up, down)
 
 
 def custom_channel(
@@ -171,7 +156,7 @@ def custom_channel(
     delta_inf_down: float,
 ) -> DelayFunction:
     """Wrap arbitrary closed-form delay functions (validity is the caller's problem)."""
-    return DelayFunction("custom", delta_inf_up, delta_inf_down, up, down)
+    return DelayFunction(delta_inf_up, delta_inf_down, up, down)
 
 
 class InvolutionCheck(NamedTuple):
@@ -216,20 +201,26 @@ def _central_diff(f: Callable[[float], float], T: float) -> float:
     return (f(T + h) - f(T - h)) / (2.0 * h)
 
 
+def _exp_derivative(tau: float, z: float) -> float:
+    """d/dT of tau*ln(1 - exp(-z/tau)) + const at z = T + partner asymptote: q/(1 - q)."""
+    q = math.exp(-z / tau)
+    return q / (1.0 - q)
+
+
 def derivative_up(df: DelayFunction, T: float) -> float:
-    """delta_up'(T): analytic for exp channels, central difference otherwise."""
+    """delta_up'(T): closed form for exp channels, central difference otherwise."""
     if not T > -df.delta_inf_down:
         raise DomainViolation(f"T={T} not interior to delta_up domain")
-    if df._d_up is not None:
-        return df._d_up(T)
+    if df.params is not None:
+        return _exp_derivative(df.params.tau, T + df.delta_inf_down)
     return _central_diff(df.up, T)
 
 
 def derivative_down(df: DelayFunction, T: float) -> float:
     if not T > -df.delta_inf_up:
         raise DomainViolation(f"T={T} not interior to delta_down domain")
-    if df._d_down is not None:
-        return df._d_down(T)
+    if df.params is not None:
+        return _exp_derivative(df.params.tau, T + df.delta_inf_up)
     return _central_diff(df.down, T)
 
 

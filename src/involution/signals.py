@@ -12,7 +12,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class SignalError(ValueError):
@@ -49,15 +49,12 @@ class Pulse:
 
     ``down_time`` is ``math.inf`` when no further rising edge follows, and
     ``up_time`` is ``math.inf`` when the signal is still high at the
-    decomposition horizon.  ``end`` keeps the exact falling-edge time so a
-    decompose/re-synthesize round trip is bit-exact (start + up_time may
-    round differently).
+    decomposition horizon.
     """
 
     start: float
     up_time: float
     down_time: float
-    end: float | None = field(default=None, compare=False, repr=False)
 
     @property
     def duty_cycle(self) -> float:
@@ -90,9 +87,6 @@ class Signal:
     @property
     def is_zero(self) -> bool:
         return self.initial_value == 0 and not self.transitions
-
-    def final_value(self) -> int:
-        return self.transitions[-1].value if self.transitions else self.initial_value
 
     def last_time(self) -> float:
         """Time of the last transition, or -inf for a constant signal."""
@@ -168,18 +162,8 @@ def decompose_pulses(s: Signal, horizon: float) -> list[Pulse]:
             continue
         next_rise = trs[i + 2].time if i + 2 < len(trs) else None
         down = (next_rise - fall) if next_rise is not None else math.inf
-        pulses.append(Pulse(tr.time, fall - tr.time, down, end=fall))
+        pulses.append(Pulse(tr.time, fall - tr.time, down))
     return pulses
-
-
-def pulses_to_signal(pulses: Sequence[Pulse]) -> Signal:
-    """Inverse of :func:`decompose_pulses` for initial-0 signals."""
-    transitions: list[tuple[float, int]] = []
-    for p in pulses:
-        transitions.append((p.start, 1))
-        if not math.isinf(p.up_time):
-            transitions.append((p.end if p.end is not None else p.start + p.up_time, 0))
-    return make_signal(0, transitions)
 
 
 # Trace file format: header "signal,time,value", rows sorted by (signal, time),

@@ -73,15 +73,22 @@ class RcSurrogateParams:
 
 @dataclass(frozen=True)
 class DeviationSample:
+    """One predicted transition paired with its reference crossing.
+
+    ``D`` is predicted minus actual output time; ``delay`` is the measured
+    delay, crossing time minus input time, the fit's data point at ``T``.
+    """
+
     T: float
     D: float
     edge: str
+    delay: float
 
 
 def _charging_trajectory(params: RcSurrogateParams, phase: float):
-    """v(t) while driving high toward the (possibly disturbed) rail.
+    """The particular solution vp(t) of the node driven high toward the (possibly disturbed) rail.
 
-    Returns (particular(t), decay factor form): v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}.
+    A rising segment from (t0, v0) follows v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}.
     """
     a = params.vdd_disturbance.amplitude_fraction
     tau = params.tau_rc
@@ -182,12 +189,14 @@ class DeviationResult:
     samples: list[DeviationSample]
     eta_minus: float
     eta_plus: float
-    coverage: float
-    unpaired_predicted: int
-    unpaired_actual: int
 
     def covered(self, s: DeviationSample) -> bool:
         return -self.eta_minus <= s.D <= self.eta_plus
+
+    @property
+    def coverage(self) -> float:
+        """Fraction of covered samples; 1 when there are none."""
+        return sum(map(self.covered, self.samples)) / len(self.samples) if self.samples else 1.0
 
 
 def eta_minus_for(df: DelayFunction, eta_plus: float) -> float:
@@ -208,51 +217,42 @@ def deviation_analysis(
 
     Predictions come from the channel algorithm on the same stimulus; each
     prediction is paired with the nearest same-edge reference crossing within
-    delta_min/2, leftovers are reported unpaired.  Coverage is the fraction
-    of deviations inside [-eta_minus, +eta_plus].
+    delta_min/2, and predictions or crossings left without a partner are
+    dropped.  Coverage is the fraction of deviations inside
+    [-eta_minus, +eta_plus].
     """
     eta_minus = eta_minus_for(df, eta_plus)
-    predicted, log = apply_channel(Involution(df), stimulus)
+    _, log = apply_channel(Involution(df), stimulus)
     window = delta_min(df) / 2.0
 
-    actual = [(t, e) for t, e in reference_crossings]
-    used = [False] * len(actual)
+    used = [False] * len(reference_crossings)
     samples: list[DeviationSample] = []
-    unpaired_pred = 0
     for rec in log:
         if rec.canceled:
             continue
         edge = "rising" if rec.value == 1 else "falling"
         best, best_gap = None, window
-        for j, (t_a, e_a) in enumerate(actual):
+        for j, (t_a, e_a) in enumerate(reference_crossings):
             if used[j] or e_a != edge:
                 continue
             gap = abs(t_a - rec.out_time)
             if gap <= best_gap:
                 best, best_gap = j, gap
         if best is None:
-            unpaired_pred += 1
             continue
         used[best] = True
-        samples.append(DeviationSample(rec.T, rec.out_time - actual[best][0], edge))
-    unpaired_actual = used.count(False)
-    covered = sum(1 for s in samples if -eta_minus <= s.D <= eta_plus)
-    coverage = covered / len(samples) if samples else 1.0
-    return DeviationResult(samples, eta_minus, eta_plus, coverage, unpaired_pred, unpaired_actual)
+        t_c = reference_crossings[best][0]
+        samples.append(DeviationSample(rec.T, rec.out_time - t_c, edge, t_c - rec.time))
+    return DeviationResult(samples, eta_minus, eta_plus)
 
 
-def bin_coverage(
-    samples: Sequence[DeviationSample],
-    eta_minus: float,
-    eta_plus: float,
-    n_bins: int = 4,
-) -> list[tuple[float, float, int, float]]:
+def bin_coverage(result: DeviationResult, n_bins: int = 4) -> list[tuple[float, float, int, float]]:
     """Coverage per T-quantile bin: list of (T_lo, T_hi, count, coverage).
 
     Samples with infinite T (first transitions after an idle channel) are
     excluded from the binning.
     """
-    finite = [s for s in samples if math.isfinite(s.T)]
+    finite = [s for s in result.samples if math.isfinite(s.T)]
     if not finite:
         return []
     ts = np.array([s.T for s in finite])
@@ -267,8 +267,7 @@ def bin_coverage(
         if not members:
             out.append((lo, hi, 0, 1.0))
             continue
-        cov = sum(1 for s in members if -eta_minus <= s.D <= eta_plus) / len(members)
-        out.append((lo, hi, len(members), cov))
+        out.append((lo, hi, len(members), sum(map(result.covered, members)) / len(members)))
     return out
 
 

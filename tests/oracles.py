@@ -22,6 +22,18 @@ def exp_pair(tau, t_p, vth):
     return up, down, d_inf_up, d_inf_down
 
 
+def exp_derivatives(tau, t_p, vth, T):
+    """(delta_up'(T), delta_down'(T)) of the exp pair.
+
+    d/dT [tau*ln(1 - q) + d_inf] with q = exp(-(T + partner asymptote)/tau)
+    is q/(1 - q).
+    """
+    _, _, d_inf_up, d_inf_down = exp_pair(tau, t_p, vth)
+    q_up = math.exp(-(T + d_inf_down) / tau)
+    q_down = math.exp(-(T + d_inf_up) / tau)
+    return q_up / (1.0 - q_up), q_down / (1.0 - q_down)
+
+
 def ref_delay(T):
     """REF channel (tau=1, T_p=0.5, vth=0.5) is symmetric: one delay function."""
     up, _, _, _ = exp_pair(1.0, 0.5, 0.5)

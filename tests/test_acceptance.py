@@ -38,6 +38,7 @@ from involution.delay_model import (
 )
 from involution.signals import decompose_pulses, make_signal, pulse
 from involution.waveform_lab import (
+    DeviationResult,
     Disturbance,
     RcSurrogateParams,
     bin_coverage,
@@ -348,7 +349,7 @@ def test_criterion_11_eta_coverage_trend():
             ):
                 res = deviation_analysis(stim, synth_crossings(surrogate, stim, 30.0, rng=rng), df, eta_plus)
                 samples.extend(s for s in res.samples if math.isfinite(s.T))
-    bins = bin_coverage(samples, eta_minus, eta_plus, n_bins=4)
+    bins = bin_coverage(DeviationResult(samples, eta_minus, eta_plus), n_bins=4)
     covs = [c for *_, c in bins]
     slope = float(np.polyfit(range(len(covs)), covs, 1)[0])
     ok = covs[0] == 1.0 and slope <= 0.0 and covs[-1] < covs[0]

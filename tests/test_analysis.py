@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from involution import analysis
 from involution.analysis import (
     ConstraintCViolated,
     Regime,
@@ -200,9 +201,10 @@ class TestDimensionHtBuffer:
         out, _ = apply_channel(Involution(exp_channel(ht)), make_signal(0, [(0.0, 1)]))
         assert [(t.value) for t in out.transitions] == [1]
 
-    def test_search_bound_reported(self):
+    def test_search_bound_reported(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_MAX_DOUBLINGS", 0)
         with pytest.raises(SearchFailed):
-            dimension_ht_buffer(1.0, 0.5, max_doublings=0)
+            dimension_ht_buffer(1.0, 0.5)
 
 
 class TestSpfCheck:

@@ -39,7 +39,7 @@ from involution.circuit import (
     parse_circuit,
     verify_execution,
 )
-from involution.delay_model import ExpChannelParams, custom_channel, delta_min, exp_channel, tabulated_channel
+from involution.delay_model import ExpChannelParams, custom_channel, exp_channel, tabulated_channel
 from involution.rootfind import bisect_root
 from involution.signals import Signal, make_signal, pulse
 
@@ -311,9 +311,9 @@ class TestReleaseWindow:
         df = exp_channel(p)
         # eta_minus in [0, delta(0)) of the edge that cancels a pending `value`
         eta_minus = frac * (df.down if value == 1 else df.up)(0.0)
-        closed = _release_window(df, eta_minus, delta_min(df), value)
+        closed = _release_window(df, eta_minus, value)
         generic = custom_channel(df.up, df.down, df.delta_inf_up, df.delta_inf_down)  # params=None: bisection
-        bisected = _release_window(generic, eta_minus, delta_min(generic), value)
+        bisected = _release_window(generic, eta_minus, value)
         assert abs(closed - bisected) <= 1e-12
         assert Decimal(closed) >= exact_window(p, eta_minus, value)
 
@@ -333,7 +333,25 @@ class TestReleaseWindow:
             [(x, ref.up(x)) for x in t], [(x, ref.down(x)) for x in t], ref.delta_inf_up, ref.delta_inf_down
         )
         channel_state(Involution(table), 0).check_causal()
-        assert len(calls) == 3  # delta_min and both release windows
+        assert len(calls) == 2  # both release windows, bracketed from the domain edge
+
+    @pytest.mark.parametrize("taus", [6.0, 8.0])
+    def test_tabulated_pair_brackets_from_the_domain_edge(self, taus):
+        # Interpolation error put S + delta(S) above eta_minus = 0 at
+        # S = -delta_min for this table, which the old bracket started from.
+        p = ExpChannelParams(1.3828, 0.3428, 0.2246)
+        df = exp_channel(p)
+        t = np.linspace(-0.999 * min(df.delta_inf_up, df.delta_inf_down), taus * p.tau, 160)
+        table = tabulated_channel(
+            [(x, df.up(x)) for x in t], [(x, df.down(x)) for x in t], df.delta_inf_up, df.delta_inf_down
+        )
+        state = channel_state(Involution(table), 0)
+        state.check_causal()
+        for value in (0, 1):
+            assert abs(state.windows[value] - float(exact_window(p, 0.0, value))) <= 1e-4
+        c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, Involution(table))])
+        e = execute(c, {"i": make_signal(0, [(0.0, 1), (0.5, 0), (3.0, 1)])}, horizon=20.0)
+        assert verify_execution(e).ok
 
     def test_huge_eta_minus_is_rejected_not_overflowed(self, ref):
         c = or_loop_circuit(EtaInvolution(ref, EtaBounds(eta_minus=1000.0, eta_plus=0.0), Zero()))
@@ -419,6 +437,30 @@ class TestChains:
         c = or_loop_circuit(EtaInvolution(ref, EtaBounds(eta_minus=0.9, eta_plus=0.0), Zero()))
         with pytest.raises(CausalityFault):
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
+
+
+def test_out_of_order_commit_is_a_causality_fault_not_a_signal_error():
+    # Releases are not FIFO when the two release windows differ.  Here the
+    # eta-involution self-loop commits a record above a still-pending one, and
+    # a later arrival then cancels that pending one: the channel function would
+    # cancel the committed record instead.  That used to surface as a
+    # NonAlternatingValues from building the channel's output signal.
+    df = exp_channel(ExpChannelParams(1.0843127071063443, 0.8637598444367273, 0.3092726299866592))
+    loop = EtaInvolution(df, EtaBounds(0.33794173234806607, 0.22912360129929865), UniformRandom(615))
+    c = Circuit(
+        ["i"],
+        ["o"],
+        [Gate("g", "XOR", 3, 0)],
+        [
+            ChannelEdge("c0", "i", "g", 0, Pure(0.0)),
+            ChannelEdge("c1", "g", "g", 1, Pure(0.18818370983333688)),
+            ChannelEdge("c2", "g", "g", 2, loop),
+            ChannelEdge("co", "g", "o", None, Pure(0.0)),
+        ],
+    )
+    stim = make_signal(0, [(0.9767421038919517, 1), (1.9075541090336496, 0), (2.4707416141641794, 1)])
+    with pytest.raises(CausalityFault, match="channel 'c2': .* would retro-cancel a committed output"):
+        execute(c, {"i": stim}, horizon=15.0, events_max=20000)
 
 
 def random_channel_spec(rng):

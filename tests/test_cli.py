@@ -6,7 +6,7 @@ import pytest
 
 from involution.channel import write_eta_sequence
 from involution.cli import EXIT_CONSTRAINT, EXIT_ENGINE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _atomic_write, main
-from involution.signals import pulse, read_trace, write_trace
+from involution.signals import make_signal, pulse, read_trace, write_trace
 
 from test_circuit import FIG4_NETLIST
 
@@ -267,6 +267,29 @@ class TestWaveform:
         assert fit["tau"] == pytest.approx(1.0, rel=1e-3)
         assert fit["t_p"] == pytest.approx(0.5, rel=1e-3)
         assert fit["vth_norm"] == pytest.approx(0.5, rel=1e-3)
+
+    def test_fit_learns_from_the_deviation_pairs(self, tmp_path, capsys):
+        # The disturbed surrogate crosses only twice for `a`, while the channel
+        # keeps all four transitions.  Pairing the two by position fed the fit
+        # a row with T = -0.466 and delta_down = 5.004 and gave tau = 0.042,
+        # t_p = 1.21, vth = 0.063 with an rms residual of 1.08.
+        a = make_signal(0, [(0.0, 1), (0.95, 0), (2.0, 1), (5.0, 0)])
+        others = {
+            name: make_signal(0, [(0.0, 1), (1.5 + 0.3 * k, 0), (3.0 + 0.5 * k, 1), (5.0 + 0.5 * k, 0)])
+            for k, name in enumerate("bcde")
+        }
+        stim = tmp_path / "s.csv"
+        write_trace(stim, {"a": a, **others})
+        out = tmp_path / "wf"
+        argv = ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.6", "--amplitude", "0.2", "--seed", "0"]
+        assert main([*argv, "--stimulus", str(stim), "--out", str(out)]) == EXIT_OK
+        fit = json.loads((out / "fit.json").read_text())
+        rows = (out / "deviations.csv").read_text().splitlines()[1:]
+        assert fit["sample_count"] == sum(math.isfinite(float(r.split(",")[1])) for r in rows) == 14
+        assert fit["rms_residual"] < 0.05
+        assert fit["tau"] == pytest.approx(0.828, abs=1e-3)
+        assert fit["t_p"] == pytest.approx(0.546, abs=1e-3)
+        assert fit["vth_norm"] == pytest.approx(0.606, abs=1e-3)
 
     def test_disturbed_run_emits_bins(self, tmp_path, capsys):
         out = tmp_path / "wf"

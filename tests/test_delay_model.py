@@ -189,6 +189,16 @@ class TestDerivatives:
             lhs = derivative_up(ref, -ref.down(float(T))) * derivative_down(ref, float(T))
             assert lhs == pytest.approx(1.0, abs=1e-6)
 
+    def test_exp_closed_form_is_exact(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            p = random_params(rng)
+            df = exp_channel(p)
+            edge = -min(df.delta_inf_up, df.delta_inf_down)
+            T = float(rng.uniform(0.999 * edge, 10.0 * p.tau))
+            want = oracles.exp_derivatives(p.tau, p.t_p, p.vth_norm, T)
+            assert (derivative_up(df, T), derivative_down(df, T)) == want
+
     def test_concavity_decreasing_derivative(self, ref):
         assert derivative_up(ref, 0.0) > derivative_up(ref, 1.0)
 

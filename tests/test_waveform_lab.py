@@ -7,6 +7,7 @@ from involution.channel import Involution, apply_channel
 from involution.delay_model import ExpChannelParams, exp_channel, tabulated_channel
 from involution.signals import make_signal, pulse
 from involution.waveform_lab import (
+    DeviationResult,
     DeviationSample,
     Disturbance,
     EtaBudgetInvalid,
@@ -145,15 +146,15 @@ class TestDeviationAnalysis:
                     crossings = synth_crossings(params, stim, 30.0, rng=rng)
                     res = deviation_analysis(stim, crossings, df, eta_plus)
                     samples.extend(s for s in res.samples if math.isfinite(s.T))
-        bins = bin_coverage(samples, eta_minus_for(df, eta_plus), eta_plus, n_bins=4)
+        bins = bin_coverage(DeviationResult(samples, eta_minus_for(df, eta_plus), eta_plus), n_bins=4)
         assert bins[0][3] == 1.0  # lowest-T quartile fully covered
         assert bins[-1][3] < 1.0  # the model stops applying for large T
 
     def test_bin_coverage_on_synthetic_samples(self):
-        samples = [DeviationSample(T=float(t), D=0.0 if t < 5 else 1.0, edge="rising") for t in range(10)]
-        bins = bin_coverage(samples, eta_minus=0.1, eta_plus=0.1, n_bins=2)
+        samples = [DeviationSample(T=float(t), D=0.0 if t < 5 else 1.0, edge="rising", delay=1.0) for t in range(10)]
+        bins = bin_coverage(DeviationResult(samples, eta_minus=0.1, eta_plus=0.1), n_bins=2)
         assert bins[0][3] == 1.0 and bins[1][3] < 0.5
-        assert bin_coverage([], 0.1, 0.1) == []
+        assert bin_coverage(DeviationResult([], 0.1, 0.1)) == []
 
 
 class TestFit:
