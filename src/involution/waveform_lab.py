@@ -12,6 +12,7 @@ eta-budget coverage analysis.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -86,24 +87,31 @@ class DeviationSample:
 
 
 def _charging_trajectory(params: RcSurrogateParams, phase: float):
-    """The particular solution vp(t) of the node driven high toward the (possibly disturbed) rail.
+    """The particular solution vp(t, xp) of the node driven high toward the (possibly disturbed) rail.
 
     A rising segment from (t0, v0) follows v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}.
+    ``xp`` is ``math`` for a float ``t`` or ``numpy`` for an array of times.
     """
     a = params.vdd_disturbance.amplitude_fraction
     tau = params.tau_rc
     if a == 0.0:
-        return lambda t: 1.0
+        return lambda t, xp=math: 1.0
     omega = 2.0 * math.pi / params.vdd_disturbance.period
     denom = 1.0 + (omega * tau) ** 2
     alpha = a / denom
     beta = -a * omega * tau / denom
 
-    def vp(t: float) -> float:
+    def vp(t, xp=math):
         th = omega * t + phase
-        return 1.0 + alpha * math.sin(th) + beta * math.cos(th)
+        return 1.0 + alpha * xp.sin(th) + beta * xp.cos(th)
 
     return vp
+
+
+# numpy and math may round sin/cos/exp differently in the last bit, so a grid
+# value this close to the threshold is recomputed with math before its sign
+# is read; the trajectory and threshold are O(1), so the gap is far below it.
+_SIGN_GUARD = 1e-9
 
 
 def synth_crossings(
@@ -115,9 +123,11 @@ def synth_crossings(
     """Threshold crossings of the RC node driven by ``stimulus`` up to ``horizon``.
 
     Rising segments charge toward the disturbed rail, falling segments
-    discharge toward undisturbed ground; crossing times are located by
-    bisection on the analytic trajectory of each segment.  ``rng`` supplies
-    the per-stimulus random phase when the disturbance declares one.
+    discharge toward undisturbed ground.  Each segment's trajectory is
+    evaluated on a uniform grid; a sign change between neighbouring grid
+    points, or a grid point exactly on the threshold, brackets a crossing,
+    which scalar bisection on the analytic trajectory then locates.  ``rng``
+    supplies the per-stimulus random phase when the disturbance declares one.
     """
     dist = params.vdd_disturbance
     if dist.phase is None:
@@ -151,35 +161,35 @@ def synth_crossings(
         if seg_drive:
             offset = v0 - vp(seg_start)
 
-            def v(t: float, _o=offset, _s=seg_start) -> float:
-                return vp(t) + _o * math.exp(-(t - _s) / tau)
+            def v(t, xp=math, _o=offset, _s=seg_start):
+                return vp(t, xp) + _o * xp.exp(-(t - _s) / tau)
 
         else:
-            def v(t: float, _v0=v0, _s=seg_start) -> float:
-                return _v0 * math.exp(-(t - _s) / tau)
+            def v(t, xp=math, _v0=v0, _s=seg_start):
+                return _v0 * xp.exp(-(t - _s) / tau)
 
         dt_cap = tau / 50.0
         if dist.amplitude_fraction > 0.0:
             dt_cap = min(dt_cap, dist.period / 50.0)
         n = min(20000, max(8, int(math.ceil((seg_end - seg_start) / dt_cap))))
         ts = np.linspace(seg_start, seg_end, n + 1)
-        prev_t, prev_s = seg_start, v(seg_start) - vth
-        for t in ts[1:]:
-            s = v(float(t)) - vth
-            if prev_s == 0.0:
-                prev_s = -1e-300 if s > 0 else 1e-300
-            if (prev_s > 0) != (s > 0):
-                lo, hi = prev_t, float(t)
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if ((v(mid) - vth) > 0) == (prev_s > 0):
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo <= 1e-14:
-                        break
-                crossings.append((0.5 * (lo + hi), "rising" if s > 0 else "falling"))
-            prev_t, prev_s = float(t), s
+        s = v(ts, np) - vth
+        for k in np.flatnonzero(np.abs(s) <= _SIGN_GUARD):
+            s[k] = v(float(ts[k])) - vth
+        above = s > 0
+        # a grid point exactly on the threshold opens a bracket toward the next point
+        for k in np.flatnonzero((s[:-1] == 0.0) | (above[:-1] != above[1:])):
+            rising = bool(above[k + 1])
+            lo, hi = float(ts[k]), float(ts[k + 1])
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if ((v(mid) - vth) > 0) != rising:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-14:
+                    break
+            crossings.append((0.5 * (lo + hi), "rising" if rising else "falling"))
         v0 = v(seg_end)
     return crossings
 
@@ -215,34 +225,35 @@ def deviation_analysis(
 ) -> DeviationResult:
     """Deviation D = predicted - actual per transition, against the eta budget.
 
-    Predictions come from the channel algorithm on the same stimulus; each
-    prediction is paired with the nearest same-edge reference crossing within
-    delta_min/2, and predictions or crossings left without a partner are
-    dropped.  Coverage is the fraction of deviations inside
-    [-eta_minus, +eta_plus].
+    Predictions come from the channel algorithm on the same stimulus.  In
+    log order, each prediction is paired with the nearest unused same-edge
+    reference crossing within delta_min/2, the later one on equal gaps;
+    predictions or crossings left without a partner are dropped.  Coverage is
+    the fraction of deviations inside [-eta_minus, +eta_plus].
     """
     eta_minus = eta_minus_for(df, eta_plus)
     _, log = apply_channel(Involution(df), stimulus)
     window = delta_min(df) / 2.0
 
-    used = [False] * len(reference_crossings)
+    unused = {edge: sorted(t for t, e in reference_crossings if e == edge) for edge in ("rising", "falling")}
     samples: list[DeviationSample] = []
     for rec in log:
         if rec.canceled:
             continue
         edge = "rising" if rec.value == 1 else "falling"
+        times, p = unused[edge], rec.out_time
+        i = bisect.bisect_left(times, p)
         best, best_gap = None, window
-        for j, (t_a, e_a) in enumerate(reference_crossings):
-            if used[j] or e_a != edge:
-                continue
-            gap = abs(t_a - rec.out_time)
-            if gap <= best_gap:
-                best, best_gap = j, gap
+        if i > 0 and p - times[i - 1] <= best_gap:
+            best, best_gap = i - 1, p - times[i - 1]
+        # gaps grow to the right; of equal ones the last wins
+        while i < len(times) and times[i] - p <= best_gap:
+            best, best_gap = i, times[i] - p
+            i += 1
         if best is None:
             continue
-        used[best] = True
-        t_c = reference_crossings[best][0]
-        samples.append(DeviationSample(rec.T, rec.out_time - t_c, edge, t_c - rec.time))
+        t_c = times.pop(best)
+        samples.append(DeviationSample(rec.T, p - t_c, edge, t_c - rec.time))
     return DeviationResult(samples, eta_minus, eta_plus)
 
 
@@ -274,6 +285,57 @@ def bin_coverage(result: DeviationResult, n_bins: int = 4) -> list[tuple[float, 
 _FIT_STARTS = 20  # three fixed starts plus log-uniform random ones
 
 
+class _DelayResiduals:
+    """Residuals of the exp pair against delay samples, and their Jacobian in (tau, t_p, vth).
+
+    One residual per delay value, up before down within a sample row.  The
+    model value at T is tau ln(1 - e^{-z}) + d_inf_self with
+    z = (T + d_inf_other) / tau; a value with z <= 0 lies outside the model's
+    domain and gets the constant penalty 1e3 (1 + |T|).
+    """
+
+    def __init__(self, samples: Sequence[tuple[float, float | None, float | None]]):
+        T, delay, side = [], [], []
+        for t, du, dd in samples:
+            for k, d in enumerate((du, dd)):
+                if d is not None:
+                    T.append(t)
+                    delay.append(d)
+                    side.append(k)
+        self.T = np.array(T, dtype=float)
+        self.delay = np.array(delay, dtype=float)
+        self.side = np.array(side, dtype=np.intp)  # 0: an up delay, 1: a down delay
+        self.penalty = 1e3 * (1.0 + np.abs(self.T))
+
+    def _z(self, x):
+        """tau, vth, the (up, down) asymptotes, the in-domain value mask and z there."""
+        tau, t_p, vth = (float(v) for v in x)
+        d_inf = np.array([t_p - tau * math.log(1.0 - vth), t_p - tau * math.log(vth)])
+        z = (self.T + d_inf[1 - self.side]) / tau
+        inside = z > 0
+        return tau, vth, d_inf, inside, z[inside]
+
+    def __call__(self, x) -> np.ndarray:
+        tau, _, d_inf, inside, z = self._z(x)
+        r = self.penalty.copy()
+        r[inside] = tau * np.log1p(-np.exp(-z)) + d_inf[self.side[inside]] - self.delay[inside]
+        return r
+
+    def jacobian(self, x) -> np.ndarray:
+        """d/d(tau, t_p, vth) of each residual; with q = e^{-z}, d/dz ln(1 - q) = q / (1 - q)."""
+        tau, vth, _, inside, z = self._z(x)
+        d_tau = np.array([-math.log(1.0 - vth), -math.log(vth)])  # of (d_inf_up, d_inf_down)
+        d_vth = np.array([tau / (1.0 - vth), -tau / vth])
+        own, other = self.side[inside], 1 - self.side[inside]
+        q = np.exp(-z)
+        g = q / (1.0 - q)
+        jac = np.zeros((len(self.T), 3))
+        jac[inside, 0] = np.log1p(-q) + g * (d_tau[other] - z) + d_tau[own]
+        jac[inside, 1] = g + 1.0
+        jac[inside, 2] = g * d_vth[other] + d_vth[own]
+        return jac
+
+
 def fit_exp_channel(
     samples: Sequence[tuple[float, float | None, float | None]],
     *,
@@ -283,40 +345,20 @@ def fit_exp_channel(
 
     ``samples`` rows are (T, delta_up or None, delta_down or None); up and
     down residuals are weighted equally.  Multi-start local search within
-    parameter bounds; returns the best parameters and the RMS residual.
+    parameter bounds, with the analytic Jacobian; returns the best parameters
+    and the RMS residual.
     """
-    rows = [(t, du, dd) for t, du, dd in samples]
-    n_vals = sum((du is not None) + (dd is not None) for _, du, dd in rows)
+    residuals = _DelayResiduals(samples)
+    n_vals = len(residuals.delay)
     if n_vals < 5:
         raise FitDiverged(f"need at least 5 delay values, got {n_vals}")
     from scipy.optimize import least_squares
 
-    med = float(np.median([abs(v) for _, du, dd in rows for v in (du, dd) if v is not None]))
+    med = float(np.median(np.abs(residuals.delay)))
     if med == 0.0:
         med = 1.0
     lo = np.array([1e-3 * med, 1e-3 * med, 0.05])
     hi = np.array([1e3 * med, 1e3 * med, 0.95])
-
-    def residuals(x):
-        tau, t_p, vth = x
-        d_inf_up = t_p - tau * math.log(1.0 - vth)
-        d_inf_down = t_p - tau * math.log(vth)
-        res = []
-
-        def model(T, d_inf_self, d_inf_other):
-            z = (T + d_inf_other) / tau
-            if z <= 0:
-                return None
-            return tau * math.log1p(-math.exp(-z)) + d_inf_self
-
-        for T, du, dd in rows:
-            if du is not None:
-                m = model(T, d_inf_up, d_inf_down)
-                res.append(1e3 * (1.0 + abs(T)) if m is None else m - du)
-            if dd is not None:
-                m = model(T, d_inf_down, d_inf_up)
-                res.append(1e3 * (1.0 + abs(T)) if m is None else m - dd)
-        return np.array(res)
 
     rng = np.random.default_rng(seed)
     starts = [np.array([med, 0.3 * med, v]) for v in (0.3, 0.5, 0.7)]
@@ -333,8 +375,8 @@ def fit_exp_channel(
     best = None
     for x0 in starts:
         try:
-            sol = least_squares(residuals, np.clip(x0, lo, hi), bounds=(lo, hi))
-        except Exception:
+            sol = least_squares(residuals, np.clip(x0, lo, hi), jac=residuals.jacobian, bounds=(lo, hi))
+        except (ValueError, np.linalg.LinAlgError):  # non-finite residuals at the start; an SVD that fails
             continue
         if best is None or sol.cost < best.cost:
             best = sol
@@ -345,16 +387,16 @@ def fit_exp_channel(
     return ExpChannelParams(tau, t_p, vth), rms
 
 
-# deviation CSV: header "edge,T,D,covered"; fit report JSON.
+# deviation CSV: header "edge,T,D,covered,delay"; fit report JSON.
 
 def write_deviation_csv(path, result: DeviationResult) -> None:
     import csv
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["edge", "T", "D", "covered"])
+        w.writerow(["edge", "T", "D", "covered", "delay"])
         for s in result.samples:
-            w.writerow([s.edge, repr(s.T), repr(s.D), int(result.covered(s))])
+            w.writerow([s.edge, repr(s.T), repr(s.D), int(result.covered(s)), repr(s.delay)])
 
 
 def write_fit_report(path, params: ExpChannelParams, rms: float, n_samples: int) -> None:

@@ -113,6 +113,136 @@ def inertial_oracle(initial_value, transitions, delay, window):
     return out, canceled
 
 
+def rc_crossings(params, stimulus, horizon, rng=None):
+    """Threshold crossings of the RC surrogate by a scalar scan of each segment's grid.
+
+    The reference for ``waveform_lab.synth_crossings``: the same segments,
+    grid and bisection, evaluated point by point with ``math``.  A grid point
+    exactly on the threshold is nudged to the opposite side of the next point,
+    so it always opens a bracket.
+    """
+    import numpy as np
+
+    dist = params.vdd_disturbance
+    phase = float(rng.uniform(0.0, 2.0 * math.pi)) if dist.phase is None else dist.phase
+    tau, vth, a = params.tau_rc, params.vth_norm, dist.amplitude_fraction
+    omega = 2.0 * math.pi / dist.period
+    denom = 1.0 + (omega * tau) ** 2
+    alpha, beta = a / denom, -a * omega * tau / denom
+
+    def vp(t):
+        if a == 0.0:
+            return 1.0
+        th = omega * t + phase
+        return 1.0 + alpha * math.sin(th) + beta * math.cos(th)
+
+    segments = []
+    drive, t0 = stimulus.initial_value, 0.0
+    for tr in stimulus.transitions:
+        t_sw = tr.time + params.pure_delay
+        if t_sw > horizon:
+            break
+        if t_sw > t0:
+            segments.append((t0, t_sw, drive))
+        t0, drive = t_sw, tr.value
+    if t0 < horizon:
+        segments.append((t0, horizon, drive))
+
+    crossings = []
+    v0 = float(stimulus.initial_value)
+    for seg_start, seg_end, seg_drive in segments:
+        if seg_drive:
+            offset = v0 - vp(seg_start)
+
+            def v(t, _o=offset, _s=seg_start):
+                return vp(t) + _o * math.exp(-(t - _s) / tau)
+
+        else:
+
+            def v(t, _v0=v0, _s=seg_start):
+                return _v0 * math.exp(-(t - _s) / tau)
+
+        dt_cap = tau / 50.0
+        if a > 0.0:
+            dt_cap = min(dt_cap, dist.period / 50.0)
+        n = min(20000, max(8, int(math.ceil((seg_end - seg_start) / dt_cap))))
+        ts = np.linspace(seg_start, seg_end, n + 1)
+        prev_t, prev_s = seg_start, v(seg_start) - vth
+        for t in ts[1:]:
+            s = v(float(t)) - vth
+            if prev_s == 0.0:
+                prev_s = -1e-300 if s > 0 else 1e-300
+            if (prev_s > 0) != (s > 0):
+                lo, hi = prev_t, float(t)
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    if ((v(mid) - vth) > 0) == (prev_s > 0):
+                        lo = mid
+                    else:
+                        hi = mid
+                    if hi - lo <= 1e-14:
+                        break
+                crossings.append((0.5 * (lo + hi), "rising" if s > 0 else "falling"))
+            prev_t, prev_s = float(t), s
+        v0 = v(seg_end)
+    return crossings
+
+
+def exp_fit_residuals(rows, x):
+    """Residuals of the exp pair at ``x = (tau, t_p, vth)`` against (T, delta_up | None, delta_down | None) rows.
+
+    One residual per delay value, up before down within a row; a row outside
+    the model's domain (z <= 0) gives the penalty 1e3 * (1 + |T|).
+    """
+    tau, t_p, vth = x
+    d_inf_up = t_p - tau * math.log(1.0 - vth)
+    d_inf_down = t_p - tau * math.log(vth)
+
+    def model(T, d_inf_self, d_inf_other):
+        z = (T + d_inf_other) / tau
+        if z <= 0:
+            return None
+        return tau * math.log1p(-math.exp(-z)) + d_inf_self
+
+    res = []
+    for T, du, dd in rows:
+        if du is not None:
+            m = model(T, d_inf_up, d_inf_down)
+            res.append(1e3 * (1.0 + abs(T)) if m is None else m - du)
+        if dd is not None:
+            m = model(T, d_inf_down, d_inf_up)
+            res.append(1e3 * (1.0 + abs(T)) if m is None else m - dd)
+    return res
+
+
+def greedy_pairing(log, crossings, window):
+    """Pair surviving channel records with reference crossings, by exhaustive search.
+
+    In log order, each surviving record takes the nearest unused same-edge
+    crossing within ``window``; on equal gaps the later crossing in the list.
+    Returns (T, predicted - actual, edge, actual - input time) per pair.
+    """
+    used = [False] * len(crossings)
+    out = []
+    for rec in log:
+        if rec.canceled:
+            continue
+        edge = "rising" if rec.value == 1 else "falling"
+        best, best_gap = None, window
+        for j, (t_a, e_a) in enumerate(crossings):
+            if used[j] or e_a != edge:
+                continue
+            gap = abs(t_a - rec.out_time)
+            if gap <= best_gap:
+                best, best_gap = j, gap
+        if best is None:
+            continue
+        used[best] = True
+        t_c = crossings[best][0]
+        out.append((rec.T, rec.out_time - t_c, edge, t_c - rec.time))
+    return out
+
+
 # Values frozen after confirming them with the oracles above (see the
 # assertions in test_acceptance.py, which recompute each one).
 REF_TAU_STAR = 0.6491832629580262

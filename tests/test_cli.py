@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 from involution.channel import write_eta_sequence
 from involution.cli import EXIT_CONSTRAINT, EXIT_ENGINE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _atomic_write, main
 from involution.signals import make_signal, pulse, read_trace, write_trace
+from involution.waveform_lab import fit_exp_channel
 
 from test_circuit import FIG4_NETLIST
 
@@ -306,8 +308,28 @@ class TestWaveform:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["bins"]) == 4
         dev_rows = (out / "deviations.csv").read_text().splitlines()
-        assert dev_rows[0] == "edge,T,D,covered"
+        assert dev_rows[0] == "edge,T,D,covered,delay"
         assert len(dev_rows) > 10
+
+    def test_fit_is_reproduced_from_deviations_csv(self, tmp_path, capsys):
+        out = tmp_path / "wf"
+        argv = ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.6", "--amplitude", "0.01", "--seed", "51"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        with open(out / "deviations.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if math.isfinite(float(r["T"]))]
+        samples = [
+            (float(r["T"]), float(r["delay"]), None) if r["edge"] == "rising" else (float(r["T"]), None, float(r["delay"]))
+            for r in rows
+        ]
+        fitted, rms = fit_exp_channel(samples, seed=51)
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit == {
+            "tau": fitted.tau,
+            "t_p": fitted.t_p,
+            "vth_norm": fitted.vth_norm,
+            "rms_residual": rms,
+            "sample_count": len(samples),
+        }
 
 
 def test_usage_error_exit_code():

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from involution.channel import Involution, apply_channel
-from involution.delay_model import ExpChannelParams, exp_channel, tabulated_channel
+from involution.cli import _calibration_stimuli
+from involution.delay_model import ExpChannelParams, delta_min, exp_channel, tabulated_channel
 from involution.signals import make_signal, pulse
 from involution.waveform_lab import (
     DeviationResult,
@@ -13,6 +17,7 @@ from involution.waveform_lab import (
     EtaBudgetInvalid,
     FitDiverged,
     RcSurrogateParams,
+    _DelayResiduals,
     bin_coverage,
     deviation_analysis,
     eta_minus_for,
@@ -84,6 +89,36 @@ class TestSynthCrossings:
                 assert got_e == want_e
                 assert got_t == pytest.approx(want_t, abs=1e-9)
 
+    @pytest.mark.parametrize("amplitude, seeds", [(0.01, (51, 52, 53)), (0.05, (54,)), (0.0, (51,))])
+    def test_default_calibration_equals_the_scalar_scan(self, amplitude, seeds):
+        params = RcSurrogateParams(1.0, 0.6, 0.5, Disturbance(amplitude, 1.0, None if amplitude else 0.0))
+        stimuli = _calibration_stimuli(exp_channel(params.matching_exp_channel()))
+        assert len(stimuli) == 144
+        for seed in seeds:
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for stim in stimuli:
+                got = synth_crossings(params, stim, 60.0, rng=got_rng)
+                assert got == oracles.rc_crossings(params, stim, 60.0, rng=want_rng)
+
+    @pytest.mark.parametrize("initial", [0, 1])
+    def test_grid_point_on_the_threshold_opens_a_bracket(self, initial):
+        # One segment on the grid linspace(0.5, 10, 476) after the stimulus edge at 0:
+        # v(t) = 1 - e^{-(t - 0.5)} rising from 0, or e^{-(t - 0.5)} falling from 1.
+        # vth is set to v at grid point k, so the scalar scan reads an exact zero there.
+        grid = np.linspace(0.5, 10.0, 476)
+
+        def v(t, xp):
+            return 1.0 + -1.0 * xp.exp(-(t - 0.5) / 1.0) if initial == 0 else 1.0 * xp.exp(-(t - 0.5) / 1.0)
+
+        exact = [k for k in range(1, 475) if v(grid[k], np) == v(float(grid[k]), math)]
+        rounded = [k for k in range(1, 475) if k not in exact]
+        for k in exact[:1] + rounded[:1]:  # numpy agrees with math at k, and (if any) where it does not
+            params = RcSurrogateParams(tau_rc=1.0, vth_norm=v(float(grid[k]), math), pure_delay=0.5)
+            stim = make_signal(initial, [(0.0, 1 - initial)])
+            want = oracles.rc_crossings(params, stim, 10.0)
+            assert synth_crossings(params, stim, 10.0) == want
+            assert any(grid[k] <= t < grid[k + 1] for t, _ in want)
+
     def test_disturbance_requires_rng_when_phase_random(self):
         params = RcSurrogateParams(1.0, 0.5, 0.5, Disturbance(0.01, 1.0, None))
         with pytest.raises(Exception):
@@ -149,6 +184,32 @@ class TestDeviationAnalysis:
         bins = bin_coverage(DeviationResult(samples, eta_minus_for(df, eta_plus), eta_plus), n_bins=4)
         assert bins[0][3] == 1.0  # lowest-T quartile fully covered
         assert bins[-1][3] < 1.0  # the model stops applying for large T
+
+    def test_equal_gaps_pair_with_the_later_crossing(self, ref):
+        stim = make_signal(0, [(0.0, 1)])
+        (rec,) = apply_channel(Involution(ref), stim)[1]
+        p = rec.out_time
+        res = deviation_analysis(stim, [(p - 0.125, "rising"), (p + 0.125, "rising")], ref, eta_plus=0.01)
+        assert [s.D for s in res.samples] == [p - (p + 0.125)] == [-0.125]
+
+    @given(
+        gaps=st.lists(st.integers(1, 96), min_size=1, max_size=8),
+        offsets=st.lists(st.tuples(st.integers(-12, 12), st.booleans(), st.integers(0, 7)), max_size=40),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_pairing_equals_the_greedy_search(self, ref, gaps, offsets):
+        # crossings sit at dyadic offsets from the predictions, so equal gaps and
+        # duplicate times are common; the list is in time order, as synth_crossings gives
+        times = np.cumsum(gaps) / 32.0
+        stim = make_signal(0, [(float(t), (i + 1) % 2) for i, t in enumerate(times)])
+        _, log = apply_channel(Involution(ref), stim)
+        outs = [r.out_time for r in log if not r.canceled] or [1.0]
+        crossings = sorted(
+            (outs[j % len(outs)] + k / 32.0, "rising" if up else "falling") for k, up, j in offsets
+        )
+        got = deviation_analysis(stim, crossings, ref, eta_plus=0.01).samples
+        want = oracles.greedy_pairing(log, crossings, delta_min(ref) / 2.0)
+        assert [(s.T, s.D, s.edge, s.delay) for s in got] == want
 
     def test_bin_coverage_on_synthetic_samples(self):
         samples = [DeviationSample(T=float(t), D=0.0 if t < 5 else 1.0, edge="rising", delay=1.0) for t in range(10)]
@@ -227,6 +288,76 @@ class TestFit:
         assert p2.t_p == pytest.approx(k * p1.t_p, rel=1e-3)
         assert p2.vth_norm == pytest.approx(p1.vth_norm, rel=1e-3)
 
+    def rows_and_points(self, ref):
+        """Rows with some missing values, and seeded points across the fit's bounds."""
+        rng = np.random.default_rng(21)
+        rows = [
+            (t, du if k % 3 else None, dd if k % 4 else None)
+            for k, (t, du, dd) in enumerate(self.make_samples(ref, np.linspace(-0.9, 5.0, 50)))
+        ]
+        med = float(np.median([abs(v) for _, du, dd in rows for v in (du, dd) if v is not None]))
+        points = [
+            (
+                math.exp(rng.uniform(math.log(1e-3 * med), math.log(1e3 * med))),
+                math.exp(rng.uniform(math.log(1e-3 * med), math.log(1e3 * med))),
+                rng.uniform(0.05, 0.95),
+            )
+            for _ in range(200)
+        ]
+        return rows, points
+
+    def test_residuals_equal_the_scalar_loop(self, ref):
+        rows, points = self.rows_and_points(ref)
+        residuals = _DelayResiduals(rows)
+        penalised = 0
+        for x in points:
+            want = np.array(oracles.exp_fit_residuals(rows, x))
+            # a residual is a difference of terms of size ~max(tau, t_p): its rounding scales with them
+            atol = 1e-12 * max(x[0], x[1])
+            np.testing.assert_allclose(residuals(np.array(x)), want, rtol=1e-12, atol=atol)
+            penalised += int(np.sum(want == residuals.penalty))
+        assert penalised > 0  # penalty rows were compared too
+
+    def test_jacobian_matches_central_differences(self, ref):
+        # Each error is scaled by its parameter and compared with the row's largest
+        # scaled entry, so that a relative step of each parameter is weighed alike.
+        rows, points = self.rows_and_points(ref)
+        residuals = _DelayResiduals(rows)
+        for x in map(np.array, points):
+            jac = residuals.jacobian(x)
+            fd = np.empty_like(jac)
+            smooth = np.ones(len(jac), dtype=bool)
+            for k in range(3):
+                step = np.eye(3)[k] * 1e-5 * x[k]
+                plus, minus = residuals(x + step), residuals(x - step)
+                fd[:, k] = (plus - minus) / (2.0 * step[k])
+                # no row crosses the domain edge within the step
+                smooth &= (plus == residuals.penalty) == (minus == residuals.penalty)
+            scale = np.abs(jac * x).max(axis=1)
+            err = (np.abs(jac - fd) * x).max(axis=1)
+            assert np.all(err[smooth] <= 1e-6 * scale[smooth])
+            assert np.all(jac[residuals(x) == residuals.penalty] == 0.0)
+
+    def test_a_bug_in_a_start_propagates(self, ref, monkeypatch):
+        samples = self.make_samples(ref, np.linspace(-0.8, 5.0, 10))
+
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", broken)
+        with pytest.raises(TypeError):
+            fit_exp_channel(samples)
+
+    def test_starts_that_fail_are_skipped(self, ref, monkeypatch):
+        samples = self.make_samples(ref, np.linspace(-0.8, 5.0, 10))
+
+        def not_finite(*args, **kwargs):
+            raise ValueError("Residuals are not finite in the initial point.")
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", not_finite)
+        with pytest.raises(FitDiverged, match="no fit start converged"):
+            fit_exp_channel(samples)
+
     def test_too_few_samples(self):
         with pytest.raises(FitDiverged):
             fit_exp_channel([(0.0, 0.8, None), (1.0, 1.0, None)])
@@ -239,8 +370,9 @@ def test_output_files(tmp_path, ref):
     dev_path = tmp_path / "dev.csv"
     write_deviation_csv(dev_path, res)
     lines = dev_path.read_text().splitlines()
-    assert lines[0] == "edge,T,D,covered"
+    assert lines[0] == "edge,T,D,covered,delay"
     assert len(lines) == 1 + len(res.samples)
+    assert [float(line.split(",")[4]) for line in lines[1:]] == [s.delay for s in res.samples]
 
     fit_path = tmp_path / "fit.json"
     write_fit_report(fit_path, ExpChannelParams(1.0, 0.5, 0.5), 1e-9, 40)
