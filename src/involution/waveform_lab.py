@@ -227,7 +227,8 @@ def deviation_analysis(
 
     Predictions come from the channel algorithm on the same stimulus.  In
     log order, each prediction is paired with the nearest unused same-edge
-    reference crossing within delta_min/2, the later one on equal gaps;
+    reference crossing within delta_min/2, the later one in time on equal
+    gaps, so the order of ``reference_crossings`` does not matter;
     predictions or crossings left without a partner are dropped.  Coverage is
     the fraction of deviations inside [-eta_minus, +eta_plus].
     """
@@ -242,17 +243,13 @@ def deviation_analysis(
             continue
         edge = "rising" if rec.value == 1 else "falling"
         times, p = unused[edge], rec.out_time
+        # the nearest unused crossings are the neighbours times[i - 1] < p <= times[i]
         i = bisect.bisect_left(times, p)
-        best, best_gap = None, window
-        if i > 0 and p - times[i - 1] <= best_gap:
-            best, best_gap = i - 1, p - times[i - 1]
-        # gaps grow to the right; of equal ones the last wins
-        while i < len(times) and times[i] - p <= best_gap:
-            best, best_gap = i, times[i] - p
-            i += 1
-        if best is None:
+        left = p - times[i - 1] if i > 0 else math.inf
+        right = times[i] - p if i < len(times) else math.inf
+        if min(left, right) > window:
             continue
-        t_c = times.pop(best)
+        t_c = times.pop(i if right <= left else i - 1)
         samples.append(DeviationSample(rec.T, p - t_c, edge, t_c - rec.time))
     return DeviationResult(samples, eta_minus, eta_plus)
 

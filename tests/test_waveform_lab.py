@@ -6,6 +6,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from involution import waveform_lab
 from involution.channel import Involution, apply_channel
 from involution.cli import _calibration_stimuli
 from involution.delay_model import ExpChannelParams, delta_min, exp_channel, tabulated_channel
@@ -100,24 +101,47 @@ class TestSynthCrossings:
                 got = synth_crossings(params, stim, 60.0, rng=got_rng)
                 assert got == oracles.rc_crossings(params, stim, 60.0, rng=want_rng)
 
+    # One segment on the grid linspace(0.5, 10, 476) after the stimulus edge at 0:
+    # v(t) = 1 - e^{-(t - 0.5)} rising from 0, or e^{-(t - 0.5)} falling from 1.
+    # vth is set to v at a grid point, so the scalar scan reads an exact zero there.
+    THRESHOLD_GRID = np.linspace(0.5, 10.0, 476)
+
+    @staticmethod
+    def segment_value(initial, t, xp):
+        return 1.0 + -1.0 * xp.exp(-(t - 0.5) / 1.0) if initial == 0 else 1.0 * xp.exp(-(t - 0.5) / 1.0)
+
     @pytest.mark.parametrize("initial", [0, 1])
     def test_grid_point_on_the_threshold_opens_a_bracket(self, initial):
-        # One segment on the grid linspace(0.5, 10, 476) after the stimulus edge at 0:
-        # v(t) = 1 - e^{-(t - 0.5)} rising from 0, or e^{-(t - 0.5)} falling from 1.
-        # vth is set to v at grid point k, so the scalar scan reads an exact zero there.
-        grid = np.linspace(0.5, 10.0, 476)
+        grid = self.THRESHOLD_GRID
+        v = self.segment_value
+        exact = [k for k in range(1, 475) if v(initial, grid[k], np) == v(initial, float(grid[k]), math)]
+        assert exact  # a point where numpy agrees with math, so the zero rule fires without the guard
+        k = exact[0]
+        params = RcSurrogateParams(tau_rc=1.0, vth_norm=v(initial, float(grid[k]), math), pure_delay=0.5)
+        stim = make_signal(initial, [(0.0, 1 - initial)])
+        want = oracles.rc_crossings(params, stim, 10.0)
+        assert synth_crossings(params, stim, 10.0) == want
+        assert any(grid[k] <= t < grid[k + 1] for t, _ in want)
 
-        def v(t, xp):
-            return 1.0 + -1.0 * xp.exp(-(t - 0.5) / 1.0) if initial == 0 else 1.0 * xp.exp(-(t - 0.5) / 1.0)
+    @pytest.mark.parametrize("direction", [-1.0, 1.0])
+    @pytest.mark.parametrize("initial", [0, 1])
+    def test_sign_guard_hides_numpy_rounding(self, initial, direction, monkeypatch):
+        # numpy's exp is moved one ulp off libm's at every grid point, so the grid
+        # value at the threshold point is nonzero unless the guard recomputes it
+        class OneUlpOff:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        exact = [k for k in range(1, 475) if v(grid[k], np) == v(float(grid[k]), math)]
-        rounded = [k for k in range(1, 475) if k not in exact]
-        for k in exact[:1] + rounded[:1]:  # numpy agrees with math at k, and (if any) where it does not
-            params = RcSurrogateParams(tau_rc=1.0, vth_norm=v(float(grid[k]), math), pure_delay=0.5)
-            stim = make_signal(initial, [(0.0, 1 - initial)])
-            want = oracles.rc_crossings(params, stim, 10.0)
-            assert synth_crossings(params, stim, 10.0) == want
-            assert any(grid[k] <= t < grid[k + 1] for t, _ in want)
+            def exp(self, x):
+                return np.nextafter(np.exp(x), direction * np.inf)
+
+        grid, k = self.THRESHOLD_GRID, 10  # v near 0.2 or 0.8, where one ulp of exp shows in v
+        vth = self.segment_value(initial, float(grid[k]), math)
+        monkeypatch.setattr(waveform_lab, "np", OneUlpOff())
+        assert self.segment_value(initial, grid[k], waveform_lab.np) != vth
+        params = RcSurrogateParams(tau_rc=1.0, vth_norm=vth, pure_delay=0.5)
+        stim = make_signal(initial, [(0.0, 1 - initial)])
+        assert synth_crossings(params, stim, 10.0) == oracles.rc_crossings(params, stim, 10.0)
 
     def test_disturbance_requires_rng_when_phase_random(self):
         params = RcSurrogateParams(1.0, 0.5, 0.5, Disturbance(0.01, 1.0, None))
@@ -189,27 +213,36 @@ class TestDeviationAnalysis:
         stim = make_signal(0, [(0.0, 1)])
         (rec,) = apply_channel(Involution(ref), stim)[1]
         p = rec.out_time
-        res = deviation_analysis(stim, [(p - 0.125, "rising"), (p + 0.125, "rising")], ref, eta_plus=0.01)
-        assert [s.D for s in res.samples] == [p - (p + 0.125)] == [-0.125]
+        early, late = (p - 0.125, "rising"), (p + 0.125, "rising")
+        for crossings in ([early, late], [late, early]):
+            res = deviation_analysis(stim, crossings, ref, eta_plus=0.01)
+            assert [s.D for s in res.samples] == [p - (p + 0.125)] == [-0.125]
 
     @given(
         gaps=st.lists(st.integers(1, 96), min_size=1, max_size=8),
-        offsets=st.lists(st.tuples(st.integers(-12, 12), st.booleans(), st.integers(0, 7)), max_size=40),
+        offsets=st.lists(st.tuples(st.integers(-12, 12), st.booleans(), st.integers(0, 7), st.booleans()), max_size=40),
+        data=st.data(),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_pairing_equals_the_greedy_search(self, ref, gaps, offsets):
-        # crossings sit at dyadic offsets from the predictions, so equal gaps and
-        # duplicate times are common; the list is in time order, as synth_crossings gives
+    def test_pairing_equals_the_greedy_search(self, ref, gaps, offsets, data):
+        # crossings sit at dyadic offsets from the predictions, some mirrored, so equal
+        # gaps and duplicate times are common.  The search breaks ties by list position, so
+        # it gets the time-ordered list that synth_crossings gives; the pairing
+        # itself breaks them by time and must not depend on the order.
         times = np.cumsum(gaps) / 32.0
         stim = make_signal(0, [(float(t), (i + 1) % 2) for i, t in enumerate(times)])
         _, log = apply_channel(Involution(ref), stim)
         outs = [r.out_time for r in log if not r.canceled] or [1.0]
         crossings = sorted(
-            (outs[j % len(outs)] + k / 32.0, "rising" if up else "falling") for k, up, j in offsets
+            (outs[j % len(outs)] + sign * k / 32.0, "rising" if up else "falling")
+            for k, up, j, mirrored in offsets
+            for sign in ((1, -1) if mirrored else (1,))
         )
         got = deviation_analysis(stim, crossings, ref, eta_plus=0.01).samples
         want = oracles.greedy_pairing(log, crossings, delta_min(ref) / 2.0)
         assert [(s.T, s.D, s.edge, s.delay) for s in got] == want
+        for reordered in (crossings[::-1], data.draw(st.permutations(crossings))):
+            assert deviation_analysis(stim, reordered, ref, eta_plus=0.01).samples == got
 
     def test_bin_coverage_on_synthetic_samples(self):
         samples = [DeviationSample(T=float(t), D=0.0 if t < 5 else 1.0, edge="rising", delay=1.0) for t in range(10)]
