@@ -342,10 +342,7 @@ def run_spf_sweep(
         out_sig = e.vertex_signals["o"]
         pulses = decompose_pulses(or_sig, horizon)
         loop_pulses = max(0, len(pulses) - 1)
-        if "or1" in e.active_at_horizon or "c" in e.active_at_horizon or not e.stabilized["o"]:
-            resolved = "osc"
-        else:
-            resolved = str(out_sig.value_at(horizon))
+        resolved = "osc" if "c" in e.active_at_horizon or not e.stabilized["o"] else str(e.resolved_value["o"])
         stab = or_sig.last_time()
         seed = strategy.seed if isinstance(strategy, ch.UniformRandom) else None
         regime = classify_pulse(char, delta0).value if delta0 is not None else "zero"

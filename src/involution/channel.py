@@ -77,10 +77,8 @@ class EtaBounds:
     eta_plus: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta_minus) and math.isfinite(self.eta_plus)):
-            raise ChannelError(f"eta bounds must be finite, got {self}")
-        if self.eta_minus < 0 or self.eta_plus < 0:
-            raise ChannelError(f"eta bounds must be non-negative, got {self}")
+        if not (0 <= self.eta_minus < math.inf and 0 <= self.eta_plus < math.inf):
+            raise ChannelError(f"eta bounds must be finite and non-negative, got {self}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,10 @@ class UniformRandom:
     """eta_n drawn uniformly from [-eta_minus, +eta_plus] with a named seed."""
 
     seed: int
+
+    def __post_init__(self) -> None:
+        if not self.seed >= 0:
+            raise ChannelError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,17 @@ def worst_case_eta(edge: str, bounds: EtaBounds) -> float:
 
 
 class EtaSource:
-    """Per-run consumable view of a strategy: one eta per input transition index."""
+    """Per-run consumable view of a strategy: one eta per input transition index.
+
+    A fixed sequence is checked against the bounds once, here; the other
+    strategies draw within the bounds by construction.
+    """
 
     def __init__(self, strategy: AdversaryStrategy, bounds: EtaBounds):
+        if isinstance(strategy, FixedSequence):
+            for e in strategy.etas:
+                if not -bounds.eta_minus - 1e-15 <= e <= bounds.eta_plus + 1e-15:
+                    raise ChannelError(f"eta={e} outside [{-bounds.eta_minus}, {bounds.eta_plus}]")
         self.strategy = strategy
         self.bounds = bounds
         self._rng = (
@@ -155,8 +165,6 @@ class EtaSource:
                 e = 0.0
         else:
             raise ChannelError(f"unknown strategy {s!r}")
-        if not -b.eta_minus - 1e-15 <= e <= b.eta_plus + 1e-15:
-            raise ChannelError(f"eta={e} outside [{-b.eta_minus}, {b.eta_plus}]")
         return e
 
 

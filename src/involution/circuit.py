@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import channel as ch
-from .delay_model import DelayFunction, ExpChannelParams, exp_channel, read_delay_samples, tabulated_channel
+from .delay_model import DelayFunction, DelayModelError, ExpChannelParams, exp_channel
+from .delay_model import read_delay_samples, tabulated_channel
 from .signals import Signal, make_signal
 
 
@@ -263,7 +264,7 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
             down = [(t, dd) for t, _, dd in rows if dd is not None]
             meta = _typed(where, "asymptotes", params.pop("asymptotes"), dict)
             return tabulated_channel(up, down, num("asymptotes.up", meta["up"]), num("asymptotes.down", meta["down"]))
-        raise NetlistError(f"channel params need 'exp' or 'table', got {sorted(params)}")
+        raise NetlistError(f"{where}: params need 'exp' or 'table', got {sorted(params)}")
 
     if kind == "pure":
         spec: ch.ChannelSpec = ch.Pure(num("d", params.pop("d")))
@@ -289,12 +290,12 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
                 path = os.path.join(base_dir, path)
             strategy = ch.FixedSequence(tuple(ch.read_eta_sequence(path)))
         else:
-            raise NetlistError(f"unknown strategy variant {variant!r}")
+            raise NetlistError(f"{where}: unknown strategy variant {variant!r}")
         spec = ch.EtaInvolution(df, bounds, strategy)
     else:
-        raise NetlistError(f"unknown channel kind {kind!r}")
+        raise NetlistError(f"{where}: unknown channel kind {kind!r}")
     if params:
-        raise NetlistError(f"unknown channel params {sorted(params)}")
+        raise NetlistError(f"{where}: unknown params {sorted(params)}")
     return spec
 
 
@@ -315,37 +316,40 @@ def parse_circuit(document: dict | str, base_dir: str | None = None) -> Circuit:
     if unknown:
         raise NetlistError(f"unknown top-level keys {sorted(unknown)}")
 
-    def entries(key: str, known: set[str]) -> list[tuple[str, dict]]:
-        out = []
+    def entries(key: str, known: set[str]):
         for k, e in enumerate(_typed("netlist", key, doc.get(key, []), list)):
             _typed("netlist", f"{key}[{k}]", e, dict)
             where = f"{key[:-1]} {e.get('name')!r}"
             if set(e) - known:
                 raise NetlistError(f"{where}: unknown keys {sorted(set(e) - known)}")
-            _typed(where, "name", e["name"], str)
-            out.append((where, e))
-        return out
+            _typed(where, "name", e.get("name"), str)
+            yield where, e
 
     inputs, outputs, gates, edges = [], [], [], []
-    for where, p in entries("ports", _PORT_KEYS):
-        if p["direction"] not in ("in", "out"):
-            raise NetlistError(f"{where}: direction must be 'in' or 'out'")
-        (inputs if p["direction"] == "in" else outputs).append(p["name"])
-    for where, g in entries("gates", _GATE_KEYS):
-        gates.append(
-            Gate(
-                g["name"],
-                _typed(where, "function", g["function"], str),
-                _integer(where, "arity", g["arity"]),
-                _integer(where, "initial", g["initial"]),
+    try:  # ``where`` names the entry being parsed in the errors of its fields
+        for where, p in entries("ports", _PORT_KEYS):
+            if p["direction"] not in ("in", "out"):
+                raise NetlistError(f"{where}: direction must be 'in' or 'out'")
+            (inputs if p["direction"] == "in" else outputs).append(p["name"])
+        for where, g in entries("gates", _GATE_KEYS):
+            gates.append(
+                Gate(
+                    g["name"],
+                    _typed(where, "function", g["function"], str),
+                    _integer(where, "arity", g["arity"]),
+                    _integer(where, "initial", g["initial"]),
+                )
             )
-        )
-    for where, c in entries("channels", _CHANNEL_KEYS):
-        src, src_pin = _parse_endpoint(_typed(where, "from", c["from"], str))
-        if src_pin is not None:
-            raise NetlistError(f"{where}: 'from' must be a gate or port, not a pin")
-        dst, dst_pin = _parse_endpoint(_typed(where, "to", c["to"], str))
-        edges.append(ChannelEdge(c["name"], src, dst, dst_pin, _parse_channel_spec(c, base_dir)))
+        for where, c in entries("channels", _CHANNEL_KEYS):
+            src, src_pin = _parse_endpoint(_typed(where, "from", c["from"], str))
+            if src_pin is not None:
+                raise NetlistError(f"{where}: 'from' must be a gate or port, not a pin")
+            dst, dst_pin = _parse_endpoint(_typed(where, "to", c["to"], str))
+            edges.append(ChannelEdge(c["name"], src, dst, dst_pin, _parse_channel_spec(c, base_dir)))
+    except KeyError as exc:
+        raise NetlistError(f"{where}: missing key {exc}") from None
+    except (DelayModelError, ch.ChannelError) as exc:
+        raise NetlistError(f"{where}: {exc}") from exc
     return Circuit(inputs, outputs, gates, edges)
 
 
@@ -374,7 +378,11 @@ def or_loop_circuit(
 
 @dataclass
 class Execution:
-    """An executed assignment of signals to every vertex and channel."""
+    """An executed assignment of signals to every vertex and channel.
+
+    ``active_at_horizon`` names the input ports and channels (never a gate)
+    with a stimulus, delivery or release still due after the horizon.
+    """
 
     horizon: float
     vertex_signals: dict[str, Signal]
@@ -427,8 +435,8 @@ def execute(
             initial[edge.dst] = initial[edge.src]
     states = {}
     for name, edge in circuit.channels.items():
-        states[name] = ch.channel_state(edge.spec, initial[edge.src], strategies.get(name))
         try:
+            states[name] = ch.channel_state(edge.spec, initial[edge.src], strategies.get(name))
             states[name].check_causal()
         except ch.ChannelError as exc:
             raise CausalityFault(f"channel {name!r}: {exc}") from exc

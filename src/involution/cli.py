@@ -124,24 +124,27 @@ def _manifest(out_dir: str, command: str, args: argparse.Namespace, inputs: list
     _write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
+# inputs outside what the model can characterize, such as a budget violating constraint (C)
+_CONSTRAINT = (analysis.AnalysisError, DelayModelError, NoBracket, ch.ChannelError, wl.WaveformError)
+
+# the one mapping from an exception to its error kind and exit code
+_EXIT = (
+    (EngineError, "engine", EXIT_ENGINE),  # HorizonExceeded and CausalityFault among them
+    (OSError, "io", EXIT_PARSE),
+    ((NetlistError, SignalError, json.JSONDecodeError, UnicodeDecodeError), "parse", EXIT_PARSE),
+    (_CONSTRAINT, "constraint", EXIT_CONSTRAINT),
+)
+
+
 def _error(kind: str, message: str, code: int) -> int:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return code
 
 
-def _exp_params(args) -> ExpChannelParams:
-    return ExpChannelParams(args.tau, args.t_p, args.vth)
-
-
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.netlist) as fh:
-            circuit = parse_circuit(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.netlist)))
-        stimuli = read_trace(args.stimulus)
-    except OSError as exc:
-        return _error("io", str(exc), EXIT_PARSE)
-    except (NetlistError, SignalError, json.JSONDecodeError, DelayModelError, ch.ChannelError, KeyError) as exc:
-        return _error("parse", str(exc), EXIT_PARSE)
+    with open(args.netlist) as fh:
+        circuit = parse_circuit(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.netlist)))
+    stimuli = read_trace(args.stimulus)
     e = execute(circuit, stimuli, args.horizon, events_max=args.events_max)
     os.makedirs(args.out, exist_ok=True)
     for name, sig in {**e.vertex_signals, **{f"chan_{k}": v for k, v in e.channel_signals.items()}}.items():
@@ -170,27 +173,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     try:
-        df = exp_channel(_exp_params(args))
-        bounds = ch.EtaBounds(eta_minus=args.eta_minus, eta_plus=args.eta_plus)
-        char = analysis.characterize(df, bounds)
-    except (analysis.ConstraintCViolated, analysis.NoSignChange, DelayModelError, NoBracket, ch.ChannelError) as exc:
+        df = exp_channel(ExpChannelParams(args.tau, args.t_p, args.vth))
+        char = analysis.characterize(df, ch.EtaBounds(eta_minus=args.eta_minus, eta_plus=args.eta_plus))
+        report = {"ok": True, "params": {"tau": args.tau, "t_p": args.t_p, "vth": args.vth}, **char.to_dict()}
+    except _CONSTRAINT as exc:
         report = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(report, indent=2))
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            _write_json(os.path.join(args.out, "characterization.json"), report)
-        return EXIT_CONSTRAINT
-    report = {
-        "ok": True,
-        "params": {"tau": args.tau, "t_p": args.t_p, "vth": args.vth},
-        **char.to_dict(),
-    }
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "characterization.json"), report)
-        _manifest(args.out, "analyze", args, [], {"seeds": {}})
-    return EXIT_OK
+        if report["ok"]:
+            _manifest(args.out, "analyze", args, [], {"seeds": {}})
+    return EXIT_OK if report["ok"] else EXIT_CONSTRAINT
 
 
 def _strategy_set(names: list[str], seeds: int) -> dict[str, ch.AdversaryStrategy]:
@@ -208,25 +202,17 @@ def _strategy_set(names: list[str], seeds: int) -> dict[str, ch.AdversaryStrateg
 
 
 def cmd_spf_sweep(args) -> int:
-    strategies = _strategy_set(args.strategy, args.seeds)
+    strategies = _strategy_set(args.strategy or ["zero"], args.seeds)
     if not strategies:
         return _error("usage", "no strategy to sweep: --strategy random needs --seeds >= 1", EXIT_USAGE)
-    try:
-        df = exp_channel(_exp_params(args))
-        bounds = ch.EtaBounds(eta_minus=args.eta_minus, eta_plus=args.eta_plus)
-        char = analysis.characterize(df, bounds)
-    except (analysis.AnalysisError, DelayModelError, ch.ChannelError) as exc:
-        return _error("constraint", str(exc), EXIT_CONSTRAINT)
+    df = exp_channel(ExpChannelParams(args.tau, args.t_p, args.vth))
+    bounds = ch.EtaBounds(eta_minus=args.eta_minus, eta_plus=args.eta_plus)
+    char = analysis.characterize(df, bounds)
     epsilon = args.epsilon if args.epsilon is not None else char.delta_up / 2.0
-    try:
-        ht = analysis.dimension_ht_buffer(3.0 * char.tau_star, char.duty)
-        # plain floats, so that sweep.csv writes each delta0 as a float literal
-        grid = np.arange(args.grid[0], args.grid[1] + 1e-12, args.grid[2]).tolist()
-        points = analysis.run_spf_sweep(
-            df, bounds, ht, grid, strategies, horizon=args.horizon, events_max=args.events_max
-        )
-    except analysis.SearchFailed as exc:
-        return _error("constraint", str(exc), EXIT_CONSTRAINT)
+    ht = analysis.dimension_ht_buffer(3.0 * char.tau_star, char.duty)
+    # plain floats, so that sweep.csv writes each delta0 as a float literal
+    grid = np.arange(args.grid[0], args.grid[1] + 1e-12, args.grid[2]).tolist()
+    points = analysis.run_spf_sweep(df, bounds, ht, grid, strategies, horizon=args.horizon, events_max=args.events_max)
 
     verdict = analysis.spf_check(
         [p.out_signal for p in points], [p.delta0 for p in points], epsilon
@@ -273,6 +259,8 @@ def _calibration_stimuli(df) -> list[Signal]:
     """Two-pulse stimuli spanning a range of previous-output-to-input delays."""
     dmin = delta_min(df)
     dinf = df.delta_inf_up
+    if not math.isfinite(10.0 * dinf):  # the last transition lies below 9.5 dinf
+        raise wl.WaveformError(f"delta_inf_up={dinf} is too large for the calibration train")
     stimuli = []
     widths = np.linspace(1.2 * dinf, 4.0 * dinf, 12)
     gaps = np.linspace(0.3 * dmin, 4.0 * dinf, 12)
@@ -285,38 +273,36 @@ def _calibration_stimuli(df) -> list[Signal]:
     return stimuli
 
 
-def cmd_waveform(args) -> int:
+def _fit(out_dir: str, fit_rows: list, seed: int) -> dict:
+    """Fit the exp-channel to ``fit_rows`` and write ``fit.json``; a diverged fit is reported, not raised."""
     try:
-        params = wl.RcSurrogateParams(
-            tau_rc=args.tau,
-            vth_norm=args.vth,
-            pure_delay=args.t_p,
-            vdd_disturbance=wl.Disturbance(
-                amplitude_fraction=args.amplitude,
-                period=args.period if args.period else args.tau,
-                phase=None if args.amplitude > 0 else 0.0,
-            ),
-        )
-        df = exp_channel(params.matching_exp_channel())
-        if args.stimulus:
-            stimuli = list(read_trace(args.stimulus).values())
-        else:
-            stimuli = _calibration_stimuli(df)
-    except OSError as exc:
-        return _error("io", str(exc), EXIT_PARSE)
-    except (DelayModelError, SignalError) as exc:
-        return _error("parse", str(exc), EXIT_PARSE)
+        fitted, rms = wl.fit_exp_channel(fit_rows, seed=seed)
+    except wl.FitDiverged as exc:
+        return {"error": str(exc)}
+    _atomic_write(os.path.join(out_dir, "fit.json"), lambda tmp: wl.write_fit_report(tmp, fitted, rms, len(fit_rows)))
+    return {"tau": fitted.tau, "t_p": fitted.t_p, "vth": fitted.vth_norm, "rms": rms}
 
+
+def cmd_waveform(args) -> int:
+    params = wl.RcSurrogateParams(
+        tau_rc=args.tau,
+        vth_norm=args.vth,
+        pure_delay=args.t_p,
+        vdd_disturbance=wl.Disturbance(
+            amplitude_fraction=args.amplitude,
+            period=args.period if args.period else args.tau,
+            phase=None if args.amplitude > 0 else 0.0,
+        ),
+    )
+    df = exp_channel(params.matching_exp_channel())
+    stimuli = list(read_trace(args.stimulus).values()) if args.stimulus else _calibration_stimuli(df)
     rng = np.random.default_rng(args.seed)
     eta_plus = args.eta_plus if args.eta_plus is not None else 0.02 * delta_min(df)
+    eta_minus = wl.eta_minus_for(df, eta_plus)
     samples: list[wl.DeviationSample] = []
-    try:
-        eta_minus = wl.eta_minus_for(df, eta_plus)
-        for stim in stimuli:
-            crossings = wl.synth_crossings(params, stim, args.horizon, rng=rng)
-            samples.extend(wl.deviation_analysis(stim, crossings, df, eta_plus).samples)
-    except (wl.EtaBudgetInvalid, DelayModelError) as exc:
-        return _error("constraint", str(exc), EXIT_CONSTRAINT)
+    for stim in stimuli:
+        crossings = wl.synth_crossings(params, stim, args.horizon, rng=rng)
+        samples.extend(wl.deviation_analysis(stim, crossings, df, eta_plus).samples)
 
     result = wl.DeviationResult(samples, eta_minus, eta_plus)
     fit_rows = [
@@ -324,16 +310,7 @@ def cmd_waveform(args) -> int:
     ]
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "deviations.csv"), lambda tmp: wl.write_deviation_csv(tmp, result))
-    fit_report = {}
-    try:
-        fitted, rms = wl.fit_exp_channel(fit_rows, seed=args.seed)
-        fit_report = {"tau": fitted.tau, "t_p": fitted.t_p, "vth": fitted.vth_norm, "rms": rms}
-        _atomic_write(
-            os.path.join(args.out, "fit.json"),
-            lambda tmp: wl.write_fit_report(tmp, fitted, rms, len(fit_rows)),
-        )
-    except wl.FitDiverged as exc:
-        fit_report = {"error": str(exc)}
+    fit_report = _fit(args.out, fit_rows, args.seed)
     bins = wl.bin_coverage(result)
     _manifest(
         args.out,
@@ -368,14 +345,18 @@ def _checked(kind, ok, rule: str):
 
 
 class _GridAction(argparse.Action):
-    """Checks START <= STOP and STEP > 0 across the three values of ``--grid``."""
+    """Checks START > 0, START <= STOP, STEP > 0 and fewer than 10^5 steps across ``--grid``."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         start, stop, step = values
+        if not start > 0:
+            raise argparse.ArgumentError(self, f"START must be > 0, got {start}")
         if not step > 0:
             raise argparse.ArgumentError(self, f"STEP must be > 0, got {step}")
         if start > stop:
             raise argparse.ArgumentError(self, f"START {start} exceeds STOP {stop}")
+        if (stop - start) / step >= 10**5:
+            raise argparse.ArgumentError(self, "(STOP - START) / STEP must be below 100000")
         setattr(namespace, self.dest, values)
 
 
@@ -384,23 +365,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and > 0")
+    non_negative = _checked(float, lambda x: math.isfinite(x) and x >= 0, "finite and >= 0")
+    unit = _checked(float, lambda x: 0 < x < 1, "in (0, 1)")
+
+    def at_least(least: int):
+        return _checked(int, lambda k: k >= least, f">= {least}")
 
     def run_args(p, events_max=True):
         p.add_argument("--horizon", type=positive, default=60.0, help="simulation horizon in seconds")
         if events_max:
-            p.add_argument(
-                "--events-max", type=_checked(int, lambda k: k >= 1, ">= 1"), default=10**6, help="event budget per run"
-            )
+            p.add_argument("--events-max", type=at_least(1), default=10**6, help="event budget per run")
         p.add_argument("--out", default="out", help="output directory")
 
     def delay_args(p):
-        p.add_argument("--tau", type=float, required=True, help="RC constant")
-        p.add_argument("--t-p", dest="t_p", type=float, required=True, help="pure delay")
-        p.add_argument("--vth", type=float, required=True, help="normalized threshold in (0,1)")
+        p.add_argument("--tau", type=positive, required=True, help="RC constant")
+        p.add_argument("--t-p", dest="t_p", type=positive, required=True, help="pure delay")
+        p.add_argument("--vth", type=unit, required=True, help="normalized threshold")
 
     def eta_args(p):
-        p.add_argument("--eta-plus", dest="eta_plus", type=float, default=0.0)
-        p.add_argument("--eta-minus", dest="eta_minus", type=float, default=0.0)
+        p.add_argument("--eta-plus", dest="eta_plus", type=non_negative, default=0.0)
+        p.add_argument("--eta-minus", dest="eta_minus", type=non_negative, default=0.0)
 
     # no abbreviations: "--seed" must not silently mean spf-sweep's "--seeds"
     p = sub.add_parser("simulate", help="run a netlist against a stimulus trace", allow_abbrev=False)
@@ -427,22 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.1, 1.5, 0.05],
     )
     p.add_argument("--strategy", action="append", default=None, choices=["zero", "worst", "random"])
-    p.add_argument(
-        "--seeds", type=_checked(int, lambda k: k >= 0, ">= 0"), default=3, help="number of random-strategy seeds"
-    )
+    p.add_argument("--seeds", type=at_least(0), default=3, help="number of random-strategy seeds")
     p.add_argument("--epsilon", type=positive, default=None, help="minimum legal output pulse width")
     run_args(p)
     p.set_defaults(func=cmd_spf_sweep)
 
     p = sub.add_parser("waveform", help="analog RC surrogate: crossings, deviations, fit", allow_abbrev=False)
     delay_args(p)
-    p.add_argument("--amplitude", type=float, default=0.0, help="rail disturbance fraction [0, 0.2]")
+    amplitude = _checked(float, lambda x: 0 <= x <= 0.2, "in [0, 0.2]")
+    p.add_argument("--amplitude", type=amplitude, default=0.0, help="rail disturbance fraction")
     p.add_argument("--period", type=positive, default=None, help="disturbance period (default: tau)")
-    p.add_argument(
-        "--eta-plus", dest="eta_plus", type=_checked(float, lambda x: math.isfinite(x) and x >= 0, "finite and >= 0")
-    )
+    p.add_argument("--eta-plus", dest="eta_plus", type=non_negative)
     p.add_argument("--stimulus", default=None, help="stimulus trace CSV (default: calibration train)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the disturbance phases and the fit's random starts")
+    p.add_argument("--seed", type=at_least(0), default=0, help="seed of the disturbance phases and the fit starts")
     run_args(p, events_max=False)
     p.set_defaults(func=cmd_waveform)
 
@@ -455,14 +436,13 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    if getattr(args, "strategy", None) is None and args.command == "spf-sweep":
-        args.strategy = ["zero"]
     try:
         return args.func(args)
-    except EngineError as exc:  # HorizonExceeded and CausalityFault among them
-        return _error("engine", str(exc), EXIT_ENGINE)
-    except (NetlistError, SignalError, DelayModelError) as exc:
-        return _error("parse", str(exc), EXIT_PARSE)
+    except Exception as exc:
+        for types, kind, code in _EXIT:
+            if isinstance(exc, types):
+                return _error(kind, str(exc), code)
+        raise
 
 
 if __name__ == "__main__":

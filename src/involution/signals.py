@@ -31,6 +31,10 @@ class NegativeTime(SignalError):
     """A non-initial transition lies before time zero."""
 
 
+class NonFiniteTime(SignalError):
+    """A transition time is NaN or infinite."""
+
+
 class NonPositiveLength(SignalError):
     """A pulse must have strictly positive length."""
 
@@ -104,19 +108,23 @@ class Signal:
 def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) -> Signal:
     """Validate and build a signal from ``(time, value)`` pairs.
 
-    Raises :class:`NonMonotoneTimes`, :class:`NonAlternatingValues` or
-    :class:`NegativeTime` on the first violated structural rule.
+    Raises :class:`NonMonotoneTimes`, :class:`NonAlternatingValues`,
+    :class:`NegativeTime` or :class:`NonFiniteTime` on the first violated
+    structural rule.
     """
     if initial_value not in (0, 1):
         raise NonAlternatingValues(f"initial value must be 0 or 1, got {initial_value!r}")
-    prev_time = -math.inf
+    inf = math.inf
+    prev_time = -inf
     prev_value = initial_value
     out = []
     for time, value in transitions:
         if value not in (0, 1):
             raise NonAlternatingValues(f"transition value must be 0 or 1, got {value!r}")
-        if time < 0:
-            raise NegativeTime(f"transition at t={time} precedes time 0")
+        if not 0.0 <= time < inf:
+            if math.isfinite(time):
+                raise NegativeTime(f"transition at t={time} precedes time 0")
+            raise NonFiniteTime(f"transition time {time} is not finite")
         if not time > prev_time:
             raise NonMonotoneTimes(f"transition times not strictly increasing at t={time}")
         if value == prev_value:
@@ -134,8 +142,6 @@ def pulse(start: float, length: float) -> Signal:
     """A single pulse: initial 0, rising at ``start``, falling at ``start + length``."""
     if not length > 0:
         raise NonPositiveLength(f"pulse length must be > 0, got {length}")
-    if start < 0:
-        raise NegativeTime(f"pulse start must be >= 0, got {start}")
     return make_signal(0, [(start, 1), (start + length, 0)])
 
 

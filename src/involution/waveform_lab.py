@@ -124,8 +124,8 @@ def synth_crossings(
 
     Rising segments charge toward the disturbed rail, falling segments
     discharge toward undisturbed ground.  Each segment's trajectory is
-    evaluated on a uniform grid; a sign change between neighbouring grid
-    points, or a grid point exactly on the threshold, brackets a crossing,
+    evaluated on a uniform grid; neighbouring grid points on opposite sides
+    of the threshold (a point on it counts as above) bracket a crossing,
     which scalar bisection on the analytic trajectory then locates.  ``rng``
     supplies the per-stimulus random phase when the disturbance declares one.
     """
@@ -171,14 +171,13 @@ def synth_crossings(
         dt_cap = tau / 50.0
         if dist.amplitude_fraction > 0.0:
             dt_cap = min(dt_cap, dist.period / 50.0)
-        n = min(20000, max(8, int(math.ceil((seg_end - seg_start) / dt_cap))))
+        n = max(8, math.ceil(min(20000.0, (seg_end - seg_start) / dt_cap)))  # min first: the ratio may be inf
         ts = np.linspace(seg_start, seg_end, n + 1)
         s = v(ts, np) - vth
         for k in np.flatnonzero(np.abs(s) <= _SIGN_GUARD):
             s[k] = v(float(ts[k])) - vth
-        above = s > 0
-        # a grid point exactly on the threshold opens a bracket toward the next point
-        for k in np.flatnonzero((s[:-1] == 0.0) | (above[:-1] != above[1:])):
+        above = s >= 0
+        for k in np.flatnonzero(above[:-1] != above[1:]):
             rising = bool(above[k + 1])
             lo, hi = float(ts[k]), float(ts[k + 1])
             for _ in range(100):

@@ -118,8 +118,8 @@ def rc_crossings(params, stimulus, horizon, rng=None):
 
     The reference for ``waveform_lab.synth_crossings``: the same segments,
     grid and bisection, evaluated point by point with ``math``.  A grid point
-    exactly on the threshold is nudged to the opposite side of the next point,
-    so it always opens a bracket.
+    exactly on the threshold counts as above it, so one passage through the
+    threshold gives one crossing.
     """
     import numpy as np
 
@@ -167,23 +167,21 @@ def rc_crossings(params, stimulus, horizon, rng=None):
             dt_cap = min(dt_cap, dist.period / 50.0)
         n = min(20000, max(8, int(math.ceil((seg_end - seg_start) / dt_cap))))
         ts = np.linspace(seg_start, seg_end, n + 1)
-        prev_t, prev_s = seg_start, v(seg_start) - vth
+        prev_t, prev_above = seg_start, v(seg_start) >= vth
         for t in ts[1:]:
-            s = v(float(t)) - vth
-            if prev_s == 0.0:
-                prev_s = -1e-300 if s > 0 else 1e-300
-            if (prev_s > 0) != (s > 0):
+            above = v(float(t)) >= vth
+            if above != prev_above:
                 lo, hi = prev_t, float(t)
                 for _ in range(100):
                     mid = 0.5 * (lo + hi)
-                    if ((v(mid) - vth) > 0) == (prev_s > 0):
+                    if (v(mid) > vth) == prev_above:
                         lo = mid
                     else:
                         hi = mid
                     if hi - lo <= 1e-14:
                         break
-                crossings.append((0.5 * (lo + hi), "rising" if s > 0 else "falling"))
-            prev_t, prev_s = float(t), s
+                crossings.append((0.5 * (lo + hi), "rising" if above else "falling"))
+            prev_t, prev_above = float(t), above
         v0 = v(seg_end)
     return crossings
 

@@ -228,6 +228,15 @@ class TestStrategies:
         with pytest.raises(StrategyExhausted):
             apply_channel(spec, pulse(0, 2.0))
 
+    def test_uniform_random_seed_must_be_non_negative(self):
+        with pytest.raises(ChannelError, match="seed must be >= 0"):
+            UniformRandom(seed=-1)
+
+    def test_fixed_sequence_is_checked_before_any_draw(self, ref):
+        spec = EtaInvolution(ref, EtaBounds(0.1, 0.1), FixedSequence((0.0, 0.5)))
+        with pytest.raises(ChannelError, match=r"eta=0.5 outside \[-0.1, 0.1\]"):
+            apply_channel(spec, make_signal(0, []))
+
     def test_fixed_sequence_pads_with_zero(self, ref):
         spec = EtaInvolution(ref, EtaBounds(0.1, 0.1), FixedSequence((0.05,)))
         _, log = apply_channel(spec, pulse(0, 2.0))

@@ -358,6 +358,11 @@ class TestReleaseWindow:
         with pytest.raises(CausalityFault, match="eta_minus exceeds delta"):
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
 
+    def test_fixed_sequence_override_is_checked_before_the_first_event(self, ref):
+        c = or_loop_circuit(EtaInvolution(ref, EtaBounds(0.1, 0.1), Zero()))
+        with pytest.raises(CausalityFault, match=r"channel 'c': eta=0.5 outside \[-0.1, 0.1\]"):
+            execute(c, {"i": make_signal(0, [])}, horizon=5.0, strategies={"c": FixedSequence((0.5,))})
+
 
 class TestChains:
     def test_buf_pure_chain_delay_adds(self):

@@ -397,3 +397,150 @@ def test_waveform_budget_and_period_are_checked(tmp_path, capsys, flag, value):
     # a NaN or negative eta_plus gave coverage 0 and exit 0; --period 0 silently meant tau
     argv = ["waveform", *REF, "--amplitude", "0.01", flag, value, "--out", str(tmp_path / "out")]
     assert _usage_error(capsys, argv, flag)
+
+
+
+# Every failure leaves main as a documented exit code, never as a traceback.
+# Codes 3-5 end stderr with a JSON error of their kind, except that analyze
+# reports a constraint failure on stdout, as {"ok": false, ...}.
+_KINDS = {EXIT_PARSE: {"parse", "io"}, EXIT_CONSTRAINT: {"constraint"}, EXIT_ENGINE: {"engine"}}
+
+
+def _run(capsys, argv) -> tuple[int, str]:
+    """main's exit code, checked against the contract, and the last line of its stderr."""
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc in (EXIT_OK, EXIT_USAGE, *_KINDS), rc
+    last = err.strip().splitlines()[-1] if err.strip() else ""
+    if argv[0] == "analyze" and rc == EXIT_CONSTRAINT:
+        assert json.loads(out)["ok"] is False
+    elif rc in _KINDS:
+        assert json.loads(last)["error"] in _KINDS[rc], last
+    return rc, last
+
+
+_NUMERIC_FLAGS = {
+    "simulate": {"--horizon": ["30"], "--events-max": ["100000"]},
+    "analyze": {"--tau": ["1"], "--t-p": ["0.5"], "--vth": ["0.5"], "--eta-plus": ["0.01"], "--eta-minus": ["0.01"]},
+    "spf-sweep": {
+        "--tau": ["1"], "--t-p": ["0.5"], "--vth": ["0.5"], "--eta-plus": ["0.01"], "--eta-minus": ["0.01"],
+        "--grid": ["0.3", "0.6", "0.3"], "--seeds": ["1"], "--epsilon": ["0.1"], "--horizon": ["20"],
+        "--events-max": ["100000"],
+    },
+    "waveform": {
+        "--tau": ["1"], "--t-p": ["0.5"], "--vth": ["0.5"], "--amplitude": ["0.01"], "--period": ["1"],
+        "--eta-plus": ["0.01"], "--seed": ["0"], "--horizon": ["20"],
+    },
+}
+_FLAG_CASES = [(cmd, flag, k) for cmd, flags in _NUMERIC_FLAGS.items() for flag, v in flags.items() for k in range(len(v))]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308"])
+@pytest.mark.parametrize("cmd, flag, k", _FLAG_CASES, ids=[f"{c} {f}[{k}]" for c, f, k in _FLAG_CASES])
+def test_numeric_flag_values_end_in_a_documented_exit(tmp_path, fig4, capsys, cmd, flag, k, value):
+    flags = {f: list(v) for f, v in _NUMERIC_FLAGS[cmd].items()}
+    flags[flag][k] = value
+    positional = [str(fig4), str(write_stimulus(tmp_path, pulse(0, 1.5)))] if cmd == "simulate" else []
+    strategies = ["--strategy", "zero", "--strategy", "random"] if cmd == "spf-sweep" else []
+    argv = [cmd, *positional, *strategies, *(x for f, v in flags.items() for x in (f, *v)), "--out", str(tmp_path / "o")]
+    rc, last = _run(capsys, argv)
+    if rc == EXIT_USAGE:
+        assert f"argument {flag}:" in last
+
+
+def _leaves(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*path, key))
+    else:
+        yield path
+
+
+_LEAVES = list(_leaves(FIG4_NETLIST))
+
+
+@pytest.mark.parametrize("mutation", ["missing", "wrong type", "negative", "nan"])
+@pytest.mark.parametrize("path", _LEAVES, ids=[".".join(map(str, p)) for p in _LEAVES])
+def test_netlist_leaf_mutations_are_parse_errors(tmp_path, capsys, path, mutation):
+    doc = json.loads(json.dumps(FIG4_NETLIST))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if mutation == "missing":
+        del node[path[-1]]
+    else:
+        wrong_type = 1 if isinstance(node[path[-1]], str) else "1"
+        node[path[-1]] = {"wrong type": wrong_type, "negative": -1, "nan": math.nan}[mutation]
+    netlist = tmp_path / "n.json"
+    netlist.write_text(json.dumps(doc))
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    rc, last = _run(capsys, ["simulate", str(netlist), str(stim), "--horizon", "30", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE and json.loads(last)["error"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "--tau", "-1", "--t-p", "0.5", "--vth", "0.5"], "--tau"),
+        (["spf-sweep", "--tau", "-1", "--t-p", "0.5", "--vth", "0.5"], "--tau"),
+        (["waveform", "--tau", "-1", "--t-p", "0.5", "--vth", "0.5"], "--tau"),
+        (["analyze", *REF, "--eta-plus", "-0.1"], "--eta-plus"),
+        (["waveform", *REF, "--seed", "-1"], "--seed"),
+        (["spf-sweep", *REF, "--grid", "0", "0.2", "0.1"], "--grid"),
+        (["spf-sweep", *REF, "--grid", "0.1", "1e308", "0.1"], "--grid"),
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, flag):
+    assert _usage_error(capsys, [*argv, "--out", str(tmp_path / "out")], flag)
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "analyze", "spf-sweep", "waveform"])
+def test_out_below_a_regular_file_is_io_error(tmp_path, fig4, capsys, cmd):
+    (tmp_path / "file").write_text("")
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    args = {
+        "simulate": [str(fig4), str(stim), "--horizon", "30"],
+        "analyze": REF,
+        "spf-sweep": [*REF, "--grid", "0.3", "0.3", "0.3", "--horizon", "20"],
+        "waveform": [*REF, "--stimulus", str(stim), "--horizon", "20"],
+    }[cmd]
+    rc, last = _run(capsys, [cmd, *args, "--out", str(tmp_path / "file" / "out")])
+    assert rc == EXIT_PARSE and json.loads(last)["error"] == "io"
+
+
+@pytest.mark.parametrize(
+    "strategy, words",
+    [({"variant": "uniform_random", "seed": -1}, "seed must be >= 0, got -1"), ({}, "missing key 'variant'")],
+    ids=["negative seed", "no variant"],
+)
+def test_bad_strategy_is_parse_error_naming_the_channel(tmp_path, capsys, strategy, words):
+    doc = json.loads(json.dumps(FIG4_NETLIST))
+    doc["channels"][1]["strategy"] = strategy
+    netlist = tmp_path / "n.json"
+    netlist.write_text(json.dumps(doc))
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    rc, last = _run(capsys, ["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE and json.loads(last)["message"] == f"channel 'c': {words}"
+
+
+@pytest.mark.parametrize("time", ["inf", "nan"])
+def test_non_finite_stimulus_time_is_parse_error(tmp_path, fig4, capsys, time):
+    stim = tmp_path / "stim.csv"
+    stim.write_text(f"signal,time,value\ni,-inf,0\ni,{time},1\n")
+    rc, last = _run(capsys, ["simulate", str(fig4), str(stim), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE and "is not finite" in json.loads(last)["message"]
+
+
+def test_input_that_is_not_utf8_is_parse_error(tmp_path, fig4, capsys):
+    garbage = tmp_path / "garbage"
+    garbage.write_bytes(b"\xff\xfe\x00")
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    for argv in (["simulate", str(garbage), str(stim)], ["simulate", str(fig4), str(garbage)]):
+        rc, last = _run(capsys, [*argv, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_PARSE and json.loads(last)["error"] == "parse"
+
+
+def test_eta_plus_outside_the_delay_domain_stays_a_constraint_report(capsys):
+    assert main(["analyze", *REF, "--eta-plus", "5"]) == EXIT_CONSTRAINT
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["error"] == "DomainViolation"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from involution.signals import (
     NegativeTime,
     NonAlternatingValues,
+    NonFiniteTime,
     NonMonotoneTimes,
     NonPositiveLength,
     Pulse,
@@ -40,6 +41,9 @@ def test_single_pulse_signal():
         (0, [(0, 1), (1, 1)], NonAlternatingValues),
         (1, [(0, 1)], NonAlternatingValues),
         (0, [(-1, 1)], NegativeTime),
+        (0, [(math.inf, 1)], NonFiniteTime),
+        (0, [(0, 1), (math.nan, 0)], NonFiniteTime),
+        (0, [(-math.inf, 1)], NonFiniteTime),
     ],
 )
 def test_make_signal_rejects(initial, transitions, err):
