@@ -29,36 +29,36 @@ the engine first calls ``check_causal`` and then decides each record at
 
 Commit rule of the involution channels
 --------------------------------------
-A pending output at time u may still be canceled by a later input
-transition at time t whenever t - u <= w, where w is the root of
-S + delta(S) = eta_minus for the opposite-edge delay function (w >= -delta_min,
-and w < 0 for any channel satisfying the faithfulness constraint).  For an
-exp-channel the root has a closed form: a pending rising output is canceled
-through delta_down, and
+A pending output at time u is canceled only by a later input transition
+whose output lands at or before u.  An input at t >= u that follows the
+pending record directly has T = t - u >= 0, so its delay is at least
+delta(0) - eta_minus, which is positive unless eta_minus >= delta(0) of that
+edge; ``check_causal`` rejects such a budget up front.  So once simulation
+time reaches u the output is final, and the engine decides it there: one ulp
+before u (``decide_at``), after every other event of that instant and before
+the deliveries at u.  Decisions then come in output order, so ``commit``
+takes the oldest pending record.
 
-    w = tau * ln(1 + exp((eta_minus + d_inf_up - d_inf_down)/tau)) - d_inf_up,
-
-with d_inf_up and d_inf_down swapped for a pending falling output.  The
-engine therefore decides a pending output only once simulation time has
-reached u + w; that never schedules into the past for w <= 0.  A channel
-whose bounds force w > 0 cannot be executed causally and fails
-``check_causal``.  Every arrival is audited against the committed frontier;
-an arrival that could retro-cancel a committed output raises instead of
-silently corrupting the trace.
+When later inputs cancel each other in pairs, a further input measures its
+T from a canceled record and can still land at or before an output already
+committed; the channel function would cancel that output.  Every arrival is
+audited against the last committed output and raises instead of silently
+corrupting the trace.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .delay_model import DelayFunction
-from .rootfind import bisect_root
-from .signals import Signal, make_signal
+from .signals import Signal, make_signal, read_text
 
 
 class ChannelError(ValueError):
@@ -306,44 +306,20 @@ class _InertialState(_PureState):
         return True
 
 
-def _softplus(x: float) -> float:
-    """ln(1 + e^x), without overflow for large x."""
-    return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
-
-
-def _release_window(df: DelayFunction, eta_minus: float, value: int) -> float:
-    """Root w of S + delta(S) = eta_minus for the edge that could cancel a pending ``value``.
-
-    Closed form for an exp-channel (see the module docstring); otherwise
-    bisection up from the edge of delta's domain, where delta is -inf (at
-    -delta_min, the root's lower bound, the interpolation error of a
-    tabulated pair can already make S + delta(S) exceed eta_minus).  Rounded
-    up by twice the root tolerance: releasing later than the exact window is
-    safe, releasing earlier is not.
-    """
-    own, other = (df.delta_inf_up, df.delta_inf_down) if value == 1 else (df.delta_inf_down, df.delta_inf_up)
-    if df.params is not None:
-        tau = df.params.tau
-        return tau * _softplus((eta_minus + own - other) / tau) - own + 2e-12
-    f = df.down if value == 1 else df.up
-    return bisect_root(lambda s: s + f(s) - eta_minus, -own, eta_minus + 1e-9) + 2e-12
-
-
 class _InvolutionState:
     """Incremental eta-involution channel (with a zero budget, the involution channel).
 
-    A survivor at or before a committed output raises, and so does a
-    cancellation of a record that lies below one.
+    Records are decided oldest first, so every pending record lies above the
+    last committed output; a new survivor at or before it raises.
     """
 
     def __init__(self, df: DelayFunction, source: EtaSource):
         self.df = df
         self.source = source
-        self.windows = (math.nan, math.nan)  # release window of a pending 0 / 1; set by check_causal
         self.prev_t = -math.inf
         self.prev_delta = 0.0
         self.index = 0
-        self.stack: list[TransitionRecord] = []
+        self.stack: deque[TransitionRecord] = deque()  # pending survivors, oldest first
         self.log: list[TransitionRecord] = []
         self.committed_last = -math.inf
         self.commit_margin = math.inf
@@ -362,12 +338,6 @@ class _InvolutionState:
         partner = None
         if self.stack and self.stack[-1].out_time >= rec.out_time:
             partner = self.stack.pop()
-            if partner.out_time < self.committed_last:
-                # a record committed out of order lies above the partner; the
-                # channel function would cancel that committed record instead
-                raise ChannelError(
-                    f"arrival at t={t} would retro-cancel a committed output at {self.committed_last}"
-                )
             _cancel_pair(partner, rec)
         else:
             if rec.out_time == -math.inf:
@@ -385,25 +355,23 @@ class _InvolutionState:
         return rec, partner
 
     def check_causal(self) -> None:
-        self.windows = tuple(_release_window(self.df, self.source.bounds.eta_minus, v) for v in (0, 1))
-        if max(self.windows) > 0:
+        if self.source.bounds.eta_minus >= min(self.df.up(0.0), self.df.down(0.0)):
             raise ChannelError("eta_minus exceeds delta(0); pending outputs cannot be committed causally")
 
     def decide_at(self, rec: TransitionRecord) -> float:
-        return max(rec.time, rec.out_time + self.windows[rec.value])
+        return max(rec.time, math.nextafter(rec.out_time, -math.inf))
 
     def commit(self, rec: TransitionRecord) -> bool:
         if rec.canceled:
             return False
-        try:
-            self.stack.remove(rec)
-        except ValueError as exc:
-            raise ChannelError("released record not pending") from exc
-        self.committed_last = max(self.committed_last, rec.out_time)
+        if not self.stack or self.stack[0] is not rec:
+            raise ChannelError(f"released record {rec.index} is not the oldest pending one")
+        self.stack.popleft()
+        self.committed_last = rec.out_time
         return True
 
     def survivors(self) -> list[TransitionRecord]:
-        return self.stack
+        return list(self.stack)
 
 
 def channel_state(spec: ChannelSpec, initial_value: int, strategy: AdversaryStrategy | None = None):
@@ -442,18 +410,17 @@ def write_eta_sequence(path, etas) -> None:
 
 def read_eta_sequence(path) -> list[float]:
     out = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["n", "eta"]:
-            raise ChannelError(f"{path}: line 1: bad eta-sequence header {header!r}")
-        for row in r:
-            try:
-                n, e = row
-                n, e = int(n), float(e)
-            except ValueError as exc:
-                raise ChannelError(f"{path}: line {r.line_num}: bad eta-sequence row {row!r} ({exc})") from exc
-            if n != len(out) + 1:
-                raise ChannelError(f"{path}: line {r.line_num}: rows must be numbered consecutively from 1, got n={n}")
-            out.append(e)
+    r = csv.reader(io.StringIO(read_text(path, ChannelError), newline=""))
+    header = next(r, None)
+    if header != ["n", "eta"]:
+        raise ChannelError(f"{path}: line 1: bad eta-sequence header {header!r}")
+    for row in r:
+        try:
+            n, e = row
+            n, e = int(n), float(e)
+        except ValueError as exc:
+            raise ChannelError(f"{path}: line {r.line_num}: bad eta-sequence row {row!r} ({exc})") from exc
+        if n != len(out) + 1:
+            raise ChannelError(f"{path}: line {r.line_num}: rows must be numbered consecutively from 1, got n={n}")
+        out.append(e)
     return out

@@ -11,9 +11,10 @@ The engine drives every channel through its incremental state
 (``channel.channel_state``) and releases a pending output to downstream
 consumers only at the state's decision time, which ``channel`` derives per
 kind (for the involution channels, from the commit rule documented there).
-A channel that cannot be decided causally, or an arrival that would
-retro-cancel a committed output, raises :class:`CausalityFault` instead of
-silently corrupting the trace.
+A channel that cannot be decided causally, an arrival that would
+retro-cancel a committed output, and a vertex that would switch twice at one
+instant raise :class:`CausalityFault` instead of silently corrupting the
+trace.
 """
 
 from __future__ import annotations
@@ -381,7 +382,10 @@ class Execution:
     """An executed assignment of signals to every vertex and channel.
 
     ``active_at_horizon`` names the input ports and channels (never a gate)
-    with a stimulus, delivery or release still due after the horizon.
+    with a stimulus, delivery or release still due after the horizon.  An
+    involution record's release is due one ulp before its output time, so a
+    record canceled before the horizon whose output lay beyond it still
+    marks its channel active.
     """
 
     horizon: float
@@ -459,8 +463,8 @@ def execute(
             last_t, last_v = events[-1]
             if last_v == v:
                 return
-            if t < last_t:
-                raise CausalityFault(f"vertex {name!r}: transition at {t} precedes {last_t}")
+            if t <= last_t:  # equal: a record decided at its output time was delivered after this evaluation
+                raise CausalityFault(f"vertex {name!r}: transition at t={t} does not follow its last one at t={last_t}")
         elif initial[name] == v:
             return
         events.append((t, v))

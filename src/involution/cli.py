@@ -38,7 +38,7 @@ from . import analysis, channel as ch, waveform_lab as wl
 from .circuit import EngineError, NetlistError, execute, parse_circuit
 from .delay_model import DelayModelError, ExpChannelParams, delta_min, exp_channel
 from .rootfind import XTOL, NoBracket
-from .signals import Signal, SignalError, make_signal, read_trace, write_trace
+from .signals import Signal, SignalError, make_signal, read_text, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,7 +131,7 @@ _CONSTRAINT = (analysis.AnalysisError, DelayModelError, NoBracket, ch.ChannelErr
 _EXIT = (
     (EngineError, "engine", EXIT_ENGINE),  # HorizonExceeded and CausalityFault among them
     (OSError, "io", EXIT_PARSE),
-    ((NetlistError, SignalError, json.JSONDecodeError, UnicodeDecodeError), "parse", EXIT_PARSE),
+    ((NetlistError, SignalError, json.JSONDecodeError), "parse", EXIT_PARSE),
     (_CONSTRAINT, "constraint", EXIT_CONSTRAINT),
 )
 
@@ -142,8 +142,9 @@ def _error(kind: str, message: str, code: int) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.netlist) as fh:
-        circuit = parse_circuit(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.netlist)))
+    circuit = parse_circuit(
+        read_text(args.netlist, NetlistError), base_dir=os.path.dirname(os.path.abspath(args.netlist))
+    )
     stimuli = read_trace(args.stimulus)
     e = execute(circuit, stimuli, args.horizon, events_max=args.events_max)
     os.makedirs(args.out, exist_ok=True)
@@ -264,6 +265,11 @@ def _calibration_stimuli(df) -> list[Signal]:
     stimuli = []
     widths = np.linspace(1.2 * dinf, 4.0 * dinf, 12)
     gaps = np.linspace(0.3 * dmin, 4.0 * dinf, 12)
+    if widths[-1] + gaps[0] == widths[-1]:
+        raise wl.WaveformError(
+            f"--t-p={dmin} is too small next to delta_inf_up={dinf}: "
+            "the calibration train's gaps vanish beside its pulse widths"
+        )
     for w in widths:
         for g in gaps:
             w2 = 1.5 * dinf

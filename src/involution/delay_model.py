@@ -23,11 +23,13 @@ immediately-canceled output.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .rootfind import NoBracket, bisect_root
+from .signals import read_text
 
 
 class DelayModelError(ValueError):
@@ -69,7 +71,7 @@ class DelayFunction:
 
     ``up``/``down`` return -inf at and below the domain edge.  ``params`` is
     set exactly for an exp-channel; every closed form (delta_min, the
-    derivatives, the release windows) reads it.
+    derivatives) reads it.
     """
 
     delta_inf_up: float
@@ -98,11 +100,14 @@ def exp_channel(p: ExpChannelParams) -> DelayFunction:
     d_inf_up = p.t_p - tau * math.log(1.0 - p.vth_norm)
     d_inf_down = p.t_p - tau * math.log(p.vth_norm)
 
+    # One ulp above the domain edge the exponential can round to 1: the delay is -inf there too.
     def up(T: float) -> float:
-        return tau * math.log1p(-math.exp(-(T + d_inf_down) / tau)) + d_inf_up
+        q = math.exp(-(T + d_inf_down) / tau)
+        return -math.inf if q == 1.0 else tau * math.log1p(-q) + d_inf_up
 
     def down(T: float) -> float:
-        return tau * math.log1p(-math.exp(-(T + d_inf_up) / tau)) + d_inf_down
+        q = math.exp(-(T + d_inf_up) / tau)
+        return -math.inf if q == 1.0 else tau * math.log1p(-q) + d_inf_down
 
     return DelayFunction(d_inf_up, d_inf_down, up, down, p)
 
@@ -236,15 +241,14 @@ def write_delay_samples(path, rows: Sequence[tuple[float, float | None, float | 
 
 def read_delay_samples(path) -> list[tuple[float, float | None, float | None]]:
     rows = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["T", "delta_up", "delta_down"]:
-            raise DelayModelError(f"{path}: line 1: bad delay-sample header {header!r}")
-        for row in r:
-            try:
-                T, du, dd = row
-                rows.append((float(T), float(du) if du.strip() else None, float(dd) if dd.strip() else None))
-            except ValueError as exc:
-                raise DelayModelError(f"{path}: line {r.line_num}: bad delay-sample row {row!r} ({exc})") from exc
+    r = csv.reader(io.StringIO(read_text(path, DelayModelError), newline=""))
+    header = next(r, None)
+    if header != ["T", "delta_up", "delta_down"]:
+        raise DelayModelError(f"{path}: line 1: bad delay-sample header {header!r}")
+    for row in r:
+        try:
+            T, du, dd = row
+            rows.append((float(T), float(du) if du.strip() else None, float(dd) if dd.strip() else None))
+        except ValueError as exc:
+            raise DelayModelError(f"{path}: line {r.line_num}: bad delay-sample row {row!r} ({exc})") from exc
     return rows

@@ -1,11 +1,10 @@
 """Bracketed scalar root finding.
 
 Every scalar root in this package without a closed form (the pulse train
-period, the critical input width, and delta_min and the release windows of
-tabulated and custom delay pairs) goes through the same bisection utility:
-the bracketed functions are continuous and monotone, so bisection is
-unconditionally safe.  An exp-channel's delta_min and release windows are
-closed forms (``delay_model.delta_min``, ``channel._release_window``).
+period, the critical input width, and delta_min of tabulated and custom
+delay pairs) goes through the same bisection utility: the bracketed
+functions are continuous and monotone, so bisection is unconditionally
+safe.  An exp-channel's delta_min is a closed form (``delay_model.delta_min``).
 """
 
 from __future__ import annotations

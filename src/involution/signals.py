@@ -9,6 +9,7 @@ between concurrent workers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -172,6 +173,15 @@ def decompose_pulses(s: Signal, horizon: float) -> list[Pulse]:
     return pulses
 
 
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of the file ``path``; bytes that are not UTF-8 raise ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
 # Trace file format: header "signal,time,value", rows sorted by (signal, time),
 # the initial value encoded as a row with time field "-inf".
 
@@ -189,23 +199,22 @@ def write_trace(path, signals: dict[str, Signal]) -> None:
 def read_trace(path) -> dict[str, Signal]:
     raw: dict[str, list[tuple[float, int]]] = {}
     initials: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["signal", "time", "value"]:
-            raise SignalError(f"{path}: line 1: bad trace header {header!r}")
-        for row in r:
-            try:
-                name, time_s, value_s = row
-                value = int(value_s)
-                time = None if time_s.strip() == "-inf" else float(time_s)
-            except ValueError as exc:
-                raise SignalError(f"{path}: line {r.line_num}: bad trace row {row!r} ({exc})") from exc
-            if time is None:
-                initials[name] = value
-                raw.setdefault(name, [])
-            else:
-                raw.setdefault(name, []).append((time, value))
+    r = csv.reader(io.StringIO(read_text(path, SignalError), newline=""))
+    header = next(r, None)
+    if header != ["signal", "time", "value"]:
+        raise SignalError(f"{path}: line 1: bad trace header {header!r}")
+    for row in r:
+        try:
+            name, time_s, value_s = row
+            value = int(value_s)
+            time = None if time_s.strip() == "-inf" else float(time_s)
+        except ValueError as exc:
+            raise SignalError(f"{path}: line {r.line_num}: bad trace row {row!r} ({exc})") from exc
+        if time is None:
+            initials[name] = value
+            raw.setdefault(name, [])
+        else:
+            raw.setdefault(name, []).append((time, value))
     out = {}
     for name, transitions in raw.items():
         if name not in initials:

@@ -1,13 +1,11 @@
+import itertools
 import json
+import math
+import random
 import re
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from involution import channel as channel_module, delay_model
 
 from involution.channel import (
     EtaBounds,
@@ -17,10 +15,9 @@ from involution.channel import (
     Involution,
     Pure,
     UniformRandom,
+    WorstCaseShrink,
     Zero,
-    _release_window,
     apply_channel,
-    channel_state,
 )
 from involution.circuit import (
     AlternationViolation,
@@ -39,8 +36,8 @@ from involution.circuit import (
     parse_circuit,
     verify_execution,
 )
-from involution.delay_model import ExpChannelParams, custom_channel, exp_channel, tabulated_channel
-from involution.rootfind import bisect_root
+from involution.analysis import constraint_C
+from involution.delay_model import DelayModelError, ExpChannelParams, exp_channel, tabulated_channel
 from involution.signals import Signal, make_signal, pulse
 
 FIG4_NETLIST = {
@@ -287,68 +284,17 @@ class TestOrLoop:
         assert e1.event_count == e2.event_count
 
 
-def exact_window(p: ExpChannelParams, eta_minus: float, value: int) -> Decimal:
-    """The root of S + delta(S) = eta_minus in 60-digit arithmetic, from the same closed form."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        tau, t_p, vth = Decimal(p.tau), Decimal(p.t_p), Decimal(p.vth_norm)
-        d_up, d_down = t_p - tau * (1 - vth).ln(), t_p - tau * vth.ln()
-        own, other = (d_up, d_down) if value == 1 else (d_down, d_up)
-        return tau * (1 + ((Decimal(eta_minus) + own - other) / tau).exp()).ln() - own
-
-
 class TestReleaseWindow:
-    @given(
-        tau=st.floats(0.05, 20.0),
-        t_p_ratio=st.floats(0.05, 5.0),
-        vth=st.floats(0.05, 0.95),
-        frac=st.floats(0.0, 1.0, exclude_max=True),
-        value=st.sampled_from([0, 1]),
-    )
-    @settings(max_examples=500, deadline=None, derandomize=True)
-    def test_closed_form_matches_bisection(self, tau, t_p_ratio, vth, frac, value):
-        p = ExpChannelParams(tau, tau * t_p_ratio, vth)
-        df = exp_channel(p)
-        # eta_minus in [0, delta(0)) of the edge that cancels a pending `value`
-        eta_minus = frac * (df.down if value == 1 else df.up)(0.0)
-        closed = _release_window(df, eta_minus, value)
-        generic = custom_channel(df.up, df.down, df.delta_inf_up, df.delta_inf_down)  # params=None: bisection
-        bisected = _release_window(generic, eta_minus, value)
-        assert abs(closed - bisected) <= 1e-12
-        assert Decimal(closed) >= exact_window(p, eta_minus, value)
-
-    def test_only_non_exp_pairs_bisect(self, ref, monkeypatch):
-        calls = []
-
-        def counting(f, lo, hi, **kw):
-            calls.append((lo, hi))
-            return bisect_root(f, lo, hi, **kw)
-
-        monkeypatch.setattr(channel_module, "bisect_root", counting)
-        monkeypatch.setattr(delay_model, "bisect_root", counting)
-        channel_state(Involution(ref), 0).check_causal()
-        assert calls == []
-        t = np.linspace(-0.4, 6.0, 200)
-        table = tabulated_channel(
-            [(x, ref.up(x)) for x in t], [(x, ref.down(x)) for x in t], ref.delta_inf_up, ref.delta_inf_down
-        )
-        channel_state(Involution(table), 0).check_causal()
-        assert len(calls) == 2  # both release windows, bracketed from the domain edge
-
     @pytest.mark.parametrize("taus", [6.0, 8.0])
     def test_tabulated_pair_brackets_from_the_domain_edge(self, taus):
-        # Interpolation error put S + delta(S) above eta_minus = 0 at
-        # S = -delta_min for this table, which the old bracket started from.
+        # Interpolation error puts S + delta(S) above 0 at S = -delta_min for
+        # this table; it still executes and verifies.
         p = ExpChannelParams(1.3828, 0.3428, 0.2246)
         df = exp_channel(p)
         t = np.linspace(-0.999 * min(df.delta_inf_up, df.delta_inf_down), taus * p.tau, 160)
         table = tabulated_channel(
             [(x, df.up(x)) for x in t], [(x, df.down(x)) for x in t], df.delta_inf_up, df.delta_inf_down
         )
-        state = channel_state(Involution(table), 0)
-        state.check_causal()
-        for value in (0, 1):
-            assert abs(state.windows[value] - float(exact_window(p, 0.0, value))) <= 1e-4
         c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, Involution(table))])
         e = execute(c, {"i": make_signal(0, [(0.0, 1), (0.5, 0), (3.0, 1)])}, horizon=20.0)
         assert verify_execution(e).ok
@@ -413,6 +359,35 @@ class TestChains:
         with pytest.raises(CausalityFault):
             execute(c, {"x": pulse(0, 2)}, horizon=10.0)
 
+    def test_inertial_window_equal_to_its_delay_is_a_causality_fault(self):
+        # The inertial record is decided at (1.0, after the gate's evaluation
+        # at 1.0), so its delivery would switch the XOR a second time at 1.0.
+        c = Circuit(
+            ["i"],
+            ["o"],
+            [Gate("g", "XOR", 2, 0)],
+            [
+                ChannelEdge("p", "i", "g", 0, Pure(1.0)),
+                ChannelEdge("n", "i", "g", 1, Inertial(1.0, 1.0)),
+                ChannelEdge("out", "g", "o", None, Pure(0.0)),
+            ],
+        )
+        with pytest.raises(CausalityFault, match=r"vertex 'g': transition at t=1.0 does not follow"):
+            execute(c, {"i": make_signal(0, [(0.0, 1)])}, horizon=10.0)
+
+    def test_arrival_one_ulp_above_the_domain_edge_is_guard_canceled(self):
+        # T = -d_inf_up + 1 ulp: the exponential in delta_down rounds to 1
+        df = exp_channel(ExpChannelParams(2.4411016800340977, 0.21728129490157388, 0.0807739889154245))
+        edge = math.nextafter(-df.delta_inf_up, 0.0)
+        t1 = edge + df.delta_inf_up
+        assert t1 - df.delta_inf_up == edge
+        c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, Involution(df))])
+        e = execute(c, {"i": make_signal(0, [(0.0, 1), (t1, 0)])}, horizon=10.0)
+        rising, falling = e.channel_logs["c"]
+        assert falling.T == edge and falling.guard_hit and rising.canceled_with == falling.index
+        assert e.vertex_signals["o"].transitions == ()
+        assert verify_execution(e).ok
+
     def test_ring_oscillator_exhausts_event_budget(self):
         c = Circuit(
             [],
@@ -444,12 +419,11 @@ class TestChains:
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
 
 
-def test_out_of_order_commit_is_a_causality_fault_not_a_signal_error():
-    # Releases are not FIFO when the two release windows differ.  Here the
-    # eta-involution self-loop commits a record above a still-pending one, and
-    # a later arrival then cancels that pending one: the channel function would
-    # cancel the committed record instead.  That used to surface as a
-    # NonAlternatingValues from building the channel's output signal.
+def test_formerly_out_of_order_commit_completes_and_verifies():
+    # Committing at out_time + w, with a window w per value, once committed a
+    # record of this eta-involution self-loop above a still-pending one; a
+    # later arrival then canceled the pending one and the run faulted.
+    # Deciding each record at its own output time commits them in order.
     df = exp_channel(ExpChannelParams(1.0843127071063443, 0.8637598444367273, 0.3092726299866592))
     loop = EtaInvolution(df, EtaBounds(0.33794173234806607, 0.22912360129929865), UniformRandom(615))
     c = Circuit(
@@ -464,8 +438,87 @@ def test_out_of_order_commit_is_a_causality_fault_not_a_signal_error():
         ],
     )
     stim = make_signal(0, [(0.9767421038919517, 1), (1.9075541090336496, 0), (2.4707416141641794, 1)])
-    with pytest.raises(CausalityFault, match="channel 'c2': .* would retro-cancel a committed output"):
-        execute(c, {"i": stim}, horizon=15.0, events_max=20000)
+    e = execute(c, {"i": stim}, horizon=15.0, events_max=20000)
+    assert verify_execution(e).ok
+    again = execute(c, {"i": stim}, horizon=15.0, events_max=20000)
+    assert again.vertex_signals == e.vertex_signals and again.channel_signals == e.channel_signals
+    assert again.event_count == e.event_count
+
+
+def xor_self_loop_case(seed: int):
+    """A three-input XOR with two self-loops drawn from ``random.Random(seed)``; None outside (C).
+
+    Pin 0 is the input through Pure(0).  Pins 1 and 2 are self-loops, each an
+    eta-involution channel under UniformRandom or WorstCaseShrink, a
+    Pure(U[0.1, 1]) or an Involution, on one exp-channel with tau ~ U[0.5, 2],
+    T_p ~ U[0.1, 1] and V_th ~ U[0.2, 0.8], and eta_minus, eta_plus ~ U[0, 0.4].
+    The input has 1-6 transitions with gaps U[0.01, 1].  Draw order: tau, T_p,
+    V_th, eta_minus, eta_plus, each loop's kind and parameter, then the
+    transition count and the gaps.
+    """
+    rng = random.Random(seed)
+    df = exp_channel(ExpChannelParams(rng.uniform(0.5, 2), rng.uniform(0.1, 1), rng.uniform(0.2, 0.8)))
+    bounds = EtaBounds(rng.uniform(0, 0.4), rng.uniform(0, 0.4))
+    try:
+        if not constraint_C(df, bounds)[0]:
+            return None
+    except DelayModelError:  # eta_plus beyond the delta_down domain
+        return None
+    loops = []
+    for _ in range(2):
+        kind = rng.randrange(4)
+        if kind == 0:
+            loops.append(EtaInvolution(df, bounds, UniformRandom(rng.randrange(1000))))
+        elif kind == 1:
+            loops.append(EtaInvolution(df, bounds, WorstCaseShrink()))
+        elif kind == 2:
+            loops.append(Pure(rng.uniform(0.1, 1)))
+        else:
+            loops.append(Involution(df))
+    times = itertools.accumulate(rng.uniform(0.01, 1) for _ in range(rng.randint(1, 6)))
+    c = Circuit(
+        ["i"],
+        ["o"],
+        [Gate("g", "XOR", 3, 0)],
+        [
+            ChannelEdge("c0", "i", "g", 0, Pure(0.0)),
+            ChannelEdge("c1", "g", "g", 1, loops[0]),
+            ChannelEdge("c2", "g", "g", 2, loops[1]),
+            ChannelEdge("co", "g", "o", None, Pure(0.0)),
+        ],
+    )
+    return c, make_signal(0, [(t, (k + 1) % 2) for k, t in enumerate(times)])
+
+
+# Seeds of that family that faulted when each record was decided at
+# out_time + w, w the root of S + delta(S) = eta_minus of the opposite edge.
+WINDOW_RULE_FAULTS = (
+    198, 592, 766, 770, 847, 1258, 1360, 1389, 1445, 1779, 1902, 2124, 2180, 2404,
+    2405, 2563, 2628, 2714, 2795, 2911, 2948, 3540, 3552, 3585, 3666, 3740, 3812,
+)
+
+
+@pytest.mark.parametrize("seeds", [range(0, 4000, 8), WINDOW_RULE_FAULTS], ids=["every_8th", "window_rule_faults"])
+def test_xor_self_loop_family_verifies_or_faults(seeds):
+    # Over seeds 0-3999, 1331 cases satisfy (C); deciding at the output time,
+    # 7 of them fault: 6 with eta_minus >= delta(0) and one late arrival.
+    for seed in seeds:
+        case = xor_self_loop_case(seed)
+        if case is None:
+            continue
+        c, stim = case
+        try:
+            e = execute(c, {"i": stim}, horizon=15.0, events_max=20000)
+        except CausalityFault as exc:
+            assert seeds is not WINDOW_RULE_FAULTS, (seed, exc)
+            assert re.search("eta_minus exceeds delta|would retro-cancel a committed output", str(exc)), seed
+            continue
+        except HorizonExceeded:
+            continue
+        assert verify_execution(e).ok, seed
+        again = execute(c, {"i": stim}, horizon=15.0, events_max=20000)
+        assert again.vertex_signals == e.vertex_signals and again.channel_signals == e.channel_signals, seed
+        assert again.event_count == e.event_count, seed
 
 
 def random_channel_spec(rng):

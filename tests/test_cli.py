@@ -538,6 +538,41 @@ def test_input_that_is_not_utf8_is_parse_error(tmp_path, fig4, capsys):
     for argv in (["simulate", str(garbage), str(stim)], ["simulate", str(fig4), str(garbage)]):
         rc, last = _run(capsys, [*argv, "--out", str(tmp_path / "o")])
         assert rc == EXIT_PARSE and json.loads(last)["error"] == "parse"
+        assert json.loads(last)["message"].startswith(f"{garbage}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("ref", ["table", "eta"])
+def test_referenced_file_that_is_not_utf8_is_parse_error_naming_it(tmp_path, capsys, ref):
+    doc = json.loads(json.dumps(FIG4_NETLIST))
+    loop = doc["channels"][1]
+    if ref == "table":
+        loop["params"] = {"table": "garbage", "asymptotes": {"up": 1.2, "down": 1.2}}
+    else:
+        loop["strategy"] = {"variant": "fixed_sequence", "file": "garbage"}
+    netlist = tmp_path / "fig4.json"
+    netlist.write_text(json.dumps(doc))
+    (tmp_path / "garbage").write_bytes(b"\xff\xfe\x00")
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    rc, last = _run(capsys, ["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE and json.loads(last)["error"] == "parse"
+    assert f"{tmp_path / 'garbage'}: not UTF-8 text" in json.loads(last)["message"]
+
+
+def test_analyze_one_ulp_inside_the_delay_domain_reports(capsys):
+    # h(hi) evaluates delta_down one ulp above -d_inf_up, where the
+    # exponential rounds to 1; that used to end in a log1p(-1.0) traceback
+    argv = [
+        "analyze", "--tau", "2.4411016800340977", "--t-p", "0.21728129490157388", "--vth", "0.0807739889154245",
+        "--eta-minus", "0.04174366976770804", "--eta-plus", "0.07959080912480865",
+    ]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_calibration_train_with_vanishing_gaps_is_a_constraint_error(tmp_path, capsys):
+    rc, last = _run(capsys, ["waveform", "--tau", "1", "--vth", "0.5", "--t-p", "1e-300", "--out", str(tmp_path)])
+    assert rc == EXIT_CONSTRAINT and json.loads(last)["error"] == "constraint"
+    assert "--t-p=1e-300" in json.loads(last)["message"] and "calibration train" in json.loads(last)["message"]
 
 
 def test_eta_plus_outside_the_delay_domain_stays_a_constraint_report(capsys):

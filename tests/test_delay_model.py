@@ -65,6 +65,23 @@ class TestExpChannel:
         assert ref.up(-ref.delta_inf_down) == -math.inf
         assert ref.up(-ref.delta_inf_down - 1.0) == -math.inf
 
+    def test_one_ulp_inside_the_domain_is_neg_inf_where_the_exponential_rounds_to_1(self):
+        df = exp_channel(ExpChannelParams(2.4411016800340977, 0.21728129490157388, 0.0807739889154245))
+        T = math.nextafter(-df.delta_inf_up, 0.0)
+        assert math.exp(-(T + df.delta_inf_up) / df.params.tau) == 1.0
+        assert df.down(T) == -math.inf
+
+    def test_values_inside_the_domain_are_the_closed_form(self):
+        # the rounding guard leaves every other value bit-identical
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            df = exp_channel(random_params(rng))
+            p = df.params
+            for T in log_grid(df, n=20):
+                T = float(T)
+                assert df.up(T) == p.tau * math.log1p(-math.exp(-(T + df.delta_inf_down) / p.tau)) + df.delta_inf_up
+                assert df.down(T) == p.tau * math.log1p(-math.exp(-(T + df.delta_inf_up) / p.tau)) + df.delta_inf_down
+
     def test_asymptote_at_infinite_T(self, ref):
         assert ref.up(math.inf) == ref.delta_inf_up
 
@@ -78,7 +95,7 @@ class TestExpChannel:
 
     @pytest.mark.parametrize("tau, t_p", [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan)])
     def test_non_finite_params_rejected(self, tau, t_p):
-        # an infinite T_p made the closed-form release windows NaN
+        # non-finite parameters make the asymptotes and delays infinite or NaN
         with pytest.raises(InvalidParams, match="must be finite"):
             ExpChannelParams(tau, t_p, 0.5)
 
