@@ -1,7 +1,5 @@
-import itertools
 import json
 import math
-import random
 import re
 
 import numpy as np
@@ -15,7 +13,6 @@ from involution.channel import (
     Involution,
     Pure,
     UniformRandom,
-    WorstCaseShrink,
     Zero,
     apply_channel,
 )
@@ -36,9 +33,10 @@ from involution.circuit import (
     parse_circuit,
     verify_execution,
 )
-from involution.analysis import constraint_C
-from involution.delay_model import DelayModelError, ExpChannelParams, exp_channel, tabulated_channel
+from involution.delay_model import ExpChannelParams, exp_channel, tabulated_channel
 from involution.signals import Signal, make_signal, pulse
+
+from corpus import xor_self_loop_case
 
 FIG4_NETLIST = {
     "ports": [{"name": "i", "direction": "in"}, {"name": "o", "direction": "out"}],
@@ -443,51 +441,6 @@ def test_formerly_out_of_order_commit_completes_and_verifies():
     again = execute(c, {"i": stim}, horizon=15.0, events_max=20000)
     assert again.vertex_signals == e.vertex_signals and again.channel_signals == e.channel_signals
     assert again.event_count == e.event_count
-
-
-def xor_self_loop_case(seed: int):
-    """A three-input XOR with two self-loops drawn from ``random.Random(seed)``; None outside (C).
-
-    Pin 0 is the input through Pure(0).  Pins 1 and 2 are self-loops, each an
-    eta-involution channel under UniformRandom or WorstCaseShrink, a
-    Pure(U[0.1, 1]) or an Involution, on one exp-channel with tau ~ U[0.5, 2],
-    T_p ~ U[0.1, 1] and V_th ~ U[0.2, 0.8], and eta_minus, eta_plus ~ U[0, 0.4].
-    The input has 1-6 transitions with gaps U[0.01, 1].  Draw order: tau, T_p,
-    V_th, eta_minus, eta_plus, each loop's kind and parameter, then the
-    transition count and the gaps.
-    """
-    rng = random.Random(seed)
-    df = exp_channel(ExpChannelParams(rng.uniform(0.5, 2), rng.uniform(0.1, 1), rng.uniform(0.2, 0.8)))
-    bounds = EtaBounds(rng.uniform(0, 0.4), rng.uniform(0, 0.4))
-    try:
-        if not constraint_C(df, bounds)[0]:
-            return None
-    except DelayModelError:  # eta_plus beyond the delta_down domain
-        return None
-    loops = []
-    for _ in range(2):
-        kind = rng.randrange(4)
-        if kind == 0:
-            loops.append(EtaInvolution(df, bounds, UniformRandom(rng.randrange(1000))))
-        elif kind == 1:
-            loops.append(EtaInvolution(df, bounds, WorstCaseShrink()))
-        elif kind == 2:
-            loops.append(Pure(rng.uniform(0.1, 1)))
-        else:
-            loops.append(Involution(df))
-    times = itertools.accumulate(rng.uniform(0.01, 1) for _ in range(rng.randint(1, 6)))
-    c = Circuit(
-        ["i"],
-        ["o"],
-        [Gate("g", "XOR", 3, 0)],
-        [
-            ChannelEdge("c0", "i", "g", 0, Pure(0.0)),
-            ChannelEdge("c1", "g", "g", 1, loops[0]),
-            ChannelEdge("c2", "g", "g", 2, loops[1]),
-            ChannelEdge("co", "g", "o", None, Pure(0.0)),
-        ],
-    )
-    return c, make_signal(0, [(t, (k + 1) % 2) for k, t in enumerate(times)])
 
 
 # Seeds of that family that faulted when each record was decided at
