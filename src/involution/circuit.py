@@ -382,10 +382,9 @@ class Execution:
     """An executed assignment of signals to every vertex and channel.
 
     ``active_at_horizon`` names the input ports and channels (never a gate)
-    with a stimulus, delivery or release still due after the horizon.  An
-    involution record's release is due one ulp before its output time, so a
-    record canceled before the horizon whose output lay beyond it still
-    marks its channel active.
+    with a stimulus, delivery or release still due after the horizon.  A
+    record canceled before the horizon has nothing left to deliver and marks
+    no channel active.
     """
 
     horizon: float
@@ -506,7 +505,7 @@ def execute(
     while heap:
         t, prio, _, kind, payload = heapq.heappop(heap)
         if t > horizon:
-            if kind != "eval":  # a stimulus, delivery or release still to come
+            if kind == "stim" or kind != "eval" and not payload[1].canceled:  # still to come
                 active.add(payload[0])
             continue
         event_count += 1

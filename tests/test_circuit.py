@@ -386,6 +386,18 @@ class TestChains:
         assert e.vertex_signals["o"].transitions == ()
         assert verify_execution(e).ok
 
+    def test_record_canceled_before_the_horizon_leaves_its_channel_inactive(self, ref):
+        # both outputs of the pulse lie beyond the horizon and cancel each
+        # other at the falling arrival; the rising record's release is still
+        # queued there but has nothing to deliver
+        c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, EtaInvolution(ref, EtaBounds(0.05, 0.1)))])
+        e = execute(c, {"i": make_signal(0, [(9.0, 1), (9.5, 0)])}, horizon=9.6)
+        rising, falling = e.channel_logs["c"]
+        assert rising.canceled and falling.canceled
+        assert 9.6 < falling.out_time < rising.out_time
+        assert "c" not in e.active_at_horizon
+        assert e.stabilized["o"]
+
     def test_ring_oscillator_exhausts_event_budget(self):
         c = Circuit(
             [],
