@@ -126,6 +126,9 @@ def worst_case_eta(edge: str, bounds: EtaBounds) -> float:
     raise ChannelError(f"edge must be 'rising' or 'falling', got {edge!r}")
 
 
+_FIRST_BLOCK, _LAST_BLOCK = 4, 1024  # sizes of the first and the largest block of uniform draws
+
+
 class EtaSource:
     """Per-run consumable view of a strategy: one eta per input transition index.
 
@@ -143,17 +146,25 @@ class EtaSource:
         self._rng = (
             np.random.default_rng(strategy.seed) if isinstance(strategy, UniformRandom) else None
         )
+        self._block: list[float] = []  # the next uniform draws, last one first
+        self._block_size = _FIRST_BLOCK
         self._count = 0
 
     def eta(self, value: int) -> float:
         s, b = self.strategy, self.bounds
         self._count += 1
-        if isinstance(s, Zero):
+        if isinstance(s, UniformRandom):
+            # Drawing n at once yields the same stream as n scalar draws; blocks
+            # grow geometrically, so that short runs draw few values ahead.
+            if not self._block:
+                self._block = self._rng.uniform(-b.eta_minus, b.eta_plus, size=self._block_size).tolist()
+                self._block.reverse()
+                self._block_size = min(2 * self._block_size, _LAST_BLOCK)
+            e = self._block.pop()
+        elif isinstance(s, Zero):
             e = 0.0
         elif isinstance(s, WorstCaseShrink):
             e = worst_case_eta("rising" if value == 1 else "falling", b)
-        elif isinstance(s, UniformRandom):
-            e = float(self._rng.uniform(-b.eta_minus, b.eta_plus))
         elif isinstance(s, FixedSequence):
             if self._count <= len(s.etas):
                 e = s.etas[self._count - 1]
@@ -210,7 +221,7 @@ def Involution(df: DelayFunction) -> EtaInvolution:
 ChannelSpec = Union[Pure, Inertial, EtaInvolution]
 
 
-@dataclass
+@dataclass(slots=True)
 class TransitionRecord:
     """Per-input-transition log entry of the channel algorithm."""
 
@@ -328,11 +339,10 @@ class _InvolutionState:
         """Process one input transition; returns (record, canceled partner or None)."""
         self.index += 1
         T = t - self.prev_t - self.prev_delta
-        base = self.df.delay(value == 1, T)
-        guard_hit = base == -math.inf
+        base = self.df.up(T) if value == 1 else self.df.down(T)
         eta = self.source.eta(value)
         delta = base + eta
-        rec = TransitionRecord(self.index, t, value, T, delta, eta, t + delta, guard_hit=guard_hit)
+        rec = TransitionRecord(self.index, t, value, T, delta, eta, t + delta, False, None, base == -math.inf)
         self.log.append(rec)
         self.prev_t, self.prev_delta = t, delta
         partner = None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import collections
 import heapq
-import itertools
 import json
 import math
 import numbers
@@ -133,10 +132,8 @@ class Circuit:
         self.output_ports = list(output_ports)
         self.gates = {g.name: g for g in gates}
         self.channels = {c.name: c for c in channels}
-        self.outgoing: dict[str, list[ChannelEdge]] = {}
-        for edge in channels:
-            self.outgoing.setdefault(edge.src, []).append(edge)
         self._validate()
+        self._index()
 
     def _validate(self) -> None:
         violations: list[NetlistError] = []
@@ -201,6 +198,33 @@ class Circuit:
                 violations,
             )
         self._drivers = {key: self.channels[who[0]] for key, who in drivers.items()}
+
+    def _index(self) -> None:
+        """Number the vertices and channels once, for every ``execute`` of this circuit.
+
+        Vertices are the input ports, the gates, then the output ports in the
+        order of their driving channels; channels keep their netlist order.
+        """
+        edges = list(self.channels.values())
+        self._vertex_names = [*self.input_ports, *self.gates, *(e.dst for e in edges if e.dst_pin is None)]
+        at = {name: k for k, name in enumerate(self._vertex_names)}
+        self._channel_names = [e.name for e in edges]
+        self._channel_src = [at[e.src] for e in edges]
+        # a delivery sets gate pin (vertex, pin) or switches output port (vertex, None)
+        self._channel_dst = [(at[e.dst], e.dst_pin) for e in edges]
+        self._fanout = [tuple(c for c, e in enumerate(edges) if e.src == name) for name in self._vertex_names]
+        # by vertex number up to the last gate: its function and the sources of its pins (None for a port)
+        ports = [None] * len(self.input_ports)
+        self._gate_fns = [*ports, *(_GATES[g.function][0] for g in self.gates.values())]
+        self._pin_srcs = [
+            *ports,
+            *([at[self._drivers[(name, pin)].src] for pin in range(g.arity)] for name, g in self.gates.items()),
+        ]
+        self._involutions = [e.name for e in edges if isinstance(e.spec, ch.EtaInvolution)]
+        dinfs = [e.spec.df.delta_inf_up for e in edges if isinstance(e.spec, ch.EtaInvolution)]
+        delays = [e.spec.delay for e in edges if isinstance(e.spec, (ch.Pure, ch.Inertial))]
+        # the stabilization guard, or None for a tenth of the horizon
+        self._guard = 10.0 * max(dinfs) if dinfs else (10.0 * max(delays) if delays and max(delays) > 0 else None)
 
     def driver_of(self, dst: str, pin: int | None = None) -> ChannelEdge:
         return self._drivers[(dst, pin)]
@@ -426,138 +450,138 @@ def execute(
         if not isinstance(circuit.channels[name].spec, ch.EtaInvolution):
             raise EngineError(f"channel {name!r} is not an eta-involution channel")
 
-    # Initial values propagate statically: a channel's initial output value is
-    # its source vertex's initial value.
-    initial = {p: inputs[p].initial_value for p in circuit.input_ports}
-    initial.update((g.name, g.initial_value) for g in circuit.gates.values())
-    pin_values = {g.name: [0] * g.arity for g in circuit.gates.values()}
-    for edge in circuit.channels.values():
-        if edge.dst in circuit.gates:
-            pin_values[edge.dst][edge.dst_pin] = initial[edge.src]
-        else:  # an output port
-            initial[edge.dst] = initial[edge.src]
-    states = {}
-    for name, edge in circuit.channels.items():
+    # Vertices and channels are numbered by ``Circuit._index``.  Initial values
+    # propagate statically: a channel's initial output value is its source
+    # vertex's initial value.
+    vertex_names, channel_names = circuit._vertex_names, circuit._channel_names
+    channel_dst, fanout, gate_fns = circuit._channel_dst, circuit._fanout, circuit._gate_fns
+    initial = [inputs[p].initial_value for p in circuit.input_ports]
+    initial += [g.initial_value for g in circuit.gates.values()]
+    initial += [initial[src] for src, (_, pin) in zip(circuit._channel_src, channel_dst) if pin is None]
+    pins = [srcs and [initial[s] for s in srcs] for srcs in circuit._pin_srcs]
+    states = []
+    for (name, edge), src in zip(circuit.channels.items(), circuit._channel_src):
         try:
-            states[name] = ch.channel_state(edge.spec, initial[edge.src], strategies.get(name))
-            states[name].check_causal()
+            state = ch.channel_state(edge.spec, initial[src], strategies.get(name))
+            state.check_causal()
         except ch.ChannelError as exc:
             raise CausalityFault(f"channel {name!r}: {exc}") from exc
-    delivered: dict[str, list[tuple[float, int]]] = {name: [] for name in states}
+        states.append(state)
+    delivered: list[list[tuple[float, int]]] = [[] for _ in states]
     # a vertex's current value is its last transition's, else its initial one
-    vertex_events: dict[str, list[tuple[float, int]]] = {v: [] for v in initial}
+    vertex_events: list[list[tuple[float, int]]] = [[] for _ in vertex_names]
 
-    heap: list[tuple[float, int, int, str, Any]] = []
-    seq = itertools.count()
-    trail: collections.deque[tuple] = collections.deque(maxlen=100)
-
-    def schedule(t: float, prio: int, kind: str, payload: Any) -> None:
-        heapq.heappush(heap, (t, prio, next(seq), kind, payload))
-
-    pending_evals: set[tuple[str, float]] = set()
-
-    def vertex_transition(name: str, t: float, v: int) -> None:
-        events = vertex_events[name]
-        if events:
-            last_t, last_v = events[-1]
-            if last_v == v:
-                return
-            if t <= last_t:  # equal: a record decided at its output time was delivered after this evaluation
-                raise CausalityFault(f"vertex {name!r}: transition at t={t} does not follow its last one at t={last_t}")
-        elif initial[name] == v:
-            return
-        events.append((t, v))
-        for edge in circuit.outgoing.get(name, []):
-            channel_arrival(edge, t, v)
-
-    def deliver(edge: ChannelEdge, t: float, v: int) -> None:
-        delivered[edge.name].append((t, v))
-        if edge.dst in circuit.gates:
-            pin_values[edge.dst][edge.dst_pin] = v
-            key = (edge.dst, t)
-            if key not in pending_evals:
-                pending_evals.add(key)
-                schedule(t, 1, "eval", edge.dst)
-        else:
-            vertex_transition(edge.dst, t, v)
-
-    def channel_arrival(edge: ChannelEdge, t: float, v: int) -> None:
-        state = states[edge.name]
-        try:
-            rec, _partner = state.feed(t, v)
-        except ch.ChannelError as exc:
-            raise CausalityFault(f"channel {edge.name!r}: {exc}") from exc
-        at = state.decide_at(rec)
-        if at is None:
-            schedule(rec.out_time, 0, "deliver", (edge.name, rec))
-        elif not rec.canceled:
-            schedule(at, 2, "release", (edge.name, rec))
-
-    for port in circuit.input_ports:
-        for tr in inputs[port].transitions:
-            schedule(tr.time, 0, "stim", (port, tr.value))
-    for gate_name in circuit.gates:
-        pending_evals.add((gate_name, 0.0))
-        schedule(0.0, 1, "eval", gate_name)
+    # Heap entries are (time, priority, sequence number, kind, payload); at one
+    # time stimuli and deliveries come first, then gate evaluations, then
+    # releases.  Payloads: STIM (port, value), EVAL gate, DELIVER and RELEASE
+    # (channel, record), vertices and channels by number.
+    gates = range(len(circuit.input_ports), len(circuit.input_ports) + len(circuit.gates))
+    first = [(t, 0, _STIM, (k, v)) for k, p in enumerate(circuit.input_ports) for t, v in inputs[p].transitions]
+    first += [(0.0, 1, _EVAL, g) for g in gates]
+    heap: list[tuple[float, int, int, int, Any]]
+    heap = [(t, prio, seq, kind, x) for seq, (t, prio, kind, x) in enumerate(first)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    pending_evals = {(g, 0.0) for g in gates}
+    trail: collections.deque[tuple] = collections.deque(maxlen=100)  # the last events before the budget runs out
+    trail_from = events_max - trail.maxlen
+    push, pop = heapq.heappush, heapq.heappop
 
     event_count = 0
-    active: set[str] = set()
     while heap:
-        t, prio, _, kind, payload = heapq.heappop(heap)
+        item = pop(heap)
+        t, _, _, kind, payload = item
         if t > horizon:
-            if kind == "stim" or kind != "eval" and not payload[1].canceled:  # still to come
-                active.add(payload[0])
-            continue
+            heap.append(item)
+            break
         event_count += 1
-        if event_count > events_max:
-            raise HorizonExceeded(
-                f"event budget {events_max} exhausted at t={t} (oscillation?); "
-                f"last event {kind} {payload!r}",
-                events=list(trail),
-            )
-        trail.append((t, kind, payload))
+        if event_count > trail_from:
+            if event_count > events_max:
+                _, kind_name, named = _named(circuit, item)
+                raise HorizonExceeded(
+                    f"event budget {events_max} exhausted at t={t} (oscillation?); last event {kind_name} {named!r}",
+                    events=[_named(circuit, e) for e in trail],
+                )
+            trail.append(item)
 
-        if kind == "stim":
-            port, v = payload
-            vertex_transition(port, t, v)
-        elif kind == "eval":
-            gate_name = payload
-            pending_evals.discard((gate_name, t))
-            gate = circuit.gates[gate_name]
-            v = gate.evaluate(tuple(pin_values[gate_name]))
-            vertex_transition(gate_name, t, v)
-        elif kind == "deliver":
-            name, rec = payload
-            if not rec.canceled:  # a pure record can cancel with a later one rounded onto its time
-                deliver(circuit.channels[name], rec.out_time, rec.value)
-        elif kind == "release":
-            name, rec = payload
+        if kind == _DELIVER:
+            c, rec = payload
+            if rec.canceled:  # a pure record can cancel with a later one rounded onto its time
+                continue
+            v = rec.value
+            delivered[c].append((t, v))
+            x, pin = channel_dst[c]
+            if pin is not None:  # a gate pin: evaluate the gate after every delivery at t
+                pins[x][pin] = v
+                if (x, t) not in pending_evals:
+                    pending_evals.add((x, t))
+                    seq += 1
+                    push(heap, (t, 1, seq, _EVAL, x))
+                continue
+        elif kind == _EVAL:
+            x = payload
+            pending_evals.discard((x, t))
+            v = gate_fns[x](pins[x])
+        elif kind == _RELEASE:
+            c, rec = payload
             try:
-                committed = states[name].commit(rec)
+                committed = states[c].commit(rec)
             except ch.ChannelError as exc:
-                raise CausalityFault(f"channel {name!r}: {exc}") from exc
+                raise CausalityFault(f"channel {channel_names[c]!r}: {exc}") from exc
             if not committed:
                 continue
             if rec.out_time < t:
                 raise CausalityFault(
-                    f"channel {name!r}: committed output at {rec.out_time} lies before decision time {t}"
+                    f"channel {channel_names[c]!r}: committed output at {rec.out_time} lies before decision time {t}"
                 )
-            if rec.out_time > horizon:
-                active.add(name)
+            seq += 1
+            push(heap, (rec.out_time, 0, seq, _DELIVER, payload))
+            continue
+        else:
+            x, v = payload
+
+        # vertex x takes value v at t and feeds its fan-out channels
+        events = vertex_events[x]
+        if events:
+            last_t, last_v = events[-1]
+            if last_v == v:
                 continue
-            schedule(rec.out_time, 0, "deliver", (name, rec))
+            if t <= last_t:  # equal: a record decided at its output time was delivered after this evaluation
+                raise CausalityFault(
+                    f"vertex {vertex_names[x]!r}: transition at t={t} does not follow its last one at t={last_t}"
+                )
+        elif initial[x] == v:
+            continue
+        events.append((t, v))
+        for c in fanout[x]:
+            state = states[c]
+            try:
+                rec, _ = state.feed(t, v)
+            except ch.ChannelError as exc:
+                raise CausalityFault(f"channel {channel_names[c]!r}: {exc}") from exc
+            at = state.decide_at(rec)
+            seq += 1
+            if at is None:
+                push(heap, (rec.out_time, 0, seq, _DELIVER, (c, rec)))
+            elif not rec.canceled:
+                push(heap, (at, 2, seq, _RELEASE, (c, rec)))
+
+    # what is still due after the horizon
+    active: set[str] = set()
+    for _, _, _, kind, payload in heap:
+        if kind == _STIM:
+            active.add(vertex_names[payload[0]])
+        elif kind != _EVAL and not payload[1].canceled:
+            active.add(channel_names[payload[0]])
 
     channel_signals = {
-        name: make_signal(initial[edge.src], delivered[name]) for name, edge in circuit.channels.items()
+        name: make_signal(initial[src], events)
+        for name, src, events in zip(channel_names, circuit._channel_src, delivered)
     }
-    vertex_signals = {name: make_signal(initial[name], events) for name, events in vertex_events.items()}
+    vertex_signals = {name: make_signal(v, events) for name, v, events in zip(vertex_names, initial, vertex_events)}
 
-    involutions = [name for name, edge in circuit.channels.items() if isinstance(edge.spec, ch.EtaInvolution)]
-    dinfs = [circuit.channels[name].spec.df.delta_inf_up for name in involutions]
-    delays = [e.spec.delay for e in circuit.channels.values() if isinstance(e.spec, (ch.Pure, ch.Inertial))]
-    guard = 10.0 * max(dinfs) if dinfs else (10.0 * max(delays) if delays and max(delays) > 0 else horizon / 10.0)
+    guard = circuit._guard if circuit._guard is not None else horizon / 10.0
     guard = min(guard, horizon / 2.0)  # the window must leave room before it
-
     stabilized = {}
     resolved = {}
     for port in circuit.output_ports:
@@ -566,19 +590,36 @@ def execute(
         stabilized[port] = sig.last_time() <= horizon - guard and driver not in active
         resolved[port] = sig.value_at(horizon)
 
+    by_name = dict(zip(channel_names, states))
     return Execution(
         horizon=horizon,
         vertex_signals=vertex_signals,
         channel_signals=channel_signals,
-        channel_logs={name: state.log for name, state in states.items()},
-        eta_sequences={name: [rec.eta for rec in states[name].log] for name in involutions},
+        channel_logs={name: state.log for name, state in by_name.items()},
+        eta_sequences={name: [rec.eta for rec in by_name[name].log] for name in circuit._involutions},
         event_count=event_count,
         stabilized=stabilized,
         resolved_value=resolved,
         active_at_horizon=active,
-        commit_margins={name: states[name].commit_margin for name in involutions},
+        commit_margins={name: by_name[name].commit_margin for name in circuit._involutions},
         circuit=circuit,
     )
+
+
+_STIM, _EVAL, _DELIVER, _RELEASE = range(4)
+_KIND_NAMES = ("stim", "eval", "deliver", "release")
+
+
+def _named(circuit: Circuit, item: tuple) -> tuple:
+    """A heap entry as (time, kind, payload) with names for numbers, as ``HorizonExceeded`` reports it."""
+    t, _, _, kind, payload = item
+    if kind == _STIM:
+        payload = (circuit._vertex_names[payload[0]], payload[1])
+    elif kind == _EVAL:
+        payload = circuit._vertex_names[payload]
+    else:
+        payload = (circuit._channel_names[payload[0]], payload[1])
+    return t, _KIND_NAMES[kind], payload
 
 
 @dataclass

@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, NamedTuple
 
 
 class SignalError(ValueError):
@@ -40,12 +42,34 @@ class NonPositiveLength(SignalError):
     """A pulse must have strictly positive length."""
 
 
-@dataclass(frozen=True)
-class Transition:
-    """A single edge: (time, value).  A falling edge is (t, 0), a rising edge (t, 1)."""
-
+class _Edge(NamedTuple):
     time: float
     value: int
+
+
+class Transition(_Edge):
+    """A single edge: (time, value).  A falling edge is (t, 0), a rising edge (t, 1).
+
+    An immutable pair, built in bulk at C speed.  It equals only a Transition
+    of equal time and value, hashes as that pair, and has no order.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):  # a plain pair is no Transition
+            return type(other) is Transition and tuple.__eq__(self, other)
+        return NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def _unordered(self, other):
+        return NotImplemented
+
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 @dataclass(frozen=True)
@@ -73,6 +97,10 @@ class Pulse:
         return self.up_time + self.down_time
 
 
+_time_of = operator.attrgetter("time")
+_new_tuple = tuple.__new__
+
+
 @dataclass(frozen=True)
 class Signal:
     initial_value: int
@@ -80,7 +108,7 @@ class Signal:
     _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_times", tuple(t.time for t in self.transitions))
+        object.__setattr__(self, "_times", tuple(map(_time_of, self.transitions)))
 
     def value_at(self, t: float) -> int:
         """Value of the most recent transition at or before ``t`` (right-continuous)."""
@@ -115,6 +143,34 @@ def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) ->
     """
     if initial_value not in (0, 1):
         raise NonAlternatingValues(f"initial value must be 0 or 1, got {initial_value!r}")
+    pairs = transitions if isinstance(transitions, list) else list(transitions)
+    n = len(pairs)
+    if n >= _BULK_FROM:
+        # The whole list at once: values alternate from the initial value, and
+        # 0 <= first time < ... < last time < inf (a NaN fails the comparisons).
+        # Any failure goes to the loop below, which raises on the first violation.
+        values = (1 - initial_value, initial_value) * (n // 2) + (1 - initial_value,) * (n % 2)
+        try:
+            times, given = zip(*pairs, strict=True)
+            valid = (
+                given == values
+                and 0.0 <= times[0]
+                and times[-1] < math.inf
+                and all(map(operator.lt, times, times[1:]))
+            )
+        except Exception:
+            valid = False
+        if valid:
+            transitions = map(_new_tuple, repeat(Transition), zip(map(float, times), values))
+            return Signal(int(initial_value), tuple(transitions))
+    return _checked_signal(initial_value, pairs)
+
+
+_BULK_FROM = 12  # below this many transitions the loop is faster
+
+
+def _checked_signal(initial_value: int, transitions: list) -> Signal:
+    """``make_signal`` one transition at a time, raising on the first violated rule."""
     inf = math.inf
     prev_time = -inf
     prev_value = initial_value
@@ -130,7 +186,7 @@ def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) ->
             raise NonMonotoneTimes(f"transition times not strictly increasing at t={time}")
         if value == prev_value:
             raise NonAlternatingValues(f"transition at t={time} repeats value {value}")
-        out.append(Transition(float(time), int(value)))
+        out.append(_new_tuple(Transition, (float(time), int(value))))
         prev_time, prev_value = time, value
     return Signal(int(initial_value), tuple(out))
 
@@ -191,9 +247,13 @@ def write_trace(path, signals: dict[str, Signal]) -> None:
         w.writerow(["signal", "time", "value"])
         for name in sorted(signals):
             s = signals[name]
-            w.writerow([name, "-inf", s.initial_value])
-            for tr in s.transitions:
-                w.writerow([name, repr(tr.time), tr.value])
+            head = io.StringIO()
+            csv.writer(head).writerow([name, "-inf", s.initial_value])
+            if head.getvalue() == f"{name},-inf,{s.initial_value}\r\n":  # csv leaves the name unquoted
+                fh.write(head.getvalue() + "".join([f"{name},{t!r},{v}\r\n" for t, v in s.transitions]))
+            else:
+                w.writerow([name, "-inf", s.initial_value])
+                w.writerows([name, repr(t), v] for t, v in s.transitions)
 
 
 def read_trace(path) -> dict[str, Signal]:

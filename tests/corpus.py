@@ -25,7 +25,6 @@ import hashlib
 import importlib.util
 import itertools
 import json
-import math
 import platform
 import random
 import sys

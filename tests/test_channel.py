@@ -8,6 +8,7 @@ from involution.channel import (
     ChannelError,
     EtaBounds,
     EtaInvolution,
+    EtaSource,
     FixedSequence,
     Inertial,
     Involution,
@@ -292,3 +293,16 @@ def test_malformed_eta_sequence_names_the_line(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ChannelError, match=f"line {line}:"):
         read_eta_sequence(path)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 51, 2**31 - 1])
+@pytest.mark.parametrize("eta_minus, eta_plus", [(0.0, 0.0), (0.05, 0.1), (0.3, 0.0), (0.0, 0.2)])
+def test_uniform_eta_stream_equals_scalar_draws(seed, eta_minus, eta_plus):
+    # 3000 draws cross every boundary where the block grows (after 4, 12,
+    # 28, ..., 1020 draws) and the one at 2044 between two blocks of the largest size
+    n = 3000
+    source = EtaSource(UniformRandom(seed), EtaBounds(eta_minus, eta_plus))
+    got = [source.eta(k % 2) for k in range(n)]
+    rng = np.random.default_rng(seed)
+    expected = [float(rng.uniform(-eta_minus, eta_plus)) for _ in range(n)]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]

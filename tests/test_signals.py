@@ -1,5 +1,9 @@
+import csv
 import math
+import pickle
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from involution.signals import (
     make_signal,
     pulse,
     SignalError,
+    Transition,
     read_trace,
     value_at,
     write_trace,
@@ -187,3 +192,78 @@ def test_malformed_trace_row_names_the_line(tmp_path, row):
     path.write_text(f"signal,time,value\ni,-inf,0\n{row}\n")
     with pytest.raises(SignalError, match="line 3:"):
         read_trace(path)
+
+
+def _reference_make_signal(initial, transitions):
+    """The one-transition-at-a-time rules, as an oracle for the bulk check."""
+    prev_t, prev_v = -math.inf, initial
+    for t, v in transitions:
+        if v not in (0, 1):
+            raise NonAlternatingValues(f"transition value must be 0 or 1, got {v!r}")
+        if not 0.0 <= t < math.inf:
+            if math.isfinite(t):
+                raise NegativeTime(f"transition at t={t} precedes time 0")
+            raise NonFiniteTime(f"transition time {t} is not finite")
+        if not t > prev_t:
+            raise NonMonotoneTimes(f"transition times not strictly increasing at t={t}")
+        if v == prev_v:
+            raise NonAlternatingValues(f"transition at t={t} repeats value {v}")
+        prev_t, prev_v = t, v
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 18, 39])
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, None), (math.inf, None), (-math.inf, None), (-1.0, None), ("same", None), ("back", None), (None, 2),
+     (None, "repeat"), (None, True)],
+)
+def test_bulk_check_raises_the_first_violation_of_the_loop(k, bad):
+    pairs = [(0.5 * (n + 1), (n + 1) % 2) for n in range(40)]
+    t, v = bad
+    if t == "same":
+        t = pairs[k - 1][0] if k else 0.0
+        t = t if k else -0.0
+    elif t == "back":
+        t = pairs[k - 1][0] - 0.1 if k else 0.0
+    if v == "repeat":
+        v = 1 - pairs[k][1]
+    pairs[k] = (pairs[k][0] if t is None else t, pairs[k][1] if v is None else v)
+    pairs[k + 1:k + 1] = [(math.nan, 7)]  # a second violation after the first
+    with pytest.raises(SignalError) as expected:
+        _reference_make_signal(0, pairs)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        make_signal(0, pairs)
+
+
+def test_bulk_build_converts_like_the_loop():
+    times = np.cumsum(np.full(30, 0.25))
+    s = make_signal(1, [(t, bool(n % 2)) for n, t in enumerate(times)])
+    assert all(type(tr.time) is float and type(tr.value) is int for tr in s.transitions)
+    assert s == make_signal(1, [(float(t), n % 2) for n, t in enumerate(times)])
+    assert s == make_signal(1, ((float(t), n % 2) for n, t in enumerate(times)))
+
+
+def test_transition_keeps_the_dataclass_contract():
+    a, b = Transition(1.5, 1), Transition(1.5, 1)
+    assert a == b and hash(a) == hash(b) and {a: 0}[b] == 0
+    assert a != Transition(1.5, 0) and a != (1.5, 1) and (1.5, 1) != a
+    assert repr(a) == "Transition(time=1.5, value=1)"
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        a.time = 2.0
+    with pytest.raises(TypeError):
+        a < b
+
+
+@pytest.mark.parametrize("name", ["c1", "a,b", 'q"x', "", "two\nlines", " pad ", "semi;colon"])
+def test_write_trace_matches_a_row_by_row_csv_writer(tmp_path, name):
+    s = make_signal(1, [(0.1 * n + 1e-9, n % 2) for n in range(20)])
+    write_trace(tmp_path / "fast.csv", {name: s, "other": s})
+    with open(tmp_path / "rows.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["signal", "time", "value"])
+        for n in sorted([name, "other"]):
+            w.writerow([n, "-inf", s.initial_value])
+            for tr in s.transitions:
+                w.writerow([n, repr(tr.time), tr.value])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
