@@ -15,8 +15,8 @@ the existing file leave that file (and its inode) as it is and only set its
 mtime to the end of the run.  ``manifest.json`` carries the run's timestamp,
 so it is the output a build rule should depend on.
 
-Exit codes: 0 ok, 2 usage, 3 input/parse error, 4 model-constraint error,
-5 engine error.
+Exit codes: 0 ok, 2 usage, 3 input/parse error (or a closed standard
+output), 4 model-constraint error, 5 engine error.
 """
 
 from __future__ import annotations
@@ -443,7 +443,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Standard output is the only pipe written: output files get fresh
+        # names.  Its reader has gone (``involution analyze | head``), which
+        # is not worth a message; point stdout at devnull, so that the flush
+        # at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
     except Exception as exc:
         for types, kind, code in _EXIT:
             if isinstance(exc, types):

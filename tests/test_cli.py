@@ -2,9 +2,13 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import involution
 from involution.channel import write_eta_sequence
 from involution.cli import EXIT_CONSTRAINT, EXIT_ENGINE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _atomic_write, main
 from involution.signals import make_signal, pulse, read_trace, write_trace
@@ -579,3 +583,22 @@ def test_eta_plus_outside_the_delay_domain_stays_a_constraint_report(capsys):
     assert main(["analyze", *REF, "--eta-plus", "5"]) == EXIT_CONSTRAINT
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False and report["error"] == "DomainViolation"
+
+
+def test_closed_stdout_exits_3_without_a_message():
+    # the reader of the pipe has gone before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(involution.__file__))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "involution.cli", "analyze", *REF],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr == b""
