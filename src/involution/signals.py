@@ -134,6 +134,9 @@ class Signal:
         return self if len(kept) == len(self.transitions) else Signal(self.initial_value, kept)
 
 
+_BULK_FROM = 12  # below this many transitions the loop is faster
+
+
 def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) -> Signal:
     """Validate and build a signal from ``(time, value)`` pairs.
 
@@ -143,6 +146,7 @@ def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) ->
     """
     if initial_value not in (0, 1):
         raise NonAlternatingValues(f"initial value must be 0 or 1, got {initial_value!r}")
+    initial_value = int(initial_value)
     pairs = transitions if isinstance(transitions, list) else list(transitions)
     n = len(pairs)
     if n >= _BULK_FROM:
@@ -162,20 +166,12 @@ def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) ->
             valid = False
         if valid:
             transitions = map(_new_tuple, repeat(Transition), zip(map(float, times), values))
-            return Signal(int(initial_value), tuple(transitions))
-    return _checked_signal(initial_value, pairs)
-
-
-_BULK_FROM = 12  # below this many transitions the loop is faster
-
-
-def _checked_signal(initial_value: int, transitions: list) -> Signal:
-    """``make_signal`` one transition at a time, raising on the first violated rule."""
+            return Signal(initial_value, tuple(transitions))
     inf = math.inf
     prev_time = -inf
     prev_value = initial_value
     out = []
-    for time, value in transitions:
+    for time, value in pairs:
         if value not in (0, 1):
             raise NonAlternatingValues(f"transition value must be 0 or 1, got {value!r}")
         if not 0.0 <= time < inf:
@@ -188,7 +184,7 @@ def _checked_signal(initial_value: int, transitions: list) -> Signal:
             raise NonAlternatingValues(f"transition at t={time} repeats value {value}")
         out.append(_new_tuple(Transition, (float(time), int(value))))
         prev_time, prev_value = time, value
-    return Signal(int(initial_value), tuple(out))
+    return Signal(initial_value, tuple(out))
 
 
 ZERO = make_signal(0, [])

@@ -241,6 +241,9 @@ def test_bulk_build_converts_like_the_loop():
     assert all(type(tr.time) is float and type(tr.value) is int for tr in s.transitions)
     assert s == make_signal(1, [(float(t), n % 2) for n, t in enumerate(times)])
     assert s == make_signal(1, ((float(t), n % 2) for n, t in enumerate(times)))
+    assert type(make_signal(True, [(1.0, 0)]).initial_value) is int
+    from_float = make_signal(1.0, [(float(t), n % 2) for n, t in enumerate(times)])
+    assert {type(tr.value) for tr in from_float.transitions} == {int}
 
 
 def test_transition_keeps_the_dataclass_contract():
