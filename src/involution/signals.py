@@ -165,8 +165,8 @@ def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) ->
         except Exception:
             valid = False
         if valid:
-            transitions = map(_new_tuple, repeat(Transition), zip(map(float, times), values))
-            return Signal(initial_value, tuple(transitions))
+            edges = map(_new_tuple, repeat(Transition), zip(map(float, times), values))
+            return Signal(initial_value, tuple(edges))
     inf = math.inf
     prev_time = -inf
     prev_value = initial_value

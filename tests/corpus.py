@@ -205,7 +205,10 @@ def canceled_before_horizon_case() -> Case:
 
 
 def bench_chain_case() -> Case:
-    """The benchmark's inverter chain (seed 51) fed its first 200 stimulus transitions."""
+    """The benchmark's inverter chain (seed 51) fed its first 200 stimulus transitions.
+
+    Built by ``bench/gen.py``, so a change to that generator changes this case's digests.
+    """
     spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
