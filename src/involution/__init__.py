@@ -64,6 +64,7 @@ from .waveform_lab import (  # noqa: F401
     DeviationResult,
     DeviationSample,
     Disturbance,
+    ExpFit,
     RcSurrogateParams,
     bin_coverage,
     deviation_analysis,

@@ -282,11 +282,11 @@ def _calibration_stimuli(df) -> list[Signal]:
 def _fit(out_dir: str, fit_rows: list, seed: int) -> dict:
     """Fit the exp-channel to ``fit_rows`` and write ``fit.json``; a diverged fit is reported, not raised."""
     try:
-        fitted, rms = wl.fit_exp_channel(fit_rows, seed=seed)
+        fit = wl.fit_exp_channel(fit_rows, seed=seed)
     except wl.FitDiverged as exc:
         return {"error": str(exc)}
-    _atomic_write(os.path.join(out_dir, "fit.json"), lambda tmp: wl.write_fit_report(tmp, fitted, rms, len(fit_rows)))
-    return {"tau": fitted.tau, "t_p": fitted.t_p, "vth": fitted.vth_norm, "rms": rms}
+    _atomic_write(os.path.join(out_dir, "fit.json"), lambda tmp: wl.write_fit_report(tmp, fit, len(fit_rows)))
+    return {"tau": fit.params.tau, "t_p": fit.params.t_p, "vth": fit.params.vth_norm, "rms": fit.rms}
 
 
 def cmd_waveform(args) -> int:

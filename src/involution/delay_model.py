@@ -22,6 +22,7 @@ immediately-canceled output.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -120,38 +121,83 @@ def tabulated_channel(
 ) -> DelayFunction:
     """Delay pair interpolated from (T, delta) samples.
 
-    Monotone piecewise-cubic interpolation inside the sampled range, linear
-    extrapolation outside, clamped to the declared asymptote from above.
+    Monotone piecewise-cubic (PCHIP) interpolation inside the sampled range,
+    linear extrapolation outside with the interpolant's end slopes, clamped to
+    the declared asymptote from above.  Sample times must be finite and
+    distinct, delays finite and strictly increasing in T.
     """
-    from scipy.interpolate import PchipInterpolator
 
-    def build(samples, asymptote):
-        pts = sorted(samples)
+    def build(samples, asymptote, edge):
+        pts = sorted((float(t), float(d)) for t, d in samples)
         if len(pts) < 3:
             raise InvalidParams("need at least 3 samples per edge")
         xs = [t for t, _ in pts]
         ys = [d for _, d in pts]
+        if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
+            raise InvalidParams(f"delta_{edge} samples must have finite T and delay")
+        for a, b in zip(xs, xs[1:]):
+            if a == b:
+                raise InvalidParams(f"delta_{edge} samples repeat T={a!r}")
         if any(b <= a for a, b in zip(ys, ys[1:])):
             raise InvalidParams("delay samples must be strictly increasing in delta")
-        interp = PchipInterpolator(xs, ys, extrapolate=False)
-        dinterp = interp.derivative()
+        interp, s0, s1 = _pchip(xs, ys)
         x0, x1 = xs[0], xs[-1]
-        s0 = float(dinterp(x0))
-        s1 = float(dinterp(x1))
 
         def f(T: float) -> float:
             if T < x0:
                 v = ys[0] + s0 * (T - x0)
             elif T > x1:
-                v = ys[-1] + s1 * (T - x1)
+                v = ys[-1] + s1 * (T - x1) if s1 else ys[-1]  # a flat end stays flat at T = inf, not 0 * inf
             else:
-                v = float(interp(T))
+                v = interp(T)
             return min(v, asymptote)
 
         return f
 
-    up, down = build(samples_up, delta_inf_up), build(samples_down, delta_inf_down)
+    up, down = build(samples_up, delta_inf_up, "up"), build(samples_down, delta_inf_down, "down")
     return DelayFunction(delta_inf_up, delta_inf_down, up, down)
+
+
+def _pchip(xs: list[float], ys: list[float]) -> tuple[Callable[[float], float], float, float]:
+    """PCHIP interpolant through strictly increasing (xs, ys) on [xs[0], xs[-1]], and its two end slopes.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring secants,
+    or 0 next to a zero secant (Fritsch & Carlson 1980, Fritsch & Butland 1984).
+    An end slope is the three-point one-sided estimate, set to 0 where its sign
+    differs from the end secant's (Moler, Numerical Computing with MATLAB, 3.6);
+    the rule's other case, secants of opposite sign, cannot occur in increasing
+    data.  Each value is computed in the order of SciPy's PchipInterpolator, so
+    both agree bit for bit; the end slopes are its derivative at the two ends.
+    """
+    h = [b - a for a, b in zip(xs, xs[1:])]
+    m = [(b - a) / hk for a, b, hk in zip(ys, ys[1:], h)]
+
+    def end_slope(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        return d if d > 0 else 0.0
+
+    d = [end_slope(h[0], h[1], m[0], m[1])]
+    for k in range(1, len(h)):
+        w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
+        d.append(1.0 / ((w1 / m[k - 1] + w2 / m[k]) / (w1 + w2)) if m[k - 1] > 0 and m[k] > 0 else 0.0)
+    d.append(end_slope(h[-1], h[-2], m[-1], m[-2]))
+
+    # Hermite coefficients per interval, highest power first, as in SciPy's CubicHermiteSpline
+    coeffs = []
+    for k, (hk, mk) in enumerate(zip(h, m)):
+        t = (d[k] + d[k + 1] - 2 * mk) / hk
+        coeffs.append((t / hk, (mk - d[k]) / hk - t, d[k], ys[k]))
+    last = len(h) - 1
+
+    def interp(T: float) -> float:
+        k = min(bisect.bisect_right(xs, T) - 1, last)  # T = xs[-1] lies in the last interval
+        c3, c2, c1, c0 = coeffs[k]
+        s = T - xs[k]
+        return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+    c3, c2, c1, _ = coeffs[last]
+    s = h[last]
+    return interp, d[0], c1 + 2.0 * c2 * s + 3.0 * c3 * (s * s)
 
 
 def custom_channel(

@@ -16,7 +16,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -332,26 +332,18 @@ class _DelayResiduals:
         return jac
 
 
-def fit_exp_channel(
-    samples: Sequence[tuple[float, float | None, float | None]],
-    *,
-    seed: int = 0,
-) -> tuple[ExpChannelParams, float]:
-    """Least-squares fit of (tau, t_p, vth) to delay samples.
+class ExpFit(NamedTuple):
+    """A fitted exp-channel, its RMS residual and the residual evaluations over all starts."""
 
-    ``samples`` rows are (T, delta_up or None, delta_down or None); up and
-    down residuals are weighted equally.  Multi-start local search within
-    parameter bounds, with the analytic Jacobian; returns the best parameters
-    and the RMS residual.
-    """
-    residuals = _DelayResiduals(samples)
-    n_vals = len(residuals.delay)
-    if n_vals < 5:
-        raise FitDiverged(f"need at least 5 delay values, got {n_vals}")
-    from scipy.optimize import least_squares
+    params: ExpChannelParams
+    rms: float
+    nfev: int
 
+
+def _fit_starts(residuals: _DelayResiduals, seed: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Bounds (lo, hi) on (tau, t_p, vth) and the seeded starts, scaled by the median delay magnitude."""
     med = float(np.median(np.abs(residuals.delay)))
-    if med == 0.0:
+    if not med > 0.0:  # all delays zero, or one is NaN
         med = 1.0
     lo = np.array([1e-3 * med, 1e-3 * med, 0.05])
     hi = np.array([1e3 * med, 1e3 * med, 0.95])
@@ -368,19 +360,86 @@ def fit_exp_channel(
                 ]
             )
         )
-    best = None
+    return lo, hi, [np.clip(x0, lo, hi) for x0 in starts]
+
+
+# Levenberg-Marquardt stopping rules: a start has converged when the damped
+# step predicts a cost decrease of at most _LM_FTOL of the cost, or when the
+# damping reaches _LM_DAMPING_MAX without a step that lowers the cost; it stops
+# after _LM_STEPS accepted steps in any case.
+_LM_FTOL = 1e-12
+_LM_DAMPING_MAX = 1e12
+_LM_STEPS = 200
+
+
+def _levenberg_marquardt(residuals: _DelayResiduals, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Projected Levenberg-Marquardt descent from ``x`` within [lo, hi] (More 1978).
+
+    Each step solves the 3x3 normal equations (J^T J + mu diag(J^T J)) p = -J^T r
+    and clips x + p to the bounds; a step that does not lower the cost is
+    retried with ten times the damping mu, an accepted one divides mu by ten.
+    Returns (x, cost, nfev) with cost = |r|^2 / 2, or (None, inf, nfev) when
+    the residuals at the start are not finite or a step's solve fails.
+    """
+    r = residuals(x)
+    nfev = 1
+    if not np.all(np.isfinite(r)):
+        return None, math.inf, nfev
+    cost = 0.5 * float(r @ r)
+    mu = 1e-3
+    for _ in range(_LM_STEPS):
+        jac = residuals.jacobian(x)
+        a, g = jac.T @ jac, jac.T @ r
+        while True:
+            try:
+                p = np.linalg.solve(a + mu * np.diag(np.diag(a)), -g)
+            except np.linalg.LinAlgError:
+                return None, math.inf, nfev
+            predicted = -float(g @ p) - 0.5 * float(p @ a @ p)
+            if not predicted > _LM_FTOL * cost:
+                return x, cost, nfev
+            x_new = np.clip(x + p, lo, hi)
+            r_new = residuals(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(r_new @ r_new)
+            if cost_new < cost:
+                break
+            mu *= 10.0
+            if mu > _LM_DAMPING_MAX:
+                return x, cost, nfev
+        x, r, cost = x_new, r_new, cost_new
+        mu /= 10.0
+    return x, cost, nfev
+
+
+def fit_exp_channel(
+    samples: Sequence[tuple[float, float | None, float | None]],
+    *,
+    seed: int = 0,
+) -> ExpFit:
+    """Least-squares fit of (tau, t_p, vth) to delay samples.
+
+    ``samples`` rows are (T, delta_up or None, delta_down or None); up and
+    down residuals are weighted equally.  Bounded Levenberg-Marquardt with the
+    analytic Jacobian from each of ``_FIT_STARTS`` seeded starts; a start whose
+    residuals are not finite or whose step solve fails is skipped.  Returns the
+    best parameters, their RMS residual and the residual evaluations made.
+    """
+    residuals = _DelayResiduals(samples)
+    n_vals = len(residuals.delay)
+    if n_vals < 5:
+        raise FitDiverged(f"need at least 5 delay values, got {n_vals}")
+    lo, hi, starts = _fit_starts(residuals, seed)
+    best_x, best_cost, nfev = None, math.inf, 0
     for x0 in starts:
-        try:
-            sol = least_squares(residuals, np.clip(x0, lo, hi), jac=residuals.jacobian, bounds=(lo, hi))
-        except (ValueError, np.linalg.LinAlgError):  # non-finite residuals at the start; an SVD that fails
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None or not np.all(np.isfinite(best.x)):
+        x, cost, n = _levenberg_marquardt(residuals, x0, lo, hi)
+        nfev += n
+        if x is not None and cost < best_cost:
+            best_x, best_cost = x, cost
+    if best_x is None:
         raise FitDiverged("no fit start converged")
-    tau, t_p, vth = (float(v) for v in best.x)
-    rms = float(math.sqrt(2.0 * best.cost / n_vals))
-    return ExpChannelParams(tau, t_p, vth), rms
+    tau, t_p, vth = (float(v) for v in best_x)
+    return ExpFit(ExpChannelParams(tau, t_p, vth), math.sqrt(2.0 * best_cost / n_vals), nfev)
 
 
 # deviation CSV: header "edge,T,D,covered,delay"; fit report JSON.
@@ -395,15 +454,16 @@ def write_deviation_csv(path, result: DeviationResult) -> None:
             w.writerow([s.edge, repr(s.T), repr(s.D), int(result.covered(s)), repr(s.delay)])
 
 
-def write_fit_report(path, params: ExpChannelParams, rms: float, n_samples: int) -> None:
+def write_fit_report(path, fit: ExpFit, n_samples: int) -> None:
     with open(path, "w") as fh:
         json.dump(
             {
-                "tau": params.tau,
-                "t_p": params.t_p,
-                "vth_norm": params.vth_norm,
-                "rms_residual": rms,
+                "tau": fit.params.tau,
+                "t_p": fit.params.t_p,
+                "vth_norm": fit.params.vth_norm,
+                "rms_residual": fit.rms,
                 "sample_count": n_samples,
+                "nfev": fit.nfev,
             },
             fh,
             indent=2,

@@ -241,6 +241,37 @@ def greedy_pairing(log, crossings, window):
     return out
 
 
+def scipy_pchip(xs, ys):
+    """SciPy's PCHIP interpolant through (xs, ys), without extrapolation, and its derivative.
+
+    SciPy is a test dependency only; it is imported here and nowhere else.
+    """
+    from scipy.interpolate import PchipInterpolator
+
+    interp = PchipInterpolator(xs, ys, extrapolate=False)
+    return interp, interp.derivative()
+
+
+def least_squares_cost(residuals, starts, lo, hi):
+    """Lowest cost |r|^2 / 2 that scipy.optimize.least_squares reaches from ``starts`` within [lo, hi].
+
+    ``residuals(x)`` gives the residual vector and ``residuals.jacobian(x)``
+    its Jacobian; a start SciPy rejects (residuals not finite there) or whose
+    SVD fails is skipped.
+    """
+    import numpy as np
+    from scipy.optimize import least_squares
+
+    best = math.inf
+    for x0 in starts:
+        try:
+            sol = least_squares(residuals, x0, jac=residuals.jacobian, bounds=(lo, hi))
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+        best = min(best, sol.cost)
+    return best
+
+
 # Values frozen after confirming them with the oracles above (see the
 # assertions in test_acceptance.py, which recompute each one).
 REF_TAU_STAR = 0.6491832629580262

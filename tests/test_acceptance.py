@@ -324,7 +324,7 @@ def test_criterion_10_surrogate_oracle(ref):
                 break
             worst = max(worst, abs(t_c - tr.time))
     samples = [(float(T), ref.up(float(T)), ref.down(float(T))) for T in np.linspace(-0.8, 5.0, 40)]
-    params, _ = fit_exp_channel(samples)
+    params = fit_exp_channel(samples).params
     fit_err = max(abs(params.tau - 1.0), abs(params.t_p - 0.5) / 0.5, abs(params.vth_norm - 0.5) / 0.5)
     report(
         10,

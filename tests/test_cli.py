@@ -14,6 +14,7 @@ from involution.cli import EXIT_CONSTRAINT, EXIT_ENGINE, EXIT_OK, EXIT_PARSE, EX
 from involution.signals import make_signal, pulse, read_trace, write_trace
 from involution.waveform_lab import fit_exp_channel
 
+import oracles
 from test_circuit import FIG4_NETLIST
 
 
@@ -325,15 +326,17 @@ class TestWaveform:
             (float(r["T"]), float(r["delay"]), None) if r["edge"] == "rising" else (float(r["T"]), None, float(r["delay"]))
             for r in rows
         ]
-        fitted, rms = fit_exp_channel(samples, seed=51)
+        fitted = fit_exp_channel(samples, seed=51)
         fit = json.loads((out / "fit.json").read_text())
         assert fit == {
-            "tau": fitted.tau,
-            "t_p": fitted.t_p,
-            "vth_norm": fitted.vth_norm,
-            "rms_residual": rms,
+            "tau": fitted.params.tau,
+            "t_p": fitted.params.t_p,
+            "vth_norm": fitted.params.vth_norm,
+            "rms_residual": fitted.rms,
             "sample_count": len(samples),
+            "nfev": fitted.nfev,
         }
+        assert fitted.nfev >= 20  # one evaluation at least per start
 
 
 def test_usage_error_exit_code():
@@ -560,6 +563,72 @@ def test_referenced_file_that_is_not_utf8_is_parse_error_naming_it(tmp_path, cap
     rc, last = _run(capsys, ["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")])
     assert rc == EXIT_PARSE and json.loads(last)["error"] == "parse"
     assert f"{tmp_path / 'garbage'}: not UTF-8 text" in json.loads(last)["message"]
+
+
+TABLE_NETLIST = {
+    "ports": [{"name": "i", "direction": "in"}, {"name": "o", "direction": "out"}],
+    "gates": [],
+    "channels": [
+        {
+            "name": "c",
+            "from": "i",
+            "to": "o",
+            "kind": "involution",
+            "params": {"table": "table.csv", "asymptotes": {"up": oracles.REF_D_INF, "down": oracles.REF_D_INF}},
+        }
+    ],
+}
+
+
+def write_table_netlist(tmp_path, rows):
+    (tmp_path / "table.csv").write_text("T,delta_up,delta_down\n" + "".join(f"{r}\n" for r in rows))
+    netlist = tmp_path / "table.json"
+    netlist.write_text(json.dumps(TABLE_NETLIST))
+    return netlist
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        (["0,1.0,1.0", "1,1.2,1.2", "1,1.3,1.3", "2,1.4,1.4"], "delta_up samples repeat T=1.0"),
+        (["0,1.0,1.0", "nan,1.2,1.2", "1,1.3,1.3", "2,1.4,1.4"], "delta_up samples must have finite T and delay"),
+        (["0,1.0,1.0", "1,1.2,nan", "1.5,1.3,1.3", "2,1.4,1.4"], "delta_down samples must have finite T and delay"),
+    ],
+    ids=["repeated-T", "nan-T", "nan-delay"],
+)
+def test_malformed_delay_table_is_parse_error_naming_the_channel(tmp_path, capsys, rows, problem):
+    # the interpolant used to reject these with a bare ValueError: exit 1 and a traceback
+    netlist = write_table_netlist(tmp_path, rows)
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    rc, last = _run(capsys, ["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE and json.loads(last) == {"error": "parse", "message": f"channel 'c': {problem}"}
+
+
+def test_waveform_and_a_tabulated_simulate_run_without_scipy(tmp_path):
+    # SciPy is a test dependency only; with it unimportable both commands still succeed
+    up, down, _, _ = oracles.exp_pair(1.0, 0.5, 0.5)
+    netlist = write_table_netlist(tmp_path, [f"{t},{up(t)},{down(t)}" for t in (-0.9, -0.5, 0.0, 1.0, 3.0, 8.0)])
+    stim = write_stimulus(tmp_path, make_signal(0, [(0.0, 1), (1.0, 0), (1.6, 1), (3.0, 0)]))
+    argvs = [
+        ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.6", "--amplitude", "0.01", "--out", str(tmp_path / "wf")],
+        ["simulate", str(netlist), str(stim), "--horizon", "20", "--out", str(tmp_path / "sim")],
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # importing scipy or any submodule now raises ImportError\n"
+        "from involution.cli import main\n"
+        "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(involution.__file__))},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "wf" / "fit.json").exists()
+    assert len(read_trace(tmp_path / "sim" / "o.csv")["o"].transitions) == 4
 
 
 def test_analyze_one_ulp_inside_the_delay_domain_reports(capsys):

@@ -8,6 +8,7 @@ from involution.delay_model import (
     DomainViolation,
     ExpChannelParams,
     InvalidParams,
+    _pchip,
     check_involution,
     custom_channel,
     delta_min,
@@ -143,6 +144,44 @@ class TestInvolutionIdentity:
     def test_domain_violation_raised(self, ref):
         with pytest.raises(DomainViolation):
             check_involution(ref, [-ref.delta_inf_up], 1e-9)
+
+
+class TestPchip:
+    @staticmethod
+    def random_table(rng):
+        """3 to 160 strictly increasing (x, y) points, steps spread over five decades."""
+        n = int(rng.integers(3, 161))
+        xs = np.cumsum(10.0 ** rng.uniform(-3, 2, n)) + rng.uniform(-10, 10)
+        ys = np.cumsum(10.0 ** rng.uniform(-3, 2, n)) + rng.uniform(-10, 10)
+        assert np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)
+        return [float(x) for x in xs], [float(y) for y in ys]
+
+    def test_equals_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(1980)
+        for _ in range(300):
+            xs, ys = self.random_table(rng)
+            interp, s0, s1 = _pchip(xs, ys)
+            want, slope = oracles.scipy_pchip(xs, ys)
+            for x in xs + [float(x) for x in rng.uniform(xs[0], xs[-1], 40)]:
+                assert interp(x).hex() == float(want(x)).hex(), (xs, ys, x)
+            assert s0.hex() == float(slope(xs[0])).hex()
+            assert s1.hex() == float(slope(xs[-1])).hex()
+
+    def test_tabulated_channel_extrapolates_with_the_end_slopes(self):
+        xs, ys = [0.0, 1.0, 3.0, 3.5], [1.0, 1.5, 1.75, 2.0]
+        _, s0, s1 = _pchip(xs, ys)
+        df = tabulated_channel(list(zip(xs, ys)), list(zip(xs, ys)), math.inf, math.inf)
+        assert df.up(-2.0) == 1.0 + s0 * -2.0 and df.down(5.0) == 2.0 + s1 * 1.5
+        assert [df.up(x) for x in xs] == pytest.approx(ys, abs=1e-15)
+
+    def test_a_flat_end_stays_flat_at_infinity(self, ref):
+        # a coarse concave table: the end rule sets the last slope to 0, and the first
+        # transition on an idle channel has T = inf, where 0 * inf used to give a NaN delay
+        ts = [-0.9, -0.5, 0.0, 1.0, 3.0, 8.0]
+        samples = [(t, ref.up(t)) for t in ts]
+        assert _pchip(ts, [d for _, d in samples])[2] == 0.0
+        df = tabulated_channel(samples, samples, ref.delta_inf_up, ref.delta_inf_down)
+        assert df.up(math.inf) == df.up(100.0) == samples[-1][1]
 
 
 class TestDeltaMin:
