@@ -132,18 +132,22 @@ class Circuit:
         self.output_ports = list(output_ports)
         self.gates = {g.name: g for g in gates}
         self.channels = {c.name: c for c in channels}
-        self._validate()
+        self._validate(gates, channels)
         self._index()
 
-    def _validate(self) -> None:
+    def _validate(self, gates: list[Gate], channels: list[ChannelEdge]) -> None:
+        """Check the structural rules on the lists as given, before the dicts merged repeated names."""
         violations: list[NetlistError] = []
-        names = set(self.input_ports) | set(self.output_ports) | set(self.gates)
-        if len(names) != len(self.input_ports) + len(self.output_ports) + len(self.gates):
-            violations.append(NetlistError("duplicate vertex names"))
+        vertices = [*self.input_ports, *self.output_ports, *(g.name for g in gates)]
+        for kind, listed in (("vertex", vertices), ("channel", [c.name for c in channels])):
+            repeated = sorted(name for name, n in collections.Counter(listed).items() if n > 1)
+            if repeated:
+                violations.append(NetlistError(f"duplicate {kind} names {repeated}"))
+        names = set(vertices)
         channel_names = set(self.channels)
 
         drivers: dict[tuple[str, int | None], list[str]] = {}
-        for edge in self.channels.values():
+        for edge in channels:
             if edge.src in channel_names or edge.dst in channel_names:
                 violations.append(
                     AlternationViolation(

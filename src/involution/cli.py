@@ -112,7 +112,7 @@ def _write_json(path: str, obj) -> None:
 def _manifest(out_dir: str, command: str, args: argparse.Namespace, inputs: list[str], extra: dict) -> None:
     doc = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "version": __version__,
         "inputs": {p: _sha256(p) for p in inputs},
         "horizon": getattr(args, "horizon", None),
@@ -279,10 +279,10 @@ def _calibration_stimuli(df) -> list[Signal]:
     return stimuli
 
 
-def _fit(out_dir: str, fit_rows: list, seed: int) -> dict:
+def _fit(out_dir: str, fit_rows: list) -> dict:
     """Fit the exp-channel to ``fit_rows`` and write ``fit.json``; a diverged fit is reported, not raised."""
     try:
-        fit = wl.fit_exp_channel(fit_rows, seed=seed)
+        fit = wl.fit_exp_channel(fit_rows)
     except wl.FitDiverged as exc:
         return {"error": str(exc)}
     _atomic_write(os.path.join(out_dir, "fit.json"), lambda tmp: wl.write_fit_report(tmp, fit, len(fit_rows)))
@@ -316,7 +316,7 @@ def cmd_waveform(args) -> int:
     ]
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "deviations.csv"), lambda tmp: wl.write_deviation_csv(tmp, result))
-    fit_report = _fit(args.out, fit_rows, args.seed)
+    fit_report = _fit(args.out, fit_rows)
     bins = wl.bin_coverage(result)
     _manifest(
         args.out,
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=positive, default=None, help="disturbance period (default: tau)")
     p.add_argument("--eta-plus", dest="eta_plus", type=non_negative)
     p.add_argument("--stimulus", default=None, help="stimulus trace CSV (default: calibration train)")
-    p.add_argument("--seed", type=at_least(0), default=0, help="seed of the disturbance phases and the fit starts")
+    p.add_argument("--seed", type=at_least(0), default=0, help="seed of the disturbance phases")
     run_args(p, events_max=False)
     p.set_defaults(func=cmd_waveform)
 
@@ -437,11 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    args.argv = argv  # what the manifest records, not the host program's sys.argv
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone shows here, not at interpreter exit

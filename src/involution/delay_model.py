@@ -91,9 +91,6 @@ class DelayFunction:
             return -math.inf
         return self._down(T)
 
-    def delay(self, rising: bool, T: float) -> float:
-        return self.up(T) if rising else self.down(T)
-
 
 def exp_channel(p: ExpChannelParams) -> DelayFunction:
     """Closed-form exp-channel delay pair for the given RC parameters."""
@@ -130,7 +127,7 @@ def tabulated_channel(
     def build(samples, asymptote, edge):
         pts = sorted((float(t), float(d)) for t, d in samples)
         if len(pts) < 3:
-            raise InvalidParams("need at least 3 samples per edge")
+            raise InvalidParams(f"delta_{edge} needs at least 3 samples")
         xs = [t for t, _ in pts]
         ys = [d for _, d in pts]
         if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
@@ -139,7 +136,7 @@ def tabulated_channel(
             if a == b:
                 raise InvalidParams(f"delta_{edge} samples repeat T={a!r}")
         if any(b <= a for a, b in zip(ys, ys[1:])):
-            raise InvalidParams("delay samples must be strictly increasing in delta")
+            raise InvalidParams(f"delta_{edge} samples must be strictly increasing in T")
         interp, s0, s1 = _pchip(xs, ys)
         x0, x1 = xs[0], xs[-1]
 
@@ -198,16 +195,6 @@ def _pchip(xs: list[float], ys: list[float]) -> tuple[Callable[[float], float], 
     c3, c2, c1, _ = coeffs[last]
     s = h[last]
     return interp, d[0], c1 + 2.0 * c2 * s + 3.0 * c3 * (s * s)
-
-
-def custom_channel(
-    up: Callable[[float], float],
-    down: Callable[[float], float],
-    delta_inf_up: float,
-    delta_inf_down: float,
-) -> DelayFunction:
-    """Wrap arbitrary closed-form delay functions (validity is the caller's problem)."""
-    return DelayFunction(delta_inf_up, delta_inf_down, up, down)
 
 
 class InvolutionCheck(NamedTuple):

@@ -187,10 +187,6 @@ def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) ->
     return Signal(initial_value, tuple(out))
 
 
-ZERO = make_signal(0, [])
-ONE = make_signal(1, [])
-
-
 def pulse(start: float, length: float) -> Signal:
     """A single pulse: initial 0, rising at ``start``, falling at ``start + length``."""
     if not length > 0:
@@ -239,17 +235,14 @@ def read_text(path, error: type[Exception]) -> str:
 
 def write_trace(path, signals: dict[str, Signal]) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["signal", "time", "value"])
+        fh.write("signal,time,value\r\n")
         for name in sorted(signals):
             s = signals[name]
             head = io.StringIO()
             csv.writer(head).writerow([name, "-inf", s.initial_value])
-            if head.getvalue() == f"{name},-inf,{s.initial_value}\r\n":  # csv leaves the name unquoted
-                fh.write(head.getvalue() + "".join([f"{name},{t!r},{v}\r\n" for t, v in s.transitions]))
-            else:
-                w.writerow([name, "-inf", s.initial_value])
-                w.writerows([name, repr(t), v] for t, v in s.transitions)
+            row = head.getvalue()
+            prefix = row[: -len(f",-inf,{s.initial_value}\r\n")]  # the name as csv quotes it
+            fh.write(row + "".join([f"{prefix},{t!r},{v}\r\n" for t, v in s.transitions]))
 
 
 def read_trace(path) -> dict[str, Signal]:

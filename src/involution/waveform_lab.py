@@ -278,9 +278,6 @@ def bin_coverage(result: DeviationResult, n_bins: int = 4) -> list[tuple[float, 
     return out
 
 
-_FIT_STARTS = 20  # three fixed starts plus log-uniform random ones
-
-
 class _DelayResiduals:
     """Residuals of the exp pair against delay samples, and their Jacobian in (tau, t_p, vth).
 
@@ -340,27 +337,14 @@ class ExpFit(NamedTuple):
     nfev: int
 
 
-def _fit_starts(residuals: _DelayResiduals, seed: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Bounds (lo, hi) on (tau, t_p, vth) and the seeded starts, scaled by the median delay magnitude."""
+def _fit_starts(residuals: _DelayResiduals) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Bounds (lo, hi) on (tau, t_p, vth) and three starts, all scaled by the median delay magnitude."""
     med = float(np.median(np.abs(residuals.delay)))
     if not med > 0.0:  # all delays zero, or one is NaN
         med = 1.0
     lo = np.array([1e-3 * med, 1e-3 * med, 0.05])
     hi = np.array([1e3 * med, 1e3 * med, 0.95])
-
-    rng = np.random.default_rng(seed)
-    starts = [np.array([med, 0.3 * med, v]) for v in (0.3, 0.5, 0.7)]
-    while len(starts) < _FIT_STARTS:
-        starts.append(
-            np.array(
-                [
-                    math.exp(rng.uniform(math.log(lo[0]), math.log(hi[0]))),
-                    math.exp(rng.uniform(math.log(lo[1]), math.log(hi[1]))),
-                    rng.uniform(0.1, 0.9),
-                ]
-            )
-        )
-    return lo, hi, [np.clip(x0, lo, hi) for x0 in starts]
+    return lo, hi, [np.array([med, 0.3 * med, v]) for v in (0.3, 0.5, 0.7)]
 
 
 # Levenberg-Marquardt stopping rules: a start has converged when the damped
@@ -412,24 +396,21 @@ def _levenberg_marquardt(residuals: _DelayResiduals, x: np.ndarray, lo: np.ndarr
     return x, cost, nfev
 
 
-def fit_exp_channel(
-    samples: Sequence[tuple[float, float | None, float | None]],
-    *,
-    seed: int = 0,
-) -> ExpFit:
+def fit_exp_channel(samples: Sequence[tuple[float, float | None, float | None]]) -> ExpFit:
     """Least-squares fit of (tau, t_p, vth) to delay samples.
 
     ``samples`` rows are (T, delta_up or None, delta_down or None); up and
     down residuals are weighted equally.  Bounded Levenberg-Marquardt with the
-    analytic Jacobian from each of ``_FIT_STARTS`` seeded starts; a start whose
-    residuals are not finite or whose step solve fails is skipped.  Returns the
-    best parameters, their RMS residual and the residual evaluations made.
+    analytic Jacobian from each of the three starts of ``_fit_starts``; a start
+    whose residuals are not finite or whose step solve fails is skipped.
+    Returns the best parameters, their RMS residual and the residual
+    evaluations made.
     """
     residuals = _DelayResiduals(samples)
     n_vals = len(residuals.delay)
     if n_vals < 5:
         raise FitDiverged(f"need at least 5 delay values, got {n_vals}")
-    lo, hi, starts = _fit_starts(residuals, seed)
+    lo, hi, starts = _fit_starts(residuals)
     best_x, best_cost, nfev = None, math.inf, 0
     for x0 in starts:
         x, cost, n = _levenberg_marquardt(residuals, x0, lo, hi)

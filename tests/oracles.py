@@ -252,6 +252,32 @@ def scipy_pchip(xs, ys):
     return interp, interp.derivative()
 
 
+def twenty_fit_starts(delays, seed):
+    """Bounds (lo, hi) on (tau, t_p, vth) and 20 starts: a multi-start recipe after SciPy's.
+
+    Scaled by the median delay magnitude ``med`` (1 when that is 0 or NaN):
+    the three fixed starts (med, 0.3 med, vth) for vth in 0.3, 0.5, 0.7, then
+    17 drawn from ``numpy.random.default_rng(seed)``, tau and t_p log-uniform
+    within the bounds and vth uniform in [0.1, 0.9].  The fit once ran from
+    all 20; it now runs from the fixed three, and this is the reference it
+    must match.
+    """
+    import numpy as np
+
+    med = float(np.median(np.abs(delays)))
+    if not med > 0.0:
+        med = 1.0
+    lo = np.array([1e-3 * med, 1e-3 * med, 0.05])
+    hi = np.array([1e3 * med, 1e3 * med, 0.95])
+    rng = np.random.default_rng(seed)
+    starts = [np.array([med, 0.3 * med, v]) for v in (0.3, 0.5, 0.7)]
+    while len(starts) < 20:
+        tau = math.exp(rng.uniform(math.log(lo[0]), math.log(hi[0])))
+        t_p = math.exp(rng.uniform(math.log(lo[1]), math.log(hi[1])))
+        starts.append(np.array([tau, t_p, rng.uniform(0.1, 0.9)]))
+    return lo, hi, [np.clip(x0, lo, hi) for x0 in starts]
+
+
 def least_squares_cost(residuals, starts, lo, hi):
     """Lowest cost |r|^2 / 2 that scipy.optimize.least_squares reaches from ``starts`` within [lo, hi].
 

@@ -253,7 +253,7 @@ def test_criterion_08_cancellation_oracle(ref):
         times = [20.0 * (i + 1) for i in range(n)]
         etas, prev_t, prev_delta = [], -math.inf, 0.0
         for t, u in zip(times, wanted):
-            etas.append(u - t - ref.delay(True, t - prev_t - prev_delta))
+            etas.append(u - t - ref.up(t - prev_t - prev_delta))
             prev_t, prev_delta = t, u - t
         spec = EtaInvolution(ref, big, FixedSequence(tuple(etas)))
         s = make_signal(0, [(t, (i + 1) % 2) for i, t in enumerate(times)])

@@ -198,7 +198,7 @@ class TestCancellationOracle:
             etas = []
             prev_t, prev_delta = -math.inf, 0.0
             for t, u in zip(times, wanted):
-                base = ref.delay(True, t - prev_t - prev_delta)  # symmetric pair
+                base = ref.up(t - prev_t - prev_delta)  # symmetric pair
                 eta = u - t - base
                 etas.append(eta)
                 prev_t, prev_delta = t, u - t

@@ -421,6 +421,11 @@ class TestChains:
         with pytest.raises(EngineError):
             execute(loop_no_ht, {"i": pulse(0, 1)}, horizon=1.0, strategies={"ci": Zero()})
 
+    def test_strategy_override_for_unknown_channel_rejected(self, loop_no_ht):
+        # no command passes overrides, so this is reached only through the library
+        with pytest.raises(EngineError, match="strategy override for unknown channel 'nowhere'"):
+            execute(loop_no_ht, {"i": pulse(0, 1)}, horizon=1.0, strategies={"nowhere": Zero()})
+
     def test_oversized_eta_minus_rejected_up_front(self, ref):
         # eta_minus beyond delta(0) makes pending outputs uncommittable: a
         # future input could always retro-cancel them

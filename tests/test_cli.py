@@ -326,7 +326,7 @@ class TestWaveform:
             (float(r["T"]), float(r["delay"]), None) if r["edge"] == "rising" else (float(r["T"]), None, float(r["delay"]))
             for r in rows
         ]
-        fitted = fit_exp_channel(samples, seed=51)
+        fitted = fit_exp_channel(samples)
         fit = json.loads((out / "fit.json").read_text())
         assert fit == {
             "tau": fitted.params.tau,
@@ -336,7 +336,7 @@ class TestWaveform:
             "sample_count": len(samples),
             "nfev": fitted.nfev,
         }
-        assert fitted.nfev >= 20  # one evaluation at least per start
+        assert fitted.nfev >= 3  # one evaluation at least per start
 
 
 def test_usage_error_exit_code():
@@ -580,28 +580,104 @@ TABLE_NETLIST = {
 }
 
 
-def write_table_netlist(tmp_path, rows):
-    (tmp_path / "table.csv").write_text("T,delta_up,delta_down\n" + "".join(f"{r}\n" for r in rows))
+_HEADER = "T,delta_up,delta_down"
+
+
+def write_table_netlist(tmp_path, rows, header=_HEADER):
+    (tmp_path / "table.csv").write_text(f"{header}\n" + "".join(f"{r}\n" for r in rows))
     netlist = tmp_path / "table.json"
     netlist.write_text(json.dumps(TABLE_NETLIST))
     return netlist
 
 
 @pytest.mark.parametrize(
-    "rows, problem",
+    "header, rows, problem",
     [
-        (["0,1.0,1.0", "1,1.2,1.2", "1,1.3,1.3", "2,1.4,1.4"], "delta_up samples repeat T=1.0"),
-        (["0,1.0,1.0", "nan,1.2,1.2", "1,1.3,1.3", "2,1.4,1.4"], "delta_up samples must have finite T and delay"),
-        (["0,1.0,1.0", "1,1.2,nan", "1.5,1.3,1.3", "2,1.4,1.4"], "delta_down samples must have finite T and delay"),
+        (_HEADER, ["0,1.0,1.0", "1,1.2,1.2", "1,1.3,1.3", "2,1.4,1.4"], "delta_up samples repeat T=1.0"),
+        (_HEADER, ["0,1.0,1.0", "nan,1.2,1.2", "1,1.3,1.3", "2,1.4,1.4"], "delta_up samples must have finite T and delay"),
+        (_HEADER, ["0,1.0,1.0", "1,1.2,nan", "1.5,1.3,1.3", "2,1.4,1.4"], "delta_down samples must have finite T and delay"),
+        (_HEADER, ["0,1.0,1.0", "1,,1.2", "2,,1.3", "3,1.4,1.4"], "delta_up needs at least 3 samples"),
+        (_HEADER, ["0,1.0,1.0", "1,1.2,0.9", "2,1.4,1.4"], "delta_down samples must be strictly increasing in T"),
+        ("T,up,down", ["0,1.0,1.0"], "{table}: line 1: bad delay-sample header ['T', 'up', 'down']"),
     ],
-    ids=["repeated-T", "nan-T", "nan-delay"],
+    ids=["repeated-T", "nan-T", "nan-delay", "too-few", "not-increasing", "header"],
 )
-def test_malformed_delay_table_is_parse_error_naming_the_channel(tmp_path, capsys, rows, problem):
-    # the interpolant used to reject these with a bare ValueError: exit 1 and a traceback
-    netlist = write_table_netlist(tmp_path, rows)
+def test_malformed_delay_table_is_parse_error_naming_the_channel(tmp_path, capsys, header, rows, problem):
+    # the interpolant used to reject the first three with a bare ValueError: exit 1 and a traceback
+    netlist = write_table_netlist(tmp_path, rows, header)
     stim = write_stimulus(tmp_path, pulse(0, 1.5))
     rc, last = _run(capsys, ["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")])
+    problem = problem.format(table=tmp_path / "table.csv")
     assert rc == EXIT_PARSE and json.loads(last) == {"error": "parse", "message": f"channel 'c': {problem}"}
+
+
+def _fig4_with(change):
+    """A copy of FIG4_NETLIST after ``change(doc)``."""
+    doc = json.loads(json.dumps(FIG4_NETLIST))
+    change(doc)
+    return doc
+
+
+_ROGUE = {"kind": "pure", "params": {"d": 1.0}}  # an extra channel, named "x" and placed by each case
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["channels"][0].update({"from": "nowhere"}), "channel 'ci': unknown source 'nowhere'"),
+        (lambda d: d["channels"][3].update({"from": "o"}), "channel 'co': output port 'o' cannot drive"),
+        (lambda d: d["channels"][3].update({"to": "o.0"}), "channel 'co': ports have no pins"),
+        (
+            lambda d: d["channels"].append({"name": "x", "from": "buf1", "to": "i", **_ROGUE}),
+            "channel 'x': input port 'i' cannot be driven",
+        ),
+        (
+            lambda d: d["channels"].append({"name": "x", "from": "buf1", "to": "nowhere", **_ROGUE}),
+            "channel 'x': unknown destination 'nowhere'",
+        ),
+        (lambda d: d["channels"][1].update({"params": {}}), "channel 'c': params need 'exp' or 'table', got []"),
+        (lambda d: d["channels"][0]["params"].update({"q": 1}), "channel 'ci': unknown params ['q']"),
+        (lambda d: d["channels"][1].update({"from": "or1.0"}), "channel 'c': 'from' must be a gate or port, not a pin"),
+        (
+            lambda d: d["gates"].append({"name": "buf1", "function": "NOT", "arity": 1, "initial": 1}),
+            "duplicate vertex names ['buf1']",
+        ),
+        (lambda d: d["channels"][3].update({"name": "ht"}), "duplicate channel names ['ht']"),
+    ],
+    ids=[
+        "unknown-source", "output-drives", "pin-on-port", "input-driven", "unknown-destination",
+        "no-delay-params", "unknown-params", "from-a-pin", "repeated-gate", "repeated-channel",
+    ],
+)
+def test_netlist_rejection_names_its_entry(tmp_path, capsys, change, message):
+    netlist = tmp_path / "n.json"
+    netlist.write_text(json.dumps(_fig4_with(change)))
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+    rc, last = _run(capsys, ["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE and json.loads(last) == {"error": "parse", "message": message}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sig,time,value\ni,-inf,0\n", "{stim}: line 1: bad trace header ['sig', 'time', 'value']"),
+        ("signal,time,value\ni,1.0,1\n", "signal 'i' has no -inf initial-value row"),
+    ],
+    ids=["header", "no-initial-row"],
+)
+def test_trace_rejection_is_parse_error(tmp_path, fig4, capsys, text, message):
+    stim = tmp_path / "stim.csv"
+    stim.write_text(text)
+    rc, last = _run(capsys, ["simulate", str(fig4), str(stim), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_PARSE and json.loads(last) == {"error": "parse", "message": message.format(stim=stim)}
+
+
+def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["host", "--unrelated"])
+    argv = ["analyze", *REF, "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((tmp_path / "manifest.json").read_text())["argv"] == argv
 
 
 def test_waveform_and_a_tabulated_simulate_run_without_scipy(tmp_path):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from involution.delay_model import (
+    DelayFunction,
     DelayModelError,
     DomainViolation,
     ExpChannelParams,
     InvalidParams,
     _pchip,
     check_involution,
-    custom_channel,
     delta_min,
     derivative_down,
     derivative_up,
@@ -108,7 +108,7 @@ class TestInvolutionIdentity:
 
     def test_pure_delay_pair_is_not_an_involution(self):
         d = 0.7
-        df = custom_channel(lambda T: d, lambda T: d, d, d)
+        df = DelayFunction(d, d, lambda T: d, lambda T: d)
         res = check_involution(df, [1.0, 2.0], tol=1e-9)
         # -down(T) = -d sits exactly on the declared domain edge of up, so the
         # composition collapses; constants are not involutions
@@ -226,7 +226,7 @@ class TestDeltaMin:
         assert delta_min(exp_channel(p.scaled(2.0))) == pytest.approx(2 * 0.4, abs=1e-9)
 
     def test_no_bracket_for_acausal(self):
-        df = custom_channel(lambda T: -1.0, lambda T: -1.0, 1.0, 1.0)
+        df = DelayFunction(1.0, 1.0, lambda T: -1.0, lambda T: -1.0)
         with pytest.raises(NoBracket):
             delta_min(df)
 
@@ -259,7 +259,7 @@ class TestDerivatives:
         assert derivative_up(ref, 0.0) > derivative_up(ref, 1.0)
 
     def test_finite_difference_fallback_matches_analytic(self, ref):
-        tab = custom_channel(ref.up, ref.down, ref.delta_inf_up, ref.delta_inf_down)
+        tab = DelayFunction(ref.delta_inf_up, ref.delta_inf_down, ref.up, ref.down)
         for T in (-0.4, 0.0, 1.0, 5.0):
             assert derivative_up(tab, T) == pytest.approx(derivative_up(ref, T), rel=1e-6)
 

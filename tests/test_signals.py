@@ -258,7 +258,7 @@ def test_transition_keeps_the_dataclass_contract():
         a < b
 
 
-@pytest.mark.parametrize("name", ["c1", "a,b", 'q"x', "", "two\nlines", " pad ", "semi;colon"])
+@pytest.mark.parametrize("name", ["c1", "a,b", 'q"x', "", "two\nlines", "car\rriage", " pad ", "semi;colon"])
 def test_write_trace_matches_a_row_by_row_csv_writer(tmp_path, name):
     s = make_signal(1, [(0.1 * n + 1e-9, n % 2) for n in range(20)])
     write_trace(tmp_path / "fast.csv", {name: s, "other": s})

@@ -253,6 +253,38 @@ class TestDeviationAnalysis:
         assert bin_coverage(DeviationResult([], 0.1, 0.1)) == []
 
 
+def calibration_rows(out, argv):
+    """The fit rows of a `waveform` run with ``argv``, read back from its ``deviations.csv``."""
+    assert cli.main(["waveform", *argv, "--out", str(out)]) == 0
+    with open(out / "deviations.csv", newline="") as fh:
+        return [
+            (float(r["T"]), float(r["delay"]), None) if r["edge"] == "rising" else (float(r["T"]), None, float(r["delay"]))
+            for r in csv.DictReader(fh)
+            if math.isfinite(float(r["T"]))
+        ]
+
+
+def fit_configurations(n=10, seed=14):
+    """(tau, t_p, vth, amplitude, seed, horizon) of ``n`` calibration runs, and one more.
+
+    Amplitudes run evenly from 0 to 0.2; tau, t_p, vth and the seed are drawn
+    from ``default_rng(seed)``, and the horizon holds the whole train.  The
+    last run keeps the default horizon of 60, which pairs only 11 crossings:
+    its cost valley is so flat that SciPy and the fit reach equal costs at
+    parameters far apart.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for amplitude in np.linspace(0.0, 0.2, n).tolist():
+        tau = float(np.exp(rng.uniform(np.log(0.1), np.log(20.0))))
+        t_p = tau * float(rng.uniform(0.1, 2.0))
+        out.append((tau, t_p, float(rng.uniform(0.2, 0.8)), amplitude, int(rng.integers(1000)), 60.0 * (tau + t_p)))
+    return [*out, (12.4, 17.4, 0.49, 0.01, 0, 60.0)]
+
+
+FIT_CONFIGURATIONS = fit_configurations()
+
+
 class TestFit:
     def make_samples(self, df, ts):
         return [(float(t), df.up(float(t)), df.down(float(t))) for t in ts]
@@ -376,14 +408,8 @@ class TestFit:
     def test_cost_is_no_worse_than_least_squares(self, tmp_path):
         # the fit rows of the default calibration as `waveform` writes them, then 20
         # copies with Gaussian noise of 1e-4 to 1e-2 on every delay
-        argv = ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.6", "--amplitude", "0.01", "--seed", "51"]
-        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
-        with open(tmp_path / "deviations.csv", newline="") as fh:
-            calibration = [
-                (float(r["T"]), float(r["delay"]), None) if r["edge"] == "rising" else (float(r["T"]), None, float(r["delay"]))
-                for r in csv.DictReader(fh)
-                if math.isfinite(float(r["T"]))
-            ]
+        argv = ["--tau", "1", "--t-p", "0.5", "--vth", "0.6", "--amplitude", "0.01", "--seed", "51"]
+        calibration = calibration_rows(tmp_path, argv)
         rng = np.random.default_rng(1978)
         datasets = [calibration]
         for sigma in np.logspace(-4, -2, 20):
@@ -393,11 +419,27 @@ class TestFit:
 
             datasets.append([(t, jitter(du), jitter(dd)) for t, du, dd in calibration])
         for rows in datasets:
-            fit = fit_exp_channel(rows, seed=51)
+            fit = fit_exp_channel(rows)
             residuals = _DelayResiduals(rows)
             r = residuals(np.array([fit.params.tau, fit.params.t_p, fit.params.vth_norm]))
-            lo, hi, starts = waveform_lab._fit_starts(residuals, 51)
+            lo, hi, starts = oracles.twenty_fit_starts(residuals.delay, 51)
             assert 0.5 * float(r @ r) <= oracles.least_squares_cost(residuals, starts, lo, hi) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "tau, t_p, vth, amplitude, seed, horizon",
+        FIT_CONFIGURATIONS,
+        ids=[f"run{k}" for k in range(len(FIT_CONFIGURATIONS))],
+    )
+    def test_three_starts_reach_the_cost_of_twenty(self, tmp_path, tau, t_p, vth, amplitude, seed, horizon):
+        # the three fixed starts against SciPy from those three and 17 seeded random ones;
+        # costs, not parameters: on a flat valley equal costs come with distant parameters
+        argv = ["--tau", repr(tau), "--t-p", repr(t_p), "--vth", repr(vth), "--amplitude", repr(amplitude)]
+        rows = calibration_rows(tmp_path, [*argv, "--seed", str(seed), "--horizon", repr(horizon)])
+        fit = fit_exp_channel(rows)
+        residuals = _DelayResiduals(rows)
+        r = residuals(np.array([fit.params.tau, fit.params.t_p, fit.params.vth_norm]))
+        lo, hi, starts = oracles.twenty_fit_starts(residuals.delay, seed)
+        assert 0.5 * float(r @ r) <= oracles.least_squares_cost(residuals, starts, lo, hi) * (1.0 + 1e-9) + 1e-24
 
     def test_a_bug_in_a_start_propagates(self, ref, monkeypatch):
         samples = self.make_samples(ref, np.linspace(-0.8, 5.0, 10))
