@@ -51,8 +51,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -132,51 +134,61 @@ _FIRST_BLOCK, _LAST_BLOCK = 4, 1024  # sizes of the first and the largest block 
 class EtaSource:
     """Per-run consumable view of a strategy: one eta per input transition index.
 
-    A fixed sequence is checked against the bounds once, here; the other
-    strategies draw within the bounds by construction.
+    Draws come from ``_block``, a list of the next values, last one first: a
+    fixed sequence fills it once, uniform draws refill it block by block.  A
+    draw on an empty block goes to ``_after_block``.  A fixed sequence is
+    checked against the bounds once, here; the other strategies draw within
+    the bounds by construction.
     """
 
     def __init__(self, strategy: AdversaryStrategy, bounds: EtaBounds):
-        if isinstance(strategy, FixedSequence):
-            for e in strategy.etas:
-                if not -bounds.eta_minus - 1e-15 <= e <= bounds.eta_plus + 1e-15:
-                    raise ChannelError(f"eta={e} outside [{-bounds.eta_minus}, {bounds.eta_plus}]")
-        self.strategy = strategy
         self.bounds = bounds
-        self._rng = (
-            np.random.default_rng(strategy.seed) if isinstance(strategy, UniformRandom) else None
-        )
-        self._block: list[float] = []  # the next uniform draws, last one first
-        self._block_size = _FIRST_BLOCK
-        self._count = 0
+        self._block: list[float] = []
+        # a plain function of (source, value): a bound method kept on the
+        # instance would make every source a cycle that only gc.collect frees
+        if isinstance(strategy, UniformRandom):
+            self._rng = np.random.default_rng(strategy.seed)
+            self._block_size = _FIRST_BLOCK
+            self._after_block = EtaSource._draw_block
+        elif isinstance(strategy, Zero):
+            self._after_block = EtaSource._zero
+        elif isinstance(strategy, WorstCaseShrink):
+            self._after_block = EtaSource._worst_case
+        elif isinstance(strategy, FixedSequence):
+            etas = strategy.etas
+            lo, hi = -bounds.eta_minus - 1e-15, bounds.eta_plus + 1e-15
+            # both passes are False on a NaN, which min and max would let through
+            if not (all(map(operator.le, repeat(lo), etas)) and all(map(operator.le, etas, repeat(hi)))):
+                e = next(e for e in etas if not lo <= e <= hi)
+                raise ChannelError(f"eta={e} outside [{-bounds.eta_minus}, {bounds.eta_plus}]")
+            self._block = list(reversed(etas))
+            self._length = len(etas)
+            self._after_block = EtaSource._exhausted if strategy.strict else EtaSource._zero
+        else:
+            raise ChannelError(f"unknown strategy {strategy!r}")
 
     def eta(self, value: int) -> float:
-        s, b = self.strategy, self.bounds
-        self._count += 1
-        if isinstance(s, UniformRandom):
-            # Drawing n at once yields the same stream as n scalar draws; blocks
-            # grow geometrically, so that short runs draw few values ahead.
-            if not self._block:
-                self._block = self._rng.uniform(-b.eta_minus, b.eta_plus, size=self._block_size).tolist()
-                self._block.reverse()
-                self._block_size = min(2 * self._block_size, _LAST_BLOCK)
-            e = self._block.pop()
-        elif isinstance(s, Zero):
-            e = 0.0
-        elif isinstance(s, WorstCaseShrink):
-            e = worst_case_eta("rising" if value == 1 else "falling", b)
-        elif isinstance(s, FixedSequence):
-            if self._count <= len(s.etas):
-                e = s.etas[self._count - 1]
-            elif s.strict:
-                raise StrategyExhausted(
-                    f"fixed eta sequence of length {len(s.etas)} exhausted at transition {self._count}"
-                )
-            else:
-                e = 0.0
-        else:
-            raise ChannelError(f"unknown strategy {s!r}")
-        return e
+        block = self._block
+        return block.pop() if block else self._after_block(self, value)
+
+    def _draw_block(self, value: int) -> float:
+        # Drawing n at once yields the same stream as n scalar draws; blocks
+        # grow geometrically, so that short runs draw few values ahead.
+        b = self.bounds
+        self._block = self._rng.uniform(-b.eta_minus, b.eta_plus, size=self._block_size).tolist()
+        self._block.reverse()
+        self._block_size = min(2 * self._block_size, _LAST_BLOCK)
+        return self._block.pop()
+
+    def _zero(self, value: int) -> float:
+        return 0.0
+
+    def _worst_case(self, value: int) -> float:
+        return worst_case_eta("rising" if value == 1 else "falling", self.bounds)
+
+    def _exhausted(self, value: int) -> float:
+        n = self._length
+        raise StrategyExhausted(f"fixed eta sequence of length {n} exhausted at transition {n + 1}")
 
 
 @dataclass(frozen=True)
@@ -402,8 +414,9 @@ def channel_state(spec: ChannelSpec, initial_value: int, strategy: AdversaryStra
 def apply_channel(spec: ChannelSpec, s: Signal) -> tuple[Signal, list[TransitionRecord]]:
     """Channel function: map an input signal to the output signal plus a per-transition log."""
     state = channel_state(spec, s.initial_value)
-    for tr in s.transitions:
-        state.feed(tr.time, tr.value)
+    feed = state.feed
+    for t, value in s.transitions:
+        feed(t, value)
     out = make_signal(s.initial_value, [(r.out_time, r.value) for r in state.survivors()])
     return out, state.log
 

@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable
 
 from . import channel as ch
@@ -637,7 +638,8 @@ def verify_execution(e: Execution) -> VerificationReport:
 
     Each channel function is re-applied to its recorded input signal with the
     recorded eta sequence replayed; each gate is re-evaluated at every event
-    time of its pins.  This is the engine's independent self-check oracle.
+    time of its pins and its output, and each output port must equal its
+    driving channel.  This is the engine's independent self-check oracle.
     """
     mismatches: list[str] = []
     circuit = e.circuit
@@ -654,7 +656,7 @@ def verify_execution(e: Execution) -> VerificationReport:
             continue
         got = e.channel_signals[name]
         exp_trunc = expected.truncated(e.horizon)
-        if exp_trunc.initial_value != got.initial_value or exp_trunc.transitions != got.transitions:
+        if exp_trunc != got:
             mismatches.append(
                 f"channel {name}: recorded output differs from channel function "
                 f"(expected {len(exp_trunc.transitions)} transitions, got {len(got.transitions)})"
@@ -665,18 +667,20 @@ def verify_execution(e: Execution) -> VerificationReport:
         out = e.vertex_signals[gate.name]
         if out.initial_value != gate.initial_value:
             mismatches.append(f"gate {gate.name}: initial value mismatch")
-        times = {0.0}
-        times.update(tr.time for s in pins for tr in s.transitions if tr.time <= e.horizon)
-        times.update(tr.time for tr in out.transitions)
-        for t in sorted(times):
-            want = gate.evaluate(tuple(s.value_at(t) for s in pins))
-            if out.value_at(t) != want:
-                mismatches.append(f"gate {gate.name}: value at t={t} is {out.value_at(t)}, expected {want}")
-                break
+        times = {0.0, *out.times}
+        for s in pins:
+            times.update(s.truncated(e.horizon).times)
+        times = sorted(times)
+        inputs = zip(*(s.values_at(times) for s in pins)) if pins else repeat((), len(times))
+        want = list(map(_GATES[gate.function][0], inputs))
+        got = out.values_at(times)
+        if got != want:
+            k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+            mismatches.append(f"gate {gate.name}: value at t={times[k]} is {got[k]}, expected {want[k]}")
 
     for port in circuit.output_ports:
         edge = circuit.driver_of(port)
-        if e.vertex_signals[port].transitions != e.channel_signals[edge.name].transitions:
+        if e.vertex_signals[port] != e.channel_signals[edge.name]:
             mismatches.append(f"output port {port}: signal differs from driving channel {edge.name}")
 
     return VerificationReport(not mismatches, mismatches)

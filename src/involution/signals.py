@@ -98,6 +98,7 @@ class Pulse:
 
 
 _time_of = operator.attrgetter("time")
+_value_of = operator.itemgetter(1)
 _new_tuple = tuple.__new__
 
 
@@ -110,12 +111,32 @@ class Signal:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_times", tuple(map(_time_of, self.transitions)))
 
+    def __eq__(self, other):
+        """Equal initial values, transition times and transition values."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.initial_value == other.initial_value
+            and self._times == other._times
+            and list(map(_value_of, self.transitions)) == list(map(_value_of, other.transitions))
+        )
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        """The transition times, in order."""
+        return self._times
+
     def value_at(self, t: float) -> int:
         """Value of the most recent transition at or before ``t`` (right-continuous)."""
         i = bisect_right(self._times, t)
         if i == 0:
             return self.initial_value
         return self.transitions[i - 1].value
+
+    def values_at(self, times: Iterable[float]) -> list[int]:
+        """``value_at`` of every time in ``times``, in one pass."""
+        values = (self.initial_value, *map(_value_of, self.transitions))
+        return list(map(values.__getitem__, map(bisect_right, repeat(self._times), times)))
 
     @property
     def is_zero(self) -> bool:
@@ -130,8 +151,8 @@ class Signal:
 
     def truncated(self, horizon: float) -> "Signal":
         """Drop transitions strictly after ``horizon``."""
-        kept = tuple(t for t in self.transitions if t.time <= horizon)
-        return self if len(kept) == len(self.transitions) else Signal(self.initial_value, kept)
+        n = bisect_right(self._times, horizon)
+        return self if n == len(self._times) else Signal(self.initial_value, self.transitions[:n])
 
 
 _BULK_FROM = 12  # below this many transitions the loop is faster

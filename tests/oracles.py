@@ -241,6 +241,61 @@ def greedy_pairing(log, crossings, window):
     return out
 
 
+def verify_execution_per_time(e):
+    """The engine self-check, one ``value_at`` per pin and time: the reference for ``verify_execution``.
+
+    Replays every channel with its recorded etas and compares the output
+    transition by transition; evaluates every gate at each sorted check time
+    (0, the pin times up to the horizon, the output times) until the first
+    wrong value; and requires every output port to equal its driving channel,
+    initial value included.
+    """
+    from involution import channel as ch
+    from involution.circuit import VerificationReport
+    from involution.signals import Signal
+
+    def truncated(s, horizon):
+        return Signal(s.initial_value, tuple(tr for tr in s.transitions if tr.time <= horizon))
+
+    mismatches = []
+    circuit = e.circuit
+    for name, edge in circuit.channels.items():
+        spec = edge.spec
+        if isinstance(spec, ch.EtaInvolution):
+            spec = ch.EtaInvolution(spec.df, spec.bounds, ch.FixedSequence(tuple(e.eta_sequences[name])))
+        try:
+            expected, _ = ch.apply_channel(spec, truncated(e.vertex_signals[edge.src], e.horizon))
+        except ch.ChannelError as exc:
+            mismatches.append(f"channel {name}: re-application failed: {exc}")
+            continue
+        got = e.channel_signals[name]
+        expected = truncated(expected, e.horizon)
+        if expected.initial_value != got.initial_value or expected.transitions != got.transitions:
+            mismatches.append(
+                f"channel {name}: recorded output differs from channel function "
+                f"(expected {len(expected.transitions)} transitions, got {len(got.transitions)})"
+            )
+    for gate in circuit.gates.values():
+        pins = [e.channel_signals[circuit.driver_of(gate.name, pin).name] for pin in range(gate.arity)]
+        out = e.vertex_signals[gate.name]
+        if out.initial_value != gate.initial_value:
+            mismatches.append(f"gate {gate.name}: initial value mismatch")
+        times = {0.0}
+        times.update(tr.time for s in pins for tr in s.transitions if tr.time <= e.horizon)
+        times.update(tr.time for tr in out.transitions)
+        for t in sorted(times):
+            want = gate.evaluate(tuple(s.value_at(t) for s in pins))
+            if out.value_at(t) != want:
+                mismatches.append(f"gate {gate.name}: value at t={t} is {out.value_at(t)}, expected {want}")
+                break
+    for port in circuit.output_ports:
+        edge = circuit.driver_of(port)
+        sig, driver = e.vertex_signals[port], e.channel_signals[edge.name]
+        if sig.initial_value != driver.initial_value or sig.transitions != driver.transitions:
+            mismatches.append(f"output port {port}: signal differs from driving channel {edge.name}")
+    return VerificationReport(not mismatches, mismatches)
+
+
 def scipy_pchip(xs, ys):
     """SciPy's PCHIP interpolant through (xs, ys), without extrapolation, and its derivative.
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from involution.channel import (
     Pure,
     StrategyExhausted,
     UniformRandom,
+    WorstCaseShrink,
     Zero,
     apply_channel,
     read_eta_sequence,
@@ -237,6 +239,42 @@ class TestStrategies:
         spec = EtaInvolution(ref, EtaBounds(0.1, 0.1), FixedSequence((0.0, 0.5)))
         with pytest.raises(ChannelError, match=r"eta=0.5 outside \[-0.1, 0.1\]"):
             apply_channel(spec, make_signal(0, []))
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.5, -0.7])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_fixed_sequence_rejection_names_the_first_offender(self, bad, at):
+        etas = [0.0, 0.1, -0.1, 0.05, 0.0]
+        etas[at] = bad
+        if at < 4:
+            etas[4] = -0.9  # a second offender after the first
+        with pytest.raises(ChannelError, match=rf"^eta={bad} outside \[-0.1, 0.1\]$"):
+            EtaSource(FixedSequence(tuple(etas)), EtaBounds(0.1, 0.1))
+
+    @pytest.mark.parametrize("etas", [(), (0.01,), (0.01, -0.02, 0.03), (0.01, -0.02, 0.03, -0.04, 0.05)])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_fixed_sequence_draws(self, etas, strict):
+        n = 3  # input transitions
+        source = EtaSource(FixedSequence(etas, strict), EtaBounds(0.1, 0.1))
+        if strict and len(etas) < n:
+            assert [source.eta(k % 2) for k in range(len(etas))] == list(etas)
+            with pytest.raises(
+                StrategyExhausted,
+                match=rf"^fixed eta sequence of length {len(etas)} exhausted at transition {len(etas) + 1}$",
+            ):
+                source.eta(len(etas) % 2)
+        else:
+            assert [source.eta(k % 2) for k in range(n)] == [*etas[:n], *[0.0] * (n - len(etas))]
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [Zero(), WorstCaseShrink(), UniformRandom(3), FixedSequence((0.01,)), FixedSequence((0.01,), strict=True)],
+    )
+    def test_eta_source_is_freed_without_the_cycle_collector(self, strategy):
+        source = EtaSource(strategy, EtaBounds(0.05, 0.1))
+        source.eta(1)
+        freed = weakref.ref(source)
+        del source
+        assert freed() is None
 
     def test_fixed_sequence_pads_with_zero(self, ref):
         spec = EtaInvolution(ref, EtaBounds(0.1, 0.1), FixedSequence((0.05,)))

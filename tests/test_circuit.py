@@ -622,6 +622,19 @@ class TestVerifyExecution:
         assert not report.ok
         assert any("gate or1" in m for m in report.mismatches)
 
+    def test_output_port_initial_value_flagged(self):
+        c = Circuit(
+            ["i"],
+            ["o"],
+            [Gate("b", "BUF", 1, 0)],
+            [ChannelEdge("c", "i", "b", 0, Pure(1.0)), ChannelEdge("co", "b", "o", None, Pure(0.0))],
+        )
+        e = execute(c, {"i": make_signal(0, [])}, horizon=5.0)
+        assert verify_execution(e).ok
+        e.vertex_signals["o"] = Signal(1, ())
+        report = verify_execution(e)
+        assert report.mismatches == ["output port o: signal differs from driving channel co"]
+
 
 class TestFig4EndToEnd:
     def test_netlist_simulation_matches_builder(self, ref):

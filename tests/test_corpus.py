@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
 import corpus
+import oracles
+from involution.circuit import verify_execution
+from involution.signals import Signal, make_signal
 
 
 def test_every_case_keeps_its_recorded_digests():
@@ -20,3 +25,101 @@ def test_horizon_exceeded_case_carries_its_last_100_events():
     with pytest.raises(corpus.HorizonExceeded, match="event budget 3000 exhausted") as exc_info:
         corpus.execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max)
     assert len(exc_info.value.events) == 100
+
+
+@pytest.fixture(scope="module")
+def completed():
+    """The execution of every corpus case that completes, by name."""
+    out = {}
+    for name, build in corpus.cases().items():
+        case = build()
+        if case is None:
+            continue
+        try:
+            out[name] = corpus.execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max)
+        except corpus.EngineError:
+            continue
+    return out
+
+
+def _with_signal(e, name, sig):
+    """``e`` with the channel or vertex signal ``name`` replaced by ``sig``."""
+    if name in e.channel_signals:
+        return dataclasses.replace(e, channel_signals={**e.channel_signals, name: sig})
+    return dataclasses.replace(e, vertex_signals={**e.vertex_signals, name: sig})
+
+
+def _signals(e):
+    return {**e.vertex_signals, **e.channel_signals}
+
+
+def _drop_last_channel_transition(e, rng):
+    names = sorted(k for k, s in e.channel_signals.items() if s.transitions)
+    if not names:
+        return None
+    name = rng.choice(names)
+    sig = e.channel_signals[name]
+    return _with_signal(e, name, Signal(sig.initial_value, sig.transitions[:-1]))
+
+
+def _shift_one_time(e, rng):
+    """One transition of one signal moved by +-1e-3, where the times stay increasing and >= 0."""
+    moves = []
+    for name, s in sorted(_signals(e).items()):
+        times = s.times
+        for j, t in enumerate(times):
+            for dt in (-1e-3, 1e-3):
+                lo = times[j - 1] if j else -1e-3
+                hi = times[j + 1] if j + 1 < len(times) else float("inf")
+                if lo < t + dt < hi and t + dt >= 0.0:
+                    moves.append((name, j, dt))
+    if not moves:
+        return None
+    name, j, dt = rng.choice(moves)
+    s = _signals(e)[name]
+    pairs = [(t + (dt if k == j else 0.0), v) for k, (t, v) in enumerate(s.transitions)]
+    return _with_signal(e, name, make_signal(s.initial_value, pairs))
+
+
+def _flip_gate_segment(e, rng):
+    """One gate output with the segment between two adjacent transitions (or after the last) flipped."""
+    names = sorted(g for g in e.circuit.gates if e.vertex_signals[g].transitions)
+    if not names:
+        return None
+    name = rng.choice(names)
+    s = e.vertex_signals[name]
+    k = rng.randrange(len(s.transitions))
+    kept = s.transitions[:k] + s.transitions[k + 2:]
+    return _with_signal(e, name, make_signal(s.initial_value, kept))
+
+
+def _transition_at_horizon(e, rng):
+    names = sorted(k for k, s in _signals(e).items() if s.last_time() < e.horizon)
+    if not names:
+        return None
+    name = rng.choice(names)
+    s = _signals(e)[name]
+    last = s.transitions[-1].value if s.transitions else s.initial_value
+    return _with_signal(e, name, make_signal(s.initial_value, [*s.transitions, (e.horizon, 1 - last)]))
+
+
+CORRUPTIONS = [_drop_last_channel_transition, _shift_one_time, _flip_gate_segment, _transition_at_horizon]
+
+
+def test_verify_execution_equals_the_per_time_reference_on_the_corpus(completed):
+    assert len(completed) > 300
+    for name, e in completed.items():
+        assert verify_execution(e) == oracles.verify_execution_per_time(e), name
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+def test_verify_execution_equals_the_per_time_reference_on_corruptions(completed, corrupt):
+    flagged = 0
+    for n, (name, e) in enumerate(completed.items()):
+        bad = corrupt(e, random.Random(n))
+        if bad is None:
+            continue
+        report = verify_execution(bad)
+        assert report == oracles.verify_execution_per_time(bad), name
+        flagged += not report.ok
+    assert flagged > 100

@@ -18,6 +18,7 @@ from involution.signals import (
     decompose_pulses,
     make_signal,
     pulse,
+    Signal,
     SignalError,
     Transition,
     read_trace,
@@ -135,6 +136,35 @@ def test_value_at_matches_last_transition_rule(s, t):
         if tr.time <= t:
             expected = tr.value
     assert s.value_at(t) == expected
+
+
+@given(signals(), st.lists(st.floats(-10, 110, allow_nan=False), max_size=20))
+@settings(max_examples=200)
+def test_values_at_equals_value_at_of_each_time(s, times):
+    times += [tr.time for tr in s.transitions]  # exactly on an edge, too
+    assert s.values_at(times) == [s.value_at(t) for t in times]
+    assert s.values_at(sorted(times)) == [s.value_at(t) for t in sorted(times)]
+
+
+def test_truncated_keeps_a_transition_at_the_horizon():
+    s = make_signal(0, [(1.0, 1), (2.0, 0), (3.0, 1)])
+    assert s.truncated(2.0) == make_signal(0, [(1.0, 1), (2.0, 0)])
+    assert s.truncated(math.nextafter(2.0, 0.0)) == make_signal(0, [(1.0, 1)])
+    assert s.truncated(0.5) == make_signal(0, [])
+    assert s.truncated(3.0) is s and s.truncated(math.inf) is s
+    empty = make_signal(1, [])
+    assert empty.truncated(0.0) is empty
+
+
+def test_signal_equality_reads_initial_value_times_and_values():
+    s = make_signal(0, [(1.0, 1), (2.0, 0)])
+    assert s == make_signal(0, [(1.0, 1), (2.0, 0)]) and hash(s) == hash(make_signal(0, [(1.0, 1), (2.0, 0)]))
+    assert s != make_signal(1, [(1.0, 0), (2.0, 1)])
+    assert s != make_signal(0, [(1.0, 1), (2.5, 0)])
+    assert s != make_signal(0, [(1.0, 1)])
+    # a signal built without validation may repeat a value; equality still reads it
+    assert s != Signal(0, (Transition(1.0, 1), Transition(2.0, 1)))
+    assert s != (0, s.transitions) and s.__eq__(object()) is NotImplemented
 
 
 def test_value_at_piecewise_constant_on_random_samples():
