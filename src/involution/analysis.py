@@ -250,7 +250,7 @@ def dimension_ht_buffer(theta: float, gamma_cap: float) -> ExpChannelParams:
                 ok = ok and _filters_to_zero(params, _periodic_train(up, up / gamma_cap, 60))
         if ok:
             out, _ = ch.apply_channel(ch.Involution(exp_channel(params)), step)
-            ok = len(out.transitions) == 1 and out.transitions[0].value == 1
+            ok = len(out.times) == 1 and out.initial_value == 0  # one rising edge
         if ok:
             return params
         tau_rc *= 2.0
@@ -291,12 +291,12 @@ def spf_check(
             continue
         if not out.is_zero:
             f3 = True
-        trs = out.transitions
-        for a, b in zip(trs, trs[1:]):
-            gap = b.time - a.time
+        ts = out.times
+        for k, (a, b) in enumerate(zip(ts, ts[1:]), start=1):
+            gap = b - a
             if gap < epsilon:
-                kind = "up" if a.value == 1 else "down"
-                witnesses.append((i, kind, a.time, gap))
+                kind = "up" if out.initial_value ^ k & 1 else "down"  # the k-th transition's value
+                witnesses.append((i, kind, a, gap))
     return SpfVerdict(f2, f3, not witnesses, witnesses)
 
 

@@ -415,7 +415,9 @@ def apply_channel(spec: ChannelSpec, s: Signal) -> tuple[Signal, list[Transition
     """Channel function: map an input signal to the output signal plus a per-transition log."""
     state = channel_state(spec, s.initial_value)
     feed = state.feed
-    for t, value in s.transitions:
+    value = s.initial_value
+    for t in s.times:
+        value ^= 1
         feed(t, value)
     out = make_signal(s.initial_value, [(r.out_time, r.value) for r in state.survivors()])
     return out, state.log

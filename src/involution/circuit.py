@@ -25,7 +25,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import cycle, repeat
 from typing import Any, Callable
 
 from . import channel as ch
@@ -481,7 +481,10 @@ def execute(
     # releases.  Payloads: STIM (port, value), EVAL gate, DELIVER and RELEASE
     # (channel, record), vertices and channels by number.
     gates = range(len(circuit.input_ports), len(circuit.input_ports) + len(circuit.gates))
-    first = [(t, 0, _STIM, (k, v)) for k, p in enumerate(circuit.input_ports) for t, v in inputs[p].transitions]
+    first = []
+    for k, p in enumerate(circuit.input_ports):
+        v0 = inputs[p].initial_value
+        first += [(t, 0, _STIM, x) for t, x in zip(inputs[p].times, cycle(((k, 1 - v0), (k, v0))))]
     first += [(0.0, 1, _EVAL, g) for g in gates]
     heap: list[tuple[float, int, int, int, Any]]
     heap = [(t, prio, seq, kind, x) for seq, (t, prio, kind, x) in enumerate(first)]
@@ -659,7 +662,7 @@ def verify_execution(e: Execution) -> VerificationReport:
         if exp_trunc != got:
             mismatches.append(
                 f"channel {name}: recorded output differs from channel function "
-                f"(expected {len(exp_trunc.transitions)} transitions, got {len(got.transitions)})"
+                f"(expected {len(exp_trunc.times)} transitions, got {len(got.times)})"
             )
 
     for gate in circuit.gates.values():

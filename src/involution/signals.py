@@ -1,9 +1,9 @@
-"""Binary signals: alternating transition lists, pulses, and trace files.
+"""Binary signals: alternating transitions, pulses, and trace files.
 
 A signal is an initial Boolean value (conceptually a transition at time
-minus infinity) followed by a finite, strictly increasing, strictly
-alternating list of transitions.  Signals are immutable and safe to share
-between concurrent workers.
+minus infinity) followed by a finite, strictly increasing list of
+transition times; the values alternate, so the times determine them.
+Signals are immutable and safe to share between concurrent workers.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import io
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import cycle, repeat
 from typing import Iterable, NamedTuple
 
 
@@ -97,105 +97,89 @@ class Pulse:
         return self.up_time + self.down_time
 
 
-_time_of = operator.attrgetter("time")
-_value_of = operator.itemgetter(1)
-_new_tuple = tuple.__new__
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Signal:
+    """An initial value and the strictly increasing times of its transitions.
+
+    Values alternate, so the k-th transition (counting from 1) has value
+    ``initial_value ^ (k & 1)``.  ``Signal(initial_value, transitions)``
+    validates ``(time, value)`` pairs and raises :class:`NonMonotoneTimes`,
+    :class:`NonAlternatingValues`, :class:`NegativeTime` or
+    :class:`NonFiniteTime` on the first violated structural rule.
+    """
+
     initial_value: int
-    transitions: tuple[Transition, ...]
-    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    times: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_times", tuple(map(_time_of, self.transitions)))
-
-    def __eq__(self, other):
-        """Equal initial values, transition times and transition values."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.initial_value == other.initial_value
-            and self._times == other._times
-            and list(map(_value_of, self.transitions)) == list(map(_value_of, other.transitions))
-        )
+    def __init__(self, initial_value: int, transitions: Iterable[tuple[float, int]]) -> None:
+        if initial_value not in (0, 1):
+            raise NonAlternatingValues(f"initial value must be 0 or 1, got {initial_value!r}")
+        initial_value = int(initial_value)
+        pairs = transitions if isinstance(transitions, (list, tuple)) else list(transitions)
+        object.__setattr__(self, "initial_value", initial_value)
+        object.__setattr__(self, "times", _checked_times(initial_value, pairs) if pairs else ())
 
     @property
-    def times(self) -> tuple[float, ...]:
-        """The transition times, in order."""
-        return self._times
+    def transitions(self) -> tuple[Transition, ...]:
+        """The transitions as ``(time, value)`` pairs."""
+        iv = self.initial_value
+        return tuple(map(_new_tuple, repeat(Transition), zip(self.times, cycle((1 - iv, iv)))))
 
     def value_at(self, t: float) -> int:
         """Value of the most recent transition at or before ``t`` (right-continuous)."""
-        i = bisect_right(self._times, t)
-        if i == 0:
-            return self.initial_value
-        return self.transitions[i - 1].value
+        return self.initial_value ^ (bisect_right(self.times, t) & 1)
 
     def values_at(self, times: Iterable[float]) -> list[int]:
         """``value_at`` of every time in ``times``, in one pass."""
-        values = (self.initial_value, *map(_value_of, self.transitions))
-        return list(map(values.__getitem__, map(bisect_right, repeat(self._times), times)))
+        by_parity = (self.initial_value, 1 - self.initial_value)
+        counts = map(bisect_right, repeat(self.times), times)
+        return list(map(by_parity.__getitem__, map(operator.and_, counts, repeat(1))))
 
     @property
     def is_zero(self) -> bool:
-        return self.initial_value == 0 and not self.transitions
+        return self.initial_value == 0 and not self.times
 
     def last_time(self) -> float:
         """Time of the last transition, or -inf for a constant signal."""
-        return self._times[-1] if self._times else -math.inf
-
-    def shifted(self, dt: float) -> "Signal":
-        return Signal(self.initial_value, tuple(Transition(t.time + dt, t.value) for t in self.transitions))
+        return self.times[-1] if self.times else -math.inf
 
     def truncated(self, horizon: float) -> "Signal":
         """Drop transitions strictly after ``horizon``."""
-        n = bisect_right(self._times, horizon)
-        return self if n == len(self._times) else Signal(self.initial_value, self.transitions[:n])
+        n = bisect_right(self.times, horizon)
+        return self if n == len(self.times) else _unchecked(self.initial_value, self.times[:n])
 
 
-_BULK_FROM = 12  # below this many transitions the loop is faster
+_new_tuple = tuple.__new__
 
 
-def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) -> Signal:
-    """Validate and build a signal from ``(time, value)`` pairs.
+def _unchecked(initial_value: int, times: tuple[float, ...]) -> Signal:
+    """A signal from the times of a valid signal, without checking them again."""
+    s = object.__new__(Signal)
+    object.__setattr__(s, "initial_value", initial_value)
+    object.__setattr__(s, "times", times)
+    return s
 
-    Raises :class:`NonMonotoneTimes`, :class:`NonAlternatingValues`,
-    :class:`NegativeTime` or :class:`NonFiniteTime` on the first violated
-    structural rule.
+
+def _checked_times(initial_value: int, pairs) -> tuple[float, ...]:
+    """The times of the non-empty ``pairs`` as floats, checked in one pass.
+
+    Values must alternate from the initial value, and 0 <= first time < ... <
+    last time < inf (a NaN fails the comparisons).  On any failure the loop
+    below runs, only to name the first violation.
     """
-    if initial_value not in (0, 1):
-        raise NonAlternatingValues(f"initial value must be 0 or 1, got {initial_value!r}")
-    initial_value = int(initial_value)
-    pairs = transitions if isinstance(transitions, list) else list(transitions)
     n = len(pairs)
-    if n >= _BULK_FROM:
-        # The whole list at once: values alternate from the initial value, and
-        # 0 <= first time < ... < last time < inf (a NaN fails the comparisons).
-        # Any failure goes to the loop below, which raises on the first violation.
-        values = (1 - initial_value, initial_value) * (n // 2) + (1 - initial_value,) * (n % 2)
-        try:
-            times, given = zip(*pairs, strict=True)
-            valid = (
-                given == values
-                and 0.0 <= times[0]
-                and times[-1] < math.inf
-                and all(map(operator.lt, times, times[1:]))
-            )
-        except Exception:
-            valid = False
-        if valid:
-            edges = map(_new_tuple, repeat(Transition), zip(map(float, times), values))
-            return Signal(initial_value, tuple(edges))
-    inf = math.inf
-    prev_time = -inf
-    prev_value = initial_value
-    out = []
+    values = (1 - initial_value, initial_value) * (n // 2) + (1 - initial_value,) * (n % 2)
+    try:
+        times, given = zip(*pairs, strict=True)
+        if given == values and 0.0 <= times[0] and times[-1] < math.inf and all(map(operator.lt, times, times[1:])):
+            return tuple(map(float, times))
+    except (TypeError, ValueError):
+        pass
+    prev_time, prev_value = -math.inf, initial_value
     for time, value in pairs:
         if value not in (0, 1):
             raise NonAlternatingValues(f"transition value must be 0 or 1, got {value!r}")
-        if not 0.0 <= time < inf:
+        if not 0.0 <= time < math.inf:
             if math.isfinite(time):
                 raise NegativeTime(f"transition at t={time} precedes time 0")
             raise NonFiniteTime(f"transition time {time} is not finite")
@@ -203,9 +187,13 @@ def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) ->
             raise NonMonotoneTimes(f"transition times not strictly increasing at t={time}")
         if value == prev_value:
             raise NonAlternatingValues(f"transition at t={time} repeats value {value}")
-        out.append(_new_tuple(Transition, (float(time), int(value))))
         prev_time, prev_value = time, value
-    return Signal(initial_value, tuple(out))
+    raise SignalError(f"invalid transitions {pairs!r}")
+
+
+def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) -> Signal:
+    """Validate and build a signal from ``(time, value)`` pairs (see :class:`Signal`)."""
+    return Signal(initial_value, transitions)
 
 
 def pulse(start: float, length: float) -> Signal:
@@ -228,17 +216,17 @@ def decompose_pulses(s: Signal, horizon: float) -> list[Pulse]:
     skipped.
     """
     pulses = []
-    trs = s.transitions
-    for i, tr in enumerate(trs):
-        if tr.value != 1 or tr.time >= horizon:
-            continue
-        fall = trs[i + 1].time if i + 1 < len(trs) else None
-        if fall is None:
-            pulses.append(Pulse(tr.time, math.inf, math.inf))
-            continue
-        next_rise = trs[i + 2].time if i + 2 < len(trs) else None
-        down = (next_rise - fall) if next_rise is not None else math.inf
-        pulses.append(Pulse(tr.time, fall - tr.time, down))
+    ts = s.times
+    for i in range(s.initial_value, len(ts), 2):  # the rising edges
+        rise = ts[i]
+        if rise >= horizon:
+            break
+        if i + 1 == len(ts):
+            pulses.append(Pulse(rise, math.inf, math.inf))
+            break
+        fall = ts[i + 1]
+        down = ts[i + 2] - fall if i + 2 < len(ts) else math.inf
+        pulses.append(Pulse(rise, fall - rise, down))
     return pulses
 
 
@@ -263,7 +251,8 @@ def write_trace(path, signals: dict[str, Signal]) -> None:
             csv.writer(head).writerow([name, "-inf", s.initial_value])
             row = head.getvalue()
             prefix = row[: -len(f",-inf,{s.initial_value}\r\n")]  # the name as csv quotes it
-            fh.write(row + "".join([f"{prefix},{t!r},{v}\r\n" for t, v in s.transitions]))
+            values = cycle((1 - s.initial_value, s.initial_value))
+            fh.write(row + "".join([f"{prefix},{t!r},{v}\r\n" for t, v in zip(s.times, values)]))
 
 
 def read_trace(path) -> dict[str, Signal]:

@@ -142,16 +142,16 @@ def synth_crossings(
     vp = _charging_trajectory(params, phase)
 
     # drive switch times: input transitions shifted by the pure delay
-    switches = [(tr.time + params.pure_delay, tr.value) for tr in stimulus.transitions]
     segments = []
     drive = stimulus.initial_value
     t0 = 0.0
-    for t_sw, v_sw in switches:
+    for t in stimulus.times:
+        t_sw = t + params.pure_delay
         if t_sw > horizon:
             break
         if t_sw > t0:
             segments.append((t0, t_sw, drive))
-        t0, drive = t_sw, v_sw
+        t0, drive = t_sw, 1 - drive
     if t0 < horizon:
         segments.append((t0, horizon, drive))
 

@@ -93,6 +93,43 @@ def cancellation_oracle(pending):
             return [i for i, ok in enumerate(alive) if ok]
 
 
+def reference_make_signal(initial, transitions):
+    """The signal rules one transition at a time: the reference for ``Signal``'s one-pass check.
+
+    Returns the ``(float time, int value)`` pairs, or raises the
+    ``SignalError`` subclass of the first violated rule with its message.
+    """
+    from involution.signals import NegativeTime, NonAlternatingValues, NonFiniteTime, NonMonotoneTimes
+
+    if initial not in (0, 1):
+        raise NonAlternatingValues(f"initial value must be 0 or 1, got {initial!r}")
+    out = []
+    prev_t, prev_v = -math.inf, initial
+    for t, v in transitions:
+        if v not in (0, 1):
+            raise NonAlternatingValues(f"transition value must be 0 or 1, got {v!r}")
+        if not 0.0 <= t < math.inf:
+            if math.isfinite(t):
+                raise NegativeTime(f"transition at t={t} precedes time 0")
+            raise NonFiniteTime(f"transition time {t} is not finite")
+        if not t > prev_t:
+            raise NonMonotoneTimes(f"transition times not strictly increasing at t={t}")
+        if v == prev_v:
+            raise NonAlternatingValues(f"transition at t={t} repeats value {v}")
+        out.append((float(t), int(v)))
+        prev_t, prev_v = t, v
+    return out
+
+
+def reference_value_at(initial, pairs, t):
+    """The value of the last ``(time, value)`` pair at or before ``t``, else ``initial``."""
+    value = initial
+    for time, v in pairs:
+        if time <= t:
+            value = v
+    return value
+
+
 def inertial_oracle(initial_value, transitions, delay, window):
     """Look-ahead inertial delay on ``(time, value)`` pairs.
 

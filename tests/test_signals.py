@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from involution.signals import (
     NegativeTime,
     NonAlternatingValues,
@@ -162,9 +164,9 @@ def test_signal_equality_reads_initial_value_times_and_values():
     assert s != make_signal(1, [(1.0, 0), (2.0, 1)])
     assert s != make_signal(0, [(1.0, 1), (2.5, 0)])
     assert s != make_signal(0, [(1.0, 1)])
-    # a signal built without validation may repeat a value; equality still reads it
-    assert s != Signal(0, (Transition(1.0, 1), Transition(2.0, 1)))
     assert s != (0, s.transitions) and s.__eq__(object()) is NotImplemented
+    with pytest.raises(NonAlternatingValues):
+        Signal(0, [(1.0, 1), (2.0, 1)])
 
 
 def test_value_at_piecewise_constant_on_random_samples():
@@ -224,23 +226,6 @@ def test_malformed_trace_row_names_the_line(tmp_path, row):
         read_trace(path)
 
 
-def _reference_make_signal(initial, transitions):
-    """The one-transition-at-a-time rules, as an oracle for the bulk check."""
-    prev_t, prev_v = -math.inf, initial
-    for t, v in transitions:
-        if v not in (0, 1):
-            raise NonAlternatingValues(f"transition value must be 0 or 1, got {v!r}")
-        if not 0.0 <= t < math.inf:
-            if math.isfinite(t):
-                raise NegativeTime(f"transition at t={t} precedes time 0")
-            raise NonFiniteTime(f"transition time {t} is not finite")
-        if not t > prev_t:
-            raise NonMonotoneTimes(f"transition times not strictly increasing at t={t}")
-        if v == prev_v:
-            raise NonAlternatingValues(f"transition at t={t} repeats value {v}")
-        prev_t, prev_v = t, v
-
-
 @pytest.mark.parametrize("k", [0, 1, 7, 18, 39])
 @pytest.mark.parametrize(
     "bad",
@@ -260,7 +245,7 @@ def test_bulk_check_raises_the_first_violation_of_the_loop(k, bad):
     pairs[k] = (pairs[k][0] if t is None else t, pairs[k][1] if v is None else v)
     pairs[k + 1:k + 1] = [(math.nan, 7)]  # a second violation after the first
     with pytest.raises(SignalError) as expected:
-        _reference_make_signal(0, pairs)
+        oracles.reference_make_signal(0, pairs)
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
         make_signal(0, pairs)
 
@@ -300,3 +285,45 @@ def test_write_trace_matches_a_row_by_row_csv_writer(tmp_path, name):
             for tr in s.transitions:
                 w.writerow([n, repr(tr.time), tr.value])
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+_times = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2, 50),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+)
+_values = st.one_of(st.sampled_from([0, 1, True, False, 1.0]), st.integers(-1, 2))
+
+
+@st.composite
+def pair_lists(draw):
+    """Alternating pairs on increasing times, then sometimes one pair replaced by arbitrary values."""
+    initial = draw(st.sampled_from([0, 1]))
+    times = sorted(draw(st.lists(st.floats(0, 100), max_size=30, unique=True)))
+    pairs = [(t, (initial + k + 1) % 2) for k, t in enumerate(times)]
+    if pairs and draw(st.booleans()):
+        k = draw(st.integers(0, len(pairs) - 1))
+        pairs[k] = (draw(_times), draw(_values))
+    return initial, pairs
+
+
+@given(pair_lists(), st.lists(st.floats(-10, 110), max_size=10))
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_signal_equals_the_per_pair_references(tmp_path_factory, case, probes):
+    initial, pairs = case
+    try:
+        want = oracles.reference_make_signal(initial, pairs)
+    except SignalError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            Signal(initial, pairs)
+        return
+    s = Signal(initial, pairs)
+    assert s.transitions == tuple(Transition(t, v) for t, v in want)
+    assert all(type(tr.time) is float and type(tr.value) is int for tr in s.transitions)
+    probes = probes + [t for t, _ in want]  # exactly on an edge, too
+    expected = [oracles.reference_value_at(initial, want, t) for t in probes]
+    assert [s.value_at(t) for t in probes] == expected
+    assert s.values_at(probes) == expected
+    path = tmp_path_factory.mktemp("trace") / "s.csv"
+    write_trace(path, {"s": s})
+    assert read_trace(path) == {"s": s}
