@@ -67,10 +67,6 @@ class ChannelError(ValueError):
     pass
 
 
-class StrategyExhausted(ChannelError):
-    """A strict fixed eta sequence ran out before the input signal did."""
-
-
 @dataclass(frozen=True)
 class EtaBounds:
     """Admissible perturbation interval [-eta_minus, +eta_plus]."""
@@ -110,10 +106,9 @@ class UniformRandom:
 
 @dataclass(frozen=True)
 class FixedSequence:
-    """Replay an explicit eta sequence; beyond its length yields 0 (or raises in strict mode)."""
+    """Replay an explicit eta sequence; beyond its length yields 0."""
 
     etas: tuple[float, ...]
-    strict: bool = False
 
 
 AdversaryStrategy = Union[Zero, WorstCaseShrink, UniformRandom, FixedSequence]
@@ -162,8 +157,7 @@ class EtaSource:
                 e = next(e for e in etas if not lo <= e <= hi)
                 raise ChannelError(f"eta={e} outside [{-bounds.eta_minus}, {bounds.eta_plus}]")
             self._block = list(reversed(etas))
-            self._length = len(etas)
-            self._after_block = EtaSource._exhausted if strategy.strict else EtaSource._zero
+            self._after_block = EtaSource._zero
         else:
             raise ChannelError(f"unknown strategy {strategy!r}")
 
@@ -186,10 +180,6 @@ class EtaSource:
     def _worst_case(self, value: int) -> float:
         return worst_case_eta("rising" if value == 1 else "falling", self.bounds)
 
-    def _exhausted(self, value: int) -> float:
-        n = self._length
-        raise StrategyExhausted(f"fixed eta sequence of length {n} exhausted at transition {n + 1}")
-
 
 @dataclass(frozen=True)
 class Pure:
@@ -202,7 +192,7 @@ class Pure:
 
 @dataclass(frozen=True)
 class Inertial:
-    """Constant delay that suppresses transitions followed by an opposite one within ``window``."""
+    """Constant delay that suppresses transitions followed by an opposite one less than ``window`` later."""
 
     delay: float
     window: float
@@ -297,7 +287,11 @@ class _PureState:
 
 
 class _InertialState(_PureState):
-    """Incremental inertial delay: an arrival within ``window`` suppresses the previous record."""
+    """Incremental inertial delay: an arrival before ``prev.time + window``
+    suppresses the previous record.  The window is half-open, like a VHDL
+    reject limit: an arrival at exactly ``decide_at(prev)`` leaves the record
+    standing, so the engine's decision there is final whichever of the two
+    it processes first."""
 
     def __init__(self, delay: float, window: float, initial_value: int):
         super().__init__(delay)
@@ -306,7 +300,7 @@ class _InertialState(_PureState):
 
     def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
         prev = self.log[-1] if self.log else None
-        if prev is not None and not prev.canceled and t - prev.time <= self.window:
+        if prev is not None and not prev.canceled and t < prev.time + self.window:
             prev.canceled = True
         else:
             prev = None

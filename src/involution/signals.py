@@ -270,6 +270,8 @@ def read_trace(path) -> dict[str, Signal]:
         except ValueError as exc:
             raise SignalError(f"{path}: line {r.line_num}: bad trace row {row!r} ({exc})") from exc
         if time is None:
+            if name in initials:
+                raise SignalError(f"{path}: line {r.line_num}: repeated -inf initial-value row of signal {name!r}")
             initials[name] = value
             raw.setdefault(name, [])
         else:
@@ -277,6 +279,9 @@ def read_trace(path) -> dict[str, Signal]:
     out = {}
     for name, transitions in raw.items():
         if name not in initials:
-            raise SignalError(f"signal {name!r} has no -inf initial-value row")
-        out[name] = make_signal(initials[name], transitions)
+            raise SignalError(f"{path}: signal {name!r} has no -inf initial-value row")
+        try:
+            out[name] = make_signal(initials[name], transitions)
+        except SignalError as exc:
+            raise type(exc)(f"{path}: signal {name!r}: {exc}") from None
     return out

@@ -134,14 +134,15 @@ def inertial_oracle(initial_value, transitions, delay, window):
     """Look-ahead inertial delay on ``(time, value)`` pairs.
 
     Returns the output pairs and one canceled flag per input transition.  A
-    transition followed by the next one within ``window`` is suppressed; a
-    remaining one that repeats the current output value is coalesced.
+    transition followed by the next one before ``t + window`` is suppressed
+    (the window is half-open); a remaining one that repeats the current
+    output value is coalesced.
     """
     out, canceled = [], []
     value = initial_value
     for i, (t, v) in enumerate(transitions):
-        gap = transitions[i + 1][0] - t if i + 1 < len(transitions) else math.inf
-        if gap <= window or v == value:
+        following = transitions[i + 1][0] if i + 1 < len(transitions) else math.inf
+        if following < t + window or v == value:
             canceled.append(True)
         else:
             out.append((t + delay, v))

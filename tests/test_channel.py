@@ -14,7 +14,6 @@ from involution.channel import (
     Inertial,
     Involution,
     Pure,
-    StrategyExhausted,
     UniformRandom,
     WorstCaseShrink,
     Zero,
@@ -133,6 +132,12 @@ class TestPureAndInertial:
         out, _ = apply_channel(Inertial(1.0, 0.2), pulse(0, 0.5))
         assert [(t.time, t.value) for t in out.transitions] == [(1.0, 1), (1.5, 0)]
 
+    def test_inertial_window_is_half_open(self):
+        out, _ = apply_channel(Inertial(1.0, 0.25), pulse(1.0, 0.25))
+        assert out.times == (2.0, 2.25)
+        out, _ = apply_channel(Inertial(1.0, 0.25), make_signal(0, [(1.0, 1), (math.nextafter(1.25, 0.0), 0)]))
+        assert out.is_zero
+
     def test_inertial_removes_glitch_inside_train(self):
         s = make_signal(0, [(0.0, 1), (0.5, 0), (0.55, 1), (2.0, 0)])
         out, _ = apply_channel(Inertial(1.0, 0.2), s)
@@ -226,11 +231,6 @@ class TestStrategies:
         with pytest.raises(ChannelError):
             EtaBounds(-0.1, 0.0)
 
-    def test_fixed_sequence_strict_exhaustion(self, ref):
-        spec = EtaInvolution(ref, EtaBounds(0.1, 0.1), FixedSequence((0.0,), strict=True))
-        with pytest.raises(StrategyExhausted):
-            apply_channel(spec, pulse(0, 2.0))
-
     def test_uniform_random_seed_must_be_non_negative(self):
         with pytest.raises(ChannelError, match="seed must be >= 0"):
             UniformRandom(seed=-1)
@@ -251,23 +251,21 @@ class TestStrategies:
             EtaSource(FixedSequence(tuple(etas)), EtaBounds(0.1, 0.1))
 
     @pytest.mark.parametrize("etas", [(), (0.01,), (0.01, -0.02, 0.03), (0.01, -0.02, 0.03, -0.04, 0.05)])
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_fixed_sequence_draws(self, etas, strict):
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_fixed_sequence_draws(self, etas, shared):
+        """The sequence, then zeros; a strategy shared by runs (as in ``run_spf_sweep``) restarts in each."""
         n = 3  # input transitions
-        source = EtaSource(FixedSequence(etas, strict), EtaBounds(0.1, 0.1))
-        if strict and len(etas) < n:
-            assert [source.eta(k % 2) for k in range(len(etas))] == list(etas)
-            with pytest.raises(
-                StrategyExhausted,
-                match=rf"^fixed eta sequence of length {len(etas)} exhausted at transition {len(etas) + 1}$",
-            ):
-                source.eta(len(etas) % 2)
-        else:
-            assert [source.eta(k % 2) for k in range(n)] == [*etas[:n], *[0.0] * (n - len(etas))]
+        strategy = FixedSequence(etas)
+        if shared:  # an earlier run drew from the same strategy
+            earlier = EtaSource(strategy, EtaBounds(0.1, 0.1))
+            for k in range(n):
+                earlier.eta(k % 2)
+        source = EtaSource(strategy, EtaBounds(0.1, 0.1))
+        assert [source.eta(k % 2) for k in range(n)] == [*etas[:n], *[0.0] * (n - len(etas))]
 
     @pytest.mark.parametrize(
         "strategy",
-        [Zero(), WorstCaseShrink(), UniformRandom(3), FixedSequence((0.01,)), FixedSequence((0.01,), strict=True)],
+        [Zero(), WorstCaseShrink(), UniformRandom(3), FixedSequence((0.01,)), FixedSequence(())],
     )
     def test_eta_source_is_freed_without_the_cycle_collector(self, strategy):
         source = EtaSource(strategy, EtaBounds(0.05, 0.1))

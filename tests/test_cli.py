@@ -662,9 +662,11 @@ def test_netlist_rejection_names_its_entry(tmp_path, capsys, change, message):
     "text, message",
     [
         ("sig,time,value\ni,-inf,0\n", "{stim}: line 1: bad trace header ['sig', 'time', 'value']"),
-        ("signal,time,value\ni,1.0,1\n", "signal 'i' has no -inf initial-value row"),
+        ("signal,time,value\ni,1.0,1\n", "{stim}: signal 'i' has no -inf initial-value row"),
+        ("signal,time,value\ni,-inf,0\ni,1.0,1\ni,-inf,0\n", "{stim}: line 4: repeated -inf initial-value row of signal 'i'"),
+        ("signal,time,value\ni,-inf,0\ni,1.0,0\n", "{stim}: signal 'i': transition at t=1.0 repeats value 0"),
     ],
-    ids=["header", "no-initial-row"],
+    ids=["header", "no-initial-row", "repeated-initial-row", "invalid-signal"],
 )
 def test_trace_rejection_is_parse_error(tmp_path, fig4, capsys, text, message):
     stim = tmp_path / "stim.csv"

@@ -28,8 +28,8 @@ def test_horizon_exceeded_case_carries_its_last_100_events():
 
 
 @pytest.fixture(scope="module")
-def completed():
-    """The execution of every corpus case that completes, by name."""
+def runs():
+    """Every corpus case within (C) by name: its execution, or the engine error it raised."""
     out = {}
     for name, build in corpus.cases().items():
         case = build()
@@ -37,9 +37,30 @@ def completed():
             continue
         try:
             out[name] = corpus.execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max)
-        except corpus.EngineError:
-            continue
+        except corpus.EngineError as exc:
+            out[name] = exc
     return out
+
+
+@pytest.fixture(scope="module")
+def completed(runs):
+    """The execution of every corpus case that completes, by name."""
+    return {name: e for name, e in runs.items() if not isinstance(e, corpus.EngineError)}
+
+
+def test_only_the_known_cases_raise(runs):
+    raised = {name: type(e).__name__ for name, e in runs.items() if isinstance(e, corpus.EngineError)}
+    assert raised == {
+        "horizon_exceeded": "HorizonExceeded",
+        "xor2176": "HorizonExceeded",
+        "xor352": "CausalityFault",
+        "xor1216": "CausalityFault",
+    }
+
+
+def test_every_completing_case_verifies(completed):
+    failing = sorted(name for name, e in completed.items() if not verify_execution(e).ok)
+    assert not failing, failing
 
 
 def _with_signal(e, name, sig):

@@ -226,6 +226,24 @@ def test_malformed_trace_row_names_the_line(tmp_path, row):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "rows, err, message",
+    [
+        ("i,-inf,0\ni,1.0,1\ni,-inf,0\n", SignalError, "line 4: repeated -inf initial-value row of signal 'i'"),
+        ("i,-inf,1\ni,1.0,1\n", NonAlternatingValues, "signal 'i': transition at t=1.0 repeats value 1"),
+        ("i,-inf,2\n", NonAlternatingValues, "signal 'i': initial value must be 0 or 1, got 2"),
+        ("i,-inf,0\ni,2.0,1\ni,1.0,0\n", NonMonotoneTimes, "signal 'i': transition times not strictly increasing at t=1.0"),
+        ("i,-inf,0\ni,-1.0,1\n", NegativeTime, "signal 'i': transition at t=-1.0 precedes time 0"),
+        ("i,-inf,0\ni,nan,1\n", NonFiniteTime, "signal 'i': transition time nan is not finite"),
+    ],
+)
+def test_trace_rejection_names_the_file_and_signal(tmp_path, rows, err, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"signal,time,value\n{rows}")
+    with pytest.raises(err, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_trace(path)
+
+
 @pytest.mark.parametrize("k", [0, 1, 7, 18, 39])
 @pytest.mark.parametrize(
     "bad",
