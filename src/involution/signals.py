@@ -97,6 +97,9 @@ class Pulse:
         return self.up_time + self.down_time
 
 
+_new_tuple = tuple.__new__
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Signal:
     """An initial value and the strictly increasing times of its transitions.
@@ -149,9 +152,6 @@ class Signal:
         return self if n == len(self.times) else _unchecked(self.initial_value, self.times[:n])
 
 
-_new_tuple = tuple.__new__
-
-
 def _unchecked(initial_value: int, times: tuple[float, ...]) -> Signal:
     """A signal from the times of a valid signal, without checking them again."""
     s = object.__new__(Signal)
@@ -188,7 +188,7 @@ def _checked_times(initial_value: int, pairs) -> tuple[float, ...]:
         if value == prev_value:
             raise NonAlternatingValues(f"transition at t={time} repeats value {value}")
         prev_time, prev_value = time, value
-    raise SignalError(f"invalid transitions {pairs!r}")
+    raise SignalError("transitions fail the one-pass check but break no single rule")
 
 
 def make_signal(initial_value: int, transitions: Iterable[tuple[float, int]]) -> Signal:
