@@ -1,10 +1,10 @@
 """The analog RC surrogate: crossings, jitter coverage, and model fitting.
 
-With a clean rail the surrogate reproduces the channel algorithm exactly
-(it is the physics the exp-channel closed form comes from). A small sine
-on the rail creates deviations between model and "measurement" that the
-eta budget can absorb at low previous-output-to-input delays but not at
-large ones.
+The surrogate takes the exp-channel's own parameters. With a clean rail it
+reproduces the channel algorithm exactly (it is the physics the exp-channel
+closed form comes from). A small sine on the rail creates deviations between
+model and "measurement" that the eta budget can absorb at low
+previous-output-to-input delays but not at large ones.
 
 Run:  python demos/demo_05_waveform_surrogate.py
 """
@@ -15,10 +15,9 @@ import numpy as np
 
 from involution import (
     DeviationResult,
-    ExpChannelParams,
     Disturbance,
+    ExpChannelParams,
     Involution,
-    RcSurrogateParams,
     apply_channel,
     bin_coverage,
     delta_min,
@@ -30,12 +29,12 @@ from involution import (
 )
 from involution.waveform_lab import eta_minus_for
 
-df = exp_channel(ExpChannelParams(1.0, 0.5, 0.6))
-surrogate = RcSurrogateParams(tau_rc=1.0, vth_norm=0.6, pure_delay=0.5)
+params = ExpChannelParams(tau=1.0, t_p=0.5, vth_norm=0.6)
+df = exp_channel(params)
 
 print("== the surrogate IS the channel (zero disturbance) ==")
 stim = make_signal(0, [(0.0, 1), (2.0, 0), (2.8, 1), (5.5, 0)])
-crossings = synth_crossings(surrogate, stim, 12.0)
+crossings = synth_crossings(params, Disturbance(), stim, 12.0)
 out, _ = apply_channel(Involution(df), stim)
 for (t_c, edge), tr in zip(crossings, out.transitions):
     print(f"  {edge:7s} crossing {t_c:.9f} vs channel {tr.time:.9f} "
@@ -45,7 +44,7 @@ print("\n== supply jitter vs the eta budget ==")
 eta_plus = 0.02 * delta_min(df)
 eta_minus = eta_minus_for(df, eta_plus)
 print(f"eta_plus = {eta_plus:.4f} (2% of delta_min), eta_minus = {eta_minus:.4f} from the budget formula")
-noisy = RcSurrogateParams(1.0, 0.6, 0.5, Disturbance(amplitude_fraction=0.01, period=2.0, phase=None))
+jitter = Disturbance(amplitude_fraction=0.01, period=2.0)
 rng = np.random.default_rng(7)
 samples = []
 for _ in range(8):
@@ -54,11 +53,11 @@ for _ in range(8):
             make_signal(0, [(0.0, 1), (df.delta_inf_up + dT, 0)]),
             make_signal(1, [(0.0, 0), (df.delta_inf_down + dT, 1)]),
         ):
-            res = deviation_analysis(stim, synth_crossings(noisy, stim, 30.0, rng=rng), df, eta_plus)
-            samples.extend(s for s in res.samples if math.isfinite(s.T))
+            crossings = synth_crossings(params, jitter, stim, 30.0, rng=rng)
+            samples.extend(s for s in deviation_analysis(stim, crossings, df) if math.isfinite(s.T))
 print(f"{len(samples)} paired (T, D) samples from single-pulse sweeps with random phases")
 print(f"{'T range':>22s} {'n':>5s} {'coverage':>9s}")
-for lo, hi, n, cov in bin_coverage(DeviationResult(samples, eta_minus, eta_plus), n_bins=4):
+for lo, hi, n, cov in bin_coverage(DeviationResult(samples, eta_minus, eta_plus)):
     print(f"  [{lo:7.3f}, {hi:7.3f}] {n:5d} {cov:9.3f}")
 print("low-T deviations stay inside the budget; large-T ones increasingly escape it.")
 

@@ -65,7 +65,6 @@ from .waveform_lab import (  # noqa: F401
     DeviationSample,
     Disturbance,
     ExpFit,
-    RcSurrogateParams,
     bin_coverage,
     deviation_analysis,
     fit_exp_channel,

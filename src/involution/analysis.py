@@ -316,6 +316,7 @@ class SweepPoint:
 def run_spf_sweep(
     df: DelayFunction,
     bounds: ch.EtaBounds,
+    char: PulseTrainCharacterization,
     ht_params: ExpChannelParams | None,
     delta0_grid: Sequence[float],
     strategies: dict[str, ch.AdversaryStrategy] | None = None,
@@ -328,9 +329,9 @@ def run_spf_sweep(
     One run per (width, strategy), plus one zero-input run per strategy that
     carries delta0=None.  ``strategies`` None means the zero strategy only.
     All runs share one circuit, whose loop channel ``c`` takes each run's
-    strategy as an override.
+    strategy as an override.  ``char`` is ``characterize(df, bounds)``,
+    which classifies each width.
     """
-    char = characterize(df, bounds)
     if strategies is None:
         strategies = {"zero": ch.Zero()}
     circuit = or_loop_circuit(ch.EtaInvolution(df, bounds), ht_params)

@@ -133,6 +133,7 @@ class Circuit:
         self.output_ports = list(output_ports)
         self.gates = {g.name: g for g in gates}
         self.channels = {c.name: c for c in channels}
+        self.files: list[str] = []  # the data files a parsed netlist names; see parse_circuit
         self._validate(gates, channels)
         self._index()
 
@@ -266,7 +267,7 @@ def _typed(where: str, field: str, x: Any, kind: type) -> Any:
     return x
 
 
-def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
+def _parse_channel_spec(entry: dict, base_dir: str | None, files: list[str]) -> ch.ChannelSpec:
     import os
 
     kind = entry["kind"]
@@ -279,6 +280,14 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
     def num(field: str, x: Any) -> float:
         return _number(where, field, x)
 
+    def data_file(field: str, x: Any) -> str:
+        """A named data file's path, relative ones resolved against ``base_dir``; appended to ``files``."""
+        path = _typed(where, field, x, str)
+        if base_dir is not None and not os.path.isabs(path):
+            path = os.path.join(base_dir, path)
+        files.append(path)
+        return path
+
     def build_df() -> DelayFunction:
         if "exp" in params:
             e = _typed(where, "exp", params.pop("exp"), dict)
@@ -286,10 +295,7 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
                 ExpChannelParams(num("exp.tau", e["tau"]), num("exp.t_p", e["t_p"]), num("exp.vth", e["vth"]))
             )
         if "table" in params:
-            path = _typed(where, "table", params.pop("table"), str)
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            rows = read_delay_samples(path)
+            rows = read_delay_samples(data_file("table", params.pop("table")))
             up = [(t, du) for t, du, _ in rows if du is not None]
             down = [(t, dd) for t, _, dd in rows if dd is not None]
             meta = _typed(where, "asymptotes", params.pop("asymptotes"), dict)
@@ -315,10 +321,7 @@ def _parse_channel_spec(entry: dict, base_dir: str | None) -> ch.ChannelSpec:
         elif variant == "uniform_random":
             strategy = ch.UniformRandom(seed=_integer(where, "strategy.seed", strat_doc["seed"]))
         elif variant == "fixed_sequence":
-            path = _typed(where, "strategy.file", strat_doc["file"], str)
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            strategy = ch.FixedSequence(tuple(ch.read_eta_sequence(path)))
+            strategy = ch.FixedSequence(tuple(ch.read_eta_sequence(data_file("strategy.file", strat_doc["file"]))))
         else:
             raise NetlistError(f"{where}: unknown strategy variant {variant!r}")
         spec = ch.EtaInvolution(df, bounds, strategy)
@@ -339,7 +342,8 @@ def parse_circuit(document: dict | str, base_dir: str | None = None) -> Circuit:
 
     Unknown keys are rejected, and every container and name is type-checked
     before it is read.  All structural violations are collected and reported
-    together.
+    together.  The circuit's ``files`` lists the data files the netlist
+    names (delay tables and eta sequences), resolved and in the order read.
     """
     doc = _typed("netlist", "document", json.loads(document) if isinstance(document, str) else document, dict)
     unknown = set(doc) - {"ports", "gates", "channels"}
@@ -355,7 +359,7 @@ def parse_circuit(document: dict | str, base_dir: str | None = None) -> Circuit:
             _typed(where, "name", e.get("name"), str)
             yield where, e
 
-    inputs, outputs, gates, edges = [], [], [], []
+    inputs, outputs, gates, edges, files = [], [], [], [], []
     try:  # ``where`` names the entry being parsed in the errors of its fields
         for where, p in entries("ports", _PORT_KEYS):
             if p["direction"] not in ("in", "out"):
@@ -375,12 +379,14 @@ def parse_circuit(document: dict | str, base_dir: str | None = None) -> Circuit:
             if src_pin is not None:
                 raise NetlistError(f"{where}: 'from' must be a gate or port, not a pin")
             dst, dst_pin = _parse_endpoint(_typed(where, "to", c["to"], str))
-            edges.append(ChannelEdge(c["name"], src, dst, dst_pin, _parse_channel_spec(c, base_dir)))
+            edges.append(ChannelEdge(c["name"], src, dst, dst_pin, _parse_channel_spec(c, base_dir, files)))
     except KeyError as exc:
         raise NetlistError(f"{where}: missing key {exc}") from None
     except (DelayModelError, ch.ChannelError) as exc:
         raise NetlistError(f"{where}: {exc}") from exc
-    return Circuit(inputs, outputs, gates, edges)
+    circuit = Circuit(inputs, outputs, gates, edges)
+    circuit.files = files
+    return circuit
 
 
 def or_loop_circuit(

@@ -38,7 +38,7 @@ from . import analysis, channel as ch, waveform_lab as wl
 from .circuit import EngineError, NetlistError, execute, parse_circuit
 from .delay_model import DelayModelError, ExpChannelParams, delta_min, exp_channel
 from .rootfind import XTOL, NoBracket
-from .signals import Signal, SignalError, make_signal, read_text, read_trace, write_trace
+from .signals import SignalError, read_text, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
         args.out,
         "simulate",
         args,
-        [args.netlist, args.stimulus],
+        [args.netlist, args.stimulus, *circuit.files],
         {
             "event_count": e.event_count,
             "stabilized": e.stabilized,
@@ -213,7 +213,9 @@ def cmd_spf_sweep(args) -> int:
     ht = analysis.dimension_ht_buffer(3.0 * char.tau_star, char.duty)
     # plain floats, so that sweep.csv writes each delta0 as a float literal
     grid = np.arange(args.grid[0], args.grid[1] + 1e-12, args.grid[2]).tolist()
-    points = analysis.run_spf_sweep(df, bounds, ht, grid, strategies, horizon=args.horizon, events_max=args.events_max)
+    points = analysis.run_spf_sweep(
+        df, bounds, char, ht, grid, strategies, horizon=args.horizon, events_max=args.events_max
+    )
 
     verdict = analysis.spf_check(
         [p.out_signal for p in points], [p.delta0 for p in points], epsilon
@@ -256,60 +258,36 @@ def cmd_spf_sweep(args) -> int:
     return EXIT_OK
 
 
-def _calibration_stimuli(df) -> list[Signal]:
-    """Two-pulse stimuli spanning a range of previous-output-to-input delays."""
-    dmin = delta_min(df)
-    dinf = df.delta_inf_up
-    if not math.isfinite(10.0 * dinf):  # the last transition lies below 9.5 dinf
-        raise wl.WaveformError(f"delta_inf_up={dinf} is too large for the calibration train")
-    stimuli = []
-    widths = np.linspace(1.2 * dinf, 4.0 * dinf, 12)
-    gaps = np.linspace(0.3 * dmin, 4.0 * dinf, 12)
-    if widths[-1] + gaps[0] == widths[-1]:
-        raise wl.WaveformError(
-            f"--t-p={dmin} is too small next to delta_inf_up={dinf}: "
-            "the calibration train's gaps vanish beside its pulse widths"
-        )
-    for w in widths:
-        for g in gaps:
-            w2 = 1.5 * dinf
-            stimuli.append(
-                make_signal(0, [(0.0, 1), (w, 0), (w + g, 1), (w + g + w2, 0)])
-            )
-    return stimuli
-
-
 def _fit(out_dir: str, fit_rows: list) -> dict:
-    """Fit the exp-channel to ``fit_rows`` and write ``fit.json``; a diverged fit is reported, not raised."""
+    """Fit the exp-channel to ``fit_rows`` and write ``fit.json``; a diverged fit is reported, not raised.
+
+    A diverged fit removes any ``fit.json`` an earlier run left, which would pass for this run's.
+    """
+    path = os.path.join(out_dir, "fit.json")
     try:
         fit = wl.fit_exp_channel(fit_rows)
     except wl.FitDiverged as exc:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
         return {"error": str(exc)}
-    _atomic_write(os.path.join(out_dir, "fit.json"), lambda tmp: wl.write_fit_report(tmp, fit, len(fit_rows)))
+    _atomic_write(path, lambda tmp: wl.write_fit_report(tmp, fit, len(fit_rows)))
     return {"tau": fit.params.tau, "t_p": fit.params.t_p, "vth": fit.params.vth_norm, "rms": fit.rms}
 
 
 def cmd_waveform(args) -> int:
-    params = wl.RcSurrogateParams(
-        tau_rc=args.tau,
-        vth_norm=args.vth,
-        pure_delay=args.t_p,
-        vdd_disturbance=wl.Disturbance(
-            amplitude_fraction=args.amplitude,
-            period=args.period if args.period else args.tau,
-            phase=None if args.amplitude > 0 else 0.0,
-        ),
-    )
-    df = exp_channel(params.matching_exp_channel())
-    stimuli = list(read_trace(args.stimulus).values()) if args.stimulus else _calibration_stimuli(df)
+    params = ExpChannelParams(args.tau, args.t_p, args.vth)
+    disturbance = wl.Disturbance(args.amplitude, args.period if args.period else args.tau)
+    df = exp_channel(params)
+    stimuli = list(read_trace(args.stimulus).values()) if args.stimulus else wl.calibration_stimuli(df)
     rng = np.random.default_rng(args.seed)
     eta_plus = args.eta_plus if args.eta_plus is not None else 0.02 * delta_min(df)
     eta_minus = wl.eta_minus_for(df, eta_plus)
     samples: list[wl.DeviationSample] = []
     for stim in stimuli:
-        crossings = wl.synth_crossings(params, stim, args.horizon, rng=rng)
-        samples.extend(wl.deviation_analysis(stim, crossings, df, eta_plus).samples)
-
+        crossings = wl.synth_crossings(params, disturbance, stim, args.horizon, rng)
+        samples.extend(wl.deviation_analysis(stim, crossings, df))
     result = wl.DeviationResult(samples, eta_minus, eta_plus)
     fit_rows = [
         (s.T, s.delay, None) if s.edge == "rising" else (s.T, None, s.delay) for s in samples if math.isfinite(s.T)

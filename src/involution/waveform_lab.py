@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import Involution, apply_channel
 from .delay_model import DelayFunction, ExpChannelParams, InvalidParams, delta_min
-from .signals import Signal
+from .signals import Signal, make_signal
 
 
 class WaveformError(ValueError):
@@ -39,37 +39,16 @@ class FitDiverged(WaveformError):
 
 @dataclass(frozen=True)
 class Disturbance:
-    """Sinusoidal supply-rail disturbance; ``phase=None`` means draw per stimulus."""
+    """Sinusoidal supply-rail disturbance; above amplitude 0 each stimulus draws its phase."""
 
     amplitude_fraction: float = 0.0
     period: float = 1.0
-    phase: float | None = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.amplitude_fraction <= 0.2:
             raise InvalidParams(f"amplitude_fraction must lie in [0, 0.2], got {self.amplitude_fraction}")
         if not self.period > 0:
             raise InvalidParams(f"period must be > 0, got {self.period}")
-
-
-@dataclass(frozen=True)
-class RcSurrogateParams:
-    tau_rc: float
-    vth_norm: float
-    pure_delay: float
-    vdd_disturbance: Disturbance = Disturbance()
-
-    def __post_init__(self) -> None:
-        if not self.tau_rc > 0:
-            raise InvalidParams(f"tau_rc must be > 0, got {self.tau_rc}")
-        if not 0 < self.vth_norm < 1:
-            raise InvalidParams(f"vth_norm must lie in (0,1), got {self.vth_norm}")
-        if self.pure_delay < 0:
-            raise InvalidParams(f"pure_delay must be >= 0, got {self.pure_delay}")
-
-    def matching_exp_channel(self) -> ExpChannelParams:
-        """The exp-channel this surrogate realizes when the rail is undisturbed."""
-        return ExpChannelParams(self.tau_rc, self.pure_delay, self.vth_norm)
 
 
 @dataclass(frozen=True)
@@ -86,17 +65,21 @@ class DeviationSample:
     delay: float
 
 
-def _charging_trajectory(params: RcSurrogateParams, phase: float):
+def _charging_trajectory(tau: float, disturbance: Disturbance, rng: np.random.Generator | None):
     """The particular solution vp(t, xp) of the node driven high toward the (possibly disturbed) rail.
 
     A rising segment from (t0, v0) follows v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}.
     ``xp`` is ``math`` for a float ``t`` or ``numpy`` for an array of times.
+    A disturbed rail draws its phase from ``rng``, once per call; an
+    undisturbed one leaves ``rng`` untouched.
     """
-    a = params.vdd_disturbance.amplitude_fraction
-    tau = params.tau_rc
+    a = disturbance.amplitude_fraction
     if a == 0.0:
         return lambda t, xp=math: 1.0
-    omega = 2.0 * math.pi / params.vdd_disturbance.period
+    if rng is None:
+        raise WaveformError("a disturbed rail draws its phase from an rng")
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    omega = 2.0 * math.pi / disturbance.period
     denom = 1.0 + (omega * tau) ** 2
     alpha = a / denom
     beta = -a * omega * tau / denom
@@ -115,38 +98,34 @@ _SIGN_GUARD = 1e-9
 
 
 def synth_crossings(
-    params: RcSurrogateParams,
+    params: ExpChannelParams,
+    disturbance: Disturbance,
     stimulus: Signal,
     horizon: float,
     rng: np.random.Generator | None = None,
 ) -> list[tuple[float, str]]:
     """Threshold crossings of the RC node driven by ``stimulus`` up to ``horizon``.
 
-    Rising segments charge toward the disturbed rail, falling segments
-    discharge toward undisturbed ground.  Each segment's trajectory is
-    evaluated on a uniform grid; neighbouring grid points on opposite sides
-    of the threshold (a point on it counts as above) bracket a crossing,
-    which scalar bisection on the analytic trajectory then locates.  ``rng``
-    supplies the per-stimulus random phase when the disturbance declares one.
+    The node has time constant ``params.tau`` and threshold
+    ``params.vth_norm``, and its drive follows the input ``params.t_p``
+    later: with an undisturbed rail it realizes exactly the exp-channel of
+    ``params``.  Rising segments charge toward the disturbed rail, falling
+    segments discharge toward undisturbed ground.  Each segment's trajectory
+    is evaluated on a uniform grid; neighbouring grid points on opposite
+    sides of the threshold (a point on it counts as above) bracket a
+    crossing, which scalar bisection on the analytic trajectory then
+    locates.  Above amplitude 0 the rail's phase is drawn once from ``rng``.
     """
-    dist = params.vdd_disturbance
-    if dist.phase is None:
-        if rng is None:
-            raise WaveformError("random disturbance phase requires an rng")
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    else:
-        phase = dist.phase
-
-    tau = params.tau_rc
+    tau = params.tau
     vth = params.vth_norm
-    vp = _charging_trajectory(params, phase)
+    vp = _charging_trajectory(tau, disturbance, rng)
 
     # drive switch times: input transitions shifted by the pure delay
     segments = []
     drive = stimulus.initial_value
     t0 = 0.0
     for t in stimulus.times:
-        t_sw = t + params.pure_delay
+        t_sw = t + params.t_p
         if t_sw > horizon:
             break
         if t_sw > t0:
@@ -169,8 +148,8 @@ def synth_crossings(
                 return _v0 * xp.exp(-(t - _s) / tau)
 
         dt_cap = tau / 50.0
-        if dist.amplitude_fraction > 0.0:
-            dt_cap = min(dt_cap, dist.period / 50.0)
+        if disturbance.amplitude_fraction > 0.0:
+            dt_cap = min(dt_cap, disturbance.period / 50.0)
         n = max(8, math.ceil(min(20000.0, (seg_end - seg_start) / dt_cap)))  # min first: the ratio may be inf
         ts = np.linspace(seg_start, seg_end, n + 1)
         s = v(ts, np) - vth
@@ -193,8 +172,33 @@ def synth_crossings(
     return crossings
 
 
+def calibration_stimuli(df: DelayFunction) -> list[Signal]:
+    """Two-pulse stimuli spanning a range of previous-output-to-input delays."""
+    dmin = delta_min(df)
+    dinf = df.delta_inf_up
+    if not math.isfinite(10.0 * dinf):  # the last transition lies below 9.5 dinf
+        raise WaveformError(f"delta_inf_up={dinf} is too large for the calibration train")
+    stimuli = []
+    widths = np.linspace(1.2 * dinf, 4.0 * dinf, 12)
+    gaps = np.linspace(0.3 * dmin, 4.0 * dinf, 12)
+    if widths[-1] + gaps[0] == widths[-1]:
+        raise WaveformError(
+            f"--t-p={dmin} is too small next to delta_inf_up={dinf}: "
+            "the calibration train's gaps vanish beside its pulse widths"
+        )
+    for w in widths:
+        for g in gaps:
+            w2 = 1.5 * dinf
+            stimuli.append(
+                make_signal(0, [(0.0, 1), (w, 0), (w + g, 1), (w + g + w2, 0)])
+            )
+    return stimuli
+
+
 @dataclass
 class DeviationResult:
+    """Deviation samples judged against one eta budget [-eta_minus, +eta_plus]."""
+
     samples: list[DeviationSample]
     eta_minus: float
     eta_plus: float
@@ -220,18 +224,15 @@ def deviation_analysis(
     stimulus: Signal,
     reference_crossings: Sequence[tuple[float, str]],
     df: DelayFunction,
-    eta_plus: float,
-) -> DeviationResult:
-    """Deviation D = predicted - actual per transition, against the eta budget.
+) -> list[DeviationSample]:
+    """Deviation D = predicted - actual per transition.
 
     Predictions come from the channel algorithm on the same stimulus.  In
     log order, each prediction is paired with the nearest unused same-edge
     reference crossing within delta_min/2, the later one in time on equal
     gaps, so the order of ``reference_crossings`` does not matter;
-    predictions or crossings left without a partner are dropped.  Coverage is
-    the fraction of deviations inside [-eta_minus, +eta_plus].
+    predictions or crossings left without a partner are dropped.
     """
-    eta_minus = eta_minus_for(df, eta_plus)
     _, log = apply_channel(Involution(df), stimulus)
     window = delta_min(df) / 2.0
 
@@ -250,24 +251,24 @@ def deviation_analysis(
             continue
         t_c = times.pop(i if right <= left else i - 1)
         samples.append(DeviationSample(rec.T, p - t_c, edge, t_c - rec.time))
-    return DeviationResult(samples, eta_minus, eta_plus)
+    return samples
 
 
-def bin_coverage(result: DeviationResult, n_bins: int = 4) -> list[tuple[float, float, int, float]]:
-    """Coverage per T-quantile bin: list of (T_lo, T_hi, count, coverage).
+def bin_coverage(result: DeviationResult) -> list[tuple[float, float, int, float]]:
+    """Coverage per T-quartile bin: list of (T_lo, T_hi, count, coverage).
 
     Samples with infinite T (first transitions after an idle channel) are
-    excluded from the binning.
+    excluded from the binning; without a finite T the list is empty.
     """
     finite = [s for s in result.samples if math.isfinite(s.T)]
     if not finite:
         return []
     ts = np.array([s.T for s in finite])
-    edges = np.quantile(ts, np.linspace(0.0, 1.0, n_bins + 1))
+    edges = np.quantile(ts, np.linspace(0.0, 1.0, 5))
     out = []
-    for k in range(n_bins):
+    for k in range(4):
         lo, hi = float(edges[k]), float(edges[k + 1])
-        if k < n_bins - 1:
+        if k < 3:
             members = [s for s in finite if lo <= s.T < hi]
         else:
             members = [s for s in finite if lo <= s.T <= hi]

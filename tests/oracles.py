@@ -151,20 +151,20 @@ def inertial_oracle(initial_value, transitions, delay, window):
     return out, canceled
 
 
-def rc_crossings(params, stimulus, horizon, rng=None):
+def rc_crossings(params, disturbance, stimulus, horizon, rng=None):
     """Threshold crossings of the RC surrogate by a scalar scan of each segment's grid.
 
     The reference for ``waveform_lab.synth_crossings``: the same segments,
     grid and bisection, evaluated point by point with ``math``.  A grid point
     exactly on the threshold counts as above it, so one passage through the
-    threshold gives one crossing.
+    threshold gives one crossing.  Above amplitude 0 the rail's phase is
+    drawn once from ``rng``.
     """
     import numpy as np
 
-    dist = params.vdd_disturbance
-    phase = float(rng.uniform(0.0, 2.0 * math.pi)) if dist.phase is None else dist.phase
-    tau, vth, a = params.tau_rc, params.vth_norm, dist.amplitude_fraction
-    omega = 2.0 * math.pi / dist.period
+    tau, vth, a = params.tau, params.vth_norm, disturbance.amplitude_fraction
+    phase = float(rng.uniform(0.0, 2.0 * math.pi)) if a > 0.0 else None
+    omega = 2.0 * math.pi / disturbance.period
     denom = 1.0 + (omega * tau) ** 2
     alpha, beta = a / denom, -a * omega * tau / denom
 
@@ -177,7 +177,7 @@ def rc_crossings(params, stimulus, horizon, rng=None):
     segments = []
     drive, t0 = stimulus.initial_value, 0.0
     for tr in stimulus.transitions:
-        t_sw = tr.time + params.pure_delay
+        t_sw = tr.time + params.t_p
         if t_sw > horizon:
             break
         if t_sw > t0:
@@ -202,7 +202,7 @@ def rc_crossings(params, stimulus, horizon, rng=None):
 
         dt_cap = tau / 50.0
         if a > 0.0:
-            dt_cap = min(dt_cap, dist.period / 50.0)
+            dt_cap = min(dt_cap, disturbance.period / 50.0)
         n = min(20000, max(8, int(math.ceil((seg_end - seg_start) / dt_cap))))
         ts = np.linspace(seg_start, seg_end, n + 1)
         prev_t, prev_above = seg_start, v(seg_start) >= vth

@@ -40,7 +40,6 @@ from involution.signals import decompose_pulses, make_signal, pulse
 from involution.waveform_lab import (
     DeviationResult,
     Disturbance,
-    RcSurrogateParams,
     bin_coverage,
     deviation_analysis,
     eta_minus_for,
@@ -285,7 +284,7 @@ def test_criterion_09_spf_verdict(ref, zero_eta):
     for bounds, grid, strategies in configs:
         char = characterize(ref, bounds)
         ht = dimension_ht_buffer(3.0 * char.tau_star, char.duty)
-        points = run_spf_sweep(ref, bounds, ht, [float(d) for d in grid], strategies, horizon=60.0)
+        points = run_spf_sweep(ref, bounds, char, ht, [float(d) for d in grid], strategies, horizon=60.0)
         verdict = spf_check([p.out_signal for p in points], [p.delta0 for p in points], char.delta_up / 2.0)
         ok = ok and verdict.f2_pass and verdict.f3_pass and verdict.f4_pass
         details.append(
@@ -302,7 +301,7 @@ def test_criterion_09_spf_verdict(ref, zero_eta):
 
 
 def test_criterion_10_surrogate_oracle(ref):
-    surrogate = RcSurrogateParams(tau_rc=1.0, vth_norm=0.5, pure_delay=0.5)
+    surrogate = ExpChannelParams(1.0, 0.5, 0.5)
     rng = np.random.default_rng(10)
     worst = 0.0
     mismatched = 0
@@ -313,7 +312,7 @@ def test_criterion_10_surrogate_oracle(ref):
             t += 0.05 + float(rng.exponential(1.0))
             times.append(t)
         stim = make_signal(0, [(tt, (i + 1) % 2) for i, tt in enumerate(times)])
-        crossings = synth_crossings(surrogate, stim, stim.last_time() + ref.delta_inf_up + 2.0)
+        crossings = synth_crossings(surrogate, Disturbance(), stim, stim.last_time() + ref.delta_inf_up + 2.0)
         out, _ = apply_channel(Involution(ref), stim)
         if len(crossings) != len(out.transitions):
             mismatched += 1
@@ -335,10 +334,11 @@ def test_criterion_10_surrogate_oracle(ref):
 
 
 def test_criterion_11_eta_coverage_trend():
-    df = exp_channel(ExpChannelParams(1.0, 0.5, 0.6))
+    params = ExpChannelParams(1.0, 0.5, 0.6)
+    df = exp_channel(params)
     eta_plus = 0.02 * delta_min(df)
     eta_minus = eta_minus_for(df, eta_plus)
-    surrogate = RcSurrogateParams(1.0, 0.6, 0.5, Disturbance(0.01, 2.0, None))
+    disturbance = Disturbance(0.01, 2.0)
     rng = np.random.default_rng(7)
     samples = []
     for _ in range(8):
@@ -347,9 +347,9 @@ def test_criterion_11_eta_coverage_trend():
                 make_signal(0, [(0.0, 1), (df.delta_inf_up + dT, 0)]),
                 make_signal(1, [(0.0, 0), (df.delta_inf_down + dT, 1)]),
             ):
-                res = deviation_analysis(stim, synth_crossings(surrogate, stim, 30.0, rng=rng), df, eta_plus)
-                samples.extend(s for s in res.samples if math.isfinite(s.T))
-    bins = bin_coverage(DeviationResult(samples, eta_minus, eta_plus), n_bins=4)
+                crossings = synth_crossings(params, disturbance, stim, 30.0, rng=rng)
+                samples.extend(s for s in deviation_analysis(stim, crossings, df) if math.isfinite(s.T))
+    bins = bin_coverage(DeviationResult(samples, eta_minus, eta_plus))
     covs = [c for *_, c in bins]
     slope = float(np.polyfit(range(len(covs)), covs, 1)[0])
     ok = covs[0] == 1.0 and slope <= 0.0 and covs[-1] < covs[0]

@@ -374,13 +374,13 @@ class TestSweepRunner:
                             out_sig,
                         )
                     )
-            assert run_spf_sweep(ref, BOUNDS, ht, grid, strategies, horizon=horizon) == want
+            assert run_spf_sweep(ref, BOUNDS, char, ht, grid, strategies, horizon=horizon) == want
 
     def test_regimes_and_verdict(self, ref, zero_eta):
         char = characterize(ref, zero_eta)
         ht = dimension_ht_buffer(3.0 * char.tau_star, char.duty)
         grid = [0.3, 0.6, 1.3, 1.5]
-        points = run_spf_sweep(ref, zero_eta, ht, grid, {"zero": Zero()}, horizon=40.0)
+        points = run_spf_sweep(ref, zero_eta, char, ht, grid, {"zero": Zero()}, horizon=40.0)
         by_d0 = {p.delta0: p for p in points}
         assert by_d0[None].out_signal.is_zero
         assert by_d0[0.3].regime == "pass_through" and by_d0[0.3].out_signal.is_zero

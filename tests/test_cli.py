@@ -338,6 +338,27 @@ class TestWaveform:
         }
         assert fitted.nfev >= 3  # one evaluation at least per start
 
+    def test_a_diverged_fit_removes_an_earlier_fit_json(self, tmp_path, capsys):
+        out = tmp_path / "wf"
+        argv = ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.6", "--out", str(out)]
+        assert main(argv) == EXIT_OK and (out / "fit.json").exists()
+        stim = write_stimulus(tmp_path, make_signal(0, [(0.0, 1), (3.0, 0)]))
+        capsys.readouterr()
+        assert main([*argv, "--stimulus", str(stim)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["fit"] == {"error": "need at least 5 delay values, got 1"}
+        assert len((out / "deviations.csv").read_text().splitlines()) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["deviations.csv", "manifest.json"]
+
+    def test_the_seed_reaches_only_a_disturbed_rail(self, tmp_path, capsys):
+        argv = ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.6"]
+        for amplitude in ("0", "0.01"):
+            for seed in ("0", "7"):
+                out = tmp_path / f"a{amplitude}-s{seed}"
+                assert main([*argv, "--amplitude", amplitude, "--seed", seed, "--out", str(out)]) == EXIT_OK
+        for name in ("deviations.csv", "fit.json"):
+            assert (tmp_path / "a0-s0" / name).read_bytes() == (tmp_path / "a0-s7" / name).read_bytes()
+            assert (tmp_path / "a0.01-s0" / name).read_bytes() != (tmp_path / "a0.01-s7" / name).read_bytes()
+
 
 def test_usage_error_exit_code():
     assert main(["simulate"]) == 2
@@ -680,6 +701,31 @@ def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch, capsys):
     argv = ["analyze", *REF, "--out", str(tmp_path)]
     assert main(argv) == EXIT_OK
     assert json.loads((tmp_path / "manifest.json").read_text())["argv"] == argv
+
+
+def test_manifest_digests_the_files_a_netlist_names(tmp_path):
+    up, down, _, _ = oracles.exp_pair(1.0, 0.5, 0.5)
+    netlist = write_table_netlist(tmp_path, [f"{t},{up(t)},{down(t)}" for t in (-0.9, -0.5, 0.0, 1.0, 3.0, 8.0)])
+    doc = json.loads(netlist.read_text())
+    doc["channels"][0].update(kind="eta_involution", strategy={"variant": "fixed_sequence", "file": "etas.csv"})
+    netlist.write_text(json.dumps(doc))
+    table, etas = tmp_path / "table.csv", tmp_path / "etas.csv"
+    write_eta_sequence(etas, [0.0])
+    stim = write_stimulus(tmp_path, pulse(0, 1.5))
+
+    def inputs():
+        assert main(["simulate", str(netlist), str(stim), "--horizon", "20", "--out", str(tmp_path / "o")]) == EXIT_OK
+        return json.loads((tmp_path / "o" / "manifest.json").read_text())["inputs"]
+
+    def digests():
+        return {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (netlist, stim, table, etas)}
+
+    assert inputs() == digests()
+    before = digests()
+    with open(table, "a") as fh:
+        fh.write(f"12.0,{up(12.0)},{down(12.0)}\n")
+    after = inputs()
+    assert after == digests() and after[str(table)] != before[str(table)]
 
 
 def test_waveform_and_a_tabulated_simulate_run_without_scipy(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from involution import cli, waveform_lab
 from involution.channel import Involution, apply_channel
-from involution.cli import _calibration_stimuli
 from involution.delay_model import ExpChannelParams, delta_min, exp_channel, tabulated_channel
 from involution.signals import make_signal, pulse
 from involution.waveform_lab import (
@@ -18,9 +17,10 @@ from involution.waveform_lab import (
     EtaBudgetInvalid,
     ExpFit,
     FitDiverged,
-    RcSurrogateParams,
+    WaveformError,
     _DelayResiduals,
     bin_coverage,
+    calibration_stimuli,
     deviation_analysis,
     eta_minus_for,
     fit_exp_channel,
@@ -31,7 +31,8 @@ from involution.waveform_lab import (
 
 import oracles
 
-REF_SURROGATE = RcSurrogateParams(tau_rc=1.0, vth_norm=0.5, pure_delay=0.5)
+REF_PARAMS = ExpChannelParams(1.0, 0.5, 0.5)
+CLEAN = Disturbance()
 
 
 def random_train(rng, n_max=10):
@@ -46,14 +47,14 @@ def random_train(rng, n_max=10):
 
 class TestSynthCrossings:
     def test_single_edge_crossing_time(self):
-        crossings = synth_crossings(REF_SURROGATE, make_signal(0, [(0.0, 1)]), horizon=10.0)
+        crossings = synth_crossings(REF_PARAMS, CLEAN, make_signal(0, [(0.0, 1)]), horizon=10.0)
         assert len(crossings) == 1
         t, edge = crossings[0]
         assert edge == "rising"
         assert t == pytest.approx(0.5 + math.log(2), abs=1e-9)
 
     def test_short_pulse_never_crosses(self):
-        crossings = synth_crossings(REF_SURROGATE, pulse(0, 0.1), horizon=10.0)
+        crossings = synth_crossings(REF_PARAMS, CLEAN, pulse(0, 0.1), horizon=10.0)
         assert crossings == []
 
     def test_extracted_delay_samples_reproduce_the_exp_pair(self, ref):
@@ -62,7 +63,7 @@ class TestSynthCrossings:
         for width in np.linspace(1.5, 4.0, 6):
             for gap in np.linspace(0.3, 3.0, 6):
                 stim = make_signal(0, [(0.0, 1), (width, 0), (width + gap, 1), (width + gap + 2.0, 0)])
-                crossings = synth_crossings(REF_SURROGATE, stim, horizon=30.0)
+                crossings = synth_crossings(REF_PARAMS, CLEAN, stim, horizon=30.0)
                 out, log = apply_channel(Involution(ref), stim)
                 assert len(crossings) == len(out.transitions)
                 for (t_c, _), rec in zip(crossings, [r for r in log if not r.canceled]):
@@ -71,11 +72,19 @@ class TestSynthCrossings:
                     assert delta == pytest.approx(want, abs=1e-6)
 
     def test_zero_amplitude_is_seed_independent(self):
-        params = RcSurrogateParams(1.0, 0.5, 0.5, Disturbance(0.0, 1.0, None))
         stim = pulse(0, 2.0)
-        a = synth_crossings(params, stim, 10.0, rng=np.random.default_rng(1))
-        b = synth_crossings(params, stim, 10.0, rng=np.random.default_rng(2))
+        a = synth_crossings(REF_PARAMS, CLEAN, stim, 10.0, rng=np.random.default_rng(1))
+        b = synth_crossings(REF_PARAMS, CLEAN, stim, 10.0, rng=np.random.default_rng(2))
         assert a == b
+
+    @pytest.mark.parametrize("amplitude, draws", [(0.0, 0), (1e-9, 1), (0.01, 1), (0.2, 1)])
+    def test_each_stimulus_draws_one_phase_above_amplitude_zero(self, amplitude, draws):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for stim in (pulse(0, 2.0), make_signal(1, []), random_train(np.random.default_rng(6))):
+            synth_crossings(REF_PARAMS, Disturbance(amplitude, 1.0), stim, 10.0, rng=rng)
+            for _ in range(draws):
+                twin.uniform(0.0, 2.0 * math.pi)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_master_oracle_matches_channel_algorithm(self, ref):
         # zero disturbance: the surrogate physics IS the exp channel
@@ -83,7 +92,7 @@ class TestSynthCrossings:
         for _ in range(100):
             stim = random_train(rng)
             horizon = stim.last_time() + ref.delta_inf_up + 2.0
-            crossings = synth_crossings(REF_SURROGATE, stim, horizon)
+            crossings = synth_crossings(REF_PARAMS, CLEAN, stim, horizon)
             out, _ = apply_channel(Involution(ref), stim)
             expected = [(t.time, "rising" if t.value == 1 else "falling") for t in out.transitions]
             assert len(crossings) == len(expected)
@@ -93,14 +102,14 @@ class TestSynthCrossings:
 
     @pytest.mark.parametrize("amplitude, seeds", [(0.01, (51, 52, 53)), (0.05, (54,)), (0.0, (51,))])
     def test_default_calibration_equals_the_scalar_scan(self, amplitude, seeds):
-        params = RcSurrogateParams(1.0, 0.6, 0.5, Disturbance(amplitude, 1.0, None if amplitude else 0.0))
-        stimuli = _calibration_stimuli(exp_channel(params.matching_exp_channel()))
+        params, disturbance = ExpChannelParams(1.0, 0.5, 0.6), Disturbance(amplitude, 1.0)
+        stimuli = calibration_stimuli(exp_channel(params))
         assert len(stimuli) == 144
         for seed in seeds:
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for stim in stimuli:
-                got = synth_crossings(params, stim, 60.0, rng=got_rng)
-                assert got == oracles.rc_crossings(params, stim, 60.0, rng=want_rng)
+                got = synth_crossings(params, disturbance, stim, 60.0, rng=got_rng)
+                assert got == oracles.rc_crossings(params, disturbance, stim, 60.0, rng=want_rng)
 
     # One segment on the grid linspace(0.5, 10, 476) after the stimulus edge at 0:
     # v(t) = 1 - e^{-(t - 0.5)} rising from 0, or e^{-(t - 0.5)} falling from 1.
@@ -118,10 +127,10 @@ class TestSynthCrossings:
         exact = [k for k in range(1, 475) if v(initial, grid[k], np) == v(initial, float(grid[k]), math)]
         assert exact  # a point where numpy agrees with math, so the zero rule fires without the guard
         k = exact[0]
-        params = RcSurrogateParams(tau_rc=1.0, vth_norm=v(initial, float(grid[k]), math), pure_delay=0.5)
+        params = ExpChannelParams(1.0, 0.5, v(initial, float(grid[k]), math))
         stim = make_signal(initial, [(0.0, 1 - initial)])
-        want = oracles.rc_crossings(params, stim, 10.0)
-        assert synth_crossings(params, stim, 10.0) == want
+        want = oracles.rc_crossings(params, CLEAN, stim, 10.0)
+        assert synth_crossings(params, CLEAN, stim, 10.0) == want
         # one passage through the threshold is one crossing, at the grid point
         assert len(want) == 1 and want[0][0] == pytest.approx(grid[k], abs=1e-13)
 
@@ -141,18 +150,17 @@ class TestSynthCrossings:
         vth = self.segment_value(initial, float(grid[k]), math)
         monkeypatch.setattr(waveform_lab, "np", OneUlpOff())
         assert self.segment_value(initial, grid[k], waveform_lab.np) != vth
-        params = RcSurrogateParams(tau_rc=1.0, vth_norm=vth, pure_delay=0.5)
+        params = ExpChannelParams(1.0, 0.5, vth)
         stim = make_signal(initial, [(0.0, 1 - initial)])
-        assert synth_crossings(params, stim, 10.0) == oracles.rc_crossings(params, stim, 10.0)
+        assert synth_crossings(params, CLEAN, stim, 10.0) == oracles.rc_crossings(params, CLEAN, stim, 10.0)
 
     def test_disturbance_requires_rng_when_phase_random(self):
-        params = RcSurrogateParams(1.0, 0.5, 0.5, Disturbance(0.01, 1.0, None))
-        with pytest.raises(Exception):
-            synth_crossings(params, pulse(0, 2.0), 10.0)
+        with pytest.raises(WaveformError, match="draws its phase from an rng"):
+            synth_crossings(REF_PARAMS, Disturbance(0.01, 1.0), pulse(0, 2.0), 10.0)
 
     def test_amplitude_bound_enforced(self):
         with pytest.raises(Exception):
-            Disturbance(0.5, 1.0, 0.0)
+            Disturbance(0.5, 1.0)
 
 
 class TestDeviationAnalysis:
@@ -160,8 +168,8 @@ class TestDeviationAnalysis:
         rng = np.random.default_rng(5)
         for _ in range(10):
             stim = random_train(rng)
-            crossings = synth_crossings(REF_SURROGATE, stim, stim.last_time() + 4.0)
-            res = deviation_analysis(stim, crossings, ref, eta_plus=0.01)
+            crossings = synth_crossings(REF_PARAMS, CLEAN, stim, stim.last_time() + 4.0)
+            res = DeviationResult(deviation_analysis(stim, crossings, ref), eta_minus_for(ref, 0.01), 0.01)
             assert all(abs(s.D) <= 1e-9 for s in res.samples)
             assert res.coverage == 1.0
 
@@ -177,15 +185,15 @@ class TestDeviationAnalysis:
         # slower RC than the model: actual crossings late, D = predicted - actual < 0.
         # (for T < 0 the shallower discharge gives the node a head start that can
         # flip an individual sample, so the one-sidedness claim is for T >= 0)
-        slow = RcSurrogateParams(1.1, 0.5, 0.5)
-        fast = RcSurrogateParams(0.9, 0.5, 0.5)
+        slow = ExpChannelParams(1.1, 0.5, 0.5)
+        fast = ExpChannelParams(0.9, 0.5, 0.5)
         stim = make_signal(0, [(0.0, 1), (2.5, 0), (3.5, 1), (6.0, 0)])
         for params, sign in ((slow, -1), (fast, +1)):
-            crossings = synth_crossings(params, stim, 12.0)
-            res = deviation_analysis(stim, crossings, ref, eta_plus=0.01)
-            assert res.samples
-            assert all(math.copysign(1, s.D) == sign for s in res.samples if s.T >= 0)
-            assert math.copysign(1, sum(s.D for s in res.samples)) == sign
+            crossings = synth_crossings(params, CLEAN, stim, 12.0)
+            samples = deviation_analysis(stim, crossings, ref)
+            assert samples
+            assert all(math.copysign(1, s.D) == sign for s in samples if s.T >= 0)
+            assert math.copysign(1, sum(s.D for s in samples)) == sign
 
     def test_sine_disturbance_hurts_high_T_coverage(self):
         # asymmetric threshold: the rising-edge crossing slope is shallow, so
@@ -193,9 +201,10 @@ class TestDeviationAnalysis:
         # the deeper the node discharges (large T).  Isolated single pulses of
         # both polarities give one settled finite-T sample each, emulating a
         # width sweep on real hardware.
-        df = exp_channel(ExpChannelParams(1.0, 0.5, 0.6))
+        params = ExpChannelParams(1.0, 0.5, 0.6)
+        df = exp_channel(params)
         eta_plus = 0.01
-        params = RcSurrogateParams(1.0, 0.6, 0.5, Disturbance(0.01, 2.0, None))
+        disturbance = Disturbance(0.01, 2.0)
         rng = np.random.default_rng(0)
         samples = []
         for _ in range(8):
@@ -204,10 +213,9 @@ class TestDeviationAnalysis:
                     make_signal(0, [(0.0, 1), (df.delta_inf_up + dT, 0)]),
                     make_signal(1, [(0.0, 0), (df.delta_inf_down + dT, 1)]),
                 ):
-                    crossings = synth_crossings(params, stim, 30.0, rng=rng)
-                    res = deviation_analysis(stim, crossings, df, eta_plus)
-                    samples.extend(s for s in res.samples if math.isfinite(s.T))
-        bins = bin_coverage(DeviationResult(samples, eta_minus_for(df, eta_plus), eta_plus), n_bins=4)
+                    crossings = synth_crossings(params, disturbance, stim, 30.0, rng=rng)
+                    samples.extend(s for s in deviation_analysis(stim, crossings, df) if math.isfinite(s.T))
+        bins = bin_coverage(DeviationResult(samples, eta_minus_for(df, eta_plus), eta_plus))
         assert bins[0][3] == 1.0  # lowest-T quartile fully covered
         assert bins[-1][3] < 1.0  # the model stops applying for large T
 
@@ -217,8 +225,8 @@ class TestDeviationAnalysis:
         p = rec.out_time
         early, late = (p - 0.125, "rising"), (p + 0.125, "rising")
         for crossings in ([early, late], [late, early]):
-            res = deviation_analysis(stim, crossings, ref, eta_plus=0.01)
-            assert [s.D for s in res.samples] == [p - (p + 0.125)] == [-0.125]
+            samples = deviation_analysis(stim, crossings, ref)
+            assert [s.D for s in samples] == [p - (p + 0.125)] == [-0.125]
 
     @given(
         gaps=st.lists(st.integers(1, 96), min_size=1, max_size=8),
@@ -240,16 +248,16 @@ class TestDeviationAnalysis:
             for k, up, j, mirrored in offsets
             for sign in ((1, -1) if mirrored else (1,))
         )
-        got = deviation_analysis(stim, crossings, ref, eta_plus=0.01).samples
+        got = deviation_analysis(stim, crossings, ref)
         want = oracles.greedy_pairing(log, crossings, delta_min(ref) / 2.0)
         assert [(s.T, s.D, s.edge, s.delay) for s in got] == want
         for reordered in (crossings[::-1], data.draw(st.permutations(crossings))):
-            assert deviation_analysis(stim, reordered, ref, eta_plus=0.01).samples == got
+            assert deviation_analysis(stim, reordered, ref) == got
 
     def test_bin_coverage_on_synthetic_samples(self):
         samples = [DeviationSample(T=float(t), D=0.0 if t < 5 else 1.0, edge="rising", delay=1.0) for t in range(10)]
-        bins = bin_coverage(DeviationResult(samples, eta_minus=0.1, eta_plus=0.1), n_bins=2)
-        assert bins[0][3] == 1.0 and bins[1][3] < 0.5
+        bins = bin_coverage(DeviationResult(samples, eta_minus=0.1, eta_plus=0.1))
+        assert [(n, c) for *_, n, c in bins] == [(3, 1.0), (2, 1.0), (2, 0.0), (3, 0.0)]
         assert bin_coverage(DeviationResult([], 0.1, 0.1)) == []
 
 
@@ -482,8 +490,8 @@ class TestFit:
 
 def test_output_files(tmp_path, ref):
     stim = make_signal(0, [(0.0, 1), (2.5, 0), (3.5, 1), (6.0, 0)])
-    crossings = synth_crossings(REF_SURROGATE, stim, 12.0)
-    res = deviation_analysis(stim, crossings, ref, eta_plus=0.01)
+    crossings = synth_crossings(REF_PARAMS, CLEAN, stim, 12.0)
+    res = DeviationResult(deviation_analysis(stim, crossings, ref), eta_minus_for(ref, 0.01), 0.01)
     dev_path = tmp_path / "dev.csv"
     write_deviation_csv(dev_path, res)
     lines = dev_path.read_text().splitlines()
