@@ -36,7 +36,8 @@ print("== the surrogate IS the channel (zero disturbance) ==")
 stim = make_signal(0, [(0.0, 1), (2.0, 0), (2.8, 1), (5.5, 0)])
 crossings = synth_crossings(params, Disturbance(), stim, 12.0)
 out, _ = apply_channel(Involution(df), stim)
-for (t_c, edge), tr in zip(crossings, out.transitions):
+for (t_c, value), tr in zip(crossings, out.transitions):
+    edge = "rising" if value else "falling"
     print(f"  {edge:7s} crossing {t_c:.9f} vs channel {tr.time:.9f} "
           f"(diff {abs(t_c - tr.time):.2e})")
 

@@ -319,7 +319,7 @@ def run_spf_sweep(
     char: PulseTrainCharacterization,
     ht_params: ExpChannelParams | None,
     delta0_grid: Sequence[float],
-    strategies: dict[str, ch.AdversaryStrategy] | None = None,
+    strategies: dict[str, ch.AdversaryStrategy],
     *,
     horizon: float = 60.0,
     events_max: int = 10**6,
@@ -327,32 +327,22 @@ def run_spf_sweep(
     """Execute the storage-loop circuit over a grid of input widths.
 
     One run per (width, strategy), plus one zero-input run per strategy that
-    carries delta0=None.  ``strategies`` None means the zero strategy only.
-    All runs share one circuit, whose loop channel ``c`` takes each run's
-    strategy as an override.  ``char`` is ``characterize(df, bounds)``,
-    which classifies each width.
+    carries delta0=None.  The runs of a strategy share one circuit, whose
+    loop channel ``c`` carries that strategy.  ``char`` is
+    ``characterize(df, bounds)``, which classifies each width.
     """
-    if strategies is None:
-        strategies = {"zero": ch.Zero()}
-    circuit = or_loop_circuit(ch.EtaInvolution(df, bounds), ht_params)
     points: list[SweepPoint] = []
-
-    def one_run(stimulus: Signal, delta0: float | None, label: str, strategy: ch.AdversaryStrategy):
-        e = execute(circuit, {"i": stimulus}, horizon, {"c": strategy}, events_max=events_max)
-        or_sig = e.vertex_signals["or1"]
-        out_sig = e.vertex_signals["o"]
-        pulses = decompose_pulses(or_sig, horizon)
-        loop_pulses = max(0, len(pulses) - 1)
-        resolved = "osc" if "c" in e.active_at_horizon or not e.stabilized["o"] else str(e.resolved_value["o"])
-        stab = or_sig.last_time()
-        seed = strategy.seed if isinstance(strategy, ch.UniformRandom) else None
-        regime = classify_pulse(char, delta0).value if delta0 is not None else "zero"
-        points.append(
-            SweepPoint(delta0, label, seed, regime, loop_pulses, resolved, stab, or_sig, out_sig)
-        )
-
     for label, strategy in strategies.items():
-        one_run(make_signal(0, []), None, label, strategy)
-        for d0 in delta0_grid:
-            one_run(pulse(0.0, d0), d0, label, strategy)
+        circuit = or_loop_circuit(ch.EtaInvolution(df, bounds, strategy), ht_params)
+        seed = strategy.seed if isinstance(strategy, ch.UniformRandom) else None
+        for delta0 in [None, *delta0_grid]:
+            stimulus = make_signal(0, []) if delta0 is None else pulse(0.0, delta0)
+            e = execute(circuit, {"i": stimulus}, horizon, events_max=events_max)
+            or_sig, out_sig = e.vertex_signals["or1"], e.vertex_signals["o"]
+            loop_pulses = max(0, len(decompose_pulses(or_sig, horizon)) - 1)
+            resolved = "osc" if "c" in e.active_at_horizon or not e.stabilized["o"] else str(e.resolved_value["o"])
+            regime = classify_pulse(char, delta0).value if delta0 is not None else "zero"
+            points.append(
+                SweepPoint(delta0, label, seed, regime, loop_pulses, resolved, or_sig.last_time(), or_sig, out_sig)
+            )
     return points

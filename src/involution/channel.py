@@ -114,13 +114,9 @@ class FixedSequence:
 AdversaryStrategy = Union[Zero, WorstCaseShrink, UniformRandom, FixedSequence]
 
 
-def worst_case_eta(edge: str, bounds: EtaBounds) -> float:
-    """The shrink-worst perturbation for one edge: rising -> +eta_plus, falling -> -eta_minus."""
-    if edge == "rising":
-        return bounds.eta_plus
-    if edge == "falling":
-        return -bounds.eta_minus
-    raise ChannelError(f"edge must be 'rising' or 'falling', got {edge!r}")
+def worst_case_eta(value: int, bounds: EtaBounds) -> float:
+    """The shrink-worst perturbation for a transition to ``value``: 1 -> +eta_plus, 0 -> -eta_minus."""
+    return bounds.eta_plus if value else -bounds.eta_minus
 
 
 _FIRST_BLOCK, _LAST_BLOCK = 4, 1024  # sizes of the first and the largest block of uniform draws
@@ -178,7 +174,7 @@ class EtaSource:
         return 0.0
 
     def _worst_case(self, value: int) -> float:
-        return worst_case_eta("rising" if value == 1 else "falling", self.bounds)
+        return worst_case_eta(value, self.bounds)
 
 
 @dataclass(frozen=True)
@@ -390,18 +386,14 @@ class _InvolutionState:
         return list(self.stack)
 
 
-def channel_state(spec: ChannelSpec, initial_value: int, strategy: AdversaryStrategy | None = None):
-    """The incremental state of a channel whose input starts at ``initial_value``.
-
-    ``strategy`` replaces an eta-involution channel's own adversary strategy.
-    """
+def channel_state(spec: ChannelSpec, initial_value: int):
+    """The incremental state of a channel whose input starts at ``initial_value``."""
     if isinstance(spec, Pure):
         return _PureState(spec.delay)
     if isinstance(spec, Inertial):
         return _InertialState(spec.delay, spec.window, initial_value)
     if isinstance(spec, EtaInvolution):
-        source = EtaSource(strategy if strategy is not None else spec.strategy, spec.bounds)
-        return _InvolutionState(spec.df, source)
+        return _InvolutionState(spec.df, EtaSource(spec.strategy, spec.bounds))
     raise ChannelError(f"unknown channel spec {spec!r}")
 
 

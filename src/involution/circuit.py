@@ -439,27 +439,22 @@ def execute(
     circuit: Circuit,
     inputs: dict[str, Signal],
     horizon: float,
-    strategies: dict[str, ch.AdversaryStrategy] | None = None,
     *,
     events_max: int = 10**6,
 ) -> Execution:
     """Event-driven execution of ``circuit`` up to ``horizon``.
 
-    ``strategies`` overrides the adversary strategy of individual
-    eta-involution channels by name.  Raises :class:`HorizonExceeded` when the
-    event budget runs out (near-critical feedback can oscillate for a long
-    time) and :class:`CausalityFault` if the engine's commit rule would be
-    violated.
+    ``inputs`` holds one signal per input port and nothing else.  Raises
+    :class:`HorizonExceeded` when the event budget runs out (near-critical
+    feedback can oscillate for a long time) and :class:`CausalityFault` if
+    the engine's commit rule would be violated.
     """
-    strategies = strategies or {}
     missing = [p for p in circuit.input_ports if p not in inputs]
     if missing:
         raise EngineError(f"missing input signals for ports {missing}")
-    for name in strategies:
-        if name not in circuit.channels:
-            raise EngineError(f"strategy override for unknown channel {name!r}")
-        if not isinstance(circuit.channels[name].spec, ch.EtaInvolution):
-            raise EngineError(f"channel {name!r} is not an eta-involution channel")
+    unknown = [name for name in inputs if name not in circuit.input_ports]
+    if unknown:
+        raise EngineError(f"input signals {unknown} name no input port")
 
     # Vertices and channels are numbered by ``Circuit._index``.  Initial values
     # propagate statically: a channel's initial output value is its source
@@ -473,7 +468,7 @@ def execute(
     states = []
     for (name, edge), src in zip(circuit.channels.items(), circuit._channel_src):
         try:
-            state = ch.channel_state(edge.spec, initial[src], strategies.get(name))
+            state = ch.channel_state(edge.spec, initial[src])
             state.check_causal()
         except ch.ChannelError as exc:
             raise CausalityFault(f"channel {name!r}: {exc}") from exc

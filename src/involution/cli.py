@@ -141,19 +141,34 @@ def _error(kind: str, message: str, code: int) -> int:
     return code
 
 
+def _check_trace_names(circuit) -> None:
+    """Reject, before anything is written, names whose trace files would leave ``--out`` or coincide."""
+    owners: dict[str, str] = {}
+    named = [("port", p, p) for p in [*circuit.input_ports, *circuit.output_ports]]
+    named += [("gate", g, g) for g in circuit.gates] + [("channel", c, f"chan_{c}") for c in circuit.channels]
+    for kind, name, stem in named:
+        entry = f"{kind} {name!r}"
+        if any(c in stem for c in "/\\\0"):
+            raise NetlistError(f"{entry}: a name written as a trace file cannot hold '/', '\\' or NUL")
+        if stem in owners:
+            raise NetlistError(f"{owners[stem]} and {entry} would both write the trace file {stem + '.csv'!r}")
+        owners[stem] = entry
+
+
 def cmd_simulate(args) -> int:
     circuit = parse_circuit(
         read_text(args.netlist, NetlistError), base_dir=os.path.dirname(os.path.abspath(args.netlist))
     )
+    _check_trace_names(circuit)
     stimuli = read_trace(args.stimulus)
     e = execute(circuit, stimuli, args.horizon, events_max=args.events_max)
     os.makedirs(args.out, exist_ok=True)
     for name, sig in {**e.vertex_signals, **{f"chan_{k}": v for k, v in e.channel_signals.items()}}.items():
         _atomic_write(os.path.join(args.out, f"{name}.csv"), lambda tmp, s=sig, n=name: write_trace(tmp, {n: s}))
-    seeds = {
+    seeds = {  # the uniform-random channels that drew an eta; eta_sequences holds the eta-involution ones
         name: edge.spec.strategy.seed
         for name, edge in circuit.channels.items()
-        if isinstance(edge.spec, ch.EtaInvolution) and isinstance(edge.spec.strategy, ch.UniformRandom)
+        if e.eta_sequences.get(name) and isinstance(edge.spec.strategy, ch.UniformRandom)
     }
     _manifest(
         args.out,
@@ -247,12 +262,13 @@ def cmd_spf_sweep(args) -> int:
         "ht_params": {"tau": ht.tau, "t_p": ht.t_p, "vth": ht.vth_norm},
     }
     _write_json(os.path.join(args.out, "spf_verdict.json"), verdict_doc)
+    random_seeds = [s.seed for s in strategies.values() if isinstance(s, ch.UniformRandom)]
     _manifest(
         args.out,
         "spf-sweep",
         args,
         [],
-        {"seeds": {"random": list(range(args.seeds))}, "grid": args.grid, "epsilon": epsilon},
+        {"seeds": {"random": random_seeds} if random_seeds else {}, "grid": args.grid, "epsilon": epsilon},
     )
     print(json.dumps({"f2": verdict.f2_pass, "f3": verdict.f3_pass, "f4": verdict.f4_pass}))
     return EXIT_OK
@@ -290,7 +306,7 @@ def cmd_waveform(args) -> int:
         samples.extend(wl.deviation_analysis(stim, crossings, df))
     result = wl.DeviationResult(samples, eta_minus, eta_plus)
     fit_rows = [
-        (s.T, s.delay, None) if s.edge == "rising" else (s.T, None, s.delay) for s in samples if math.isfinite(s.T)
+        (s.T, s.delay, None) if s.value else (s.T, None, s.delay) for s in samples if math.isfinite(s.T)
     ]
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "deviations.csv"), lambda tmp: wl.write_deviation_csv(tmp, result))
@@ -302,7 +318,7 @@ def cmd_waveform(args) -> int:
         args,
         [args.stimulus] if args.stimulus else [],
         {
-            "seeds": {"phase": args.seed},
+            "seeds": {"phase": args.seed} if disturbance.amplitude_fraction > 0 and stimuli else {},
             "eta_plus": eta_plus,
             "eta_minus": eta_minus,
             "coverage": result.coverage,

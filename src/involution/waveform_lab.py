@@ -55,13 +55,14 @@ class Disturbance:
 class DeviationSample:
     """One predicted transition paired with its reference crossing.
 
-    ``D`` is predicted minus actual output time; ``delay`` is the measured
-    delay, crossing time minus input time, the fit's data point at ``T``.
+    ``value`` is the transition's value bit (1 rising, 0 falling); ``D`` is
+    predicted minus actual output time; ``delay`` is the measured delay,
+    crossing time minus input time, the fit's data point at ``T``.
     """
 
     T: float
     D: float
-    edge: str
+    value: int
     delay: float
 
 
@@ -103,7 +104,7 @@ def synth_crossings(
     stimulus: Signal,
     horizon: float,
     rng: np.random.Generator | None = None,
-) -> list[tuple[float, str]]:
+) -> list[tuple[float, int]]:
     """Threshold crossings of the RC node driven by ``stimulus`` up to ``horizon``.
 
     The node has time constant ``params.tau`` and threshold
@@ -115,6 +116,8 @@ def synth_crossings(
     sides of the threshold (a point on it counts as above) bracket a
     crossing, which scalar bisection on the analytic trajectory then
     locates.  Above amplitude 0 the rail's phase is drawn once from ``rng``.
+    Each crossing is a (time, value) pair, value 1 upward and 0 downward,
+    the pairs that ``Signal(initial_value, pairs)`` reads.
     """
     tau = params.tau
     vth = params.vth_norm
@@ -134,7 +137,7 @@ def synth_crossings(
     if t0 < horizon:
         segments.append((t0, horizon, drive))
 
-    crossings: list[tuple[float, str]] = []
+    crossings: list[tuple[float, int]] = []
     v0 = float(stimulus.initial_value)
     for seg_start, seg_end, seg_drive in segments:
         if seg_drive:
@@ -167,7 +170,7 @@ def synth_crossings(
                     hi = mid
                 if hi - lo <= 1e-14:
                     break
-            crossings.append((0.5 * (lo + hi), "rising" if rising else "falling"))
+            crossings.append((0.5 * (lo + hi), int(rising)))
         v0 = v(seg_end)
     return crossings
 
@@ -222,27 +225,26 @@ def eta_minus_for(df: DelayFunction, eta_plus: float) -> float:
 
 def deviation_analysis(
     stimulus: Signal,
-    reference_crossings: Sequence[tuple[float, str]],
+    reference_crossings: Sequence[tuple[float, int]],
     df: DelayFunction,
 ) -> list[DeviationSample]:
     """Deviation D = predicted - actual per transition.
 
     Predictions come from the channel algorithm on the same stimulus.  In
-    log order, each prediction is paired with the nearest unused same-edge
-    reference crossing within delta_min/2, the later one in time on equal
-    gaps, so the order of ``reference_crossings`` does not matter;
+    log order, each prediction is paired with the nearest unused reference
+    crossing of its value within delta_min/2, the later one in time on
+    equal gaps, so the order of ``reference_crossings`` does not matter;
     predictions or crossings left without a partner are dropped.
     """
     _, log = apply_channel(Involution(df), stimulus)
     window = delta_min(df) / 2.0
 
-    unused = {edge: sorted(t for t, e in reference_crossings if e == edge) for edge in ("rising", "falling")}
+    unused = [sorted(t for t, v in reference_crossings if v == value) for value in (0, 1)]
     samples: list[DeviationSample] = []
     for rec in log:
         if rec.canceled:
             continue
-        edge = "rising" if rec.value == 1 else "falling"
-        times, p = unused[edge], rec.out_time
+        times, p = unused[rec.value], rec.out_time
         # the nearest unused crossings are the neighbours times[i - 1] < p <= times[i]
         i = bisect.bisect_left(times, p)
         left = p - times[i - 1] if i > 0 else math.inf
@@ -250,7 +252,7 @@ def deviation_analysis(
         if min(left, right) > window:
             continue
         t_c = times.pop(i if right <= left else i - 1)
-        samples.append(DeviationSample(rec.T, p - t_c, edge, t_c - rec.time))
+        samples.append(DeviationSample(rec.T, p - t_c, rec.value, t_c - rec.time))
     return samples
 
 
@@ -433,7 +435,8 @@ def write_deviation_csv(path, result: DeviationResult) -> None:
         w = csv.writer(fh)
         w.writerow(["edge", "T", "D", "covered", "delay"])
         for s in result.samples:
-            w.writerow([s.edge, repr(s.T), repr(s.D), int(result.covered(s)), repr(s.delay)])
+            edge = "rising" if s.value else "falling"
+            w.writerow([edge, repr(s.T), repr(s.D), int(result.covered(s)), repr(s.delay)])
 
 
 def write_fit_report(path, fit: ExpFit, n_samples: int) -> None:

@@ -158,7 +158,7 @@ def rc_crossings(params, disturbance, stimulus, horizon, rng=None):
     grid and bisection, evaluated point by point with ``math``.  A grid point
     exactly on the threshold counts as above it, so one passage through the
     threshold gives one crossing.  Above amplitude 0 the rail's phase is
-    drawn once from ``rng``.
+    drawn once from ``rng``.  Returns (time, value) pairs, value 1 upward.
     """
     import numpy as np
 
@@ -218,7 +218,7 @@ def rc_crossings(params, disturbance, stimulus, horizon, rng=None):
                         hi = mid
                     if hi - lo <= 1e-14:
                         break
-                crossings.append((0.5 * (lo + hi), "rising" if above else "falling"))
+                crossings.append((0.5 * (lo + hi), int(above)))
             prev_t, prev_above = float(t), above
         v0 = v(seg_end)
     return crossings
@@ -254,19 +254,18 @@ def exp_fit_residuals(rows, x):
 def greedy_pairing(log, crossings, window):
     """Pair surviving channel records with reference crossings, by exhaustive search.
 
-    In log order, each surviving record takes the nearest unused same-edge
-    crossing within ``window``; on equal gaps the later crossing in the list.
-    Returns (T, predicted - actual, edge, actual - input time) per pair.
+    In log order, each surviving record takes the nearest unused crossing of
+    its value within ``window``; on equal gaps the later crossing in the list.
+    Returns (T, predicted - actual, value, actual - input time) per pair.
     """
     used = [False] * len(crossings)
     out = []
     for rec in log:
         if rec.canceled:
             continue
-        edge = "rising" if rec.value == 1 else "falling"
         best, best_gap = None, window
-        for j, (t_a, e_a) in enumerate(crossings):
-            if used[j] or e_a != edge:
+        for j, (t_a, v_a) in enumerate(crossings):
+            if used[j] or v_a != rec.value:
                 continue
             gap = abs(t_a - rec.out_time)
             if gap <= best_gap:
@@ -275,7 +274,7 @@ def greedy_pairing(log, crossings, window):
             continue
         used[best] = True
         t_c = crossings[best][0]
-        out.append((rec.T, rec.out_time - t_c, edge, t_c - rec.time))
+        out.append((rec.T, rec.out_time - t_c, rec.value, t_c - rec.time))
     return out
 
 

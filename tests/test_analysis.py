@@ -338,8 +338,8 @@ class TestPulseCountGrowth:
 
 class TestSweepRunner:
     def test_one_circuit_equals_a_circuit_per_run(self, ref):
-        # the sweep builds its circuit once and overrides the loop's strategy
-        # per run; building a circuit per run must give the same points
+        # the sweep builds one circuit per strategy and runs every width on
+        # it; building a circuit per run must give the same points
         char = characterize(ref, BOUNDS)
         strategies = {
             "zero": Zero(),

@@ -223,9 +223,9 @@ class TestCancellationOracle:
 class TestStrategies:
     def test_worst_case_eta_values(self):
         b = EtaBounds(eta_minus=0.1, eta_plus=0.05)
-        assert worst_case_eta("rising", b) == 0.05
-        assert worst_case_eta("falling", b) == -0.1
-        assert worst_case_eta("rising", EtaBounds(0, 0)) == 0.0
+        assert worst_case_eta(1, b) == 0.05
+        assert worst_case_eta(0, b) == -0.1
+        assert worst_case_eta(1, EtaBounds(0, 0)) == 0.0
 
     def test_bounds_must_be_nonnegative(self):
         with pytest.raises(ChannelError):

@@ -303,9 +303,9 @@ class TestReleaseWindow:
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
 
     def test_fixed_sequence_override_is_checked_before_the_first_event(self, ref):
-        c = or_loop_circuit(EtaInvolution(ref, EtaBounds(0.1, 0.1), Zero()))
+        c = or_loop_circuit(EtaInvolution(ref, EtaBounds(0.1, 0.1), FixedSequence((0.5,))))
         with pytest.raises(CausalityFault, match=r"channel 'c': eta=0.5 outside \[-0.1, 0.1\]"):
-            execute(c, {"i": make_signal(0, [])}, horizon=5.0, strategies={"c": FixedSequence((0.5,))})
+            execute(c, {"i": make_signal(0, [])}, horizon=5.0)
 
 
 class TestChains:
@@ -416,15 +416,6 @@ class TestChains:
     def test_missing_input_rejected(self, loop_no_ht):
         with pytest.raises(EngineError):
             execute(loop_no_ht, {}, horizon=1.0)
-
-    def test_strategy_override_for_non_eta_channel_rejected(self, loop_no_ht):
-        with pytest.raises(EngineError):
-            execute(loop_no_ht, {"i": pulse(0, 1)}, horizon=1.0, strategies={"ci": Zero()})
-
-    def test_strategy_override_for_unknown_channel_rejected(self, loop_no_ht):
-        # no command passes overrides, so this is reached only through the library
-        with pytest.raises(EngineError, match="strategy override for unknown channel 'nowhere'"):
-            execute(loop_no_ht, {"i": pulse(0, 1)}, horizon=1.0, strategies={"nowhere": Zero()})
 
     def test_oversized_eta_minus_rejected_up_front(self, ref):
         # eta_minus beyond delta(0) makes pending outputs uncommittable: a

@@ -640,6 +640,7 @@ def _fig4_with(change):
 
 
 _ROGUE = {"kind": "pure", "params": {"d": 1.0}}  # an extra channel, named "x" and placed by each case
+_IDLE = {"function": "CONST0", "arity": 0, "initial": 0}  # an extra gate without pins, named by each case
 
 
 @pytest.mark.parametrize(
@@ -664,10 +665,27 @@ _ROGUE = {"kind": "pure", "params": {"d": 1.0}}  # an extra channel, named "x" a
             "duplicate vertex names ['buf1']",
         ),
         (lambda d: d["channels"][3].update({"name": "ht"}), "duplicate channel names ['ht']"),
+        (
+            lambda d: d["gates"].append({"name": "chan_ci", **_IDLE}),
+            "gate 'chan_ci' and channel 'ci' would both write the trace file 'chan_ci.csv'",
+        ),
+        (
+            lambda d: d["gates"].append({"name": "a/b", **_IDLE}),
+            "gate 'a/b': a name written as a trace file cannot hold '/', '\\' or NUL",
+        ),
+        (
+            lambda d: d["channels"][3].update({"name": "c\\o"}),
+            "channel 'c\\\\o': a name written as a trace file cannot hold '/', '\\' or NUL",
+        ),
+        (
+            lambda d: d["gates"].append({"name": "g\0", **_IDLE}),
+            "gate 'g\\x00': a name written as a trace file cannot hold '/', '\\' or NUL",
+        ),
     ],
     ids=[
         "unknown-source", "output-drives", "pin-on-port", "input-driven", "unknown-destination",
         "no-delay-params", "unknown-params", "from-a-pin", "repeated-gate", "repeated-channel",
+        "gate-named-like-a-channel-trace", "slash-in-a-gate", "backslash-in-a-channel", "nul-in-a-gate",
     ],
 )
 def test_netlist_rejection_names_its_entry(tmp_path, capsys, change, message):
@@ -726,6 +744,41 @@ def test_manifest_digests_the_files_a_netlist_names(tmp_path):
         fh.write(f"12.0,{up(12.0)},{down(12.0)}\n")
     after = inputs()
     assert after == digests() and after[str(table)] != before[str(table)]
+
+
+def test_a_stimulus_signal_naming_no_input_port_is_an_engine_error(tmp_path, fig4, capsys):
+    stim = tmp_path / "stim.csv"
+    write_trace(stim, {"i": pulse(0, 1.5), "x": pulse(0, 1.0)})
+    rc, last = _run(capsys, ["simulate", str(fig4), str(stim), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_ENGINE
+    assert json.loads(last) == {"error": "engine", "message": "input signals ['x'] name no input port"}
+    assert not (tmp_path / "o").exists()
+
+
+_SWEEP = ["spf-sweep", *REF, "--grid", "0.3", "0.6", "0.3", "--horizon", "20"]
+_WAVEFORM = ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.6", "--seed", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv, stimulus, seeds",
+    [
+        ([*_SWEEP, "--strategy", "zero"], None, {}),
+        ([*_SWEEP, "--strategy", "worst", "--strategy", "random", "--seeds", "2"], None, {"random": [0, 1]}),
+        ([*_WAVEFORM, "--amplitude", "0"], None, {}),
+        ([*_WAVEFORM, "--amplitude", "0.01"], None, {"phase": 7}),
+        (["simulate"], make_signal(0, []), {}),
+        (["simulate"], pulse(0, 1.5), {"c": 5}),
+    ],
+    ids=["sweep-zero", "sweep-random", "waveform-clean", "waveform-disturbed", "simulate-idle", "simulate-pulse"],
+)
+def test_manifest_lists_only_the_seeds_a_run_drew_from(tmp_path, capsys, argv, stimulus, seeds):
+    if stimulus is not None:  # fig4 with a uniform-random loop channel, which draws once its input switches
+        doc = _fig4_with(lambda d: d["channels"][1].update(strategy={"variant": "uniform_random", "seed": 5}))
+        netlist = tmp_path / "n.json"
+        netlist.write_text(json.dumps(doc))
+        argv = [*argv, str(netlist), str(write_stimulus(tmp_path, stimulus)), "--horizon", "30"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["seeds"] == seeds
 
 
 def test_waveform_and_a_tabulated_simulate_run_without_scipy(tmp_path):

@@ -49,8 +49,8 @@ class TestSynthCrossings:
     def test_single_edge_crossing_time(self):
         crossings = synth_crossings(REF_PARAMS, CLEAN, make_signal(0, [(0.0, 1)]), horizon=10.0)
         assert len(crossings) == 1
-        t, edge = crossings[0]
-        assert edge == "rising"
+        t, value = crossings[0]
+        assert value == 1
         assert t == pytest.approx(0.5 + math.log(2), abs=1e-9)
 
     def test_short_pulse_never_crosses(self):
@@ -94,10 +94,10 @@ class TestSynthCrossings:
             horizon = stim.last_time() + ref.delta_inf_up + 2.0
             crossings = synth_crossings(REF_PARAMS, CLEAN, stim, horizon)
             out, _ = apply_channel(Involution(ref), stim)
-            expected = [(t.time, "rising" if t.value == 1 else "falling") for t in out.transitions]
+            expected = [(t.time, t.value) for t in out.transitions]
             assert len(crossings) == len(expected)
-            for (got_t, got_e), (want_t, want_e) in zip(crossings, expected):
-                assert got_e == want_e
+            for (got_t, got_v), (want_t, want_v) in zip(crossings, expected):
+                assert got_v == want_v
                 assert got_t == pytest.approx(want_t, abs=1e-9)
 
     @pytest.mark.parametrize("amplitude, seeds", [(0.01, (51, 52, 53)), (0.05, (54,)), (0.0, (51,))])
@@ -223,7 +223,7 @@ class TestDeviationAnalysis:
         stim = make_signal(0, [(0.0, 1)])
         (rec,) = apply_channel(Involution(ref), stim)[1]
         p = rec.out_time
-        early, late = (p - 0.125, "rising"), (p + 0.125, "rising")
+        early, late = (p - 0.125, 1), (p + 0.125, 1)
         for crossings in ([early, late], [late, early]):
             samples = deviation_analysis(stim, crossings, ref)
             assert [s.D for s in samples] == [p - (p + 0.125)] == [-0.125]
@@ -244,18 +244,18 @@ class TestDeviationAnalysis:
         _, log = apply_channel(Involution(ref), stim)
         outs = [r.out_time for r in log if not r.canceled] or [1.0]
         crossings = sorted(
-            (outs[j % len(outs)] + sign * k / 32.0, "rising" if up else "falling")
+            (outs[j % len(outs)] + sign * k / 32.0, int(up))
             for k, up, j, mirrored in offsets
             for sign in ((1, -1) if mirrored else (1,))
         )
         got = deviation_analysis(stim, crossings, ref)
         want = oracles.greedy_pairing(log, crossings, delta_min(ref) / 2.0)
-        assert [(s.T, s.D, s.edge, s.delay) for s in got] == want
+        assert [(s.T, s.D, s.value, s.delay) for s in got] == want
         for reordered in (crossings[::-1], data.draw(st.permutations(crossings))):
             assert deviation_analysis(stim, reordered, ref) == got
 
     def test_bin_coverage_on_synthetic_samples(self):
-        samples = [DeviationSample(T=float(t), D=0.0 if t < 5 else 1.0, edge="rising", delay=1.0) for t in range(10)]
+        samples = [DeviationSample(T=float(t), D=0.0 if t < 5 else 1.0, value=1, delay=1.0) for t in range(10)]
         bins = bin_coverage(DeviationResult(samples, eta_minus=0.1, eta_plus=0.1))
         assert [(n, c) for *_, n, c in bins] == [(3, 1.0), (2, 1.0), (2, 0.0), (3, 0.0)]
         assert bin_coverage(DeviationResult([], 0.1, 0.1)) == []
