@@ -64,12 +64,12 @@ print("low-T deviations stay inside the budget; large-T ones increasingly escape
 
 print("\n== recovering channel parameters from delay samples ==")
 ts = np.linspace(-0.8, 5.0, 40)
-clean = [(float(t), df.up(float(t)), df.down(float(t))) for t in ts]
+clean = [(float(t), d, v) for t in ts for d, v in ((df.up(float(t)), 1), (df.down(float(t)), 0))]
 params, rms, _ = fit_exp_channel(clean)
 print(f"noise-free self-fit: tau={params.tau:.6f} t_p={params.t_p:.6f} "
       f"vth={params.vth_norm:.6f} (rms {rms:.2e})")
 rng = np.random.default_rng(3)
-noisy_samples = [(t, du + rng.uniform(-1e-3, 1e-3), dd + rng.uniform(-1e-3, 1e-3)) for t, du, dd in clean]
+noisy_samples = [(t, d + rng.uniform(-1e-3, 1e-3), v) for t, d, v in clean]
 params, rms, _ = fit_exp_channel(noisy_samples)
 print(f"with +-1e-3 noise:   tau={params.tau:.6f} t_p={params.t_p:.6f} "
       f"vth={params.vth_norm:.6f} (rms {rms:.2e})")

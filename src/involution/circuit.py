@@ -295,9 +295,9 @@ def _parse_channel_spec(entry: dict, base_dir: str | None, files: list[str]) -> 
                 ExpChannelParams(num("exp.tau", e["tau"]), num("exp.t_p", e["t_p"]), num("exp.vth", e["vth"]))
             )
         if "table" in params:
-            rows = read_delay_samples(data_file("table", params.pop("table")))
-            up = [(t, du) for t, du, _ in rows if du is not None]
-            down = [(t, dd) for t, _, dd in rows if dd is not None]
+            samples = read_delay_samples(data_file("table", params.pop("table")))
+            up = [(t, d) for t, d, value in samples if value]
+            down = [(t, d) for t, d, value in samples if not value]
             meta = _typed(where, "asymptotes", params.pop("asymptotes"), dict)
             return tabulated_channel(up, down, num("asymptotes.up", meta["up"]), num("asymptotes.down", meta["down"]))
         raise NetlistError(f"{where}: params need 'exp' or 'table', got {sorted(params)}")
@@ -477,18 +477,18 @@ def execute(
     # a vertex's current value is its last transition's, else its initial one
     vertex_events: list[list[tuple[float, int]]] = [[] for _ in vertex_names]
 
-    # Heap entries are (time, priority, sequence number, kind, payload); at one
-    # time stimuli and deliveries come first, then gate evaluations, then
-    # releases.  Payloads: STIM (port, value), EVAL gate, DELIVER and RELEASE
-    # (channel, record), vertices and channels by number.
+    # Heap entries are (time, kind, sequence number, payload); at one time the
+    # kind orders them: stimuli, deliveries, gate evaluations, releases.
+    # Payloads: STIM (port, value), EVAL gate, DELIVER and RELEASE (channel,
+    # record), vertices and channels by number.
     gates = range(len(circuit.input_ports), len(circuit.input_ports) + len(circuit.gates))
     first = []
     for k, p in enumerate(circuit.input_ports):
         v0 = inputs[p].initial_value
-        first += [(t, 0, _STIM, x) for t, x in zip(inputs[p].times, cycle(((k, 1 - v0), (k, v0))))]
-    first += [(0.0, 1, _EVAL, g) for g in gates]
-    heap: list[tuple[float, int, int, int, Any]]
-    heap = [(t, prio, seq, kind, x) for seq, (t, prio, kind, x) in enumerate(first)]
+        first += [(t, _STIM, x) for t, x in zip(inputs[p].times, cycle(((k, 1 - v0), (k, v0))))]
+    first += [(0.0, _EVAL, g) for g in gates]
+    heap: list[tuple[float, int, int, Any]]
+    heap = [(t, kind, seq, x) for seq, (t, kind, x) in enumerate(first)]
     heapq.heapify(heap)
     seq = len(heap)
     pending_evals = {(g, 0.0) for g in gates}
@@ -499,7 +499,7 @@ def execute(
     event_count = 0
     while heap:
         item = pop(heap)
-        t, _, _, kind, payload = item
+        t, kind, _, payload = item
         if t > horizon:
             heap.append(item)
             break
@@ -525,7 +525,7 @@ def execute(
                 if (x, t) not in pending_evals:
                     pending_evals.add((x, t))
                     seq += 1
-                    push(heap, (t, 1, seq, _EVAL, x))
+                    push(heap, (t, _EVAL, seq, x))
                 continue
         elif kind == _EVAL:
             x = payload
@@ -544,7 +544,7 @@ def execute(
                     f"channel {channel_names[c]!r}: committed output at {rec.out_time} lies before decision time {t}"
                 )
             seq += 1
-            push(heap, (rec.out_time, 0, seq, _DELIVER, payload))
+            push(heap, (rec.out_time, _DELIVER, seq, payload))
             continue
         else:
             x, v = payload
@@ -571,13 +571,13 @@ def execute(
             at = state.decide_at(rec)
             seq += 1
             if at is None:
-                push(heap, (rec.out_time, 0, seq, _DELIVER, (c, rec)))
+                push(heap, (rec.out_time, _DELIVER, seq, (c, rec)))
             elif not rec.canceled:
-                push(heap, (at, 2, seq, _RELEASE, (c, rec)))
+                push(heap, (at, _RELEASE, seq, (c, rec)))
 
     # what is still due after the horizon
     active: set[str] = set()
-    for _, _, _, kind, payload in heap:
+    for _, kind, _, payload in heap:
         if kind == _STIM:
             active.add(vertex_names[payload[0]])
         elif kind != _EVAL and not payload[1].canceled:
@@ -615,13 +615,13 @@ def execute(
     )
 
 
-_STIM, _EVAL, _DELIVER, _RELEASE = range(4)
-_KIND_NAMES = ("stim", "eval", "deliver", "release")
+_STIM, _DELIVER, _EVAL, _RELEASE = range(4)  # also the order of events at one time
+_KIND_NAMES = ("stim", "deliver", "eval", "release")
 
 
 def _named(circuit: Circuit, item: tuple) -> tuple:
     """A heap entry as (time, kind, payload) with names for numbers, as ``HorizonExceeded`` reports it."""
-    t, _, _, kind, payload = item
+    t, kind, _, payload = item
     if kind == _STIM:
         payload = (circuit._vertex_names[payload[0]], payload[1])
     elif kind == _EVAL:

@@ -109,9 +109,9 @@ def _write_json(path: str, obj) -> None:
     _atomic_write(path, w)
 
 
-def _manifest(out_dir: str, command: str, args: argparse.Namespace, inputs: list[str], extra: dict) -> None:
+def _manifest(args: argparse.Namespace, inputs: list[str], extra: dict) -> None:
     doc = {
-        "command": command,
+        "command": args.command,
         "argv": args.argv,
         "version": __version__,
         "inputs": {p: _sha256(p) for p in inputs},
@@ -121,7 +121,7 @@ def _manifest(out_dir: str, command: str, args: argparse.Namespace, inputs: list
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     doc.update(extra)
-    _write_json(os.path.join(out_dir, "manifest.json"), doc)
+    _write_json(os.path.join(args.out, "manifest.json"), doc)
 
 
 # inputs outside what the model can characterize, such as a budget violating constraint (C)
@@ -171,8 +171,6 @@ def cmd_simulate(args) -> int:
         if e.eta_sequences.get(name) and isinstance(edge.spec.strategy, ch.UniformRandom)
     }
     _manifest(
-        args.out,
-        "simulate",
         args,
         [args.netlist, args.stimulus, *circuit.files],
         {
@@ -199,7 +197,7 @@ def cmd_analyze(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "characterization.json"), report)
         if report["ok"]:
-            _manifest(args.out, "analyze", args, [], {"seeds": {}})
+            _manifest(args, [], {"seeds": {}})
     return EXIT_OK if report["ok"] else EXIT_CONSTRAINT
 
 
@@ -264,8 +262,6 @@ def cmd_spf_sweep(args) -> int:
     _write_json(os.path.join(args.out, "spf_verdict.json"), verdict_doc)
     random_seeds = [s.seed for s in strategies.values() if isinstance(s, ch.UniformRandom)]
     _manifest(
-        args.out,
-        "spf-sweep",
         args,
         [],
         {"seeds": {"random": random_seeds} if random_seeds else {}, "grid": args.grid, "epsilon": epsilon},
@@ -274,21 +270,21 @@ def cmd_spf_sweep(args) -> int:
     return EXIT_OK
 
 
-def _fit(out_dir: str, fit_rows: list) -> dict:
-    """Fit the exp-channel to ``fit_rows`` and write ``fit.json``; a diverged fit is reported, not raised.
+def _fit(out_dir: str, samples: list) -> dict:
+    """Fit the exp-channel to the delay ``samples`` and write ``fit.json``; a diverged fit is reported, not raised.
 
     A diverged fit removes any ``fit.json`` an earlier run left, which would pass for this run's.
     """
     path = os.path.join(out_dir, "fit.json")
     try:
-        fit = wl.fit_exp_channel(fit_rows)
+        fit = wl.fit_exp_channel(samples)
     except wl.FitDiverged as exc:
         try:
             os.remove(path)
         except FileNotFoundError:
             pass
         return {"error": str(exc)}
-    _atomic_write(path, lambda tmp: wl.write_fit_report(tmp, fit, len(fit_rows)))
+    _atomic_write(path, lambda tmp: wl.write_fit_report(tmp, fit, len(samples)))
     return {"tau": fit.params.tau, "t_p": fit.params.t_p, "vth": fit.params.vth_norm, "rms": fit.rms}
 
 
@@ -305,16 +301,12 @@ def cmd_waveform(args) -> int:
         crossings = wl.synth_crossings(params, disturbance, stim, args.horizon, rng)
         samples.extend(wl.deviation_analysis(stim, crossings, df))
     result = wl.DeviationResult(samples, eta_minus, eta_plus)
-    fit_rows = [
-        (s.T, s.delay, None) if s.value else (s.T, None, s.delay) for s in samples if math.isfinite(s.T)
-    ]
+    fit_samples = [(s.T, s.delay, s.value) for s in samples if math.isfinite(s.T)]
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "deviations.csv"), lambda tmp: wl.write_deviation_csv(tmp, result))
-    fit_report = _fit(args.out, fit_rows)
+    fit_report = _fit(args.out, fit_samples)
     bins = wl.bin_coverage(result)
     _manifest(
-        args.out,
-        "waveform",
         args,
         [args.stimulus] if args.stimulus else [],
         {

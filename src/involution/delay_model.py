@@ -263,25 +263,30 @@ def derivative_down(df: DelayFunction, T: float) -> float:
 
 
 # Delay-sample file: header "T,delta_up,delta_down"; either delta column may be empty.
+# In memory a delay sample is a (T, delay, value) triple: value 1 is a delta_up
+# delay, 0 a delta_down delay.
 
-def write_delay_samples(path, rows: Sequence[tuple[float, float | None, float | None]]) -> None:
+def write_delay_samples(path, samples: Sequence[tuple[float, float, int]]) -> None:
+    """Write one row per ``(T, delay, value)`` sample, the delay in its value's column."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["T", "delta_up", "delta_down"])
-        for T, du, dd in rows:
-            w.writerow([repr(T), "" if du is None else repr(du), "" if dd is None else repr(dd)])
+        for T, delay, value in samples:
+            w.writerow([repr(T), repr(delay), ""] if value else [repr(T), "", repr(delay)])
 
 
-def read_delay_samples(path) -> list[tuple[float, float | None, float | None]]:
-    rows = []
+def read_delay_samples(path) -> list[tuple[float, float, int]]:
+    """The ``(T, delay, value)`` samples of a delay-sample file, in file order, up before down within a row."""
+    samples = []
     r = csv.reader(io.StringIO(read_text(path, DelayModelError), newline=""))
     header = next(r, None)
     if header != ["T", "delta_up", "delta_down"]:
         raise DelayModelError(f"{path}: line 1: bad delay-sample header {header!r}")
     for row in r:
         try:
-            T, du, dd = row
-            rows.append((float(T), float(du) if du.strip() else None, float(dd) if dd.strip() else None))
+            T_s, du, dd = row
+            T = float(T_s)
+            samples += [(T, float(d), value) for d, value in ((du, 1), (dd, 0)) if d.strip()]
         except ValueError as exc:
             raise DelayModelError(f"{path}: line {r.line_num}: bad delay-sample row {row!r} ({exc})") from exc
-    return rows
+    return samples

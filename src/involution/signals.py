@@ -42,34 +42,11 @@ class NonPositiveLength(SignalError):
     """A pulse must have strictly positive length."""
 
 
-class _Edge(NamedTuple):
+class Transition(NamedTuple):
+    """A single edge: (time, value).  A falling edge is (t, 0), a rising edge (t, 1)."""
+
     time: float
     value: int
-
-
-class Transition(_Edge):
-    """A single edge: (time, value).  A falling edge is (t, 0), a rising edge (t, 1).
-
-    An immutable pair, built in bulk at C speed.  It equals only a Transition
-    of equal time and value, hashes as that pair, and has no order.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):  # a plain pair is no Transition
-            return type(other) is Transition and tuple.__eq__(self, other)
-        return NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def _unordered(self, other):
-        return NotImplemented
-
-    __hash__ = tuple.__hash__
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 @dataclass(frozen=True)

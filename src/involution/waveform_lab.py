@@ -284,23 +284,15 @@ def bin_coverage(result: DeviationResult) -> list[tuple[float, float, int, float
 class _DelayResiduals:
     """Residuals of the exp pair against delay samples, and their Jacobian in (tau, t_p, vth).
 
-    One residual per delay value, up before down within a sample row.  The
+    One residual per ``(T, delay, value)`` sample, in sample order.  The
     model value at T is tau ln(1 - e^{-z}) + d_inf_self with
     z = (T + d_inf_other) / tau; a value with z <= 0 lies outside the model's
     domain and gets the constant penalty 1e3 (1 + |T|).
     """
 
-    def __init__(self, samples: Sequence[tuple[float, float | None, float | None]]):
-        T, delay, side = [], [], []
-        for t, du, dd in samples:
-            for k, d in enumerate((du, dd)):
-                if d is not None:
-                    T.append(t)
-                    delay.append(d)
-                    side.append(k)
-        self.T = np.array(T, dtype=float)
-        self.delay = np.array(delay, dtype=float)
-        self.side = np.array(side, dtype=np.intp)  # 0: an up delay, 1: a down delay
+    def __init__(self, samples: Sequence[tuple[float, float, int]]):
+        self.T, self.delay, value = np.array(samples, dtype=float).reshape(-1, 3).T.copy()
+        self.side = (1 - value).astype(np.intp)  # 0: an up delay, 1: a down delay
         self.penalty = 1e3 * (1.0 + np.abs(self.T))
 
     def _z(self, x):
@@ -399,11 +391,12 @@ def _levenberg_marquardt(residuals: _DelayResiduals, x: np.ndarray, lo: np.ndarr
     return x, cost, nfev
 
 
-def fit_exp_channel(samples: Sequence[tuple[float, float | None, float | None]]) -> ExpFit:
+def fit_exp_channel(samples: Sequence[tuple[float, float, int]]) -> ExpFit:
     """Least-squares fit of (tau, t_p, vth) to delay samples.
 
-    ``samples`` rows are (T, delta_up or None, delta_down or None); up and
-    down residuals are weighted equally.  Bounded Levenberg-Marquardt with the
+    ``samples`` are (T, delay, value) triples, value 1 a delta_up delay and 0
+    a delta_down delay, as ``read_delay_samples`` returns them; up and down
+    residuals are weighted equally.  Bounded Levenberg-Marquardt with the
     analytic Jacobian from each of the three starts of ``_fit_starts``; a start
     whose residuals are not finite or whose step solve fails is skipped.
     Returns the best parameters, their RMS residual and the residual

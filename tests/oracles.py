@@ -224,11 +224,12 @@ def rc_crossings(params, disturbance, stimulus, horizon, rng=None):
     return crossings
 
 
-def exp_fit_residuals(rows, x):
-    """Residuals of the exp pair at ``x = (tau, t_p, vth)`` against (T, delta_up | None, delta_down | None) rows.
+def exp_fit_residuals(samples, x):
+    """Residuals of the exp pair at ``x = (tau, t_p, vth)`` against (T, delay, value) samples.
 
-    One residual per delay value, up before down within a row; a row outside
-    the model's domain (z <= 0) gives the penalty 1e3 * (1 + |T|).
+    One residual per sample, in sample order, value 1 a delta_up delay and 0 a
+    delta_down delay; a sample outside the model's domain (z <= 0) gives the
+    penalty 1e3 * (1 + |T|).
     """
     tau, t_p, vth = x
     d_inf_up = t_p - tau * math.log(1.0 - vth)
@@ -241,13 +242,9 @@ def exp_fit_residuals(rows, x):
         return tau * math.log1p(-math.exp(-z)) + d_inf_self
 
     res = []
-    for T, du, dd in rows:
-        if du is not None:
-            m = model(T, d_inf_up, d_inf_down)
-            res.append(1e3 * (1.0 + abs(T)) if m is None else m - du)
-        if dd is not None:
-            m = model(T, d_inf_down, d_inf_up)
-            res.append(1e3 * (1.0 + abs(T)) if m is None else m - dd)
+    for T, d, value in samples:
+        m = model(T, d_inf_up, d_inf_down) if value else model(T, d_inf_down, d_inf_up)
+        res.append(1e3 * (1.0 + abs(T)) if m is None else m - d)
     return res
 
 

@@ -322,7 +322,8 @@ def test_criterion_10_surrogate_oracle(ref):
                 mismatched += 1
                 break
             worst = max(worst, abs(t_c - tr.time))
-    samples = [(float(T), ref.up(float(T)), ref.down(float(T))) for T in np.linspace(-0.8, 5.0, 40)]
+    ts = np.linspace(-0.8, 5.0, 40).tolist()
+    samples = [(T, d, v) for T in ts for d, v in ((ref.up(T), 1), (ref.down(T), 0))]
     params = fit_exp_channel(samples).params
     fit_err = max(abs(params.tau - 1.0), abs(params.t_p - 0.5) / 0.5, abs(params.vth_norm - 0.5) / 0.5)
     report(

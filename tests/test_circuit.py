@@ -217,7 +217,7 @@ class TestParse:
         ts = -0.98 * ref.delta_inf_down + np.logspace(-4, np.log10(12), 900)
         write_delay_samples(
             tmp_path / "table.csv",
-            [(float(t), ref.up(float(t)), ref.down(float(t))) for t in ts],
+            [(float(t), d, v) for t in ts for d, v in ((ref.up(float(t)), 1), (ref.down(float(t)), 0))],
         )
         write_eta_sequence(tmp_path / "etas.csv", [0.0, 0.01])
         doc = {

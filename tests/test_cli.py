@@ -322,10 +322,7 @@ class TestWaveform:
         assert main([*argv, "--out", str(out)]) == EXIT_OK
         with open(out / "deviations.csv", newline="") as fh:
             rows = [r for r in csv.DictReader(fh) if math.isfinite(float(r["T"]))]
-        samples = [
-            (float(r["T"]), float(r["delay"]), None) if r["edge"] == "rising" else (float(r["T"]), None, float(r["delay"]))
-            for r in rows
-        ]
+        samples = [(float(r["T"]), float(r["delay"]), int(r["edge"] == "rising")) for r in rows]
         fitted = fit_exp_channel(samples)
         fit = json.loads((out / "fit.json").read_text())
         assert fit == {

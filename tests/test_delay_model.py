@@ -282,10 +282,17 @@ class TestShapeInvariants:
 
 
 def test_delay_sample_csv_roundtrip(tmp_path):
-    rows = [(0.0, 0.8, None), (1.0, None, 1.1), (2.0, 1.15, 1.18)]
+    samples = [(0.0, 0.8, 1), (1.0, 1.1, 0), (2.0, 1.15, 1), (2.0, 1.18, 0)]
     path = tmp_path / "samples.csv"
-    write_delay_samples(path, rows)
-    assert read_delay_samples(path) == rows
+    write_delay_samples(path, samples)
+    assert path.read_text().splitlines() == ["T,delta_up,delta_down", "0.0,0.8,", "1.0,,1.1", "2.0,1.15,", "2.0,,1.18"]
+    assert read_delay_samples(path) == samples
+
+
+def test_a_delay_sample_row_reads_as_one_sample_per_delay(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("T,delta_up,delta_down\n2.0,1.15,1.18\n0.0,0.8,\n1.0,,1.1\n")
+    assert read_delay_samples(path) == [(2.0, 1.15, 1), (2.0, 1.18, 0), (0.0, 0.8, 1), (1.0, 1.1, 0)]
 
 
 @pytest.mark.parametrize("row", ["0.5,abc,", "0.5,0.9", "x,0.9,1.0"])

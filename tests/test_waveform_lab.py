@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from involution import cli, waveform_lab
 from involution.channel import Involution, apply_channel
-from involution.delay_model import ExpChannelParams, delta_min, exp_channel, tabulated_channel
+from involution.delay_model import ExpChannelParams, delta_min, exp_channel, read_delay_samples, tabulated_channel
 from involution.signals import make_signal, pulse
 from involution.waveform_lab import (
     DeviationResult,
@@ -262,11 +262,11 @@ class TestDeviationAnalysis:
 
 
 def calibration_rows(out, argv):
-    """The fit rows of a `waveform` run with ``argv``, read back from its ``deviations.csv``."""
+    """The fit samples of a `waveform` run with ``argv``, read back from its ``deviations.csv``."""
     assert cli.main(["waveform", *argv, "--out", str(out)]) == 0
     with open(out / "deviations.csv", newline="") as fh:
         return [
-            (float(r["T"]), float(r["delay"]), None) if r["edge"] == "rising" else (float(r["T"]), None, float(r["delay"]))
+            (float(r["T"]), float(r["delay"]), int(r["edge"] == "rising"))
             for r in csv.DictReader(fh)
             if math.isfinite(float(r["T"]))
         ]
@@ -295,7 +295,8 @@ FIT_CONFIGURATIONS = fit_configurations()
 
 class TestFit:
     def make_samples(self, df, ts):
-        return [(float(t), df.up(float(t)), df.down(float(t))) for t in ts]
+        """The (T, delay, value) samples of ``df`` at each of ``ts``, the up delay before the down delay."""
+        return [(float(t), d, v) for t in ts for d, v in ((df.up(float(t)), 1), (df.down(float(t)), 0))]
 
     def test_self_fit_recovers_parameters(self, ref):
         samples = self.make_samples(ref, np.linspace(-0.8, 5.0, 40))
@@ -305,12 +306,26 @@ class TestFit:
         assert params.vth_norm == pytest.approx(0.5, rel=1e-4)
         assert rms <= 1e-8
 
+    def test_a_delay_table_file_feeds_the_fit(self, tmp_path):
+        # a netlist-style table, both delays on each row, of an asymmetric exp-channel:
+        # a delay read with the other direction would fit vth = 0.65
+        df = exp_channel(ExpChannelParams(2.0, 0.7, 0.35))
+        path = tmp_path / "table.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["T", "delta_up", "delta_down"])
+            for t in np.linspace(-1.2, 10.0, 40).tolist():
+                w.writerow([repr(t), repr(df.up(t)), repr(df.down(t))])
+        params, rms, _ = fit_exp_channel(read_delay_samples(path))
+        assert params.tau == pytest.approx(2.0, rel=1e-4)
+        assert params.t_p == pytest.approx(0.7, rel=1e-4)
+        assert params.vth_norm == pytest.approx(0.35, rel=1e-4)
+        assert rms <= 1e-8
+
     def test_noisy_self_fit(self, ref):
         rng = np.random.default_rng(13)
-        samples = [
-            (t, du + float(rng.uniform(-1e-3, 1e-3)), dd + float(rng.uniform(-1e-3, 1e-3)))
-            for t, du, dd in self.make_samples(ref, np.linspace(-0.8, 5.0, 60))
-        ]
+        clean = self.make_samples(ref, np.linspace(-0.8, 5.0, 60))
+        samples = [(t, d + float(rng.uniform(-1e-3, 1e-3)), v) for t, d, v in clean]
         params, rms, _ = fit_exp_channel(samples)
         assert rms <= 2e-3
         assert params.tau == pytest.approx(1.0, rel=0.01)
@@ -318,7 +333,7 @@ class TestFit:
         assert params.vth_norm == pytest.approx(0.5, rel=0.01)
 
     def test_single_edge_dataset(self, ref):
-        samples = [(float(t), ref.up(float(t)), None) for t in np.linspace(-0.8, 5.0, 30)]
+        samples = [(float(t), ref.up(float(t)), 1) for t in np.linspace(-0.8, 5.0, 30)]
         params, rms, _ = fit_exp_channel(samples)
         assert rms <= 1e-6
         # the partner function is pinned through the involution closed form
@@ -347,16 +362,15 @@ class TestFit:
         assert rms > 1e-3  # genuinely not an exp channel
 
         fitted = exp_channel(params)
-        resid = np.array(
-            [abs(fitted.up(float(t)) - du) + abs(fitted.down(float(t)) - dd) for t, du, dd in samples]
-        )
+        misfit = [abs((fitted.up if v else fitted.down)(t) - d) for t, d, v in samples]
+        resid = np.array(misfit).reshape(-1, 2).sum(axis=1)  # up plus down at each T
         quarter = len(eval_ts) // 4
         assert resid[-quarter:].mean() > resid[:quarter].mean()
 
     def test_scale_equivariance(self, ref):
         samples = self.make_samples(ref, np.linspace(-0.8, 5.0, 40))
         k = 7.0
-        scaled = [(k * t, k * du, k * dd) for t, du, dd in samples]
+        scaled = [(k * t, k * d, v) for t, d, v in samples]
         p1 = fit_exp_channel(samples).params
         p2 = fit_exp_channel(scaled).params
         assert p2.tau == pytest.approx(k * p1.tau, rel=1e-3)
@@ -364,13 +378,15 @@ class TestFit:
         assert p2.vth_norm == pytest.approx(p1.vth_norm, rel=1e-3)
 
     def rows_and_points(self, ref):
-        """Rows with some missing values, and seeded points across the fit's bounds."""
+        """Samples with some delays missing, and seeded points across the fit's bounds."""
         rng = np.random.default_rng(21)
+        # every third T lacks its up delay and every fourth its down delay
         rows = [
-            (t, du if k % 3 else None, dd if k % 4 else None)
-            for k, (t, du, dd) in enumerate(self.make_samples(ref, np.linspace(-0.9, 5.0, 50)))
+            (t, d, v)
+            for k, (t, d, v) in enumerate(self.make_samples(ref, np.linspace(-0.9, 5.0, 50)))
+            if (k // 2) % (3 if v else 4)
         ]
-        med = float(np.median([abs(v) for _, du, dd in rows for v in (du, dd) if v is not None]))
+        med = float(np.median([abs(d) for _, d, _ in rows]))
         points = [
             (
                 math.exp(rng.uniform(math.log(1e-3 * med), math.log(1e3 * med))),
@@ -414,18 +430,14 @@ class TestFit:
             assert np.all(jac[residuals(x) == residuals.penalty] == 0.0)
 
     def test_cost_is_no_worse_than_least_squares(self, tmp_path):
-        # the fit rows of the default calibration as `waveform` writes them, then 20
+        # the fit samples of the default calibration as `waveform` writes them, then 20
         # copies with Gaussian noise of 1e-4 to 1e-2 on every delay
         argv = ["--tau", "1", "--t-p", "0.5", "--vth", "0.6", "--amplitude", "0.01", "--seed", "51"]
         calibration = calibration_rows(tmp_path, argv)
         rng = np.random.default_rng(1978)
         datasets = [calibration]
         for sigma in np.logspace(-4, -2, 20):
-
-            def jitter(d, sigma=sigma):
-                return None if d is None else d + float(rng.normal(0.0, sigma))
-
-            datasets.append([(t, jitter(du), jitter(dd)) for t, du, dd in calibration])
+            datasets.append([(t, d + float(rng.normal(0.0, sigma)), v) for t, d, v in calibration])
         for rows in datasets:
             fit = fit_exp_channel(rows)
             residuals = _DelayResiduals(rows)
@@ -460,8 +472,9 @@ class TestFit:
             fit_exp_channel(samples)
 
     def test_starts_that_fail_are_skipped(self, ref):
-        # every row lies inside the model's domain at every start, so every start's residuals are NaN
-        samples = [(t, math.nan, du) for t, du, _ in self.make_samples(ref, np.linspace(0.0, 5.0, 10))]
+        # every sample lies inside the model's domain at every start, so every start's residuals are NaN
+        ts = np.linspace(0.0, 5.0, 10)
+        samples = [(float(t), d, v) for t in ts for d, v in ((math.nan, 1), (ref.up(float(t)), 0))]
         with pytest.raises(FitDiverged, match="no fit start converged"):
             fit_exp_channel(samples)
 
@@ -485,7 +498,7 @@ class TestFit:
 
     def test_too_few_samples(self):
         with pytest.raises(FitDiverged):
-            fit_exp_channel([(0.0, 0.8, None), (1.0, 1.0, None)])
+            fit_exp_channel([(0.0, 0.8, 1), (1.0, 1.0, 1)])
 
 
 def test_output_files(tmp_path, ref):
