@@ -24,8 +24,9 @@ The involution channel is the eta-involution channel with a zero budget
 decides a record that can no longer be canceled, and ``survivors`` is the
 output once the whole input has been fed.  ``apply_channel`` and the engine
 in ``circuit`` both drive it and differ only in when they decide a record:
-the engine first calls ``check_causal`` and then decides each record at
-``decide_at(record)`` (None: deliver at once).
+the engine decides each record at ``decide_at(record)`` (None: deliver at
+once), on channels whose ``check_causal`` its circuit ran once when it was
+built.
 
 Commit rule of the involution channels
 --------------------------------------
@@ -52,6 +53,7 @@ import csv
 import io
 import math
 import operator
+import threading
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -122,25 +124,62 @@ def worst_case_eta(value: int, bounds: EtaBounds) -> float:
 _FIRST_BLOCK, _LAST_BLOCK = 4, 1024  # sizes of the first and the largest block of uniform draws
 
 
+class _UniformDraws:
+    """The uniform draws of one seed within one budget, kept block by block.
+
+    The k-th block holds the next min(4 * 2**k, 1024) draws, last one first.
+    Drawing n at once yields the same stream as n scalar draws, and the blocks
+    grow geometrically, so that short runs draw few values ahead.  A block is
+    drawn once and then served to every source that reads these draws, from
+    any thread: a drawn block is never modified, and a lock orders the draws.
+    """
+
+    def __init__(self, seed: int, bounds: EtaBounds):
+        self._rng = np.random.default_rng(seed)
+        self._low, self._high = -bounds.eta_minus, bounds.eta_plus
+        self._blocks: list[list[float]] = []
+        self._lock = threading.Lock()
+
+    def block(self, k: int) -> list[float]:
+        """The k-th block, last draw first; the caller must not modify it."""
+        blocks = self._blocks
+        if k >= len(blocks):
+            with self._lock:
+                while len(blocks) <= k:
+                    size = min(_FIRST_BLOCK << len(blocks), _LAST_BLOCK)
+                    block = self._rng.uniform(self._low, self._high, size=size).tolist()
+                    block.reverse()
+                    blocks.append(block)
+        return blocks[k]
+
+
 class EtaSource:
     """Per-run consumable view of a strategy: one eta per input transition index.
 
     Draws come from ``_block``, a list of the next values, last one first: a
-    fixed sequence fills it once, uniform draws refill it block by block.  A
-    draw on an empty block goes to ``_after_block``.  A fixed sequence is
-    checked against the bounds once, here; the other strategies draw within
-    the bounds by construction.
+    fixed sequence fills it once, uniform draws refill it with a copy of the
+    next block of ``draws``.  A draw on an empty block goes to
+    ``_after_block``.  A fixed sequence is checked against the bounds once,
+    here; the other strategies draw within the bounds by construction.
+
+    A ``UniformRandom`` strategy's draws depend only on its seed and the
+    bounds.  ``draws`` memoizes them by ``(seed, bounds)`` for sources that
+    read one stream, such as the runs of one circuit; None draws afresh.
     """
 
-    def __init__(self, strategy: AdversaryStrategy, bounds: EtaBounds):
+    def __init__(self, strategy: AdversaryStrategy, bounds: EtaBounds, draws: dict | None = None):
         self.bounds = bounds
         self._block: list[float] = []
         # a plain function of (source, value): a bound method kept on the
         # instance would make every source a cycle that only gc.collect frees
         if isinstance(strategy, UniformRandom):
-            self._rng = np.random.default_rng(strategy.seed)
-            self._block_size = _FIRST_BLOCK
-            self._after_block = EtaSource._draw_block
+            draws = {} if draws is None else draws
+            key = (strategy.seed, bounds)
+            if key not in draws:
+                draws[key] = _UniformDraws(strategy.seed, bounds)
+            self._draws = draws[key]
+            self._next_block = 0
+            self._after_block = EtaSource._read_block
         elif isinstance(strategy, Zero):
             self._after_block = EtaSource._zero
         elif isinstance(strategy, WorstCaseShrink):
@@ -161,14 +200,10 @@ class EtaSource:
         block = self._block
         return block.pop() if block else self._after_block(self, value)
 
-    def _draw_block(self, value: int) -> float:
-        # Drawing n at once yields the same stream as n scalar draws; blocks
-        # grow geometrically, so that short runs draw few values ahead.
-        b = self.bounds
-        self._block = self._rng.uniform(-b.eta_minus, b.eta_plus, size=self._block_size).tolist()
-        self._block.reverse()
-        self._block_size = min(2 * self._block_size, _LAST_BLOCK)
-        return self._block.pop()
+    def _read_block(self, value: int) -> float:
+        self._block = block = self._draws.block(self._next_block)[:]
+        self._next_block += 1
+        return block.pop()
 
     def _zero(self, value: int) -> float:
         return 0.0
@@ -386,14 +421,17 @@ class _InvolutionState:
         return list(self.stack)
 
 
-def channel_state(spec: ChannelSpec, initial_value: int):
-    """The incremental state of a channel whose input starts at ``initial_value``."""
+def channel_state(spec: ChannelSpec, initial_value: int, draws: dict | None = None):
+    """The incremental state of a channel whose input starts at ``initial_value``.
+
+    ``draws`` goes to the :class:`EtaSource` of an eta-involution channel.
+    """
     if isinstance(spec, Pure):
         return _PureState(spec.delay)
     if isinstance(spec, Inertial):
         return _InertialState(spec.delay, spec.window, initial_value)
     if isinstance(spec, EtaInvolution):
-        return _InvolutionState(spec.df, EtaSource(spec.strategy, spec.bounds))
+        return _InvolutionState(spec.df, EtaSource(spec.strategy, spec.bounds, draws))
     raise ChannelError(f"unknown channel spec {spec!r}")
 
 

@@ -11,10 +11,10 @@ The engine drives every channel through its incremental state
 (``channel.channel_state``) and releases a pending output to downstream
 consumers only at the state's decision time, which ``channel`` derives per
 kind (for the involution channels, from the commit rule documented there).
-A channel that cannot be decided causally, an arrival that would
-retro-cancel a committed output, and a vertex that would switch twice at one
-instant raise :class:`CausalityFault` instead of silently corrupting the
-trace.
+A channel that cannot be decided causally (checked once per circuit), an
+arrival that would retro-cancel a committed output, and a vertex or channel
+that would switch twice at one instant or repeat its value raise
+:class:`CausalityFault` instead of silently corrupting the trace.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Any, Callable
 from . import channel as ch
 from .delay_model import DelayFunction, DelayModelError, ExpChannelParams, exp_channel
 from .delay_model import read_delay_samples, tabulated_channel
-from .signals import Signal, make_signal
+from .signals import Signal, _unchecked
 
 
 class NetlistError(ValueError):
@@ -231,6 +231,23 @@ class Circuit:
         delays = [e.spec.delay for e in edges if isinstance(e.spec, (ch.Pure, ch.Inertial))]
         # the stabilization guard, or None for a tenth of the horizon
         self._guard = 10.0 * max(dinfs) if dinfs else (10.0 * max(delays) if delays and max(delays) > 0 else None)
+        # the uniform eta draws of the channels, read by every run (see
+        # channel.EtaSource); the causal check enters every key, so runs only read the dict
+        self._draws: dict = {}
+        self._fault = self._causal_fault()
+
+    def _causal_fault(self) -> str | None:
+        """The message of the first channel that the engine cannot decide causally, or None.
+
+        Every ``execute`` of this circuit raises it.  No check reads the
+        channel's initial value, so any value builds the state to check.
+        """
+        for name, edge in self.channels.items():
+            try:
+                ch.channel_state(edge.spec, 0, self._draws).check_causal()
+            except ch.ChannelError as exc:
+                return f"channel {name!r}: {exc}"
+        return None
 
     def driver_of(self, dst: str, pin: int | None = None) -> ChannelEdge:
         return self._drivers[(dst, pin)]
@@ -456,6 +473,9 @@ def execute(
     if unknown:
         raise EngineError(f"input signals {unknown} name no input port")
 
+    if circuit._fault is not None:
+        raise CausalityFault(circuit._fault)
+
     # Vertices and channels are numbered by ``Circuit._index``.  Initial values
     # propagate statically: a channel's initial output value is its source
     # vertex's initial value.
@@ -465,17 +485,17 @@ def execute(
     initial += [g.initial_value for g in circuit.gates.values()]
     initial += [initial[src] for src, (_, pin) in zip(circuit._channel_src, channel_dst) if pin is None]
     pins = [srcs and [initial[s] for s in srcs] for srcs in circuit._pin_srcs]
-    states = []
-    for (name, edge), src in zip(circuit.channels.items(), circuit._channel_src):
-        try:
-            state = ch.channel_state(edge.spec, initial[src])
-            state.check_causal()
-        except ch.ChannelError as exc:
-            raise CausalityFault(f"channel {name!r}: {exc}") from exc
-        states.append(state)
-    delivered: list[list[tuple[float, int]]] = [[] for _ in states]
-    # a vertex's current value is its last transition's, else its initial one
-    vertex_events: list[list[tuple[float, int]]] = [[] for _ in vertex_names]
+    states = [
+        ch.channel_state(edge.spec, initial[src], circuit._draws)
+        for edge, src in zip(circuit.channels.values(), circuit._channel_src)
+    ]
+    feeds = [state.feed for state in states]
+    decide_ats = [state.decide_at for state in states]
+    # the transition times of every channel and vertex; values alternate from
+    # ``initial``, and ``values`` holds each vertex's current one
+    channel_times: list[list[float]] = [[] for _ in states]
+    vertex_times: list[list[float]] = [[] for _ in vertex_names]
+    values = initial[:]
 
     # Heap entries are (time, kind, sequence number, payload); at one time the
     # kind orders them: stimuli, deliveries, gate evaluations, releases.
@@ -491,7 +511,8 @@ def execute(
     heap = [(t, kind, seq, x) for seq, (t, kind, x) in enumerate(first)]
     heapq.heapify(heap)
     seq = len(heap)
-    pending_evals = {(g, 0.0) for g in gates}
+    # by gate: the time of its pending evaluation, else None (every gate evaluates at 0)
+    pending_eval: list[float | None] = [0.0] * len(pins)
     trail: collections.deque[tuple] = collections.deque(maxlen=100)  # the last events before the budget runs out
     trail_from = events_max - trail.maxlen
     push, pop = heapq.heappush, heapq.heappop
@@ -518,18 +539,26 @@ def execute(
             if rec.canceled:  # a pure record can cancel with a later one rounded onto its time
                 continue
             v = rec.value
-            delivered[c].append((t, v))
             x, pin = channel_dst[c]
+            times = channel_times[c]
+            # the pin's value, or the port's, is the channel's last delivered value
+            if v == (values[x] if pin is None else pins[x][pin]):
+                raise CausalityFault(f"channel {channel_names[c]!r}: delivery at t={t} repeats value {v}")
+            if times and t <= times[-1]:
+                raise CausalityFault(
+                    f"channel {channel_names[c]!r}: delivery at t={t} does not follow its last one at t={times[-1]}"
+                )
+            times.append(t)
             if pin is not None:  # a gate pin: evaluate the gate after every delivery at t
                 pins[x][pin] = v
-                if (x, t) not in pending_evals:
-                    pending_evals.add((x, t))
+                if pending_eval[x] != t:
+                    pending_eval[x] = t
                     seq += 1
                     push(heap, (t, _EVAL, seq, x))
                 continue
         elif kind == _EVAL:
             x = payload
-            pending_evals.discard((x, t))
+            pending_eval[x] = None
             v = gate_fns[x](pins[x])
         elif kind == _RELEASE:
             c, rec = payload
@@ -550,25 +579,21 @@ def execute(
             x, v = payload
 
         # vertex x takes value v at t and feeds its fan-out channels
-        events = vertex_events[x]
-        if events:
-            last_t, last_v = events[-1]
-            if last_v == v:
-                continue
-            if t <= last_t:  # equal: a record decided at its output time was delivered after this evaluation
-                raise CausalityFault(
-                    f"vertex {vertex_names[x]!r}: transition at t={t} does not follow its last one at t={last_t}"
-                )
-        elif initial[x] == v:
+        if values[x] == v:
             continue
-        events.append((t, v))
+        times = vertex_times[x]
+        if times and t <= times[-1]:  # equal: a record decided at its output time was delivered after this evaluation
+            raise CausalityFault(
+                f"vertex {vertex_names[x]!r}: transition at t={t} does not follow its last one at t={times[-1]}"
+            )
+        times.append(t)
+        values[x] = v
         for c in fanout[x]:
-            state = states[c]
             try:
-                rec, _ = state.feed(t, v)
+                rec, _ = feeds[c](t, v)
             except ch.ChannelError as exc:
                 raise CausalityFault(f"channel {channel_names[c]!r}: {exc}") from exc
-            at = state.decide_at(rec)
+            at = decide_ats[c](rec)
             seq += 1
             if at is None:
                 push(heap, (rec.out_time, _DELIVER, seq, (c, rec)))
@@ -583,11 +608,14 @@ def execute(
         elif kind != _EVAL and not payload[1].canceled:
             active.add(channel_names[payload[0]])
 
+    # the loop's checks keep the times strictly increasing and the values alternating
     channel_signals = {
-        name: make_signal(initial[src], events)
-        for name, src, events in zip(channel_names, circuit._channel_src, delivered)
+        name: _unchecked(initial[src], tuple(times))
+        for name, src, times in zip(channel_names, circuit._channel_src, channel_times)
     }
-    vertex_signals = {name: make_signal(v, events) for name, v, events in zip(vertex_names, initial, vertex_events)}
+    vertex_signals = {
+        name: _unchecked(v, tuple(times)) for name, v, times in zip(vertex_names, initial, vertex_times)
+    }
 
     guard = circuit._guard if circuit._guard is not None else horizon / 10.0
     guard = min(guard, horizon / 2.0)  # the window must leave room before it

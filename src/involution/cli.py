@@ -121,7 +121,16 @@ def _manifest(args: argparse.Namespace, inputs: list[str], extra: dict) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     doc.update(extra)
-    _write_json(os.path.join(args.out, "manifest.json"), doc)
+
+    def w(tmp):
+        # one top-level key per line, each value compact: indent= would run
+        # json's pure-Python encoder over every eta of a simulate manifest
+        with open(tmp, "w") as fh:
+            fh.write("{\n")
+            fh.write(",\n".join(f"  {json.dumps(k)}: {json.dumps(doc[k], sort_keys=True)}" for k in sorted(doc)))
+            fh.write("\n}\n")
+
+    _atomic_write(os.path.join(args.out, "manifest.json"), w)
 
 
 # inputs outside what the model can characterize, such as a budget violating constraint (C)

@@ -130,7 +130,7 @@ class Signal:
 
 
 def _unchecked(initial_value: int, times: tuple[float, ...]) -> Signal:
-    """A signal from the times of a valid signal, without checking them again."""
+    """A signal from times known to be valid (floats, 0 <= t_1 < t_2 < ... < inf), without checking them."""
     s = object.__new__(Signal)
     object.__setattr__(s, "initial_value", initial_value)
     object.__setattr__(s, "times", times)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -342,3 +344,37 @@ def test_uniform_eta_stream_equals_scalar_draws(seed, eta_minus, eta_plus):
     rng = np.random.default_rng(seed)
     expected = [float(rng.uniform(-eta_minus, eta_plus)) for _ in range(n)]
     assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def test_sources_sharing_draws_across_threads_read_one_stream():
+    # More threads than cores, with a short switch interval, start reading
+    # one memo together, as concurrent runs of one circuit do; a block drawn
+    # twice or out of order would give some source another stream.
+    bounds, n, workers, rounds = EtaBounds(0.05, 0.1), 300, 8, 100  # 300 draws: blocks 0 to 6
+    fresh = EtaSource(UniformRandom(7), bounds)
+    want = [fresh.eta(k % 2) for k in range(n)]
+    memos = [{} for _ in range(rounds)]
+    start = threading.Barrier(workers)
+    results = []
+
+    def work():
+        for draws in memos:
+            start.wait(timeout=60)
+            source = EtaSource(UniformRandom(7), bounds, draws)
+            results.append([source.eta(k % 2) for k in range(n)])
+
+    for draws in memos:  # a circuit enters its memo's keys when it is built
+        EtaSource(UniformRandom(7), bounds, draws)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == workers * rounds
+    assert all(etas == want for etas in results)

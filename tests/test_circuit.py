@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from involution import channel
 from involution.channel import (
     EtaBounds,
     EtaInvolution,
@@ -12,6 +13,7 @@ from involution.channel import (
     Inertial,
     Involution,
     Pure,
+    TransitionRecord,
     UniformRandom,
     Zero,
     apply_channel,
@@ -423,6 +425,81 @@ class TestChains:
         c = or_loop_circuit(EtaInvolution(ref, EtaBounds(eta_minus=0.9, eta_plus=0.0), Zero()))
         with pytest.raises(CausalityFault):
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
+
+
+def _buffer(spec):
+    """x -> channel 'in' with ``spec`` -> BUF b -> channel 'out' (Pure(0)) -> y."""
+    return Circuit(
+        ["x"],
+        ["y"],
+        [Gate("b", "BUF", 1, 0)],
+        [ChannelEdge("in", "x", "b", 0, spec), ChannelEdge("out", "b", "y", None, Pure(0.0))],
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            EtaInvolution(exp_channel(ExpChannelParams(1.0, 0.5, 0.5)), EtaBounds(eta_minus=0.9, eta_plus=0.0)),
+            "channel 'in': eta_minus exceeds delta(0); pending outputs cannot be committed causally",
+        ),
+        (Inertial(0.5, 1.0), "channel 'in': inertial window exceeds delay; not causally executable"),
+        (
+            EtaInvolution(
+                exp_channel(ExpChannelParams(1.0, 0.5, 0.5)), EtaBounds(0.1, 0.1), FixedSequence((0.05, 0.5))
+            ),
+            "channel 'in': eta=0.5 outside [-0.1, 0.1]",
+        ),
+    ],
+    ids=["eta_minus", "inertial_window", "fixed_sequence"],
+)
+def test_causal_fault_is_raised_by_every_run(spec, message):
+    c = _buffer(spec)  # building the circuit succeeds; its runs fault
+    with pytest.raises(EngineError, match="missing input signals"):  # the inputs are checked first
+        execute(c, {}, horizon=10.0)
+    for _ in range(2):
+        with pytest.raises(CausalityFault) as exc_info:
+            execute(c, {"x": pulse(0, 2)}, horizon=10.0)
+        assert str(exc_info.value) == message
+
+
+class _StubState:
+    """A channel state that delivers the k-th input after ``delays[k]`` with value ``values[k]``."""
+
+    def __init__(self, values, delays):
+        self.values, self.delays = iter(values), iter(delays)
+        self.log = []
+
+    def feed(self, t, value):
+        delay = next(self.delays)
+        rec = TransitionRecord(len(self.log) + 1, t, next(self.values), math.nan, delay, 0.0, t + delay)
+        self.log.append(rec)
+        return rec, None
+
+    def decide_at(self, rec):
+        return None
+
+
+@pytest.mark.parametrize(
+    "times, values, delays, message",
+    [
+        ((0.5, 2.0), (1, 1), (1.0, 1.0), "channel 'in': delivery at t=3.0 repeats value 1"),
+        ((0.5, 1.0), (1, 0), (1.0, 0.5), "channel 'in': delivery at t=1.5 does not follow its last one at t=1.5"),
+    ],
+    ids=["repeated_value", "same_time"],
+)
+def test_delivery_that_breaks_the_signal_rules_is_a_causality_fault(monkeypatch, times, values, delays, message):
+    c = _buffer(Pure(1.0))
+    real = channel.channel_state
+    monkeypatch.setattr(
+        channel,
+        "channel_state",
+        lambda spec, v0, draws=None: _StubState(values, delays) if spec == Pure(1.0) else real(spec, v0, draws),
+    )
+    with pytest.raises(CausalityFault) as exc_info:
+        execute(c, {"x": make_signal(0, [(times[0], 1), (times[1], 0)])}, horizon=10.0)
+    assert str(exc_info.value) == message
 
 
 def test_formerly_out_of_order_commit_completes_and_verifies():

@@ -6,8 +6,10 @@ import pytest
 
 import corpus
 import oracles
-from involution.circuit import verify_execution
-from involution.signals import Signal, make_signal
+from involution.channel import EtaBounds, EtaInvolution, UniformRandom, WorstCaseShrink, Zero
+from involution.circuit import or_loop_circuit, verify_execution
+from involution.delay_model import ExpChannelParams, exp_channel
+from involution.signals import Signal, make_signal, pulse
 
 
 def test_every_case_keeps_its_recorded_digests():
@@ -61,6 +63,32 @@ def test_only_the_known_cases_raise(runs):
 def test_every_completing_case_verifies(completed):
     failing = sorted(name for name, e in completed.items() if not verify_execution(e).ok)
     assert not failing, failing
+
+
+def test_every_engine_signal_is_a_valid_signal(completed):
+    # the engine builds its signals from their times without the constructor's checks
+    for name, e in completed.items():
+        for s in [*e.vertex_signals.values(), *e.channel_signals.values()]:
+            assert Signal(s.initial_value, s.transitions) == s, name
+
+
+def test_runs_on_one_circuit_equal_runs_on_fresh_circuits():
+    # A circuit keeps its channels' uniform eta draws and its causal fault for
+    # all its runs; each run must still see a fresh channel.
+    df = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
+    ht = ExpChannelParams(4.0, 0.2, 0.75)
+    strategies = [Zero(), WorstCaseShrink(), *map(UniformRandom, range(3))]
+    specs = [EtaInvolution(df, EtaBounds(0.05, 0.1), s) for s in strategies]
+    specs.append(EtaInvolution(df, EtaBounds(0.9, 0.0)))  # eta_minus exceeds delta(0): every run faults
+    stimuli = [make_signal(0, []), *(pulse(0.0, w) for w in (0.3, 0.7, 0.9, 1.2, 1.6))]
+    for n, spec in enumerate(specs):
+        shared = or_loop_circuit(spec, ht)
+        order = list(range(len(stimuli))) * 2
+        random.Random(n).shuffle(order)
+        for k in order:
+            got = corpus.run(corpus.Case(shared, {"i": stimuli[k]}, 30.0, 10**5))
+            want = corpus.run(corpus.Case(or_loop_circuit(spec, ht), {"i": stimuli[k]}, 30.0, 10**5))
+            assert got == want, (spec.strategy, k)
 
 
 def _with_signal(e, name, sig):
