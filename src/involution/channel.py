@@ -16,7 +16,9 @@ strictly increasing and alternating.
 
 The eta_n are adversarial perturbations within [-eta_minus, +eta_plus],
 consumed one per input transition index (including transitions whose
-output is later canceled).
+output is later canceled).  An ``EtaSource`` holds each strategy as one
+iterator per value bit; the runs of one circuit read a ``uniform_random``
+channel's draws from one stream that the circuit keeps.
 
 The involution channel is the eta-involution channel with a zero budget
 (``Involution(df)``).  Every channel kind is one incremental state
@@ -56,7 +58,7 @@ import operator
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, count, repeat
 from typing import Union
 
 import numpy as np
@@ -121,17 +123,17 @@ def worst_case_eta(value: int, bounds: EtaBounds) -> float:
     return bounds.eta_plus if value else -bounds.eta_minus
 
 
-_FIRST_BLOCK, _LAST_BLOCK = 4, 1024  # sizes of the first and the largest block of uniform draws
+_BLOCK = 1024  # uniform draws per block
 
 
 class _UniformDraws:
-    """The uniform draws of one seed within one budget, kept block by block.
+    """The uniform draws of one seed within one budget, kept in blocks of 1024.
 
-    The k-th block holds the next min(4 * 2**k, 1024) draws, last one first.
-    Drawing n at once yields the same stream as n scalar draws, and the blocks
-    grow geometrically, so that short runs draw few values ahead.  A block is
-    drawn once and then served to every source that reads these draws, from
-    any thread: a drawn block is never modified, and a lock orders the draws.
+    Each iterator yields the whole stream from its first draw: the values
+    that scalar draws of the seed's generator give, one by one.  A block is
+    drawn once, when the first iterator reaches it, and then read by every
+    iterator, from any thread: a drawn block is never modified, and a lock
+    orders the draws.
     """
 
     def __init__(self, seed: int, bounds: EtaBounds):
@@ -140,50 +142,37 @@ class _UniformDraws:
         self._blocks: list[list[float]] = []
         self._lock = threading.Lock()
 
-    def block(self, k: int) -> list[float]:
-        """The k-th block, last draw first; the caller must not modify it."""
+    def _block(self, k: int) -> list[float]:
         blocks = self._blocks
         if k >= len(blocks):
             with self._lock:
                 while len(blocks) <= k:
-                    size = min(_FIRST_BLOCK << len(blocks), _LAST_BLOCK)
-                    block = self._rng.uniform(self._low, self._high, size=size).tolist()
-                    block.reverse()
-                    blocks.append(block)
+                    blocks.append(self._rng.uniform(self._low, self._high, size=_BLOCK).tolist())
         return blocks[k]
+
+    def __iter__(self):
+        return chain.from_iterable(map(self._block, count()))
 
 
 class EtaSource:
     """Per-run consumable view of a strategy: one eta per input transition index.
 
-    Draws come from ``_block``, a list of the next values, last one first: a
-    fixed sequence fills it once, uniform draws refill it with a copy of the
-    next block of ``draws``.  A draw on an empty block goes to
-    ``_after_block``.  A fixed sequence is checked against the bounds once,
-    here; the other strategies draw within the bounds by construction.
-
-    A ``UniformRandom`` strategy's draws depend only on its seed and the
-    bounds.  ``draws`` memoizes them by ``(seed, bounds)`` for sources that
-    read one stream, such as the runs of one circuit; None draws afresh.
+    ``eta(value)`` takes the next value of the stream for that value bit;
+    the strategies that do not look at the value read one stream for both.
+    A fixed sequence is checked against the bounds once, here; the other
+    strategies draw within the bounds by construction.  A ``UniformRandom``
+    strategy reads ``draws``, the ``_UniformDraws`` of its seed and bounds
+    that the runs of one circuit share, or its own when None.
     """
 
-    def __init__(self, strategy: AdversaryStrategy, bounds: EtaBounds, draws: dict | None = None):
+    def __init__(self, strategy: AdversaryStrategy, bounds: EtaBounds, draws: _UniformDraws | None = None):
         self.bounds = bounds
-        self._block: list[float] = []
-        # a plain function of (source, value): a bound method kept on the
-        # instance would make every source a cycle that only gc.collect frees
         if isinstance(strategy, UniformRandom):
-            draws = {} if draws is None else draws
-            key = (strategy.seed, bounds)
-            if key not in draws:
-                draws[key] = _UniformDraws(strategy.seed, bounds)
-            self._draws = draws[key]
-            self._next_block = 0
-            self._after_block = EtaSource._read_block
+            streams = (iter(draws or _UniformDraws(strategy.seed, bounds)),) * 2
         elif isinstance(strategy, Zero):
-            self._after_block = EtaSource._zero
+            streams = (repeat(0.0),) * 2
         elif isinstance(strategy, WorstCaseShrink):
-            self._after_block = EtaSource._worst_case
+            streams = (repeat(worst_case_eta(0, bounds)), repeat(worst_case_eta(1, bounds)))
         elif isinstance(strategy, FixedSequence):
             etas = strategy.etas
             lo, hi = -bounds.eta_minus - 1e-15, bounds.eta_plus + 1e-15
@@ -191,25 +180,13 @@ class EtaSource:
             if not (all(map(operator.le, repeat(lo), etas)) and all(map(operator.le, etas, repeat(hi)))):
                 e = next(e for e in etas if not lo <= e <= hi)
                 raise ChannelError(f"eta={e} outside [{-bounds.eta_minus}, {bounds.eta_plus}]")
-            self._block = list(reversed(etas))
-            self._after_block = EtaSource._zero
+            streams = (chain(etas, repeat(0.0)),) * 2
         else:
             raise ChannelError(f"unknown strategy {strategy!r}")
+        self._streams = streams  # by value bit
 
     def eta(self, value: int) -> float:
-        block = self._block
-        return block.pop() if block else self._after_block(self, value)
-
-    def _read_block(self, value: int) -> float:
-        self._block = block = self._draws.block(self._next_block)[:]
-        self._next_block += 1
-        return block.pop()
-
-    def _zero(self, value: int) -> float:
-        return 0.0
-
-    def _worst_case(self, value: int) -> float:
-        return worst_case_eta(value, self.bounds)
+        return next(self._streams[value])
 
 
 @dataclass(frozen=True)
@@ -421,7 +398,7 @@ class _InvolutionState:
         return list(self.stack)
 
 
-def channel_state(spec: ChannelSpec, initial_value: int, draws: dict | None = None):
+def channel_state(spec: ChannelSpec, initial_value: int, draws: _UniformDraws | None = None):
     """The incremental state of a channel whose input starts at ``initial_value``.
 
     ``draws`` goes to the :class:`EtaSource` of an eta-involution channel.

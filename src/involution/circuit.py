@@ -231,9 +231,13 @@ class Circuit:
         delays = [e.spec.delay for e in edges if isinstance(e.spec, (ch.Pure, ch.Inertial))]
         # the stabilization guard, or None for a tenth of the horizon
         self._guard = 10.0 * max(dinfs) if dinfs else (10.0 * max(delays) if delays and max(delays) > 0 else None)
-        # the uniform eta draws of the channels, read by every run (see
-        # channel.EtaSource); the causal check enters every key, so runs only read the dict
-        self._draws: dict = {}
+        # by channel: the uniform eta draws that every run of a uniform_random channel reads, else None
+        self._draws = [
+            ch._UniformDraws(e.spec.strategy.seed, e.spec.bounds)
+            if isinstance(e.spec, ch.EtaInvolution) and isinstance(e.spec.strategy, ch.UniformRandom)
+            else None
+            for e in edges
+        ]
         self._fault = self._causal_fault()
 
     def _causal_fault(self) -> str | None:
@@ -242,9 +246,9 @@ class Circuit:
         Every ``execute`` of this circuit raises it.  No check reads the
         channel's initial value, so any value builds the state to check.
         """
-        for name, edge in self.channels.items():
+        for (name, edge), draws in zip(self.channels.items(), self._draws):
             try:
-                ch.channel_state(edge.spec, 0, self._draws).check_causal()
+                ch.channel_state(edge.spec, 0, draws).check_causal()
             except ch.ChannelError as exc:
                 return f"channel {name!r}: {exc}"
         return None
@@ -486,8 +490,8 @@ def execute(
     initial += [initial[src] for src, (_, pin) in zip(circuit._channel_src, channel_dst) if pin is None]
     pins = [srcs and [initial[s] for s in srcs] for srcs in circuit._pin_srcs]
     states = [
-        ch.channel_state(edge.spec, initial[src], circuit._draws)
-        for edge, src in zip(circuit.channels.values(), circuit._channel_src)
+        ch.channel_state(edge.spec, initial[src], draws)
+        for edge, src, draws in zip(circuit.channels.values(), circuit._channel_src, circuit._draws)
     ]
     feeds = [state.feed for state in states]
     decide_ats = [state.decide_at for state in states]

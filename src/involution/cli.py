@@ -224,6 +224,9 @@ def _strategy_set(names: list[str], seeds: int) -> dict[str, ch.AdversaryStrateg
     return out
 
 
+_GRID_PAD = 1e-12  # the spf-sweep grid runs to STOP + _GRID_PAD, so that it includes STOP
+
+
 def cmd_spf_sweep(args) -> int:
     strategies = _strategy_set(args.strategy or ["zero"], args.seeds)
     if not strategies:
@@ -234,7 +237,7 @@ def cmd_spf_sweep(args) -> int:
     epsilon = args.epsilon if args.epsilon is not None else char.delta_up / 2.0
     ht = analysis.dimension_ht_buffer(3.0 * char.tau_star, char.duty)
     # plain floats, so that sweep.csv writes each delta0 as a float literal
-    grid = np.arange(args.grid[0], args.grid[1] + 1e-12, args.grid[2]).tolist()
+    grid = np.arange(args.grid[0], args.grid[1] + _GRID_PAD, args.grid[2]).tolist()
     points = analysis.run_spf_sweep(
         df, bounds, char, ht, grid, strategies, horizon=args.horizon, events_max=args.events_max
     )
@@ -346,7 +349,7 @@ def _checked(kind, ok, rule: str):
 
 
 class _GridAction(argparse.Action):
-    """Checks START > 0, START <= STOP, STEP > 0 and fewer than 10^5 steps across ``--grid``."""
+    """Checks START > 0, START <= STOP, STEP > 0 and fewer than 10^5 grid points across ``--grid``."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         start, stop, step = values
@@ -356,8 +359,8 @@ class _GridAction(argparse.Action):
             raise argparse.ArgumentError(self, f"STEP must be > 0, got {step}")
         if start > stop:
             raise argparse.ArgumentError(self, f"START {start} exceeds STOP {stop}")
-        if (stop - start) / step >= 10**5:
-            raise argparse.ArgumentError(self, "(STOP - START) / STEP must be below 100000")
+        if (stop + _GRID_PAD - start) / step >= 10**5:
+            raise argparse.ArgumentError(self, "(STOP + 1e-12 - START) / STEP must be below 100000")
         setattr(namespace, self.dest, values)
 
 

@@ -117,10 +117,26 @@ def synth_crossings(
     crossing, which scalar bisection on the analytic trajectory then
     locates.  Above amplitude 0 the rail's phase is drawn once from ``rng``.
     Each crossing is a (time, value) pair, value 1 upward and 0 downward,
-    the pairs that ``Signal(initial_value, pairs)`` reads.
+    the pairs that ``Signal(initial_value, pairs)`` reads.  A disturbed
+    rail's period below 2*pi*max(tau, horizon)/2**53, or a tau whose grid
+    step tau/50 underflows, raises :class:`WaveformError`.
     """
     tau = params.tau
     vth = params.vth_norm
+    dt_cap = tau / 50.0  # the largest grid step
+    if not dt_cap > 0.0:
+        raise WaveformError(f"tau={tau!r} is too short for the surrogate's grid: its step tau/50 underflows to 0")
+    if disturbance.amplitude_fraction > 0.0:
+        period = disturbance.period
+        # a float resolves the rail's phase 2*pi*t/period only below 2**53; the
+        # rule also keeps (omega * tau)**2, every phase up to the horizon and
+        # period / 50 finite and non-zero
+        if not 2.0 * math.pi / period * max(tau, horizon) <= 2.0**53:
+            raise WaveformError(
+                f"--period {period!r} is too short for tau={tau!r} and horizon={horizon!r}:"
+                " the disturbance period must be at least 2*pi*max(tau, horizon)/2**53"
+            )
+        dt_cap = min(dt_cap, period / 50.0)
     vp = _charging_trajectory(tau, disturbance, rng)
 
     # drive switch times: input transitions shifted by the pure delay
@@ -150,9 +166,6 @@ def synth_crossings(
             def v(t, xp=math, _v0=v0, _s=seg_start):
                 return _v0 * xp.exp(-(t - _s) / tau)
 
-        dt_cap = tau / 50.0
-        if disturbance.amplitude_fraction > 0.0:
-            dt_cap = min(dt_cap, disturbance.period / 50.0)
         n = max(8, math.ceil(min(20000.0, (seg_end - seg_start) / dt_cap)))  # min first: the ratio may be inf
         ts = np.linspace(seg_start, seg_end, n + 1)
         s = v(ts, np) - vth

@@ -19,6 +19,7 @@ from involution.channel import (
     UniformRandom,
     WorstCaseShrink,
     Zero,
+    _UniformDraws,
     apply_channel,
     read_eta_sequence,
     worst_case_eta,
@@ -336,8 +337,7 @@ def test_malformed_eta_sequence_names_the_line(tmp_path, text, line):
 @pytest.mark.parametrize("seed", [0, 1, 51, 2**31 - 1])
 @pytest.mark.parametrize("eta_minus, eta_plus", [(0.0, 0.0), (0.05, 0.1), (0.3, 0.0), (0.0, 0.2)])
 def test_uniform_eta_stream_equals_scalar_draws(seed, eta_minus, eta_plus):
-    # 3000 draws cross every boundary where the block grows (after 4, 12,
-    # 28, ..., 1020 draws) and the one at 2044 between two blocks of the largest size
+    # 3000 draws cross the boundaries between blocks after 1024 and 2048 draws
     n = 3000
     source = EtaSource(UniformRandom(seed), EtaBounds(eta_minus, eta_plus))
     got = [source.eta(k % 2) for k in range(n)]
@@ -348,23 +348,21 @@ def test_uniform_eta_stream_equals_scalar_draws(seed, eta_minus, eta_plus):
 
 def test_sources_sharing_draws_across_threads_read_one_stream():
     # More threads than cores, with a short switch interval, start reading
-    # one memo together, as concurrent runs of one circuit do; a block drawn
-    # twice or out of order would give some source another stream.
-    bounds, n, workers, rounds = EtaBounds(0.05, 0.1), 300, 8, 100  # 300 draws: blocks 0 to 6
+    # one circuit's draws together, as concurrent runs of one circuit do; a
+    # block drawn twice or out of order would give some source another stream.
+    bounds, n, workers, rounds = EtaBounds(0.05, 0.1), 2100, 8, 100  # 2100 draws: blocks 0 to 2
     fresh = EtaSource(UniformRandom(7), bounds)
     want = [fresh.eta(k % 2) for k in range(n)]
-    memos = [{} for _ in range(rounds)]
+    shared = [_UniformDraws(7, bounds) for _ in range(rounds)]
     start = threading.Barrier(workers)
     results = []
 
     def work():
-        for draws in memos:
+        for draws in shared:
             start.wait(timeout=60)
             source = EtaSource(UniformRandom(7), bounds, draws)
             results.append([source.eta(k % 2) for k in range(n)])
 
-    for draws in memos:  # a circuit enters its memo's keys when it is built
-        EtaSource(UniformRandom(7), bounds, draws)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

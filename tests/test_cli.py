@@ -513,6 +513,7 @@ def test_netlist_leaf_mutations_are_parse_errors(tmp_path, capsys, path, mutatio
         (["waveform", *REF, "--seed", "-1"], "--seed"),
         (["spf-sweep", *REF, "--grid", "0", "0.2", "0.1"], "--grid"),
         (["spf-sweep", *REF, "--grid", "0.1", "1e308", "0.1"], "--grid"),
+        (["spf-sweep", *REF, "--grid", "0.1", "0.1", "1e-300"], "--grid"),  # 1e288 points up to STOP + 1e-12
     ],
 )
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, flag):

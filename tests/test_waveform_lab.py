@@ -158,6 +158,25 @@ class TestSynthCrossings:
         with pytest.raises(WaveformError, match="draws its phase from an rng"):
             synth_crossings(REF_PARAMS, Disturbance(0.01, 1.0), pulse(0, 2.0), 10.0)
 
+    @pytest.mark.parametrize(
+        "tau, period, amplitude, message",
+        [
+            (1.0, 1e-154, 0.01, "--period 1e-154 is too short"),
+            (1.0, 1e-310, 0.01, "--period 1e-310 is too short"),
+            (1e-300, 5e-324, 0.01, "--period 5e-324 is too short"),
+            (1.0, 60.0 * 2.0 * math.pi / 2.0**53 * 0.999, 0.2, "is too short for tau=1.0 and horizon=60.0"),
+            (5e-324, 1.0, 0.0, "tau=5e-324 is too short for the surrogate's grid"),
+        ],
+    )
+    def test_a_rail_or_grid_floats_cannot_resolve_is_a_waveform_error(self, tau, period, amplitude, message):
+        params = ExpChannelParams(tau, 0.5, 0.6)
+        with pytest.raises(WaveformError, match=message):
+            synth_crossings(params, Disturbance(amplitude, period), pulse(0, 2.0), 60.0, np.random.default_rng(0))
+
+    def test_the_shortest_period_the_rail_resolves_is_accepted(self):
+        period = 60.0 * 2.0 * math.pi / 2.0**53 * 1.001
+        synth_crossings(REF_PARAMS, Disturbance(0.2, period), pulse(0, 2.0), 60.0, np.random.default_rng(0))
+
     def test_amplitude_bound_enforced(self):
         with pytest.raises(Exception):
             Disturbance(0.5, 1.0)
