@@ -12,7 +12,9 @@ cancellation with the previous surviving pending transition.  Pending
 transitions n < m cancel pairwise when t_n + delta_n >= t_m + delta_m
 (ties cancel); the incremental form cancels a new pending transition
 backward against the latest surviving one, which keeps the surviving list
-strictly increasing and alternating.
+strictly increasing and alternating.  A pure delay follows the same rule,
+where only inputs rounded onto one output time cancel: both states share one
+pending stack and one cancellation step, ``_PureState._pend``.
 
 The eta_n are adversarial perturbations within [-eta_minus, +eta_plus],
 consumed one per input transition index (including transitions whose
@@ -44,9 +46,12 @@ takes the oldest pending record.
 
 When later inputs cancel each other in pairs, a further input measures its
 T from a canceled record and can still land at or before an output already
-committed; the channel function would cancel that output.  Every arrival is
-audited against the last committed output and raises instead of silently
-corrupting the trace.
+committed; the channel function would cancel that output.  The state audits
+instead of silently corrupting the trace: ``feed`` checks every arrival
+against the last committed output, and ``commit`` checks that the decided
+record is the oldest pending one and that its output does not lie before its
+decision time (a surviving record with a negative delay).  Each raises a
+``ChannelError``, which the engine reports as a ``CausalityFault``.
 """
 
 from __future__ import annotations
@@ -247,35 +252,33 @@ class TransitionRecord:
     guard_hit: bool = False
 
 
-def _cancel_pair(earlier: TransitionRecord, later: TransitionRecord) -> None:
-    earlier.canceled = later.canceled = True
-    earlier.canceled_with, later.canceled_with = later.index, earlier.index
-
-
 class _PureState:
     """Incremental pure delay: every record survives, except that two records
-    rounded onto one output time cancel (the involution channels' tie rule)."""
+    rounded onto one output time cancel, by ``_pend``, the pair-cancellation
+    step that the involution channels share."""
 
     def __init__(self, delay: float):
         self.delay = delay
         self.log: list[TransitionRecord] = []
-        self.last: TransitionRecord | None = None  # latest surviving record
+        self.stack: deque[TransitionRecord] = deque()  # pending survivors, oldest first
 
-    def _record(self, t: float, value: int) -> TransitionRecord:
-        rec = TransitionRecord(len(self.log) + 1, t, value, math.nan, self.delay, 0.0, t + self.delay)
+    def _pend(self, rec: TransitionRecord) -> TransitionRecord | None:
+        """Log ``rec`` and cancel it with the latest pending survivor whose
+        output is not earlier, else keep it pending; returns that partner or None."""
         self.log.append(rec)
-        return rec
+        stack = self.stack
+        if stack and stack[-1].out_time >= rec.out_time:
+            partner = stack.pop()
+            partner.canceled = rec.canceled = True
+            partner.canceled_with, rec.canceled_with = rec.index, partner.index
+            return partner
+        stack.append(rec)
+        return None
 
     def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
         """Process one input transition; returns (record, canceled partner or None)."""
-        rec = self._record(t, value)
-        partner = self.last
-        if partner is None or partner.out_time != rec.out_time:
-            self.last = rec
-            return rec, None
-        _cancel_pair(partner, rec)
-        self.last = next((r for r in reversed(self.log) if not r.canceled), None)
-        return rec, partner
+        rec = TransitionRecord(len(self.log) + 1, t, value, math.nan, self.delay, 0.0, t + self.delay)
+        return rec, self._pend(rec)
 
     def check_causal(self) -> None:
         """Raise ChannelError if the engine cannot decide this channel's records causally."""
@@ -285,13 +288,9 @@ class _PureState:
         be canceled, or None to deliver it at its output time without a decision."""
         return None
 
-    def commit(self, rec: TransitionRecord) -> bool:
-        """Decide a record that can no longer be canceled; True if it reaches the output."""
-        return not rec.canceled
-
     def survivors(self) -> list[TransitionRecord]:
         """The output records once the whole input has been fed (batch use only)."""
-        return [r for r in self.log if self.commit(r)]
+        return list(self.stack)
 
 
 class _InertialState(_PureState):
@@ -312,7 +311,9 @@ class _InertialState(_PureState):
             prev.canceled = True
         else:
             prev = None
-        return self._record(t, value), prev
+        rec = TransitionRecord(len(self.log) + 1, t, value, math.nan, self.delay, 0.0, t + self.delay)
+        self.log.append(rec)
+        return rec, prev
 
     def check_causal(self) -> None:
         if self.window > self.delay:
@@ -330,8 +331,11 @@ class _InertialState(_PureState):
         self.value = rec.value
         return True
 
+    def survivors(self) -> list[TransitionRecord]:
+        return [r for r in self.log if self.commit(r)]
 
-class _InvolutionState:
+
+class _InvolutionState(_PureState):
     """Incremental eta-involution channel (with a zero budget, the involution channel).
 
     Records are decided oldest first, so every pending record lies above the
@@ -339,36 +343,27 @@ class _InvolutionState:
     """
 
     def __init__(self, df: DelayFunction, source: EtaSource):
+        super().__init__(math.nan)  # no constant delay
         self.df = df
         self.source = source
         self.prev_t = -math.inf
         self.prev_delta = 0.0
-        self.index = 0
-        self.stack: deque[TransitionRecord] = deque()  # pending survivors, oldest first
-        self.log: list[TransitionRecord] = []
         self.committed_last = -math.inf
         self.commit_margin = math.inf
 
     def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
-        """Process one input transition; returns (record, canceled partner or None)."""
-        self.index += 1
         T = t - self.prev_t - self.prev_delta
         base = self.df.up(T) if value == 1 else self.df.down(T)
         eta = self.source.eta(value)
         delta = base + eta
-        rec = TransitionRecord(self.index, t, value, T, delta, eta, t + delta, False, None, base == -math.inf)
-        self.log.append(rec)
+        rec = TransitionRecord(len(self.log) + 1, t, value, T, delta, eta, t + delta, False, None, base == -math.inf)
         self.prev_t, self.prev_delta = t, delta
-        partner = None
-        if self.stack and self.stack[-1].out_time >= rec.out_time:
-            partner = self.stack.pop()
-            _cancel_pair(partner, rec)
-        else:
+        partner = self._pend(rec)
+        if partner is None:
             if rec.out_time == -math.inf:
                 raise ChannelError(
                     f"guard-canceled transition at t={t} has no surviving predecessor"
                 )
-            self.stack.append(rec)
             margin = rec.out_time - self.committed_last
             if margin < self.commit_margin:
                 self.commit_margin = margin
@@ -390,12 +385,11 @@ class _InvolutionState:
             return False
         if not self.stack or self.stack[0] is not rec:
             raise ChannelError(f"released record {rec.index} is not the oldest pending one")
+        if rec.out_time < rec.time:  # then the decision time is the input time
+            raise ChannelError(f"committed output at {rec.out_time} lies before decision time {rec.time}")
         self.stack.popleft()
         self.committed_last = rec.out_time
         return True
-
-    def survivors(self) -> list[TransitionRecord]:
-        return list(self.stack)
 
 
 def channel_state(spec: ChannelSpec, initial_value: int, draws: _UniformDraws | None = None):

@@ -12,8 +12,8 @@ The engine drives every channel through its incremental state
 consumers only at the state's decision time, which ``channel`` derives per
 kind (for the involution channels, from the commit rule documented there).
 A channel that cannot be decided causally (checked once per circuit), an
-arrival that would retro-cancel a committed output, and a vertex or channel
-that would switch twice at one instant or repeat its value raise
+audit of a channel state that fails (``channel`` lists them), and a vertex or
+channel that would switch twice at one instant or repeat its value raise
 :class:`CausalityFault` instead of silently corrupting the trace.
 """
 
@@ -570,14 +570,9 @@ def execute(
                 committed = states[c].commit(rec)
             except ch.ChannelError as exc:
                 raise CausalityFault(f"channel {channel_names[c]!r}: {exc}") from exc
-            if not committed:
-                continue
-            if rec.out_time < t:
-                raise CausalityFault(
-                    f"channel {channel_names[c]!r}: committed output at {rec.out_time} lies before decision time {t}"
-                )
-            seq += 1
-            push(heap, (rec.out_time, _DELIVER, seq, payload))
+            if committed:
+                seq += 1
+                push(heap, (rec.out_time, _DELIVER, seq, payload))
             continue
         else:
             x, v = payload

@@ -93,10 +93,19 @@ class DelayFunction:
 
 
 def exp_channel(p: ExpChannelParams) -> DelayFunction:
-    """Closed-form exp-channel delay pair for the given RC parameters."""
+    """Closed-form exp-channel delay pair for the given RC parameters.
+
+    Both asymptotes must exceed T_p by more than one ulp: closer, the delay
+    pair degenerates to the pure delay T_p in floating point.
+    """
     tau = p.tau
     d_inf_up = p.t_p - tau * math.log(1.0 - p.vth_norm)
     d_inf_down = p.t_p - tau * math.log(p.vth_norm)
+    if min(d_inf_up, d_inf_down) <= math.nextafter(p.t_p, math.inf):
+        raise InvalidParams(
+            f"asymptotes delta_inf_up={d_inf_up!r}, delta_inf_down={d_inf_down!r} do not exceed t_p by more "
+            f"than one ulp (tau={p.tau!r}, t_p={p.t_p!r}, vth_norm={p.vth_norm!r})"
+        )
 
     # One ulp above the domain edge the exponential can round to 1: the delay is -inf there too.
     def up(T: float) -> float:

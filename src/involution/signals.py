@@ -85,7 +85,8 @@ class Signal:
     ``initial_value ^ (k & 1)``.  ``Signal(initial_value, transitions)``
     validates ``(time, value)`` pairs and raises :class:`NonMonotoneTimes`,
     :class:`NonAlternatingValues`, :class:`NegativeTime` or
-    :class:`NonFiniteTime` on the first violated structural rule.
+    :class:`NonFiniteTime` on the first violated structural rule, and
+    :class:`SignalError` on an item that is not a pair with a numeric time.
     """
 
     initial_value: int
@@ -153,10 +154,15 @@ def _checked_times(initial_value: int, pairs) -> tuple[float, ...]:
     except (TypeError, ValueError):
         pass
     prev_time, prev_value = -math.inf, initial_value
-    for time, value in pairs:
+    for item in pairs:
+        try:
+            time, value = item
+            in_range = 0.0 <= time < math.inf
+        except (TypeError, ValueError):
+            raise SignalError(f"transition {item!r} is not a (time, value) pair with a numeric time") from None
         if value not in (0, 1):
             raise NonAlternatingValues(f"transition value must be 0 or 1, got {value!r}")
-        if not 0.0 <= time < math.inf:
+        if not in_range:
             if math.isfinite(time):
                 raise NegativeTime(f"transition at t={time} precedes time 0")
             raise NonFiniteTime(f"transition time {time} is not finite")

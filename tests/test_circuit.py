@@ -464,6 +464,21 @@ def test_causal_fault_is_raised_by_every_run(spec, message):
         assert str(exc_info.value) == message
 
 
+def test_a_surviving_record_with_a_negative_delay_faults_at_its_decision():
+    # the first two records cancel; the third measures T from the canceled second
+    # and, with eta = -eta_minus, its output precedes its own input, so at its
+    # decision time, the input time, the output lies in the past
+    df = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
+    spec = EtaInvolution(df, EtaBounds(0.5, 0.5), FixedSequence((-0.1, 0.5, -0.5)))
+    stim = make_signal(0, [(0.5, 1), (0.8, 0), (0.85, 1)])
+    _, log = apply_channel(spec, stim)
+    assert [r.canceled for r in log] == [True, True, False] and log[2].out_time < log[2].time
+    c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, spec)])
+    with pytest.raises(CausalityFault) as exc_info:
+        execute(c, {"i": stim}, horizon=20.0)
+    assert str(exc_info.value) == f"channel 'c': committed output at {log[2].out_time} lies before decision time 0.85"
+
+
 class _StubState:
     """A channel state that delivers the k-th input after ``delays[k]`` with value ``values[k]``."""
 
@@ -660,6 +675,25 @@ class TestPureRoundingTie:
         assert e.channel_signals["c"] == expected
         assert [(t.time, t.value) for t in e.vertex_signals["o"].transitions] == [(1.5306, 1), (6.5306, 0)]
         assert [r.canceled for r in e.channel_logs["c"]] == [False, True, True, False]
+        assert verify_execution(e).ok
+
+    def test_successive_ties_compare_the_survivor_found_after_a_cancel(self):
+        # near 103.9 one ulp spans 32 ulps of 3.9, so the delay rounds neighbouring
+        # inputs onto one output time: three inputs tie, then two more.  The first
+        # two of the three cancel, and the third is compared again with the
+        # survivor before them, at t=1.0; it stays, and the next pair cancels.
+        d = 100.0
+        a = [3.9, math.nextafter(3.9, 4), math.nextafter(math.nextafter(3.9, 4), 4)]
+        b = [4.2, math.nextafter(4.2, 5)]
+        assert a[0] + d == a[1] + d == a[2] + d and b[0] + d == b[1] + d
+        stim = make_signal(0, [(t, (k + 1) % 2) for k, t in enumerate([1.0, *a, *b, 6.0])])
+        expected, log = apply_channel(Pure(d), stim)
+        e = execute(Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, Pure(d))]), {"i": stim}, horizon=200.0)
+        assert e.channel_signals["c"] == expected
+        assert expected.initial_value == 0 and expected.times == (1.0 + d, a[2] + d, 6.0 + d)
+        pairs = [(False, None), (True, 3), (True, 2), (False, None), (True, 6), (True, 5), (False, None)]
+        assert [(r.canceled, r.canceled_with) for r in log] == pairs
+        assert [(r.canceled, r.canceled_with) for r in e.channel_logs["c"]] == pairs
         assert verify_execution(e).ok
 
 

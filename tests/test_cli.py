@@ -224,6 +224,29 @@ class TestAnalyze:
         assert doc["gamma" if "gamma" in doc else "duty"] == pytest.approx(0.5, abs=1e-6)
 
 
+# delta_inf_up or delta_inf_down rounds onto t_p, or onto the float one ulp above it
+_BUDGET = ["--eta-plus", "0.001", "--eta-minus", "0.001"]
+_DEGENERATE_EXP = [
+    *(["--tau", "1", "--t-p", "0.5", "--vth", v, *_BUDGET] for v in ("5e-324", "1e-300", "1e-17", "1e-16")),
+    ["--tau", "1", "--t-p", "1e16", "--vth", "0.5"],
+    ["--tau", "1e-17", "--t-p", "1", "--vth", "0.5"],
+]
+
+
+@pytest.mark.parametrize("flags", _DEGENERATE_EXP, ids=[" ".join(f[:6]) for f in _DEGENERATE_EXP])
+def test_degenerate_exp_channel_is_a_constraint_error_naming_vth_norm(capsys, flags):
+    rc = main(["analyze", *flags])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert rc == EXIT_CONSTRAINT and report["error"] == "InvalidParams" and "vth_norm" in report["message"]
+    assert "Traceback" not in out + err
+
+
+def test_asymptotes_five_ulps_above_t_p_still_analyze(capsys):
+    assert main(["analyze", "--tau", "1", "--t-p", "0.5", "--vth", "5e-16", *_BUDGET]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
 class TestSpfSweep:
     def test_small_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -657,6 +680,11 @@ _IDLE = {"function": "CONST0", "arity": 0, "initial": 0}  # an extra gate withou
         ),
         (lambda d: d["channels"][1].update({"params": {}}), "channel 'c': params need 'exp' or 'table', got []"),
         (lambda d: d["channels"][0]["params"].update({"q": 1}), "channel 'ci': unknown params ['q']"),
+        (
+            lambda d: d["channels"][1]["params"]["exp"].update({"tau": 1e-17, "t_p": 1.0}),
+            "channel 'c': asymptotes delta_inf_up=1.0, delta_inf_down=1.0 do not exceed t_p by more than one ulp"
+            " (tau=1e-17, t_p=1.0, vth_norm=0.5)",
+        ),
         (lambda d: d["channels"][1].update({"from": "or1.0"}), "channel 'c': 'from' must be a gate or port, not a pin"),
         (
             lambda d: d["gates"].append({"name": "buf1", "function": "NOT", "arity": 1, "initial": 1}),
@@ -682,7 +710,7 @@ _IDLE = {"function": "CONST0", "arity": 0, "initial": 0}  # an extra gate withou
     ],
     ids=[
         "unknown-source", "output-drives", "pin-on-port", "input-driven", "unknown-destination",
-        "no-delay-params", "unknown-params", "from-a-pin", "repeated-gate", "repeated-channel",
+        "no-delay-params", "unknown-params", "degenerate-exp", "from-a-pin", "repeated-gate", "repeated-channel",
         "gate-named-like-a-channel-trace", "slash-in-a-gate", "backslash-in-a-channel", "nul-in-a-gate",
     ],
 )

@@ -59,6 +59,12 @@ def test_make_signal_rejects(initial, transitions, err):
         make_signal(initial, transitions)
 
 
+@pytest.mark.parametrize("item", [(1.0, 1, 2), (1.0,), 1.0, ("1.0", 1), (None, 1)])
+def test_an_item_that_is_not_a_numeric_pair_is_a_signal_error_naming_it(item):
+    with pytest.raises(SignalError, match=f"^transition {re.escape(repr(item))} is not a"):
+        Signal(0, [item])
+
+
 def test_pulse_basic():
     s = pulse(0, 0.1)
     assert [(t.time, t.value) for t in s.transitions] == [(0.0, 1), (0.1, 0)]
