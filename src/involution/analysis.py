@@ -41,7 +41,7 @@ from .delay_model import (
     derivative_up,
     exp_channel,
 )
-from .rootfind import bisect_root, scan_sign_change
+from .rootfind import NoBracket, bisect_root, scan_sign_change
 from .signals import Signal, decompose_pulses, make_signal, pulse
 
 
@@ -69,10 +69,10 @@ def constraint_C(df: DelayFunction, bounds: ch.EtaBounds) -> tuple[bool, float]:
     return margin > 0, margin
 
 
-def _tau_bracket(df: DelayFunction, bounds: ch.EtaBounds) -> tuple[float, float]:
-    lo = bounds.eta_plus + delta_min(df)
-    hi = min(df.delta_inf_down - bounds.eta_minus, df.delta_inf_up + bounds.eta_plus)
-    return lo, hi
+def _inputs(df: DelayFunction, bounds: ch.EtaBounds) -> str:
+    """The delay pair (its exp-channel parameters, else its asymptotes) and the budget, as a message names them."""
+    pair = df.params or f"asymptotes ({df.delta_inf_up!r}, {df.delta_inf_down!r})"
+    return f"for {pair} and {bounds}"
 
 
 def solve_tau(df: DelayFunction, bounds: ch.EtaBounds) -> float:
@@ -80,7 +80,7 @@ def solve_tau(df: DelayFunction, bounds: ch.EtaBounds) -> float:
 
     Bisection inside the guaranteed bracket; a 1000-point scan below the
     bracket asserts no earlier root (and takes it, with a warning, if one
-    shows up).
+    shows up).  A root that rounds onto a bracket edge is an error naming the inputs.
 
     The scan can never fire.  h(t) = delta_down(eta_plus - t) +
     delta_up(-eta_minus - t) - t is strictly decreasing wherever it is
@@ -96,16 +96,20 @@ def solve_tau(df: DelayFunction, bounds: ch.EtaBounds) -> float:
     def h(t: float) -> float:
         return df.down(bounds.eta_plus - t) + df.up(-bounds.eta_minus - t) - t
 
-    lo, hi = _tau_bracket(df, bounds)
+    lo = bounds.eta_plus + delta_min(df)
+    hi = min(df.delta_inf_down - bounds.eta_minus, df.delta_inf_up + bounds.eta_plus)
     if not h(lo) > 0:
-        raise NoSignChange(f"h({lo})={h(lo)} not positive at bracket start")
+        raise NoSignChange(f"h({lo})={h(lo)} not positive at bracket start {_inputs(df, bounds)}")
     if not h(hi) < 0:
-        raise NoSignChange(f"h({hi})={h(hi)} not negative at bracket end")
+        raise NoSignChange(f"h({hi})={h(hi)} not negative at bracket end {_inputs(df, bounds)}")
     early = scan_sign_change(h, lo * 1e-6, lo, 1000)
     if early is not None:
         warnings.warn(f"period equation has a root below the bracket in {early}", stacklevel=2)
         return bisect_root(h, early[0], early[1])
-    return bisect_root(h, lo, hi)
+    tau = bisect_root(h, lo, hi)
+    if not lo < tau < hi:
+        raise AnalysisError(f"period tau={tau} escaped its bracket ({lo}, {hi}) {_inputs(df, bounds)}")
+    return tau
 
 
 class Regime(enum.Enum):
@@ -161,19 +165,17 @@ def tilde_delta0(df: DelayFunction, bounds: ch.EtaBounds) -> float:
 
     lo = bounds.eta_plus + dinf - dmin
     hi = bounds.eta_minus + bounds.eta_plus + dinf
-    return bisect_root(lambda x: g(x) - delta, lo, hi)
+    try:
+        return bisect_root(lambda x: g(x) - delta, lo, hi)
+    except NoBracket as exc:
+        raise NoSignChange(f"critical input width: {exc} {_inputs(df, bounds)}") from None
 
 
 def characterize(df: DelayFunction, bounds: ch.EtaBounds) -> PulseTrainCharacterization:
     """All worst-case train constants, with the lemma invariants asserted."""
-    holds, margin = constraint_C(df, bounds)
-    if not holds:
-        raise ConstraintCViolated(f"eta budget infeasible, margin={margin}")
+    margin = constraint_C(df, bounds)[1]
     dmin = delta_min(df)
     tau = solve_tau(df, bounds)
-    lo, hi = _tau_bracket(df, bounds)
-    if not lo < tau < hi:
-        raise AnalysisError(f"tau={tau} escaped its bracket ({lo}, {hi})")
     delta = df.down(bounds.eta_plus - tau)
     if not delta < dmin:
         raise AnalysisError(f"Delta={delta} not below delta_min={dmin}")

@@ -56,8 +56,6 @@ decision time (a surviving record with a negative delay).  Each raises a
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 import threading
@@ -69,7 +67,7 @@ from typing import Union
 import numpy as np
 
 from .delay_model import DelayFunction
-from .signals import Signal, make_signal, read_text
+from .signals import Signal, make_signal, read_csv, write_csv
 
 
 class ChannelError(ValueError):
@@ -421,26 +419,19 @@ def apply_channel(spec: ChannelSpec, s: Signal) -> tuple[Signal, list[Transition
 # eta-sequence file for FixedSequence strategies: header "n,eta", 1-based index.
 
 def write_eta_sequence(path, etas) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "eta"])
-        for n, e in enumerate(etas, start=1):
-            w.writerow([n, repr(e)])
+    write_csv(path, ["n", "eta"], ([n, repr(e)] for n, e in enumerate(etas, start=1)))
 
 
 def read_eta_sequence(path) -> list[float]:
-    out = []
-    r = csv.reader(io.StringIO(read_text(path, ChannelError), newline=""))
-    header = next(r, None)
-    if header != ["n", "eta"]:
-        raise ChannelError(f"{path}: line 1: bad eta-sequence header {header!r}")
-    for row in r:
-        try:
-            n, e = row
-            n, e = int(n), float(e)
-        except ValueError as exc:
-            raise ChannelError(f"{path}: line {r.line_num}: bad eta-sequence row {row!r} ({exc})") from exc
-        if n != len(out) + 1:
-            raise ChannelError(f"{path}: line {r.line_num}: rows must be numbered consecutively from 1, got n={n}")
-        out.append(e)
-    return out
+    numbers = count(1)
+
+    def parse(row: list[str]) -> float:
+        n, e = row
+        n, e = int(n), float(e)
+        if n != next(numbers):
+            raise ChannelError(f"rows must be numbered consecutively from 1, got n={n}")
+        if not math.isfinite(e):
+            raise ChannelError(f"eta {e} is not finite")
+        return e
+
+    return read_csv(path, ["n", "eta"], "eta-sequence", ChannelError, parse)

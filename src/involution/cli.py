@@ -22,7 +22,7 @@ output), 4 model-constraint error, 5 engine error.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,7 +38,7 @@ from . import analysis, channel as ch, waveform_lab as wl
 from .circuit import EngineError, NetlistError, execute, parse_circuit
 from .delay_model import DelayModelError, ExpChannelParams, delta_min, exp_channel
 from .rootfind import XTOL, NoBracket
-from .signals import SignalError, read_text, read_trace, write_trace
+from .signals import SignalError, read_text, read_trace, write_csv, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -247,30 +247,20 @@ def cmd_spf_sweep(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
 
-    def write_csv(tmp):
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["delta0", "regime", "pulses_observed", "resolved_to", "stabilization_time"])
-            for p in points:
-                w.writerow(
-                    [
-                        "" if p.delta0 is None else repr(p.delta0),
-                        p.regime,
-                        p.pulses_observed,
-                        p.resolved_to,
-                        repr(p.stabilization_time) if math.isfinite(p.stabilization_time) else "-inf",
-                    ]
-                )
-
-    _atomic_write(os.path.join(args.out, "sweep.csv"), write_csv)
-    verdict_doc = {
-        "epsilon": epsilon,
-        "f2_pass": verdict.f2_pass,
-        "f3_pass": verdict.f3_pass,
-        "f4_pass": verdict.f4_pass,
-        "f4_witnesses": verdict.f4_witnesses,
-        "ht_params": {"tau": ht.tau, "t_p": ht.t_p, "vth": ht.vth_norm},
-    }
+    rows = (
+        [
+            "" if p.delta0 is None else repr(p.delta0),
+            p.regime,
+            p.pulses_observed,
+            p.resolved_to,
+            repr(p.stabilization_time) if math.isfinite(p.stabilization_time) else "-inf",
+        ]
+        for p in points
+    )
+    header = ["delta0", "regime", "pulses_observed", "resolved_to", "stabilization_time"]
+    _atomic_write(os.path.join(args.out, "sweep.csv"), lambda tmp: write_csv(tmp, header, rows))
+    ht_doc = {"tau": ht.tau, "t_p": ht.t_p, "vth": ht.vth_norm}
+    verdict_doc = {"epsilon": epsilon, **dataclasses.asdict(verdict), "ht_params": ht_doc}
     _write_json(os.path.join(args.out, "spf_verdict.json"), verdict_doc)
     random_seeds = [s.seed for s in strategies.values() if isinstance(s, ch.UniformRandom)]
     _manifest(

@@ -23,14 +23,12 @@ immediately-canceled output.
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .rootfind import NoBracket, bisect_root
-from .signals import read_text
+from .signals import read_csv, write_csv
 
 
 class DelayModelError(ValueError):
@@ -277,25 +275,17 @@ def derivative_down(df: DelayFunction, T: float) -> float:
 
 def write_delay_samples(path, samples: Sequence[tuple[float, float, int]]) -> None:
     """Write one row per ``(T, delay, value)`` sample, the delay in its value's column."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["T", "delta_up", "delta_down"])
-        for T, delay, value in samples:
-            w.writerow([repr(T), repr(delay), ""] if value else [repr(T), "", repr(delay)])
+    rows = ([repr(T), repr(delay), ""] if value else [repr(T), "", repr(delay)] for T, delay, value in samples)
+    write_csv(path, ["T", "delta_up", "delta_down"], rows)
 
 
 def read_delay_samples(path) -> list[tuple[float, float, int]]:
     """The ``(T, delay, value)`` samples of a delay-sample file, in file order, up before down within a row."""
-    samples = []
-    r = csv.reader(io.StringIO(read_text(path, DelayModelError), newline=""))
-    header = next(r, None)
-    if header != ["T", "delta_up", "delta_down"]:
-        raise DelayModelError(f"{path}: line 1: bad delay-sample header {header!r}")
-    for row in r:
-        try:
-            T_s, du, dd = row
-            T = float(T_s)
-            samples += [(T, float(d), value) for d, value in ((du, 1), (dd, 0)) if d.strip()]
-        except ValueError as exc:
-            raise DelayModelError(f"{path}: line {r.line_num}: bad delay-sample row {row!r} ({exc})") from exc
-    return samples
+
+    def parse(row: list[str]) -> list[tuple[float, float, int]]:
+        T_s, du, dd = row
+        T = float(T_s)
+        return [(T, float(d), value) for d, value in ((du, 1), (dd, 0)) if d.strip()]
+
+    rows = read_csv(path, ["T", "delta_up", "delta_down"], "delay-sample", DelayModelError, parse)
+    return [sample for row in rows for sample in row]

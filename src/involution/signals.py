@@ -15,7 +15,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import cycle, repeat
-from typing import Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class SignalError(ValueError):
@@ -222,6 +222,35 @@ def read_text(path, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc})") from None
 
 
+def read_csv(path, header: list[str], what: str, error: type[ValueError], parse: Callable[[list[str]], Any]) -> list:
+    """``parse(row)`` of each row below ``header`` of the UTF-8 CSV file ``path``, in file order.
+
+    A wrong header, a row that ``parse`` fails with a ``ValueError``, and an
+    ``error`` that ``parse`` raises with its own text all raise ``error`` naming the file and line.
+    """
+    rows = csv.reader(io.StringIO(read_text(path, error), newline=""))
+    found = next(rows, None)
+    if found != header:
+        raise error(f"{path}: line 1: bad {what} header {found!r}")
+    out = []
+    for row in rows:
+        try:
+            out.append(parse(row))
+        except error as exc:
+            raise type(exc)(f"{path}: line {rows.line_num}: {exc}") from None
+        except ValueError as exc:
+            raise error(f"{path}: line {rows.line_num}: bad {what} row {row!r} ({exc})") from exc
+    return out
+
+
+def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and ``rows`` to the CSV file ``path``, each line ended by CRLF."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 # Trace file format: header "signal,time,value", rows sorted by (signal, time),
 # the initial value encoded as a row with time field "-inf".
 
@@ -241,24 +270,19 @@ def write_trace(path, signals: dict[str, Signal]) -> None:
 def read_trace(path) -> dict[str, Signal]:
     raw: dict[str, list[tuple[float, int]]] = {}
     initials: dict[str, int] = {}
-    r = csv.reader(io.StringIO(read_text(path, SignalError), newline=""))
-    header = next(r, None)
-    if header != ["signal", "time", "value"]:
-        raise SignalError(f"{path}: line 1: bad trace header {header!r}")
-    for row in r:
-        try:
-            name, time_s, value_s = row
-            value = int(value_s)
-            time = None if time_s.strip() == "-inf" else float(time_s)
-        except ValueError as exc:
-            raise SignalError(f"{path}: line {r.line_num}: bad trace row {row!r} ({exc})") from exc
-        if time is None:
-            if name in initials:
-                raise SignalError(f"{path}: line {r.line_num}: repeated -inf initial-value row of signal {name!r}")
+
+    def parse(row: list[str]) -> None:
+        name, time_s, value_s = row
+        value = int(value_s)  # before the time: a row with both fields bad names the value
+        if time_s.strip() != "-inf":
+            raw.setdefault(name, []).append((float(time_s), value))
+        elif name in initials:
+            raise SignalError(f"repeated -inf initial-value row of signal {name!r}")
+        else:
             initials[name] = value
             raw.setdefault(name, [])
-        else:
-            raw.setdefault(name, []).append((time, value))
+
+    read_csv(path, ["signal", "time", "value"], "trace", SignalError, parse)
     out = {}
     for name, transitions in raw.items():
         if name not in initials:

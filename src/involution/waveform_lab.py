@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import Involution, apply_channel
 from .delay_model import DelayFunction, ExpChannelParams, InvalidParams, delta_min
-from .signals import Signal, make_signal
+from .signals import Signal, make_signal, write_csv
 
 
 class WaveformError(ValueError):
@@ -435,14 +435,11 @@ def fit_exp_channel(samples: Sequence[tuple[float, float, int]]) -> ExpFit:
 # deviation CSV: header "edge,T,D,covered,delay"; fit report JSON.
 
 def write_deviation_csv(path, result: DeviationResult) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["edge", "T", "D", "covered", "delay"])
-        for s in result.samples:
-            edge = "rising" if s.value else "falling"
-            w.writerow([edge, repr(s.T), repr(s.D), int(result.covered(s)), repr(s.delay)])
+    rows = (
+        ["rising" if s.value else "falling", repr(s.T), repr(s.D), int(result.covered(s)), repr(s.delay)]
+        for s in result.samples
+    )
+    write_csv(path, ["edge", "T", "D", "covered", "delay"], rows)
 
 
 def write_fit_report(path, fit: ExpFit, n_samples: int) -> None:

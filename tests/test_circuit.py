@@ -479,6 +479,22 @@ def test_a_surviving_record_with_a_negative_delay_faults_at_its_decision():
     assert str(exc_info.value) == f"channel 'c': committed output at {log[2].out_time} lies before decision time 0.85"
 
 
+@pytest.mark.parametrize(
+    "seed, horizon, message",
+    [
+        (1681, 15.0, "channel 'c1': arrival at t=2.0607207695113017 would retro-cancel a committed output at 1.7929620501317054"),
+        (1445, 20.0, "channel 'c1': committed output at 19.6674477165379 lies before decision time 19.715590918811735"),
+    ],
+    ids=["retro-cancel", "decision-time"],
+)
+def test_a_channel_audit_in_an_xor_self_loop_is_a_causality_fault(seed, horizon, message):
+    # feed's retro-cancel raise and commit's decision-time audit, each wrapped by execute
+    c, stim = xor_self_loop_case(seed)
+    with pytest.raises(CausalityFault) as exc_info:
+        execute(c, {"i": stim}, horizon=horizon)
+    assert str(exc_info.value) == message
+
+
 class _StubState:
     """A channel state that delivers the k-th input after ``delays[k]`` with value ``values[k]``."""
 

@@ -131,6 +131,20 @@ class TestSimulate:
         write_eta_sequence(tmp_path / "etas.csv", [0.0])
         assert main(["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")]) == EXIT_OK
 
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-inf"])
+    def test_non_finite_eta_in_a_sequence_is_parse_error_naming_channel_file_and_line(self, tmp_path, capsys, eta):
+        # it used to reach the engine: exit 5, "channel 'c': eta=nan outside [...]"
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        doc["channels"][1]["strategy"] = {"variant": "fixed_sequence", "file": "etas.csv"}
+        netlist = tmp_path / "fig4.json"
+        netlist.write_text(json.dumps(doc))
+        (tmp_path / "etas.csv").write_text(f"n,eta\n1,{eta}\n")
+        stim = write_stimulus(tmp_path, pulse(0, 1.5))
+        assert main(["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        message = f"channel 'c': {tmp_path / 'etas.csv'}: line 2: eta {float(eta)} is not finite"
+        assert err == {"error": "parse", "message": message}
+
     def test_netlist_field_type_is_parse_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG4_NETLIST))
         doc["gates"][1]["arity"] = "1"
@@ -245,6 +259,27 @@ def test_degenerate_exp_channel_is_a_constraint_error_naming_vth_norm(capsys, fl
 def test_asymptotes_five_ulps_above_t_p_still_analyze(capsys):
     assert main(["analyze", "--tau", "1", "--t-p", "0.5", "--vth", "5e-16", *_BUDGET]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["ok"]
+
+
+_NEAR_DEGENERATE_EXP = {
+    # delta_inf_up - t_p rounds up to 5.55e-16, so the critical width has no sign change
+    "critical-width": (["--tau", "1", "--t-p", "0.5", "--vth", "5e-16"], "ExpChannelParams(tau=1.0, t_p=0.5, vth_norm=5e-16)"),
+    # the period equation's bracket is a few ulps of t_p wide, and its root rounds onto the edge
+    "period-bracket": (
+        ["--tau", "1", "--t-p", "1e15", "--vth", "0.5"],
+        "ExpChannelParams(tau=1.0, t_p=1000000000000000.0, vth_norm=0.5)",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags, params", _NEAR_DEGENERATE_EXP.values(), ids=list(_NEAR_DEGENERATE_EXP))
+def test_near_degenerate_exp_channel_is_a_constraint_error_naming_its_inputs(capsys, flags, params):
+    # the root finder's own message used to name no input
+    rc = main(["analyze", *flags])
+    out, err = capsys.readouterr()
+    message = json.loads(out)["message"]
+    assert rc == EXIT_CONSTRAINT and message.endswith(f" for {params} and EtaBounds(eta_minus=0.0, eta_plus=0.0)")
+    assert "Traceback" not in out + err
 
 
 class TestSpfSweep:
