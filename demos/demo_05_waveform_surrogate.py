@@ -34,7 +34,7 @@ df = exp_channel(params)
 
 print("== the surrogate IS the channel (zero disturbance) ==")
 stim = make_signal(0, [(0.0, 1), (2.0, 0), (2.8, 1), (5.5, 0)])
-crossings = synth_crossings(params, Disturbance(), stim, 12.0)
+crossings = synth_crossings(params, Disturbance(), [stim], 12.0)[0]
 out, _ = apply_channel(Involution(df), stim)
 for (t_c, value), tr in zip(crossings, out.transitions):
     edge = "rising" if value else "falling"
@@ -54,7 +54,7 @@ for _ in range(8):
             make_signal(0, [(0.0, 1), (df.delta_inf_up + dT, 0)]),
             make_signal(1, [(0.0, 0), (df.delta_inf_down + dT, 1)]),
         ):
-            crossings = synth_crossings(params, jitter, stim, 30.0, rng=rng)
+            crossings = synth_crossings(params, jitter, [stim], 30.0, rng=rng)[0]
             samples.extend(s for s in deviation_analysis(stim, crossings, df) if math.isfinite(s.T))
 print(f"{len(samples)} paired (T, D) samples from single-pulse sweeps with random phases")
 print(f"{'T range':>22s} {'n':>5s} {'coverage':>9s}")

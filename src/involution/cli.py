@@ -298,10 +298,8 @@ def cmd_waveform(args) -> int:
     rng = np.random.default_rng(args.seed)
     eta_plus = args.eta_plus if args.eta_plus is not None else 0.02 * delta_min(df)
     eta_minus = wl.eta_minus_for(df, eta_plus)
-    samples: list[wl.DeviationSample] = []
-    for stim in stimuli:
-        crossings = wl.synth_crossings(params, disturbance, stim, args.horizon, rng)
-        samples.extend(wl.deviation_analysis(stim, crossings, df))
+    crossings = wl.synth_crossings(params, disturbance, stimuli, args.horizon, rng)
+    samples = [s for stim, c in zip(stimuli, crossings) for s in wl.deviation_analysis(stim, c, df)]
     result = wl.DeviationResult(samples, eta_minus, eta_plus)
     fit_samples = [(s.T, s.delay, s.value) for s in samples if math.isfinite(s.T)]
     os.makedirs(args.out, exist_ok=True)
@@ -315,6 +313,7 @@ def cmd_waveform(args) -> int:
             "seeds": {"phase": args.seed} if disturbance.amplitude_fraction > 0 and stimuli else {},
             "eta_plus": eta_plus,
             "eta_minus": eta_minus,
+            "crossings": sum(map(len, crossings)),
             "coverage": result.coverage,
             "bins": [{"T_lo": a, "T_hi": b, "n": n, "coverage": c} for a, b, n, c in bins],
         },

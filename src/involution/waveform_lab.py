@@ -13,6 +13,7 @@ eta-budget coverage analysis.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -66,67 +67,86 @@ class DeviationSample:
     delay: float
 
 
-def _charging_trajectory(tau: float, disturbance: Disturbance, rng: np.random.Generator | None):
-    """The particular solution vp(t, xp) of the node driven high toward the (possibly disturbed) rail.
-
-    A rising segment from (t0, v0) follows v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}.
-    ``xp`` is ``math`` for a float ``t`` or ``numpy`` for an array of times.
-    A disturbed rail draws its phase from ``rng``, once per call; an
-    undisturbed one leaves ``rng`` untouched.
-    """
-    a = disturbance.amplitude_fraction
-    if a == 0.0:
-        return lambda t, xp=math: 1.0
-    if rng is None:
-        raise WaveformError("a disturbed rail draws its phase from an rng")
-    phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    omega = 2.0 * math.pi / disturbance.period
-    denom = 1.0 + (omega * tau) ** 2
-    alpha = a / denom
-    beta = -a * omega * tau / denom
-
-    def vp(t, xp=math):
-        th = omega * t + phase
-        return 1.0 + alpha * xp.sin(th) + beta * xp.cos(th)
-
-    return vp
-
-
 # numpy and math may round sin/cos/exp differently in the last bit, so a grid
 # value this close to the threshold is recomputed with math before its sign
 # is read; the trajectory and threshold are O(1), so the gap is far below it.
 _SIGN_GUARD = 1e-9
 
+# the charging segments on a disturbed rail are read on their grids in numpy,
+# all stimuli together, in chunks of about this many points to bound the memory
+_SCAN_CHUNK = 8192
+
+
+def _bisect_crossing(v, vth: float, lo: float, hi: float, rising: bool) -> tuple[float, int]:
+    """The crossing of ``v`` through ``vth`` in the grid cell [lo, hi], as a (time, value) pair."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if ((v(mid) - vth) > 0) != rising:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14:
+            break
+    return 0.5 * (lo + hi), int(rising)
+
+
+def _scan_disturbed(scans: list, vth: float, tau: float, omega: float, alpha: float, beta: float) -> None:
+    """Append each scan's crossings to its list; a scan is (v, (start, end, num, phase, offset v0 - vp(start)), list).
+
+    A scan's grid is linspace(start, end, num).  A chunk holds the scans
+    whose first point lies in one block of _SCAN_CHUNK points of all the
+    grids laid end to end.
+    """
+    first_points = itertools.accumulate((scan[1][2] for scan in scans), initial=0)
+    for _, group in itertools.groupby(zip(first_points, scans), key=lambda p: p[0] // _SCAN_CHUNK):
+        chunk = [scan for _, scan in group]
+        start, end, num, phase, offset = zip(*(scan[1] for scan in chunk))
+        ends = np.cumsum(num)
+        ts = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(start, end, num)])
+        th = omega * ts + np.repeat(phase, num)
+        s = 1.0 + alpha * np.sin(th) + beta * np.cos(th)
+        s += np.repeat(offset, num) * np.exp(-(ts - np.repeat(start, num)) / tau)
+        s -= vth
+        for k in np.flatnonzero(np.abs(s) <= _SIGN_GUARD):
+            s[k] = chunk[bisect.bisect_right(ends, k)][0](float(ts[k])) - vth
+        above = s >= 0
+        change = above[:-1] != above[1:]
+        change[ends[:-1] - 1] = False  # the last point of one grid and the first of the next
+        for k in np.flatnonzero(change):
+            v, _, found = chunk[bisect.bisect_right(ends, k)]
+            found.append(_bisect_crossing(v, vth, float(ts[k]), float(ts[k + 1]), bool(above[k + 1])))
+
 
 def synth_crossings(
     params: ExpChannelParams,
     disturbance: Disturbance,
-    stimulus: Signal,
+    stimuli: Sequence[Signal],
     horizon: float,
     rng: np.random.Generator | None = None,
-) -> list[tuple[float, int]]:
-    """Threshold crossings of the RC node driven by ``stimulus`` up to ``horizon``.
+) -> list[list[tuple[float, int]]]:
+    """Threshold crossings of the RC node driven by each of ``stimuli`` up to ``horizon``, one list per stimulus.
 
     The node has time constant ``params.tau`` and threshold
     ``params.vth_norm``, and its drive follows the input ``params.t_p``
     later: with an undisturbed rail it realizes exactly the exp-channel of
     ``params``.  Rising segments charge toward the disturbed rail, falling
     segments discharge toward undisturbed ground.  Each segment's trajectory
-    is evaluated on a uniform grid; neighbouring grid points on opposite
-    sides of the threshold (a point on it counts as above) bracket a
-    crossing, which scalar bisection on the analytic trajectory then
-    locates.  Above amplitude 0 the rail's phase is drawn once from ``rng``.
-    Each crossing is a (time, value) pair, value 1 upward and 0 downward,
-    the pairs that ``Signal(initial_value, pairs)`` reads.  A disturbed
-    rail's period below 2*pi*max(tau, horizon)/2**53, or a tau whose grid
-    step tau/50 underflows, raises :class:`WaveformError`.
+    is read on a uniform grid; neighbouring grid points on opposite sides of
+    the threshold (a point on it counts as above) bracket a crossing, which
+    scalar bisection on the analytic trajectory then locates.  A monotone
+    segment (discharging, or charging on an undisturbed rail) crosses at most
+    once, so its grid cell is found by bisecting over the grid's indices.
+    Above amplitude 0 each stimulus draws its rail's phase from ``rng``, in
+    order.  Each crossing is a (time, value) pair, value 1 upward and 0
+    downward, the pairs that ``Signal(initial_value, pairs)`` reads.  A
+    disturbed rail's period below 2*pi*max(tau, horizon)/2**53, or a tau
+    whose grid step tau/50 underflows, raises :class:`WaveformError`.
     """
-    tau = params.tau
-    vth = params.vth_norm
+    tau, vth, a = params.tau, params.vth_norm, disturbance.amplitude_fraction
     dt_cap = tau / 50.0  # the largest grid step
     if not dt_cap > 0.0:
         raise WaveformError(f"tau={tau!r} is too short for the surrogate's grid: its step tau/50 underflows to 0")
-    if disturbance.amplitude_fraction > 0.0:
+    if a > 0.0:
         period = disturbance.period
         # a float resolves the rail's phase 2*pi*t/period only below 2**53; the
         # rule also keeps (omega * tau)**2, every phase up to the horizon and
@@ -137,55 +157,64 @@ def synth_crossings(
                 " the disturbance period must be at least 2*pi*max(tau, horizon)/2**53"
             )
         dt_cap = min(dt_cap, period / 50.0)
-    vp = _charging_trajectory(tau, disturbance, rng)
+        if rng is None:
+            raise WaveformError("a disturbed rail draws its phase from an rng")
+        # the charging node's particular solution vp(t) = 1 + alpha sin(omega t + phase) + beta cos(omega t + phase)
+        omega = 2.0 * math.pi / period
+        denom = 1.0 + (omega * tau) ** 2
+        alpha, beta = a / denom, -a * omega * tau / denom
 
-    # drive switch times: input transitions shifted by the pure delay
-    segments = []
-    drive = stimulus.initial_value
-    t0 = 0.0
-    for t in stimulus.times:
-        t_sw = t + params.t_p
-        if t_sw > horizon:
-            break
-        if t_sw > t0:
-            segments.append((t0, t_sw, drive))
-        t0, drive = t_sw, 1 - drive
-    if t0 < horizon:
-        segments.append((t0, horizon, drive))
+    per_stimulus = []  # per stimulus, one crossing list per segment
+    scans = []  # the charging segments on a disturbed rail
+    for stimulus in stimuli:
+        phase = float(rng.uniform(0.0, 2.0 * math.pi)) if a > 0.0 else 0.0
+        # drive switch times: input transitions shifted by the pure delay
+        segments = []
+        drive = stimulus.initial_value
+        t0 = 0.0
+        for t in stimulus.times:
+            t_sw = t + params.t_p
+            if t_sw > horizon:
+                break
+            if t_sw > t0:
+                segments.append((t0, t_sw, drive))
+            t0, drive = t_sw, 1 - drive
+        if t0 < horizon:
+            segments.append((t0, horizon, drive))
 
-    crossings: list[tuple[float, int]] = []
-    v0 = float(stimulus.initial_value)
-    for seg_start, seg_end, seg_drive in segments:
-        if seg_drive:
-            offset = v0 - vp(seg_start)
+        founds: list[list[tuple[float, int]]] = []
+        v0 = float(stimulus.initial_value)
+        for seg_start, seg_end, seg_drive in segments:
+            n = max(8, math.ceil(min(20000.0, (seg_end - seg_start) / dt_cap)))  # min first: the ratio may be inf
+            found: list[tuple[float, int]] = []
+            founds.append(found)
+            # a rising segment from (t0, v0) follows v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}
+            if seg_drive and a > 0.0:
+                th = omega * seg_start + phase
+                offset = v0 - (1.0 + alpha * math.sin(th) + beta * math.cos(th))
 
-            def v(t, xp=math, _o=offset, _s=seg_start):
-                return vp(t, xp) + _o * xp.exp(-(t - _s) / tau)
+                def v(t, _o=offset, _s=seg_start, _p=phase):
+                    th = omega * t + _p
+                    return 1.0 + alpha * math.sin(th) + beta * math.cos(th) + _o * math.exp(-(t - _s) / tau)
 
-        else:
-            def v(t, xp=math, _v0=v0, _s=seg_start):
-                return _v0 * xp.exp(-(t - _s) / tau)
+                scans.append((v, (seg_start, seg_end, n + 1, phase, offset), found))
+            else:
+                # vp is the drive itself, 0 or the undisturbed rail 1; adding vp = 0.0 changes no value
 
-        n = max(8, math.ceil(min(20000.0, (seg_end - seg_start) / dt_cap)))  # min first: the ratio may be inf
-        ts = np.linspace(seg_start, seg_end, n + 1)
-        s = v(ts, np) - vth
-        for k in np.flatnonzero(np.abs(s) <= _SIGN_GUARD):
-            s[k] = v(float(ts[k])) - vth
-        above = s >= 0
-        for k in np.flatnonzero(above[:-1] != above[1:]):
-            rising = bool(above[k + 1])
-            lo, hi = float(ts[k]), float(ts[k + 1])
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if ((v(mid) - vth) > 0) != rising:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-14:
-                    break
-            crossings.append((0.5 * (lo + hi), int(rising)))
-        v0 = v(seg_end)
-    return crossings
+                def v(t, _vp=float(seg_drive), _o=v0 - seg_drive, _s=seg_start):
+                    return _vp + _o * math.exp(-(t - _s) / tau)
+
+                first = v(seg_start) >= vth
+                if (v(seg_end) >= vth) != first:
+                    # monotone, so the grid's sign changes once: find its cell by bisecting the indices
+                    ts = np.linspace(seg_start, seg_end, n + 1)
+                    hi = bisect.bisect_left(range(n), True, 1, key=lambda k: (v(float(ts[k])) >= vth) != first)
+                    found.append(_bisect_crossing(v, vth, float(ts[hi - 1]), float(ts[hi]), not first))
+            v0 = v(seg_end)
+        per_stimulus.append(founds)
+    if scans:
+        _scan_disturbed(scans, vth, tau, omega, alpha, beta)
+    return [[c for found in founds for c in found] for founds in per_stimulus]
 
 
 def calibration_stimuli(df: DelayFunction) -> list[Signal]:

@@ -312,7 +312,7 @@ def test_criterion_10_surrogate_oracle(ref):
             t += 0.05 + float(rng.exponential(1.0))
             times.append(t)
         stim = make_signal(0, [(tt, (i + 1) % 2) for i, tt in enumerate(times)])
-        crossings = synth_crossings(surrogate, Disturbance(), stim, stim.last_time() + ref.delta_inf_up + 2.0)
+        crossings = synth_crossings(surrogate, Disturbance(), [stim], stim.last_time() + ref.delta_inf_up + 2.0)[0]
         out, _ = apply_channel(Involution(ref), stim)
         if len(crossings) != len(out.transitions):
             mismatched += 1
@@ -348,7 +348,7 @@ def test_criterion_11_eta_coverage_trend():
                 make_signal(0, [(0.0, 1), (df.delta_inf_up + dT, 0)]),
                 make_signal(1, [(0.0, 0), (df.delta_inf_down + dT, 1)]),
             ):
-                crossings = synth_crossings(params, disturbance, stim, 30.0, rng=rng)
+                crossings = synth_crossings(params, disturbance, [stim], 30.0, rng=rng)[0]
                 samples.extend(s for s in deviation_analysis(stim, crossings, df) if math.isfinite(s.T))
     bins = bin_coverage(DeviationResult(samples, eta_minus, eta_plus))
     covs = [c for *_, c in bins]

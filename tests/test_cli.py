@@ -6,13 +6,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import involution
 from involution.channel import write_eta_sequence
 from involution.cli import EXIT_CONSTRAINT, EXIT_ENGINE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _atomic_write, main
+from involution.delay_model import ExpChannelParams
 from involution.signals import make_signal, pulse, read_trace, write_trace
-from involution.waveform_lab import fit_exp_channel
+from involution.waveform_lab import Disturbance, fit_exp_channel, synth_crossings
 
 import oracles
 from test_circuit import FIG4_NETLIST
@@ -403,6 +405,22 @@ class TestWaveform:
         assert json.loads(capsys.readouterr().out)["fit"] == {"error": "need at least 5 delay values, got 1"}
         assert len((out / "deviations.csv").read_text().splitlines()) == 3
         assert sorted(p.name for p in out.iterdir()) == ["deviations.csv", "manifest.json"]
+
+    def test_the_manifest_counts_every_crossing_the_pairing_saw(self, tmp_path, capsys):
+        # vth lies in the rail's ripple, so the settled node crosses it on every period of
+        # the rail while the channel predicts one transition per edge
+        sig = make_signal(0, [(0.0, 1), (20.0, 0)])
+        stim = write_stimulus(tmp_path, sig)
+        out = tmp_path / "wf"
+        argv = ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.99", "--amplitude", "0.2", "--eta-plus", "0"]
+        argv += ["--seed", "4", "--stimulus", str(stim), "--horizon", "30", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        samples = json.loads(capsys.readouterr().out)["samples"]
+        params, disturbance = ExpChannelParams(1.0, 0.5, 0.99), Disturbance(0.2, 1.0)
+        (crossings,) = synth_crossings(params, disturbance, [sig], 30.0, np.random.default_rng(4))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["crossings"] == len(crossings) > 10
+        assert samples == len((out / "deviations.csv").read_text().splitlines()) - 1 == 2
 
     def test_the_seed_reaches_only_a_disturbed_rail(self, tmp_path, capsys):
         argv = ["waveform", "--tau", "1", "--t-p", "0.5", "--vth", "0.6"]

@@ -47,14 +47,14 @@ def random_train(rng, n_max=10):
 
 class TestSynthCrossings:
     def test_single_edge_crossing_time(self):
-        crossings = synth_crossings(REF_PARAMS, CLEAN, make_signal(0, [(0.0, 1)]), horizon=10.0)
+        crossings = synth_crossings(REF_PARAMS, CLEAN, [make_signal(0, [(0.0, 1)])], horizon=10.0)[0]
         assert len(crossings) == 1
         t, value = crossings[0]
         assert value == 1
         assert t == pytest.approx(0.5 + math.log(2), abs=1e-9)
 
     def test_short_pulse_never_crosses(self):
-        crossings = synth_crossings(REF_PARAMS, CLEAN, pulse(0, 0.1), horizon=10.0)
+        crossings = synth_crossings(REF_PARAMS, CLEAN, [pulse(0, 0.1)], horizon=10.0)[0]
         assert crossings == []
 
     def test_extracted_delay_samples_reproduce_the_exp_pair(self, ref):
@@ -63,7 +63,7 @@ class TestSynthCrossings:
         for width in np.linspace(1.5, 4.0, 6):
             for gap in np.linspace(0.3, 3.0, 6):
                 stim = make_signal(0, [(0.0, 1), (width, 0), (width + gap, 1), (width + gap + 2.0, 0)])
-                crossings = synth_crossings(REF_PARAMS, CLEAN, stim, horizon=30.0)
+                crossings = synth_crossings(REF_PARAMS, CLEAN, [stim], horizon=30.0)[0]
                 out, log = apply_channel(Involution(ref), stim)
                 assert len(crossings) == len(out.transitions)
                 for (t_c, _), rec in zip(crossings, [r for r in log if not r.canceled]):
@@ -73,15 +73,15 @@ class TestSynthCrossings:
 
     def test_zero_amplitude_is_seed_independent(self):
         stim = pulse(0, 2.0)
-        a = synth_crossings(REF_PARAMS, CLEAN, stim, 10.0, rng=np.random.default_rng(1))
-        b = synth_crossings(REF_PARAMS, CLEAN, stim, 10.0, rng=np.random.default_rng(2))
+        a = synth_crossings(REF_PARAMS, CLEAN, [stim], 10.0, rng=np.random.default_rng(1))[0]
+        b = synth_crossings(REF_PARAMS, CLEAN, [stim], 10.0, rng=np.random.default_rng(2))[0]
         assert a == b
 
     @pytest.mark.parametrize("amplitude, draws", [(0.0, 0), (1e-9, 1), (0.01, 1), (0.2, 1)])
     def test_each_stimulus_draws_one_phase_above_amplitude_zero(self, amplitude, draws):
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         for stim in (pulse(0, 2.0), make_signal(1, []), random_train(np.random.default_rng(6))):
-            synth_crossings(REF_PARAMS, Disturbance(amplitude, 1.0), stim, 10.0, rng=rng)
+            synth_crossings(REF_PARAMS, Disturbance(amplitude, 1.0), [stim], 10.0, rng=rng)[0]
             for _ in range(draws):
                 twin.uniform(0.0, 2.0 * math.pi)
             assert rng.bit_generator.state == twin.bit_generator.state
@@ -92,7 +92,7 @@ class TestSynthCrossings:
         for _ in range(100):
             stim = random_train(rng)
             horizon = stim.last_time() + ref.delta_inf_up + 2.0
-            crossings = synth_crossings(REF_PARAMS, CLEAN, stim, horizon)
+            crossings = synth_crossings(REF_PARAMS, CLEAN, [stim], horizon)[0]
             out, _ = apply_channel(Involution(ref), stim)
             expected = [(t.time, t.value) for t in out.transitions]
             assert len(crossings) == len(expected)
@@ -108,7 +108,7 @@ class TestSynthCrossings:
         for seed in seeds:
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for stim in stimuli:
-                got = synth_crossings(params, disturbance, stim, 60.0, rng=got_rng)
+                got = synth_crossings(params, disturbance, [stim], 60.0, rng=got_rng)[0]
                 assert got == oracles.rc_crossings(params, disturbance, stim, 60.0, rng=want_rng)
 
     # One segment on the grid linspace(0.5, 10, 476) after the stimulus edge at 0:
@@ -130,7 +130,7 @@ class TestSynthCrossings:
         params = ExpChannelParams(1.0, 0.5, v(initial, float(grid[k]), math))
         stim = make_signal(initial, [(0.0, 1 - initial)])
         want = oracles.rc_crossings(params, CLEAN, stim, 10.0)
-        assert synth_crossings(params, CLEAN, stim, 10.0) == want
+        assert synth_crossings(params, CLEAN, [stim], 10.0)[0] == want
         # one passage through the threshold is one crossing, at the grid point
         assert len(want) == 1 and want[0][0] == pytest.approx(grid[k], abs=1e-13)
 
@@ -152,11 +152,124 @@ class TestSynthCrossings:
         assert self.segment_value(initial, grid[k], waveform_lab.np) != vth
         params = ExpChannelParams(1.0, 0.5, vth)
         stim = make_signal(initial, [(0.0, 1 - initial)])
-        assert synth_crossings(params, CLEAN, stim, 10.0) == oracles.rc_crossings(params, CLEAN, stim, 10.0)
+        assert synth_crossings(params, CLEAN, [stim], 10.0)[0] == oracles.rc_crossings(params, CLEAN, stim, 10.0)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.01, 0.05, 0.2])
+    def test_one_call_over_the_calibration_equals_the_oracle_per_stimulus(self, amplitude):
+        params, disturbance = ExpChannelParams(1.0, 0.5, 0.6), Disturbance(amplitude, 1.0)
+        stimuli = calibration_stimuli(exp_channel(params))
+        for seed in (51, 52, 53):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = synth_crossings(params, disturbance, stimuli, 60.0, rng=got_rng)
+            assert got == [oracles.rc_crossings(params, disturbance, s, 60.0, rng=want_rng) for s in stimuli]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_one_call_over_random_trains_equals_the_oracle_per_stimulus(self):
+        # 40 random surrogates, 5 random trains each.  Every fourth one puts vth inside
+        # the ripple band 1 +- a / sqrt(1 + (omega tau)^2) of a settled node, so that one
+        # charging segment on the disturbed rail crosses the threshold again and again.
+        rng = np.random.default_rng(2024)
+        most_in_one_charge = 0
+        for case in range(40):
+            tau, t_p, period = (float(x) for x in rng.uniform((0.3, 0.1, 0.3), (2.0, 1.0, 3.0)))
+            amplitude = 0.0 if case % 5 == 0 else float(rng.uniform(0.01, 0.2))
+            ripple = amplitude / math.hypot(1.0, 2.0 * math.pi / period * tau)
+            if case % 4 == 1 and amplitude > 0.0:
+                vth = 1.0 - ripple * float(rng.uniform(0.2, 0.8))
+            else:
+                vth = float(rng.uniform(0.1, 0.9))
+            params, disturbance = ExpChannelParams(tau, t_p, vth), Disturbance(amplitude, period)
+            stimuli = [random_train(rng, 6) for _ in range(5)]
+            horizon = max(s.last_time() for s in stimuli) + 6.0 * tau
+            seed = int(rng.integers(2**32))
+            want_rng = np.random.default_rng(seed)
+            want = [oracles.rc_crossings(params, disturbance, s, horizon, rng=want_rng) for s in stimuli]
+            assert synth_crossings(params, disturbance, stimuli, horizon, rng=np.random.default_rng(seed)) == want
+            if amplitude > 0.0:
+                for stim, crossings in zip(stimuli, want):
+                    # the drive rises at the 1st, 3rd, ... switch and falls at the next one
+                    switches = [t + t_p for t in stim.times] + [math.inf]
+                    for start, end in zip(switches[::2], switches[1::2]):
+                        count = sum(start < t <= end for t, _ in crossings)
+                        most_in_one_charge = max(most_in_one_charge, count)
+        assert most_in_one_charge >= 3
+
+    def test_grids_longer_than_a_scan_chunk_equal_the_oracle(self):
+        # each step's charging segment has 20001 grid points, more than one chunk holds,
+        # and vth in the ripple band makes it cross on every period of the rail
+        params, disturbance = ExpChannelParams(1.0, 0.5, 0.999), Disturbance(0.2, 1.0)
+        stimuli = [make_signal(0, [(0.0, 1)]), pulse(0, 2.0), make_signal(0, [(0.0, 1)])]
+        assert 20001 > waveform_lab._SCAN_CHUNK
+        want_rng = np.random.default_rng(9)
+        want = [oracles.rc_crossings(params, disturbance, s, 1000.0, rng=want_rng) for s in stimuli]
+        assert len(want[0]) > 100
+        assert synth_crossings(params, disturbance, stimuli, 1000.0, rng=np.random.default_rng(9)) == want
+
+    @pytest.mark.parametrize("initial", [0, 1])
+    @pytest.mark.parametrize("cell", [0, -1])
+    def test_a_monotone_crossing_in_the_first_or_last_grid_cell(self, initial, cell):
+        # the stimulus's one edge starts a monotone segment on THRESHOLD_GRID; vth lies
+        # halfway between v at the two ends of its first or its last cell
+        grid = self.THRESHOLD_GRID
+        lo, hi = (grid[0], grid[1]) if cell == 0 else (grid[-2], grid[-1])
+        ends = [self.segment_value(initial, float(t), math) for t in (lo, hi)]
+        params = ExpChannelParams(1.0, 0.5, 0.5 * (ends[0] + ends[1]))
+        stim = make_signal(initial, [(0.0, 1 - initial)])
+        want = oracles.rc_crossings(params, CLEAN, stim, 10.0)
+        assert len(want) == 1 and lo < want[0][0] < hi
+        assert synth_crossings(params, CLEAN, [stim], 10.0) == [want]
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.01])
+    def test_one_phase_per_stimulus_in_order_and_none_for_no_stimulus(self, amplitude):
+        stimuli = [pulse(0, 2.0), make_signal(1, []), random_train(np.random.default_rng(6))]
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        assert synth_crossings(REF_PARAMS, Disturbance(amplitude, 1.0), [], 10.0, rng=rng) == []
+        assert rng.bit_generator.state == twin.bit_generator.state
+        got = synth_crossings(REF_PARAMS, Disturbance(amplitude, 1.0), stimuli, 10.0, rng=rng)
+        assert len(got) == len(stimuli)
+        for _ in stimuli if amplitude > 0.0 else ():
+            twin.uniform(0.0, 2.0 * math.pi)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("direction", [-1.0, 1.0])
+    def test_sign_guard_hides_numpy_rounding_on_a_disturbed_rail(self, direction, monkeypatch):
+        # The charging segment after the edge at 0 runs on the disturbed rail; vth is its
+        # math value at a grid point, and numpy's sin and exp are moved one ulp off libm's.
+        class OneUlpOff:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sin(self, x):
+                return np.nextafter(np.sin(x), direction * np.inf)
+
+            def exp(self, x):
+                return np.nextafter(np.exp(x), direction * np.inf)
+
+        amplitude, period = 0.2, 2.0
+        phase = float(np.random.default_rng(3).uniform(0.0, 2.0 * math.pi))
+        omega = 2.0 * math.pi / period
+        denom = 1.0 + omega**2
+        alpha, beta = amplitude / denom, -amplitude * omega / denom
+
+        def v(t, xp):
+            th = omega * t + phase
+            th0 = omega * 0.5 + phase
+            offset = 0.0 - (1.0 + alpha * math.sin(th0) + beta * math.cos(th0))
+            return 1.0 + alpha * xp.sin(th) + beta * xp.cos(th) + offset * xp.exp(-(t - 0.5) / 1.0)
+
+        grid, k = self.THRESHOLD_GRID, 10  # the grid step tau/50 is below period/50
+        vth = v(float(grid[k]), math)
+        monkeypatch.setattr(waveform_lab, "np", OneUlpOff())
+        assert v(grid[k : k + 1], waveform_lab.np)[0] != vth
+        params, disturbance = ExpChannelParams(1.0, 0.5, vth), Disturbance(amplitude, period)
+        stim = make_signal(0, [(0.0, 1)])
+        want = oracles.rc_crossings(params, disturbance, stim, 10.0, rng=np.random.default_rng(3))
+        assert want[0][0] == pytest.approx(grid[k], abs=1e-13)
+        assert synth_crossings(params, disturbance, [stim], 10.0, rng=np.random.default_rng(3)) == [want]
 
     def test_disturbance_requires_rng_when_phase_random(self):
         with pytest.raises(WaveformError, match="draws its phase from an rng"):
-            synth_crossings(REF_PARAMS, Disturbance(0.01, 1.0), pulse(0, 2.0), 10.0)
+            synth_crossings(REF_PARAMS, Disturbance(0.01, 1.0), [pulse(0, 2.0)], 10.0)[0]
 
     @pytest.mark.parametrize(
         "tau, period, amplitude, message",
@@ -171,11 +284,11 @@ class TestSynthCrossings:
     def test_a_rail_or_grid_floats_cannot_resolve_is_a_waveform_error(self, tau, period, amplitude, message):
         params = ExpChannelParams(tau, 0.5, 0.6)
         with pytest.raises(WaveformError, match=message):
-            synth_crossings(params, Disturbance(amplitude, period), pulse(0, 2.0), 60.0, np.random.default_rng(0))
+            synth_crossings(params, Disturbance(amplitude, period), [pulse(0, 2.0)], 60.0, np.random.default_rng(0))[0]
 
     def test_the_shortest_period_the_rail_resolves_is_accepted(self):
         period = 60.0 * 2.0 * math.pi / 2.0**53 * 1.001
-        synth_crossings(REF_PARAMS, Disturbance(0.2, period), pulse(0, 2.0), 60.0, np.random.default_rng(0))
+        synth_crossings(REF_PARAMS, Disturbance(0.2, period), [pulse(0, 2.0)], 60.0, np.random.default_rng(0))[0]
 
     def test_amplitude_bound_enforced(self):
         with pytest.raises(Exception):
@@ -187,7 +300,7 @@ class TestDeviationAnalysis:
         rng = np.random.default_rng(5)
         for _ in range(10):
             stim = random_train(rng)
-            crossings = synth_crossings(REF_PARAMS, CLEAN, stim, stim.last_time() + 4.0)
+            crossings = synth_crossings(REF_PARAMS, CLEAN, [stim], stim.last_time() + 4.0)[0]
             res = DeviationResult(deviation_analysis(stim, crossings, ref), eta_minus_for(ref, 0.01), 0.01)
             assert all(abs(s.D) <= 1e-9 for s in res.samples)
             assert res.coverage == 1.0
@@ -208,7 +321,7 @@ class TestDeviationAnalysis:
         fast = ExpChannelParams(0.9, 0.5, 0.5)
         stim = make_signal(0, [(0.0, 1), (2.5, 0), (3.5, 1), (6.0, 0)])
         for params, sign in ((slow, -1), (fast, +1)):
-            crossings = synth_crossings(params, CLEAN, stim, 12.0)
+            crossings = synth_crossings(params, CLEAN, [stim], 12.0)[0]
             samples = deviation_analysis(stim, crossings, ref)
             assert samples
             assert all(math.copysign(1, s.D) == sign for s in samples if s.T >= 0)
@@ -232,7 +345,7 @@ class TestDeviationAnalysis:
                     make_signal(0, [(0.0, 1), (df.delta_inf_up + dT, 0)]),
                     make_signal(1, [(0.0, 0), (df.delta_inf_down + dT, 1)]),
                 ):
-                    crossings = synth_crossings(params, disturbance, stim, 30.0, rng=rng)
+                    crossings = synth_crossings(params, disturbance, [stim], 30.0, rng=rng)[0]
                     samples.extend(s for s in deviation_analysis(stim, crossings, df) if math.isfinite(s.T))
         bins = bin_coverage(DeviationResult(samples, eta_minus_for(df, eta_plus), eta_plus))
         assert bins[0][3] == 1.0  # lowest-T quartile fully covered
@@ -522,7 +635,7 @@ class TestFit:
 
 def test_output_files(tmp_path, ref):
     stim = make_signal(0, [(0.0, 1), (2.5, 0), (3.5, 1), (6.0, 0)])
-    crossings = synth_crossings(REF_PARAMS, CLEAN, stim, 12.0)
+    crossings = synth_crossings(REF_PARAMS, CLEAN, [stim], 12.0)[0]
     res = DeviationResult(deviation_analysis(stim, crossings, ref), eta_minus_for(ref, 0.01), 0.01)
     dev_path = tmp_path / "dev.csv"
     write_deviation_csv(dev_path, res)
