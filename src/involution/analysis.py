@@ -220,7 +220,7 @@ def _periodic_train(up: float, period: float, count: int) -> Signal:
 
 
 def _filters_to_zero(params: ExpChannelParams, stimulus: Signal) -> bool:
-    out, _ = ch.apply_channel(ch.Involution(exp_channel(params)), stimulus)
+    out, _ = ch.apply_channel(ch.Involution(exp_channel(params)), stimulus, log=False)
     return out.is_zero
 
 
@@ -251,7 +251,7 @@ def dimension_ht_buffer(theta: float, gamma_cap: float) -> ExpChannelParams:
             for up in (theta, theta / 2.0):
                 ok = ok and _filters_to_zero(params, _periodic_train(up, up / gamma_cap, 60))
         if ok:
-            out, _ = ch.apply_channel(ch.Involution(exp_channel(params)), step)
+            out, _ = ch.apply_channel(ch.Involution(exp_channel(params)), step, log=False)
             ok = len(out.times) == 1 and out.initial_value == 0  # one rising edge
         if ok:
             return params

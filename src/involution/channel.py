@@ -32,6 +32,14 @@ the engine decides each record at ``decide_at(record)`` (None: deliver at
 once), on channels whose ``check_causal`` its circuit ran once when it was
 built.
 
+The full per-transition log is opt-in (``log=True``): each arrival then
+builds a :class:`TransitionRecord` with T, delta, eta and the canceled
+partner, and the state appends it to ``log``.  Without it an arrival builds
+only a :class:`PendingRecord`, what the engine and the audits read; an
+eta-involution state keeps its ``etas`` and ``commit_margin`` either way.
+``apply_channel`` logs unless told not to; the engine and the engine's
+self-check do not.
+
 Commit rule of the involution channels
 --------------------------------------
 A pending output at time u is canceled only by a later input transition
@@ -236,7 +244,7 @@ ChannelSpec = Union[Pure, Inertial, EtaInvolution]
 
 @dataclass(slots=True)
 class TransitionRecord:
-    """Per-input-transition log entry of the channel algorithm."""
+    """One input transition in the full per-transition log (``log=True``)."""
 
     index: int
     time: float
@@ -250,43 +258,76 @@ class TransitionRecord:
     guard_hit: bool = False
 
 
+@dataclass(slots=True)
+class PendingRecord:
+    """One input transition when the log is off: what the engine and the audits read."""
+
+    index: int
+    time: float
+    value: int
+    out_time: float
+    canceled: bool = False
+
+    @property
+    def guard_hit(self) -> bool:
+        """The max-guard forced the delay to -inf."""
+        return self.out_time == -math.inf
+
+
+Record = Union[TransitionRecord, PendingRecord]
+
+
 class _PureState:
     """Incremental pure delay: every record survives, except that two records
     rounded onto one output time cancel, by ``_pend``, the pair-cancellation
-    step that the involution channels share."""
+    step that the involution channels share.
 
-    def __init__(self, delay: float):
+    With ``log`` each arrival builds a :class:`TransitionRecord` and appends
+    it to ``log``; without it, a :class:`PendingRecord` and ``log`` is None.
+    """
+
+    def __init__(self, delay: float, log: bool = False):
         self.delay = delay
-        self.log: list[TransitionRecord] = []
-        self.stack: deque[TransitionRecord] = deque()  # pending survivors, oldest first
+        self.fed = 0  # arrivals so far
+        self.log: list[TransitionRecord] | None = [] if log else None
+        self.stack: deque[Record] = deque()  # pending records, oldest first
 
-    def _pend(self, rec: TransitionRecord) -> TransitionRecord | None:
-        """Log ``rec`` and cancel it with the latest pending survivor whose
-        output is not earlier, else keep it pending; returns that partner or None."""
+    def _record(self, t: float, value: int, T: float, delta: float, eta: float, out_time: float) -> Record:
+        """The record of the next arrival, logged if the log is on."""
+        self.fed = n = self.fed + 1
+        if self.log is None:
+            return PendingRecord(n, t, value, out_time)
+        rec = TransitionRecord(n, t, value, T, delta, eta, out_time, False, None, out_time == -math.inf)
         self.log.append(rec)
+        return rec
+
+    def _pend(self, rec: Record) -> Record | None:
+        """Cancel ``rec`` with the latest pending survivor whose output is not
+        earlier, else keep it pending; returns that partner or None."""
         stack = self.stack
         if stack and stack[-1].out_time >= rec.out_time:
             partner = stack.pop()
             partner.canceled = rec.canceled = True
-            partner.canceled_with, rec.canceled_with = rec.index, partner.index
+            if self.log is not None:
+                partner.canceled_with, rec.canceled_with = rec.index, partner.index
             return partner
         stack.append(rec)
         return None
 
-    def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
+    def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
         """Process one input transition; returns (record, canceled partner or None)."""
-        rec = TransitionRecord(len(self.log) + 1, t, value, math.nan, self.delay, 0.0, t + self.delay)
+        rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
         return rec, self._pend(rec)
 
     def check_causal(self) -> None:
         """Raise ChannelError if the engine cannot decide this channel's records causally."""
 
-    def decide_at(self, rec: TransitionRecord) -> float | None:
+    def decide_at(self, rec: Record) -> float | None:
         """When the engine decides ``rec``: the time after which it can no longer
         be canceled, or None to deliver it at its output time without a decision."""
         return None
 
-    def survivors(self) -> list[TransitionRecord]:
+    def survivors(self) -> list[Record]:
         """The output records once the whole input has been fed (batch use only)."""
         return list(self.stack)
 
@@ -296,31 +337,39 @@ class _InertialState(_PureState):
     suppresses the previous record.  The window is half-open, like a VHDL
     reject limit: an arrival at exactly ``decide_at(prev)`` leaves the record
     standing, so the engine's decision there is final whichever of the two
-    it processes first."""
+    it processes first.
 
-    def __init__(self, delay: float, window: float, initial_value: int):
-        super().__init__(delay)
+    Every record waits on the stack until it is decided.  Decision times
+    increase with the input times, so records are decided in the order they
+    were fed.  Only the newest record can be suppressed, and only while it
+    waits: an arrival after its decision lies outside its window.
+    """
+
+    def __init__(self, delay: float, window: float, initial_value: int, log: bool = False):
+        super().__init__(delay, log)
         self.window = window
         self.value = initial_value
 
-    def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
-        prev = self.log[-1] if self.log else None
+    def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
+        stack = self.stack
+        prev = stack[-1] if stack else None
         if prev is not None and not prev.canceled and t < prev.time + self.window:
             prev.canceled = True
         else:
             prev = None
-        rec = TransitionRecord(len(self.log) + 1, t, value, math.nan, self.delay, 0.0, t + self.delay)
-        self.log.append(rec)
+        rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
+        stack.append(rec)
         return rec, prev
 
     def check_causal(self) -> None:
         if self.window > self.delay:
             raise ChannelError("inertial window exceeds delay; not causally executable")
 
-    def decide_at(self, rec: TransitionRecord) -> float:
+    def decide_at(self, rec: Record) -> float:
         return rec.time + self.window
 
-    def commit(self, rec: TransitionRecord) -> bool:
+    def commit(self, rec: Record) -> bool:
+        self.stack.popleft()  # that is ``rec``: records are decided in the order they were fed
         if rec.canceled:
             return False
         if rec.value == self.value:
@@ -329,33 +378,37 @@ class _InertialState(_PureState):
         self.value = rec.value
         return True
 
-    def survivors(self) -> list[TransitionRecord]:
-        return [r for r in self.log if self.commit(r)]
+    def survivors(self) -> list[Record]:
+        return [r for r in tuple(self.stack) if self.commit(r)]
 
 
 class _InvolutionState(_PureState):
     """Incremental eta-involution channel (with a zero budget, the involution channel).
 
     Records are decided oldest first, so every pending record lies above the
-    last committed output; a new survivor at or before it raises.
+    last committed output; a new survivor at or before it raises.  ``etas``
+    lists the eta drawn for every arrival, and ``commit_margin`` is the least
+    distance of a surviving output above the last committed one.
     """
 
-    def __init__(self, df: DelayFunction, source: EtaSource):
-        super().__init__(math.nan)  # no constant delay
+    def __init__(self, df: DelayFunction, source: EtaSource, log: bool = False):
+        super().__init__(math.nan, log)  # no constant delay
         self.df = df
         self.source = source
+        self.etas: list[float] = []
         self.prev_t = -math.inf
         self.prev_delta = 0.0
         self.committed_last = -math.inf
         self.commit_margin = math.inf
 
-    def feed(self, t: float, value: int) -> tuple[TransitionRecord, TransitionRecord | None]:
+    def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
         T = t - self.prev_t - self.prev_delta
         base = self.df.up(T) if value == 1 else self.df.down(T)
         eta = self.source.eta(value)
+        self.etas.append(eta)
         delta = base + eta
-        rec = TransitionRecord(len(self.log) + 1, t, value, T, delta, eta, t + delta, False, None, base == -math.inf)
         self.prev_t, self.prev_delta = t, delta
+        rec = self._record(t, value, T, delta, eta, t + delta)
         partner = self._pend(rec)
         if partner is None:
             if rec.out_time == -math.inf:
@@ -375,10 +428,10 @@ class _InvolutionState(_PureState):
         if self.source.bounds.eta_minus >= min(self.df.up(0.0), self.df.down(0.0)):
             raise ChannelError("eta_minus exceeds delta(0); pending outputs cannot be committed causally")
 
-    def decide_at(self, rec: TransitionRecord) -> float:
+    def decide_at(self, rec: Record) -> float:
         return max(rec.time, math.nextafter(rec.out_time, -math.inf))
 
-    def commit(self, rec: TransitionRecord) -> bool:
+    def commit(self, rec: Record) -> bool:
         if rec.canceled:
             return False
         if not self.stack or self.stack[0] is not rec:
@@ -390,23 +443,27 @@ class _InvolutionState(_PureState):
         return True
 
 
-def channel_state(spec: ChannelSpec, initial_value: int, draws: _UniformDraws | None = None):
+def channel_state(spec: ChannelSpec, initial_value: int, draws: _UniformDraws | None = None, log: bool = False):
     """The incremental state of a channel whose input starts at ``initial_value``.
 
-    ``draws`` goes to the :class:`EtaSource` of an eta-involution channel.
+    ``draws`` goes to the :class:`EtaSource` of an eta-involution channel;
+    ``log`` turns the full per-transition log on.
     """
     if isinstance(spec, Pure):
-        return _PureState(spec.delay)
+        return _PureState(spec.delay, log)
     if isinstance(spec, Inertial):
-        return _InertialState(spec.delay, spec.window, initial_value)
+        return _InertialState(spec.delay, spec.window, initial_value, log)
     if isinstance(spec, EtaInvolution):
-        return _InvolutionState(spec.df, EtaSource(spec.strategy, spec.bounds, draws))
+        return _InvolutionState(spec.df, EtaSource(spec.strategy, spec.bounds, draws), log)
     raise ChannelError(f"unknown channel spec {spec!r}")
 
 
-def apply_channel(spec: ChannelSpec, s: Signal) -> tuple[Signal, list[TransitionRecord]]:
-    """Channel function: map an input signal to the output signal plus a per-transition log."""
-    state = channel_state(spec, s.initial_value)
+def apply_channel(
+    spec: ChannelSpec, s: Signal, *, log: bool = True
+) -> tuple[Signal, list[TransitionRecord] | None]:
+    """Channel function: map an input signal to the output signal plus the
+    per-transition log, or None in its place with ``log=False``."""
+    state = channel_state(spec, s.initial_value, log=log)
     feed = state.feed
     value = s.initial_value
     for t in s.times:

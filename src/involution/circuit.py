@@ -24,8 +24,9 @@ import heapq
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
-from itertools import cycle, repeat
+from itertools import accumulate, compress, cycle, islice, repeat
 from typing import Any, Callable
 
 from . import channel as ch
@@ -440,7 +441,9 @@ class Execution:
     ``active_at_horizon`` names the input ports and channels (never a gate)
     with a stimulus, delivery or release still due after the horizon.  A
     record canceled before the horizon has nothing left to deliver and marks
-    no channel active.
+    no channel active.  ``channel_logs`` holds every channel's full
+    per-transition log when ``execute`` ran with ``log=True`` and is empty
+    otherwise; ``eta_sequences`` and ``commit_margins`` are always there.
     """
 
     horizon: float
@@ -462,10 +465,12 @@ def execute(
     horizon: float,
     *,
     events_max: int = 10**6,
+    log: bool = False,
 ) -> Execution:
     """Event-driven execution of ``circuit`` up to ``horizon``.
 
-    ``inputs`` holds one signal per input port and nothing else.  Raises
+    ``inputs`` holds one signal per input port and nothing else.  ``log``
+    keeps every channel's full per-transition log in ``channel_logs``.  Raises
     :class:`HorizonExceeded` when the event budget runs out (near-critical
     feedback can oscillate for a long time) and :class:`CausalityFault` if
     the engine's commit rule would be violated.
@@ -490,7 +495,7 @@ def execute(
     initial += [initial[src] for src, (_, pin) in zip(circuit._channel_src, channel_dst) if pin is None]
     pins = [srcs and [initial[s] for s in srcs] for srcs in circuit._pin_srcs]
     states = [
-        ch.channel_state(edge.spec, initial[src], draws)
+        ch.channel_state(edge.spec, initial[src], draws, log)
         for edge, src, draws in zip(circuit.channels.values(), circuit._channel_src, circuit._draws)
     ]
     feeds = [state.feed for state in states]
@@ -631,8 +636,8 @@ def execute(
         horizon=horizon,
         vertex_signals=vertex_signals,
         channel_signals=channel_signals,
-        channel_logs={name: state.log for name, state in by_name.items()},
-        eta_sequences={name: [rec.eta for rec in by_name[name].log] for name in circuit._involutions},
+        channel_logs={name: state.log for name, state in by_name.items()} if log else {},
+        eta_sequences={name: by_name[name].etas for name in circuit._involutions},
         event_count=event_count,
         stabilized=stabilized,
         resolved_value=resolved,
@@ -658,6 +663,25 @@ def _named(circuit: Circuit, item: tuple) -> tuple:
     return t, _KIND_NAMES[kind], payload
 
 
+def _gate_output_times(fn: Callable, pins: list[Signal], horizon: float, value: int) -> tuple[float, ...]:
+    """The times where a gate output that starts at ``value`` switches, if it
+    takes the value of ``fn`` on its pins at 0 and at every pin time up to ``horizon``."""
+    pin_times = [s.truncated(horizon).times for s in pins]
+    if len(pins) == 1 and fn((0,)) != fn((1,)):
+        # NOT or BUF: the output switches at 0 if it starts wrong, then at every later pin time
+        (times,) = pin_times
+        at0 = times[:1] == (0.0,)
+        return ((0.0,) if fn((pins[0].initial_value ^ at0,)) != value else ()) + times[at0:]
+    times = sorted({0.0}.union(*pin_times))
+    # each pin's value at every check time, after its initial value: it flips at each of its own times
+    values = [
+        accumulate(map(set(own).__contains__, times), operator.xor, initial=s.initial_value)
+        for s, own in zip(pins, pin_times)
+    ]
+    want = list(map(fn, islice(zip(*values), 1, None))) if pins else [fn(())]
+    return tuple(compress(times, map(operator.ne, want, [value, *want])))
+
+
 @dataclass
 class VerificationReport:
     ok: bool
@@ -668,9 +692,13 @@ def verify_execution(e: Execution) -> VerificationReport:
     """Re-derive every channel and gate signal denotationally and report mismatches.
 
     Each channel function is re-applied to its recorded input signal with the
-    recorded eta sequence replayed; each gate is re-evaluated at every event
-    time of its pins and its output, and each output port must equal its
-    driving channel.  This is the engine's independent self-check oracle.
+    recorded eta sequence replayed, through the channel's own ``feed`` with
+    the log off.  Each gate's output is derived from its pins: the gate is
+    evaluated at 0 and at every pin time up to the horizon, and the times
+    where its value changes must be the output's times.  Only on a mismatch
+    is the gate sampled at the output's times too, to name the first time
+    where the output is wrong.  Each output port must equal its driving
+    channel.  This is the engine's independent self-check oracle.
     """
     mismatches: list[str] = []
     circuit = e.circuit
@@ -681,7 +709,7 @@ def verify_execution(e: Execution) -> VerificationReport:
             spec = ch.EtaInvolution(spec.df, spec.bounds, ch.FixedSequence(tuple(e.eta_sequences[name])))
         src_sig = e.vertex_signals[edge.src].truncated(e.horizon)
         try:
-            expected, _ = ch.apply_channel(spec, src_sig)
+            expected, _ = ch.apply_channel(spec, src_sig, log=False)
         except ch.ChannelError as exc:
             mismatches.append(f"channel {name}: re-application failed: {exc}")
             continue
@@ -694,16 +722,19 @@ def verify_execution(e: Execution) -> VerificationReport:
             )
 
     for gate in circuit.gates.values():
+        fn = _GATES[gate.function][0]
         pins = [e.channel_signals[circuit.driver_of(gate.name, pin).name] for pin in range(gate.arity)]
         out = e.vertex_signals[gate.name]
         if out.initial_value != gate.initial_value:
             mismatches.append(f"gate {gate.name}: initial value mismatch")
+        if _gate_output_times(fn, pins, e.horizon, out.initial_value) == out.times:
+            continue
         times = {0.0, *out.times}
         for s in pins:
             times.update(s.truncated(e.horizon).times)
         times = sorted(times)
         inputs = zip(*(s.values_at(times) for s in pins)) if pins else repeat((), len(times))
-        want = list(map(_GATES[gate.function][0], inputs))
+        want = list(map(fn, inputs))
         got = out.values_at(times)
         if got != want:
             k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)

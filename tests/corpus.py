@@ -249,7 +249,7 @@ def _signal(s: Signal) -> list:
 def run(case: Case) -> dict[str, str | None]:
     """The trace and horizon digests of one case."""
     try:
-        e = execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max)
+        e = execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max, log=True)
     except EngineError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, HorizonExceeded):

@@ -21,10 +21,12 @@ from involution.channel import (
     Zero,
     _UniformDraws,
     apply_channel,
+    channel_state,
     read_eta_sequence,
     worst_case_eta,
     write_eta_sequence,
 )
+from involution.delay_model import DelayFunction
 from involution.signals import make_signal, pulse
 
 import oracles
@@ -94,6 +96,40 @@ class TestApplyInvolution:
         assert log[2].canceled and log[1].canceled
         assert log[2].canceled_with == 2 and log[1].canceled_with == 3
         assert [t.value for t in out.transitions] == [1, 0]
+
+    def test_feed_returns_the_record_and_partner_the_benchmark_tracer_reads(self, ref, monkeypatch):
+        # bench/tracer.py wraps feed, EtaSource.eta and DelayFunction.up/down, and
+        # reads guard_hit and the partner from what feed returns; the input is
+        # the guard-canceled one above
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for owner, attr in ((EtaSource, "eta"), (DelayFunction, "up"), (DelayFunction, "down")):
+            monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+        spec = EtaInvolution(ref, EtaBounds(0.0, 0.5), FixedSequence((0.0, 0.05, 0.0, 0.0)))
+        s = make_signal(0, [(0.0, 1), (50.0, 0), (50.01, 1), (50.02, 0)])
+        fed = {}
+        for log in (True, False):
+            calls.clear()
+            state = channel_state(spec, s.initial_value, log=log)
+            fed[log] = [state.feed(tr.time, tr.value) for tr in s.transitions]
+            assert sorted(calls) == ["down", "down", "eta", "eta", "eta", "eta", "up", "up"]
+            assert all(type(r) is tuple and len(r) == 2 for r in fed[log])
+            assert [rec.guard_hit for rec, _ in fed[log]] == [False, False, True, False]
+            assert [partner and partner.index for _, partner in fed[log]] == [None, None, 2, None]
+        out, logged = apply_channel(spec, s)
+        assert apply_channel(spec, s, log=False) == (out, None)
+        for (rec, _), (on, _), want in zip(fed[False], fed[True], logged):
+            assert (rec.out_time, rec.value, rec.canceled) == (want.out_time, want.value, want.canceled)
+            assert (on.out_time, on.value, on.canceled, on.guard_hit) == (
+                want.out_time, want.value, want.canceled, want.guard_hit
+            )
 
 
 class TestPureAndInertial:

@@ -382,7 +382,7 @@ class TestChains:
         t1 = edge + df.delta_inf_up
         assert t1 - df.delta_inf_up == edge
         c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, Involution(df))])
-        e = execute(c, {"i": make_signal(0, [(0.0, 1), (t1, 0)])}, horizon=10.0)
+        e = execute(c, {"i": make_signal(0, [(0.0, 1), (t1, 0)])}, horizon=10.0, log=True)
         rising, falling = e.channel_logs["c"]
         assert falling.T == edge and falling.guard_hit and rising.canceled_with == falling.index
         assert e.vertex_signals["o"].transitions == ()
@@ -393,7 +393,7 @@ class TestChains:
         # other at the falling arrival; the rising record's release is still
         # queued there but has nothing to deliver
         c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, EtaInvolution(ref, EtaBounds(0.05, 0.1)))])
-        e = execute(c, {"i": make_signal(0, [(9.0, 1), (9.5, 0)])}, horizon=9.6)
+        e = execute(c, {"i": make_signal(0, [(9.0, 1), (9.5, 0)])}, horizon=9.6, log=True)
         rising, falling = e.channel_logs["c"]
         assert rising.canceled and falling.canceled
         assert 9.6 < falling.out_time < rising.out_time
@@ -526,7 +526,9 @@ def test_delivery_that_breaks_the_signal_rules_is_a_causality_fault(monkeypatch,
     monkeypatch.setattr(
         channel,
         "channel_state",
-        lambda spec, v0, draws=None: _StubState(values, delays) if spec == Pure(1.0) else real(spec, v0, draws),
+        lambda spec, v0, draws=None, log=False: (
+            _StubState(values, delays) if spec == Pure(1.0) else real(spec, v0, draws, log)
+        ),
     )
     with pytest.raises(CausalityFault) as exc_info:
         execute(c, {"x": make_signal(0, [(times[0], 1), (times[1], 0)])}, horizon=10.0)
@@ -686,7 +688,7 @@ class TestPureRoundingTie:
             [ChannelEdge("c", "i", "b", 0, Pure(0.5306)), ChannelEdge("co", "b", "o", None, Pure(0.0))],
         )
         stim = make_signal(0, [(1.0, 1), (t1, 0), (t2, 1), (6.0, 0)])
-        e = execute(circuit, {"i": stim}, horizon=20.0)
+        e = execute(circuit, {"i": stim}, horizon=20.0, log=True)
         expected, _ = apply_channel(Pure(0.5306), stim)
         assert e.channel_signals["c"] == expected
         assert [(t.time, t.value) for t in e.vertex_signals["o"].transitions] == [(1.5306, 1), (6.5306, 0)]
@@ -704,7 +706,8 @@ class TestPureRoundingTie:
         assert a[0] + d == a[1] + d == a[2] + d and b[0] + d == b[1] + d
         stim = make_signal(0, [(t, (k + 1) % 2) for k, t in enumerate([1.0, *a, *b, 6.0])])
         expected, log = apply_channel(Pure(d), stim)
-        e = execute(Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, Pure(d))]), {"i": stim}, horizon=200.0)
+        c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, Pure(d))])
+        e = execute(c, {"i": stim}, horizon=200.0, log=True)
         assert e.channel_signals["c"] == expected
         assert expected.initial_value == 0 and expected.times == (1.0 + d, a[2] + d, 6.0 + d)
         pairs = [(False, None), (True, 3), (True, 2), (False, None), (True, 6), (True, 5), (False, None)]

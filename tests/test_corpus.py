@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -45,6 +46,21 @@ def runs():
 
 
 @pytest.fixture(scope="module")
+def logged_runs():
+    """``runs`` with the full per-transition log on."""
+    out = {}
+    for name, build in corpus.cases().items():
+        case = build()
+        if case is None:
+            continue
+        try:
+            out[name] = corpus.execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max, log=True)
+        except corpus.EngineError as exc:
+            out[name] = exc
+    return out
+
+
+@pytest.fixture(scope="module")
 def completed(runs):
     """The execution of every corpus case that completes, by name."""
     return {name: e for name, e in runs.items() if not isinstance(e, corpus.EngineError)}
@@ -58,6 +74,44 @@ def test_only_the_known_cases_raise(runs):
         "xor352": "CausalityFault",
         "xor1216": "CausalityFault",
     }
+
+
+# a channel record as it prints with the log on or off, cut to the fields both have
+_RECORD = re.compile(
+    r"(?:Transition|Pending)Record\(index=(\d+), time=([^,]+), value=(\d)(?:, T=[^,]+, delta=[^,]+, eta=[^,]+)?"
+    r", out_time=([^,]+), canceled=(\w+)[^)]*\)"
+)
+
+
+def _brief(text):
+    return _RECORD.sub(r"Record(\1, \2, \3, \4, \5)", text)
+
+
+def test_the_log_changes_no_output_and_no_error(runs, logged_runs):
+    assert runs.keys() == logged_runs.keys()
+    trails = 0
+    for name, e in runs.items():
+        logged = logged_runs[name]
+        assert type(logged) is type(e), name
+        if isinstance(e, corpus.EngineError):
+            assert _brief(str(logged)) == _brief(str(e)), name
+            if isinstance(e, corpus.HorizonExceeded):
+                assert _brief(repr(logged.events)) == _brief(repr(e.events)), name
+                trails += "PendingRecord" in repr(e.events)
+            continue
+        assert e.channel_logs == {} and logged.channel_logs.keys() == e.channel_signals.keys(), name
+        for field in (
+            "vertex_signals",
+            "channel_signals",
+            "eta_sequences",
+            "commit_margins",
+            "event_count",
+            "stabilized",
+            "resolved_value",
+            "active_at_horizon",
+        ):
+            assert getattr(logged, field) == getattr(e, field), (name, field)
+    assert trails == 2  # both HorizonExceeded cases print records in their trails
 
 
 def test_every_completing_case_verifies(completed):
@@ -152,7 +206,46 @@ def _transition_at_horizon(e, rng):
     return _with_signal(e, name, make_signal(s.initial_value, [*s.transitions, (e.horizon, 1 - last)]))
 
 
-CORRUPTIONS = [_drop_last_channel_transition, _shift_one_time, _flip_gate_segment, _transition_at_horizon]
+def _retimed(s, times):
+    """A signal with the initial value of ``s`` and the transition times ``times``."""
+    return make_signal(s.initial_value, [(t, (s.initial_value + k + 1) % 2) for k, t in enumerate(times)])
+
+
+def _pulse_between_pin_times(e, rng):
+    """One gate output with a pulse inserted strictly between two adjacent switch times of its pins."""
+    spots = []
+    for name, gate in sorted(e.circuit.gates.items()):
+        pins = (e.channel_signals[e.circuit.driver_of(name, pin).name] for pin in range(gate.arity))
+        times = sorted({t for s in pins for t in s.truncated(e.horizon).times})
+        for a, b in zip(times, times[1:]):
+            lo, hi = a + (b - a) / 3, a + 2 * (b - a) / 3
+            if a < lo < hi < b:
+                spots.append((name, lo, hi))
+    if not spots:
+        return None
+    name, lo, hi = rng.choice(spots)
+    s = e.vertex_signals[name]
+    return _with_signal(e, name, _retimed(s, sorted((*s.times, lo, hi))))
+
+
+def _toggle_gate_output_at_zero(e, rng):
+    """One gate output with its transition at t = 0 removed, or with one added there."""
+    names = sorted(e.circuit.gates)
+    if not names:
+        return None
+    name = rng.choice(names)
+    s = e.vertex_signals[name]
+    return _with_signal(e, name, _retimed(s, s.times[1:] if s.times[:1] == (0.0,) else (0.0, *s.times)))
+
+
+CORRUPTIONS = [
+    _drop_last_channel_transition,
+    _shift_one_time,
+    _flip_gate_segment,
+    _transition_at_horizon,
+    _pulse_between_pin_times,
+    _toggle_gate_output_at_zero,
+]
 
 
 def test_verify_execution_equals_the_per_time_reference_on_the_corpus(completed):
