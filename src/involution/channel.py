@@ -14,7 +14,8 @@ transitions n < m cancel pairwise when t_n + delta_n >= t_m + delta_m
 backward against the latest surviving one, which keeps the surviving list
 strictly increasing and alternating.  A pure delay follows the same rule,
 where only inputs rounded onto one output time cancel: both states share one
-pending stack and one cancellation step, ``_PureState._pend``.
+cancellation step, ``_PureState._pend``, on a pending stack that a pure delay
+keeps one record deep.
 
 The eta_n are adversarial perturbations within [-eta_minus, +eta_plus],
 consumed one per input transition index (including transitions whose
@@ -25,20 +26,18 @@ channel's draws from one stream that the circuit keeps.
 The involution channel is the eta-involution channel with a zero budget
 (``Involution(df)``).  Every channel kind is one incremental state
 (``channel_state``): ``feed`` processes an input transition, ``commit``
-decides a record that can no longer be canceled, and ``survivors`` is the
-output once the whole input has been fed.  ``apply_channel`` and the engine
-in ``circuit`` both drive it and differ only in when they decide a record:
-the engine decides each record at ``decide_at(record)`` (None: deliver at
-once), on channels whose ``check_causal`` its circuit ran once when it was
-built.
+decides a record that can no longer be canceled, and ``survivors`` picks the
+output from all records fed.  ``apply_channel`` and the engine in ``circuit``
+both drive it and differ only in when they decide a record: the engine
+decides each record at ``decide_at(record)`` (None: deliver at once), on
+channels whose ``check_causal`` its circuit ran once when it was built.
 
-The full per-transition log is opt-in (``log=True``): each arrival then
-builds a :class:`TransitionRecord` with T, delta, eta and the canceled
-partner, and the state appends it to ``log``.  Without it an arrival builds
-only a :class:`PendingRecord`, what the engine and the audits read; an
-eta-involution state keeps its ``etas`` and ``commit_margin`` either way.
-``apply_channel`` logs unless told not to; the engine and the engine's
-self-check do not.
+Every arrival builds one :class:`Record`, what the engine and the audits
+read.  The full per-transition log is opt-in (``log=True``) and only
+observes: a state then also keeps a row of T, delta, eta and the canceled
+partner per arrival, from which ``transition_log`` builds the
+:class:`TransitionRecord` log.  ``apply_channel`` logs unless told not to;
+the engine and the engine's self-check do not.
 
 Commit rule of the involution channels
 --------------------------------------
@@ -69,7 +68,7 @@ import operator
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count, cycle, repeat
 from typing import Union
 
 import numpy as np
@@ -259,8 +258,8 @@ class TransitionRecord:
 
 
 @dataclass(slots=True)
-class PendingRecord:
-    """One input transition when the log is off: what the engine and the audits read."""
+class Record:
+    """One input transition as a channel state keeps it: what the engine and the audits read."""
 
     index: int
     time: float
@@ -274,31 +273,29 @@ class PendingRecord:
         return self.out_time == -math.inf
 
 
-Record = Union[TransitionRecord, PendingRecord]
-
-
 class _PureState:
     """Incremental pure delay: every record survives, except that two records
     rounded onto one output time cancel, by ``_pend``, the pair-cancellation
     step that the involution channels share.
 
-    With ``log`` each arrival builds a :class:`TransitionRecord` and appends
-    it to ``log``; without it, a :class:`PendingRecord` and ``log`` is None.
+    It keeps only its newest pending record: outputs t + d never decrease, so
+    only the newest survivor can share a later output time, and once a pair
+    cancels, every earlier survivor lies below every later output.  With
+    ``log``, ``rows`` holds (record, T, delta, eta, partner index) per arrival.
     """
 
     def __init__(self, delay: float, log: bool = False):
         self.delay = delay
         self.fed = 0  # arrivals so far
-        self.log: list[TransitionRecord] | None = [] if log else None
-        self.stack: deque[Record] = deque()  # pending records, oldest first
+        self.rows: list[list] | None = [] if log else None
+        self.stack: deque[Record] = deque(maxlen=1)  # the newest pending record
 
     def _record(self, t: float, value: int, T: float, delta: float, eta: float, out_time: float) -> Record:
-        """The record of the next arrival, logged if the log is on."""
+        """The record of the next arrival, with its row if the log is on."""
         self.fed = n = self.fed + 1
-        if self.log is None:
-            return PendingRecord(n, t, value, out_time)
-        rec = TransitionRecord(n, t, value, T, delta, eta, out_time, False, None, out_time == -math.inf)
-        self.log.append(rec)
+        rec = Record(n, t, value, out_time)
+        if self.rows is not None:
+            self.rows.append([rec, T, delta, eta, None])
         return rec
 
     def _pend(self, rec: Record) -> Record | None:
@@ -308,8 +305,8 @@ class _PureState:
         if stack and stack[-1].out_time >= rec.out_time:
             partner = stack.pop()
             partner.canceled = rec.canceled = True
-            if self.log is not None:
-                partner.canceled_with, rec.canceled_with = rec.index, partner.index
+            if self.rows is not None:  # the row of record n is rows[n - 1]
+                self.rows[-1][4], self.rows[partner.index - 1][4] = partner.index, rec.index
             return partner
         stack.append(rec)
         return None
@@ -327,9 +324,16 @@ class _PureState:
         be canceled, or None to deliver it at its output time without a decision."""
         return None
 
-    def survivors(self) -> list[Record]:
-        """The output records once the whole input has been fed (batch use only)."""
-        return list(self.stack)
+    def survivors(self, fed: list[Record]) -> list[Record]:
+        """The output records among ``fed``, every record of the whole input (batch use only)."""
+        return [r for r in fed if not r.canceled]
+
+    def transition_log(self) -> list[TransitionRecord]:
+        """The full per-transition log, built from ``rows`` (``log=True`` only)."""
+        return [
+            TransitionRecord(r.index, r.time, r.value, T, delta, eta, r.out_time, r.canceled, partner, r.guard_hit)
+            for r, T, delta, eta, partner in self.rows
+        ]
 
 
 class _InertialState(_PureState):
@@ -347,6 +351,7 @@ class _InertialState(_PureState):
 
     def __init__(self, delay: float, window: float, initial_value: int, log: bool = False):
         super().__init__(delay, log)
+        self.stack = deque()  # every undecided record, oldest first
         self.window = window
         self.value = initial_value
 
@@ -378,8 +383,8 @@ class _InertialState(_PureState):
         self.value = rec.value
         return True
 
-    def survivors(self) -> list[Record]:
-        return [r for r in tuple(self.stack) if self.commit(r)]
+    def survivors(self, fed: list[Record]) -> list[Record]:
+        return [r for r in fed if self.commit(r)]
 
 
 class _InvolutionState(_PureState):
@@ -393,6 +398,7 @@ class _InvolutionState(_PureState):
 
     def __init__(self, df: DelayFunction, source: EtaSource, log: bool = False):
         super().__init__(math.nan, log)  # no constant delay
+        self.stack = deque()  # every pending record, oldest first
         self.df = df
         self.source = source
         self.etas: list[float] = []
@@ -463,14 +469,12 @@ def apply_channel(
 ) -> tuple[Signal, list[TransitionRecord] | None]:
     """Channel function: map an input signal to the output signal plus the
     per-transition log, or None in its place with ``log=False``."""
-    state = channel_state(spec, s.initial_value, log=log)
+    v0 = s.initial_value
+    state = channel_state(spec, v0, log=log)
     feed = state.feed
-    value = s.initial_value
-    for t in s.times:
-        value ^= 1
-        feed(t, value)
-    out = make_signal(s.initial_value, [(r.out_time, r.value) for r in state.survivors()])
-    return out, state.log
+    fed = [feed(t, value)[0] for t, value in zip(s.times, cycle((1 - v0, v0)))]
+    out = make_signal(v0, [(r.out_time, r.value) for r in state.survivors(fed)])
+    return out, state.transition_log() if log else None
 
 
 # eta-sequence file for FixedSequence strategies: header "n,eta", 1-based index.

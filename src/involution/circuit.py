@@ -26,7 +26,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, cycle, islice, repeat
+from itertools import accumulate, compress, cycle, islice, zip_longest
 from typing import Any, Callable
 
 from . import channel as ch
@@ -444,6 +444,8 @@ class Execution:
     no channel active.  ``channel_logs`` holds every channel's full
     per-transition log when ``execute`` ran with ``log=True`` and is empty
     otherwise; ``eta_sequences`` and ``commit_margins`` are always there.
+    The log only observes: each channel state builds the same records with
+    it on or off, so every other field, and any error raised, is the same.
     """
 
     horizon: float
@@ -636,7 +638,7 @@ def execute(
         horizon=horizon,
         vertex_signals=vertex_signals,
         channel_signals=channel_signals,
-        channel_logs={name: state.log for name, state in by_name.items()} if log else {},
+        channel_logs={name: state.transition_log() for name, state in by_name.items()} if log else {},
         eta_sequences={name: by_name[name].etas for name in circuit._involutions},
         event_count=event_count,
         stabilized=stabilized,
@@ -695,9 +697,8 @@ def verify_execution(e: Execution) -> VerificationReport:
     recorded eta sequence replayed, through the channel's own ``feed`` with
     the log off.  Each gate's output is derived from its pins: the gate is
     evaluated at 0 and at every pin time up to the horizon, and the times
-    where its value changes must be the output's times.  Only on a mismatch
-    is the gate sampled at the output's times too, to name the first time
-    where the output is wrong.  Each output port must equal its driving
+    where its value changes must be the output's times; a mismatch names the
+    first time where the two differ.  Each output port must equal its driving
     channel.  This is the engine's independent self-check oracle.
     """
     mismatches: list[str] = []
@@ -727,18 +728,12 @@ def verify_execution(e: Execution) -> VerificationReport:
         out = e.vertex_signals[gate.name]
         if out.initial_value != gate.initial_value:
             mismatches.append(f"gate {gate.name}: initial value mismatch")
-        if _gate_output_times(fn, pins, e.horizon, out.initial_value) == out.times:
-            continue
-        times = {0.0, *out.times}
-        for s in pins:
-            times.update(s.truncated(e.horizon).times)
-        times = sorted(times)
-        inputs = zip(*(s.values_at(times) for s in pins)) if pins else repeat((), len(times))
-        want = list(map(fn, inputs))
-        got = out.values_at(times)
-        if got != want:
-            k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
-            mismatches.append(f"gate {gate.name}: value at t={times[k]} is {got[k]}, expected {want[k]}")
+        want = _gate_output_times(fn, pins, e.horizon, out.initial_value)
+        if want != out.times:
+            # before t both switch alike; at t only one of them does
+            t = next(min(a, b) for a, b in zip_longest(want, out.times, fillvalue=math.inf) if a != b)
+            got = out.value_at(t)
+            mismatches.append(f"gate {gate.name}: value at t={t} is {got}, expected {1 - got}")
 
     for port in circuit.output_ports:
         edge = circuit.driver_of(port)

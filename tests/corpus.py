@@ -14,9 +14,10 @@ Running a case gives two digests:
 Python version and C library of the host that made them, because the delay
 functions go through ``math.exp`` and ``math.log``.  Regenerate it with
 
-    PYTHONPATH=src python tests/corpus.py --write
+    PYTHONPATH=src python tests/corpus.py --write [NAME ...]
 
-and compare this host against it with ``PYTHONPATH=src python tests/corpus.py``.
+which rewrites only the named cases when names are given, and compare this
+host against it with ``PYTHONPATH=src python tests/corpus.py``.
 """
 
 from __future__ import annotations
@@ -275,9 +276,12 @@ def run(case: Case) -> dict[str, str | None]:
     return {"trace": _sha(trace), "horizon": _sha(horizon)}
 
 
-def digests() -> dict[str, dict[str, str | None]]:
+def digests(names=None) -> dict[str, dict[str, str | None]]:
+    """The digests of every case within (C), or of the cases in ``names``."""
     out = {}
     for name, build in cases().items():
+        if names is not None and name not in names:
+            continue
         case = build()
         if case is not None:
             out[name] = run(case)
@@ -290,11 +294,22 @@ def host() -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if argv == ["--write"]:
-        DIGESTS.parent.mkdir(exist_ok=True)
-        doc = {"host": host(), "cases": digests()}
+    if argv[:1] == ["--write"]:
+        names = set(argv[1:])
+        if names:
+            doc = json.loads(DIGESTS.read_text())
+            if doc["host"] != host():
+                print(f"not written: digests recorded on {doc['host']}, this host is {host()}")
+                return 1
+            if names - doc["cases"].keys():
+                print(f"not written: no recorded cases {sorted(names - doc['cases'].keys())}")
+                return 1
+            doc["cases"].update(digests(names))
+        else:
+            DIGESTS.parent.mkdir(exist_ok=True)
+            doc = {"host": host(), "cases": digests()}
         DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(doc['cases'])} cases to {DIGESTS}")
+        print(f"wrote {len(names or doc['cases'])} cases to {DIGESTS}")
         return 0
     recorded = json.loads(DIGESTS.read_text())
     if recorded["host"] != host():

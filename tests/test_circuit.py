@@ -13,7 +13,7 @@ from involution.channel import (
     Inertial,
     Involution,
     Pure,
-    TransitionRecord,
+    Record,
     UniformRandom,
     Zero,
     apply_channel,
@@ -500,13 +500,12 @@ class _StubState:
 
     def __init__(self, values, delays):
         self.values, self.delays = iter(values), iter(delays)
-        self.log = []
+        self.fed = 0
 
     def feed(self, t, value):
+        self.fed += 1
         delay = next(self.delays)
-        rec = TransitionRecord(len(self.log) + 1, t, next(self.values), math.nan, delay, 0.0, t + delay)
-        self.log.append(rec)
-        return rec, None
+        return Record(self.fed, t, next(self.values), t + delay), None
 
     def decide_at(self, rec):
         return None
@@ -698,8 +697,8 @@ class TestPureRoundingTie:
     def test_successive_ties_compare_the_survivor_found_after_a_cancel(self):
         # near 103.9 one ulp spans 32 ulps of 3.9, so the delay rounds neighbouring
         # inputs onto one output time: three inputs tie, then two more.  The first
-        # two of the three cancel, and the third is compared again with the
-        # survivor before them, at t=1.0; it stays, and the next pair cancels.
+        # two of the three cancel; the survivor before them, at t=1.0, lies below
+        # every later output, so the third stays, and the next pair cancels.
         d = 100.0
         a = [3.9, math.nextafter(3.9, 4), math.nextafter(math.nextafter(3.9, 4), 4)]
         b = [4.2, math.nextafter(4.2, 5)]
@@ -714,6 +713,23 @@ class TestPureRoundingTie:
         assert [(r.canceled, r.canceled_with) for r in log] == pairs
         assert [(r.canceled, r.canceled_with) for r in e.channel_logs["c"]] == pairs
         assert verify_execution(e).ok
+
+    def test_an_engine_pure_channel_keeps_one_pending_record(self, monkeypatch):
+        # pure outputs never decrease, so only the newest pending record can still cancel
+        c = _buffer(Pure(0.5))
+        stim = make_signal(0, [(k / 100, (k + 1) % 2) for k in range(2000)])
+        expected, _ = apply_channel(Pure(0.5), stim)
+        built = []
+        real = channel.channel_state
+
+        def keep(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(channel, "channel_state", keep)
+        e = execute(c, {"x": stim}, horizon=30.0)
+        assert len(built) == 2 and all(len(state.stack) <= 1 for state in built)
+        assert e.channel_signals["in"] == expected
 
 
 class TestVerifyExecution:
