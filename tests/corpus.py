@@ -26,6 +26,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import math
 import platform
 import random
 import sys
@@ -53,6 +54,7 @@ BENCH_GEN = Path(__file__).parent.parent / "bench" / "gen.py"
 
 XOR_SEEDS = range(0, 4000, 16)
 NETLIST_SEEDS = range(300)
+DAG_SEEDS = range(60)
 
 
 class Case(NamedTuple):
@@ -170,6 +172,54 @@ def random_netlist_case(seed: int) -> Case:
     return Case(Circuit(inputs, ["o"], gates, edges), stimuli, 15.0, 5000)
 
 
+_TIE_BINADES = (8.0, 16.0, 32.0, 64.0)
+DAG_BUDGET_SEED = 29
+
+
+def random_dag_case(seed: int) -> Case:
+    """A random feed-forward netlist of 1-6 gates, drawn from ``random.Random(seed)``.
+
+    Gates are drawn as in ``random_netlist_case``, but every pin is driven
+    from an input port or an earlier gate, so the circuit has no loop.
+    Channel kinds and eta strategies cycle with the seed and the channel, and
+    inertial windows equal their delay in 30% of the inertial channels.  Each
+    of the 1-2 inputs has 50-500 transitions with gaps U[0.05, 1.5]; in every
+    third case each input also holds one-ulp pairs of transitions just below
+    8, 16, 32 and 64, which a pure delay of more than 0.02 rounds onto one output
+    time in about half of the pairs.  Even seeds run 30 s past the last
+    stimulus; odd seeds stop at 70% of it, with stimuli and pending outputs
+    beyond the horizon.  Seed ``DAG_BUDGET_SEED`` has an event budget of 300
+    and exhausts it; every other case has 10**5.  Seed 39 raises
+    ``CausalityFault``: a surviving record of its channel c0 has a negative delay.
+    """
+    rng = random.Random(seed)
+    inputs = [f"i{k}" for k in range(rng.randint(1, 2))]
+    gates, edges = [], []
+    sources = list(inputs)
+    for k in range(rng.randint(1, 6)):
+        function = rng.choice(_FUNCTIONS)
+        gate = Gate(f"g{k}", function, 1 if function in ("NOT", "BUF") else rng.randint(2, 3), rng.randint(0, 1))
+        for pin in range(gate.arity):
+            n = len(edges)
+            spec = _random_spec(rng, (seed + n) % 4, _STRATEGIES[(seed // 4 + n) % 4])
+            edges.append(ChannelEdge(f"c{n}", rng.choice(sources), gate.name, pin, spec))
+        gates.append(gate)
+        sources.append(gate.name)
+    out_spec = Pure(0.0) if rng.random() < 0.5 else _random_spec(rng, rng.randrange(4), rng.choice(_STRATEGIES))
+    edges.append(ChannelEdge("co", gates[-1].name, "o", None, out_spec))
+    stimuli, last = {}, 0.0
+    for port in inputs:
+        v0 = rng.randint(0, 1)
+        times = list(itertools.accumulate(rng.uniform(0.05, 1.5) for _ in range(rng.randint(50, 500))))
+        if seed % 3 == 0:
+            pairs = [(b - 0.02, math.nextafter(b - 0.02, b)) for b in _TIE_BINADES if b < times[-1]]
+            times = sorted({*times, *itertools.chain.from_iterable(pairs)})
+        stimuli[port] = make_signal(v0, [(t, (v0 + k + 1) % 2) for k, t in enumerate(times)])
+        last = max(last, times[-1])
+    horizon = last + 30.0 if seed % 2 == 0 else 0.7 * last
+    return Case(Circuit(inputs, ["o"], gates, edges), stimuli, horizon, 300 if seed == DAG_BUDGET_SEED else 10**5)
+
+
 def horizon_exceeded_case() -> Case:
     """A NOR with an involution self-loop, restarted by input pulses; exhausts 3000 events."""
     df = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
@@ -236,6 +286,8 @@ def cases() -> dict[str, Callable[[], Case | None]]:
         out[f"xor{seed}"] = lambda seed=seed: xor(seed)
     for seed in NETLIST_SEEDS:
         out[f"net{seed}"] = lambda seed=seed: random_netlist_case(seed)
+    for seed in DAG_SEEDS:
+        out[f"dag{seed}"] = lambda seed=seed: random_dag_case(seed)
     return out
 
 

@@ -72,6 +72,8 @@ def test_only_the_known_cases_raise(runs):
         "xor2176": "HorizonExceeded",
         "xor352": "CausalityFault",
         "xor1216": "CausalityFault",
+        "dag29": "HorizonExceeded",
+        "dag39": "CausalityFault",
     }
 
 
@@ -99,7 +101,7 @@ def test_the_log_changes_no_output_and_no_error(runs, logged_runs):
             "active_at_horizon",
         ):
             assert getattr(logged, field) == getattr(e, field), (name, field)
-    assert trails == 2  # both HorizonExceeded cases print records in their trails
+    assert trails == 3  # every HorizonExceeded case prints records in its trail
 
 
 def test_every_completing_case_verifies(completed):
