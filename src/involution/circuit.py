@@ -1,4 +1,4 @@
-"""Circuit graphs and the discrete-event execution engine.
+"""Circuit graphs and the execution engine.
 
 A circuit is a directed graph whose vertices are ports and zero-time Boolean
 gates and whose edges are delay channels; gates and channels alternate on
@@ -11,10 +11,14 @@ The engine drives every channel through its incremental state
 (``channel.channel_state``) and releases a pending output to downstream
 consumers only at the state's decision time, which ``channel`` derives per
 kind (for the involution channels, from the commit rule documented there).
-A channel that cannot be decided causally (checked once per circuit), an
-audit of a channel state that fails (``channel`` lists them), and a vertex or
-channel that would switch twice at one instant or repeat its value raise
-:class:`CausalityFault` instead of silently corrupting the trace.
+A circuit with a loop runs as one discrete-event loop over all its channels
+and gates.  An acyclic circuit is executed as one composition of its channel
+and gate functions in topological order, which gives the loop's execution;
+where it may not, the loop runs instead.  A channel that cannot be decided
+causally (checked once per circuit), an audit of a channel state that fails
+(``channel`` lists them), and a vertex or channel that would switch twice at
+one instant or repeat its value raise :class:`CausalityFault` instead of
+silently corrupting the trace.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import json
 import math
 import numbers
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, cycle, islice, zip_longest
+from itertools import accumulate, chain, compress, cycle, islice, zip_longest
 from typing import Any, Callable
 
 from . import channel as ch
@@ -220,13 +225,25 @@ class Circuit:
         # a delivery sets gate pin (vertex, pin) or switches output port (vertex, None)
         self._channel_dst = [(at[e.dst], e.dst_pin) for e in edges]
         self._fanout = [tuple(c for c, e in enumerate(edges) if e.src == name) for name in self._vertex_names]
-        # by vertex number up to the last gate: its function and the sources of its pins (None for a port)
+        # by vertex number up to the last gate: its function and the channels driving its pins (None for a port)
         ports = [None] * len(self.input_ports)
         self._gate_fns = [*ports, *(_GATES[g.function][0] for g in self.gates.values())]
-        self._pin_srcs = [
+        number = {e.name: c for c, e in enumerate(edges)}
+        self._pin_channels = [
             *ports,
-            *([at[self._drivers[(name, pin)].src] for pin in range(g.arity)] for name, g in self.gates.items()),
+            *([number[self._drivers[(name, pin)].name] for pin in range(g.arity)] for name, g in self.gates.items()),
         ]
+        # the gates in an order where each follows the gates driving its pins, or None if the gates form a loop
+        gates = range(len(self.input_ports), len(self.input_ports) + len(self.gates))
+        waiting = {x: sum(e.src in self.gates for e in map(edges.__getitem__, self._pin_channels[x])) for x in gates}
+        order = [x for x in gates if not waiting[x]]
+        for x in order:  # grows while it is read
+            for y, pin in map(self._channel_dst.__getitem__, self._fanout[x]):
+                if pin is not None:
+                    waiting[y] -= 1
+                    if not waiting[y]:
+                        order.append(y)
+        self._order = order if len(order) == len(gates) else None
         self._involutions = [e.name for e in edges if isinstance(e.spec, ch.EtaInvolution)]
         dinfs = [e.spec.df.delta_inf_up for e in edges if isinstance(e.spec, ch.EtaInvolution)]
         delays = [e.spec.delay for e in edges if isinstance(e.spec, (ch.Pure, ch.Inertial))]
@@ -469,13 +486,24 @@ def execute(
     events_max: int = 10**6,
     log: bool = False,
 ) -> Execution:
-    """Event-driven execution of ``circuit`` up to ``horizon``.
+    """The execution of ``circuit`` up to ``horizon``.
 
     ``inputs`` holds one signal per input port and nothing else.  ``log``
-    keeps every channel's full per-transition log in ``channel_logs``.  Raises
+    keeps every channel's full per-transition log in ``channel_logs``.
+
+    An acyclic circuit is executed as the composition of its channel and gate
+    functions in topological order (``_compose``); a circuit with a loop runs
+    the discrete-event loop (``_run_events``).  The composition gives the
+    execution that the event loop gives, ``event_count`` included, and runs
+    the loop instead wherever it may not: on a channel fault, on a budget
+    the loop would exhaust, on a delivery that would repeat a value or not
+    follow the last one, and on a delivery made at the instant it lands
+    whose order among that instant's events the composition cannot
+    reproduce.  Every error is the event loop's, raised at its first fault:
     :class:`HorizonExceeded` when the event budget runs out (near-critical
-    feedback can oscillate for a long time) and :class:`CausalityFault` if
-    the engine's commit rule would be violated.
+    feedback can oscillate for a long time), :class:`CausalityFault` if the
+    engine's commit rule would be violated, and :class:`EngineError` for a
+    NaN horizon or inputs that do not match the input ports.
     """
     missing = [p for p in circuit.input_ports if p not in inputs]
     if missing:
@@ -483,23 +511,49 @@ def execute(
     unknown = [name for name in inputs if name not in circuit.input_ports]
     if unknown:
         raise EngineError(f"input signals {unknown} name no input port")
+    if math.isnan(horizon):  # no time lies beyond it, so the loop would run every event
+        raise EngineError(f"horizon must be a number, got {horizon}")
 
     if circuit._fault is not None:
         raise CausalityFault(circuit._fault)
+    if circuit._order is not None and horizon >= 0:  # the composition evaluates every gate at 0
+        e = _compose(circuit, inputs, horizon, events_max, log)
+        if e is not None:
+            return e
+    return _run_events(circuit, inputs, horizon, events_max, log)
 
-    # Vertices and channels are numbered by ``Circuit._index``.  Initial values
-    # propagate statically: a channel's initial output value is its source
-    # vertex's initial value.
-    vertex_names, channel_names = circuit._vertex_names, circuit._channel_names
-    channel_dst, fanout, gate_fns = circuit._channel_dst, circuit._fanout, circuit._gate_fns
+
+def _initial_values(circuit: Circuit, inputs: dict[str, Signal]) -> list[int]:
+    """Every vertex's initial value, by number.
+
+    Initial values propagate statically: a channel's initial output value is
+    its source vertex's initial value.
+    """
     initial = [inputs[p].initial_value for p in circuit.input_ports]
     initial += [g.initial_value for g in circuit.gates.values()]
-    initial += [initial[src] for src, (_, pin) in zip(circuit._channel_src, channel_dst) if pin is None]
-    pins = [srcs and [initial[s] for s in srcs] for srcs in circuit._pin_srcs]
-    states = [
+    initial += [initial[src] for src, (_, pin) in zip(circuit._channel_src, circuit._channel_dst) if pin is None]
+    return initial
+
+
+def _channel_states(circuit: Circuit, initial: list[int], log: bool) -> list:
+    """A fresh state of every channel, by number."""
+    return [
         ch.channel_state(edge.spec, initial[src], draws, log)
         for edge, src, draws in zip(circuit.channels.values(), circuit._channel_src, circuit._draws)
     ]
+
+
+def _run_events(
+    circuit: Circuit, inputs: dict[str, Signal], horizon: float, events_max: int, log: bool
+) -> Execution:
+    """The discrete-event loop: every stimulus, delivery, gate evaluation and
+    release up to ``horizon``, one at a time from a heap."""
+    # Vertices and channels are numbered by ``Circuit._index``.
+    vertex_names, channel_names = circuit._vertex_names, circuit._channel_names
+    channel_dst, fanout, gate_fns = circuit._channel_dst, circuit._fanout, circuit._gate_fns
+    initial = _initial_values(circuit, inputs)
+    pins = [chans and [initial[circuit._channel_src[c]] for c in chans] for chans in circuit._pin_channels]
+    states = _channel_states(circuit, initial, log)
     feeds = [state.feed for state in states]
     decide_ats = [state.decide_at for state in states]
     # the transition times of every channel and vertex; values alternate from
@@ -613,14 +667,145 @@ def execute(
             active.add(vertex_names[payload[0]])
         elif kind != _EVAL and not payload[1].canceled:
             active.add(channel_names[payload[0]])
-
     # the loop's checks keep the times strictly increasing and the values alternating
+    return _execution(circuit, horizon, initial, vertex_times, channel_times, states, event_count, active, log)
+
+
+def _compose(
+    circuit: Circuit, inputs: dict[str, Signal], horizon: float, events_max: int, log: bool
+) -> Execution | None:
+    """The execution of an acyclic circuit as the composition of its channel
+    and gate functions, or None where it may not be the event loop's.
+
+    Vertices are visited in topological order.  Each channel state is fed its
+    source's transitions up to the horizon and decides each record at its
+    decision time, after the input at that instant, as the loop's event kinds
+    order them (``_decide``).  Each gate output switches where the gate's
+    function of its pins changes (``_gate_output_times``).  ``event_count``
+    counts what the loop would process: the stimuli, deliveries (a pure
+    channel's canceled ones too) and releases up to the horizon, and one
+    evaluation per gate at 0 and at every other time a pin switches.
+
+    A delivery made at the instant it lands, at a release or at a gate's
+    evaluation, comes after that instant's other deliveries and evaluations
+    and after some of its releases; one made at a stimulus, by a pure
+    channel, does not.  The loop's order there is the composition's if the
+    gate it lands at has no other delivery at that instant, so that it
+    evaluates once, and no channel the gate drives decides there a record
+    fed before.
+    """
+    n_in = len(circuit.input_ports)
+    channel_names, channel_src, channel_dst = circuit._channel_names, circuit._channel_src, circuit._channel_dst
+    initial = _initial_values(circuit, inputs)
+    states = _channel_states(circuit, initial, log)
+    vertex_times: list[tuple[float, ...]] = [()] * len(initial)
+    channel_times: list[tuple[float, ...]] = [()] * len(states)
+    late: list[set[float]] = [set() for _ in initial]  # by gate: the times of the deliveries made as they land
+    active: set[str] = set()
+    event_count = 0
+
+    for k, p in enumerate(circuit.input_ports):
+        times = inputs[p].times
+        n = bisect_right(times, horizon)
+        vertex_times[k] = times[:n]
+        event_count += n
+        if n < len(times):
+            active.add(p)
+    for x in (*range(n_in), *circuit._order):
+        if x >= n_in:
+            pins = [_unchecked(initial[channel_src[c]], channel_times[c]) for c in circuit._pin_channels[x]]
+            if late[x]:
+                switches = collections.Counter(chain.from_iterable(s.times for s in pins))
+                if any(switches[t] > 1 for t in late[x]):
+                    return None  # the gate would evaluate twice at one instant
+            vertex_times[x] = _gate_output_times(circuit._gate_fns[x], pins, horizon, initial[x])
+            event_count += len({0.0}.union(*(s.times for s in pins)))
+        v0 = initial[x]
+        for c in circuit._fanout[x]:
+            try:
+                made, releases, due = _decide(states[c], vertex_times[x], v0, horizon)
+            except ch.ChannelError:
+                return None
+            if late[x] and any(at in late[x] and rec.time < at for at, rec in releases):
+                return None  # the gate's output could reach the channel after it decides there
+            hits = [(at, rec) for at, rec in made if rec.out_time <= horizon]
+            out = [rec for _, rec in hits if not rec.canceled]
+            if [rec.value for rec in out] != list(islice(cycle((1 - v0, v0)), len(out))):
+                return None  # a delivery would repeat a value
+            channel_times[c] = times = tuple(rec.out_time for rec in out)
+            if not all(map(operator.lt, times, times[1:])):
+                return None  # a delivery would not follow the last one
+            event_count += len(hits) + sum(at <= horizon for at, _ in releases)
+            if due or len(out) < sum(not rec.canceled for _, rec in made):
+                active.add(channel_names[c])
+            y, pin = channel_dst[c]
+            if pin is None:
+                vertex_times[y] = times
+            if x >= n_in or not isinstance(circuit.channels[channel_names[c]].spec, ch.Pure):
+                for at, rec in hits:
+                    if at == rec.out_time:  # made as it lands
+                        if rec.canceled:  # its tie partner was delivered before the cancel
+                            return None
+                        if pin is not None:
+                            late[y].add(at)
+        if event_count > events_max:
+            return None
+    return _execution(circuit, horizon, initial, vertex_times, channel_times, states, event_count, active, log)
+
+
+def _decide(state, times: tuple[float, ...], v0: int, horizon: float):
+    """Feed ``state`` the transitions at ``times``, whose values alternate
+    from ``1 - v0``, and decide its records up to ``horizon`` as the event loop does.
+
+    Each record is decided at its decision time, after the input at that
+    instant.  A canceled record decides nothing, so it is taken as soon as it
+    is next.  Returns the deliveries the loop makes, as (time made, record),
+    the releases it schedules, as (decision time, record), and whether a
+    record that is not canceled is still undecided after the horizon.
+    """
+    feed, decide_at, commit = state.feed, state.decide_at, getattr(state, "commit", None)
+    made: list[tuple[float, ch.Record]] = []
+    releases: list[tuple[float, ch.Record]] = []
+    k = 0  # releases[:k] are decided
+    for t, v in zip(times, cycle((1 - v0, v0))):
+        while k < len(releases) and (releases[k][0] < t or releases[k][1].canceled):
+            at, rec = releases[k]
+            k += 1
+            if commit(rec):
+                made.append((at, rec))
+        rec = feed(t, v)[0]
+        at = decide_at(rec)
+        if at is None:  # a pure record, delivered at its output time
+            made.append((t, rec))
+        elif not rec.canceled:
+            releases.append((at, rec))
+    while k < len(releases) and (releases[k][0] <= horizon or releases[k][1].canceled):
+        at, rec = releases[k]
+        k += 1
+        if commit(rec):
+            made.append((at, rec))
+    return made, releases, k < len(releases)
+
+
+def _execution(
+    circuit: Circuit,
+    horizon: float,
+    initial: list[int],
+    vertex_times: list,
+    channel_times: list,
+    states: list,
+    event_count: int,
+    active: set[str],
+    log: bool,
+) -> Execution:
+    """The execution with these transition times, strictly increasing, of every vertex and channel by number."""
+    channel_names = circuit._channel_names
     channel_signals = {
         name: _unchecked(initial[src], tuple(times))
         for name, src, times in zip(channel_names, circuit._channel_src, channel_times)
     }
     vertex_signals = {
-        name: _unchecked(v, tuple(times)) for name, v, times in zip(vertex_names, initial, vertex_times)
+        name: _unchecked(v, tuple(times)) for name, v, times in zip(circuit._vertex_names, initial, vertex_times)
     }
 
     guard = circuit._guard if circuit._guard is not None else horizon / 10.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from involution import channel
+from involution import circuit as circuit_module
 from involution.channel import (
     EtaBounds,
     EtaInvolution,
@@ -673,6 +674,156 @@ class TestAcyclicEquivalence:
 
             report = verify_execution(e)
             assert report.ok, report.mismatches
+
+
+def _outcome(run, c, stim, horizon, events_max=10**6):
+    """What ``run`` gives for these inputs: the execution, or the engine error it raised."""
+    try:
+        return run(c, stim, horizon, events_max=events_max, log=True)
+    except EngineError as exc:
+        return exc
+
+
+def _event_loop(c, stim, horizon, *, events_max, log):
+    return circuit_module._run_events(c, stim, horizon, events_max, log)
+
+
+class TestCompositionFallsBackToTheEventLoop:
+    """An acyclic circuit is composed; where the composition may not give the
+    event loop's execution or error, ``execute`` runs the loop."""
+
+    def test_the_first_fault_in_time_is_raised_not_the_first_in_topological_order(self):
+        # each channel raises at the decision of its third record, a surviving
+        # record with a negative delay (see the test above); port a's channel
+        # comes first in topological order, port b's faults first in time
+        df = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
+        spec = EtaInvolution(df, EtaBounds(0.5, 0.5), FixedSequence((-0.1, 0.5, -0.5)))
+        stim = {
+            "a": make_signal(0, [(2.5, 1), (2.8, 0), (2.85, 1)]),
+            "b": make_signal(0, [(0.5, 1), (0.8, 0), (0.85, 1)]),
+        }
+        for s in stim.values():
+            _, log = apply_channel(spec, s)
+            assert [r.canceled for r in log] == [True, True, False] and log[2].out_time < log[2].time
+        c = Circuit(
+            ["a", "b"],
+            ["oa", "ob"],
+            [],
+            [ChannelEdge("ca", "a", "oa", None, spec), ChannelEdge("cb", "b", "ob", None, spec)],
+        )
+        _, log = apply_channel(spec, stim["b"])
+        with pytest.raises(CausalityFault) as exc_info:
+            execute(c, stim, horizon=20.0)
+        assert str(exc_info.value) == f"channel 'cb': committed output at {log[2].out_time} lies before decision time 0.85"
+
+    def test_an_acyclic_budget_overrun_raises_with_the_event_loops_trail(self):
+        c = _buffer(Pure(0.5))
+        stim = make_signal(0, [(k / 10, (k + 1) % 2) for k in range(400)])
+        assert execute(c, {"x": stim}, horizon=100.0).event_count == 1601
+        with pytest.raises(HorizonExceeded) as exc_info:
+            execute(c, {"x": stim}, horizon=100.0, events_max=500)
+        loop = _outcome(_event_loop, c, {"x": stim}, 100.0, 500)
+        assert str(exc_info.value) == str(loop) == "event budget 500 exhausted at t=12.8 (oscillation?); last event eval 'b'"
+        assert len(exc_info.value.events) == 100 and repr(exc_info.value.events) == repr(loop.events)
+
+    def test_a_late_delivery_beside_another_evaluates_its_gate_twice(self):
+        # The inertial record is decided at its output time 1.0, after the OR
+        # evaluated the pure channel's delivery there, so the loop evaluates the
+        # OR a second time at 1.0.  Its output does not change again; with an
+        # XOR it would, and the run faults (see TestChains).
+        c = Circuit(
+            ["i"],
+            ["o"],
+            [Gate("g", "OR", 2, 0)],
+            [
+                ChannelEdge("p", "i", "g", 0, Pure(1.0)),
+                ChannelEdge("n", "i", "g", 1, Inertial(1.0, 1.0)),
+                ChannelEdge("out", "g", "o", None, Pure(0.0)),
+            ],
+        )
+        stim = {"i": make_signal(0, [(0.0, 1)])}
+        e = execute(c, stim, horizon=10.0, log=True)
+        # stimulus, evaluation at 0, and at 1.0: two deliveries to g, two
+        # evaluations of it, the release and the delivery to o
+        assert e.event_count == 8
+        assert e.vertex_signals["o"].times == (1.0,)
+        assert e == _outcome(_event_loop, c, stim, 10.0)
+
+    def test_a_late_delivery_where_a_driven_channel_decides_a_record_runs_the_loop(self):
+        # At t = 1.0 the loop decides d's first record, committed at 1 + 1 ulp,
+        # before the inertial record it released later, whose delivery switches
+        # g: g's fall then reaches d after the commit.  With a delay of 0 there,
+        # d's second record lands on the committed output and raises; fed before
+        # the commit, it would have canceled the first record instead.
+        df = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
+        d0 = df.down(0.0)
+        assert df.up(0.0) == d0
+        eta_first = (math.nextafter(1.0, 2.0) - 0.25) - df.delta_inf_up
+        assert 0.25 + (df.delta_inf_up + eta_first) == math.nextafter(1.0, 2.0)
+        eta_minus = math.nextafter(d0, 0.0)
+        spec = EtaInvolution(df, EtaBounds(eta_minus, 0.0), FixedSequence((eta_first, -eta_minus)))
+        c = Circuit(
+            ["i1", "i2"],
+            ["o"],
+            [Gate("g", "XOR", 2, 0)],
+            [
+                ChannelEdge("p", "i1", "g", 0, Pure(0.25)),
+                ChannelEdge("n", "i2", "g", 1, Inertial(0.5, 0.5)),
+                ChannelEdge("d", "g", "o", None, spec),
+            ],
+        )
+        stim = {"i1": make_signal(0, [(0.0, 1)]), "i2": make_signal(0, [(0.5, 1)])}
+        with pytest.raises(CausalityFault) as exc_info:
+            execute(c, stim, horizon=10.0)
+        assert str(exc_info.value) == (
+            "channel 'd': arrival at t=1.0 would retro-cancel a committed output at 1.0000000000000002"
+        )
+
+    @pytest.mark.parametrize(
+        "times, values, delays, message",
+        [
+            ((0.5, 2.0), (1, 1), (1.0, 1.0), "channel 'c': delivery at t=3.0 repeats value 1"),
+            ((0.5, 1.0), (1, 0), (1.0, 0.5), "channel 'c': delivery at t=1.5 does not follow its last one at t=1.5"),
+        ],
+        ids=["repeated_value", "same_time"],
+    )
+    def test_a_delivery_that_breaks_the_signal_rules_at_a_port_runs_the_loop(
+        self, monkeypatch, times, values, delays, message
+    ):
+        # as test_delivery_that_breaks_the_signal_rules_is_a_causality_fault,
+        # with no gate after the channel to switch twice at one instant
+        c = Circuit(["x"], ["y"], [], [ChannelEdge("c", "x", "y", None, Pure(1.0))])
+        monkeypatch.setattr(channel, "channel_state", lambda spec, v0, draws=None, log=False: _StubState(values, delays))
+        with pytest.raises(CausalityFault) as exc_info:
+            execute(c, {"x": make_signal(0, [(times[0], 1), (times[1], 0)])}, horizon=10.0)
+        assert str(exc_info.value) == message
+
+    def test_a_pure_tie_made_at_a_gate_evaluation_follows_its_partners_delivery(self):
+        # Near 2**53 the delay 0.75 rounds b's rise at 2**53 - 1 and its fall at
+        # 2**53 onto the output time 2**53.  The loop delivers the rise there
+        # before it evaluates b, whose fall then cancels the pair too late.
+        t = 2.0**53
+        assert (t - 1) + 0.75 == t + 0.75 == t
+        c = Circuit(
+            ["i"],
+            ["o"],
+            [Gate("b", "BUF", 1, 0)],
+            [ChannelEdge("in", "i", "b", 0, Pure(0.0)), ChannelEdge("d", "b", "o", None, Pure(0.75))],
+        )
+        stim = {"i": make_signal(0, [(t - 1, 1), (t, 0)])}
+        e = execute(c, stim, horizon=2 * t, log=True)
+        assert [r.canceled for r in e.channel_logs["d"]] == [True, True]
+        assert e.vertex_signals["o"].times == (t,)
+        assert e == _outcome(_event_loop, c, stim, 2 * t)
+
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "cyclic"])
+    def test_a_nan_horizon_is_rejected(self, cyclic, loop_no_ht):
+        # t > nan is never true, so the event loop used to run every event
+        c = loop_no_ht if cyclic else _buffer(Pure(0.5))
+        assert (c._order is None) == cyclic
+        port = c.input_ports[0]
+        with pytest.raises(EngineError, match=r"^horizon must be a number, got nan$"):
+            execute(c, {port: pulse(0.0, 1.0)}, horizon=math.nan)
 
 
 class TestPureRoundingTie:

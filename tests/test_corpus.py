@@ -7,6 +7,7 @@ import pytest
 import corpus
 import oracles
 from involution.channel import EtaBounds, EtaInvolution, UniformRandom, WorstCaseShrink, Zero
+from involution import circuit
 from involution.circuit import or_loop_circuit, verify_execution
 from involution.delay_model import ExpChannelParams, exp_channel
 from involution.signals import Signal, make_signal, pulse
@@ -102,6 +103,45 @@ def test_the_log_changes_no_output_and_no_error(runs, logged_runs):
         ):
             assert getattr(logged, field) == getattr(e, field), (name, field)
     assert trails == 3  # every HorizonExceeded case prints records in its trail
+
+
+def _outcome(run, case, log):
+    try:
+        return run(case.circuit, case.inputs, case.horizon, case.events_max, log)
+    except corpus.EngineError as exc:
+        return exc
+
+
+def _execute(circuit, inputs, horizon, events_max, log):
+    return corpus.execute(circuit, inputs, horizon, events_max=events_max, log=log)
+
+
+def test_the_composition_equals_the_event_loop_on_every_case():
+    # execute composes the acyclic cases and falls back to the event loop
+    # where it may not give the loop's execution; either way it must give it
+    acyclic, composed = set(), set()
+    for name, build in corpus.cases().items():
+        case = build()
+        if case is None:
+            continue
+        if name.startswith(("xor", "dag")):  # self-loops, and none
+            assert (case.circuit._order is None) == name.startswith("xor"), name
+        if case.circuit._fault is not None:  # raised before either runs
+            continue
+        for log in (False, True):
+            got, want = _outcome(_execute, case, log), _outcome(circuit._run_events, case, log)
+            assert type(got) is type(want), (name, log)
+            if isinstance(want, corpus.EngineError):
+                assert str(got) == str(want), (name, log)
+                assert repr(getattr(got, "events", None)) == repr(getattr(want, "events", None)), (name, log)
+            else:
+                assert got == want, (name, log)
+        if case.circuit._order is not None:
+            acyclic.add(name)
+            if _outcome(circuit._compose, case, False) is not None:
+                composed.add(name)
+    # the one budget overrun and the one channel fault among them run the loop
+    assert acyclic - composed == {"dag29", "dag39"}
 
 
 def test_every_completing_case_verifies(completed):
