@@ -212,7 +212,7 @@ class Circuit:
         self._drivers = {key: self.channels[who[0]] for key, who in drivers.items()}
 
     def _index(self) -> None:
-        """Number the vertices and channels once, for every ``execute`` of this circuit.
+        """Number the vertices and channels, and order the gates, once for every ``execute`` of this circuit.
 
         Vertices are the input ports, the gates, then the output ports in the
         order of their driving channels; channels keep their netlist order.
@@ -234,8 +234,9 @@ class Circuit:
             *([number[self._drivers[(name, pin)].name] for pin in range(g.arity)] for name, g in self.gates.items()),
         ]
         # the gates in an order where each follows the gates driving its pins, or None if the gates form a loop
-        gates = range(len(self.input_ports), len(self.input_ports) + len(self.gates))
-        waiting = {x: sum(e.src in self.gates for e in map(edges.__getitem__, self._pin_channels[x])) for x in gates}
+        n_in = len(self.input_ports)
+        gates = range(n_in, n_in + len(self.gates))
+        waiting = {x: sum(self._channel_src[c] >= n_in for c in self._pin_channels[x]) for x in gates}
         order = [x for x in gates if not waiting[x]]
         for x in order:  # grows while it is read
             for y, pin in map(self._channel_dst.__getitem__, self._fanout[x]):
@@ -549,10 +550,10 @@ def _run_events(
     """The discrete-event loop: every stimulus, delivery, gate evaluation and
     release up to ``horizon``, one at a time from a heap."""
     # Vertices and channels are numbered by ``Circuit._index``.
-    vertex_names, channel_names = circuit._vertex_names, circuit._channel_names
+    vertex_names, channel_names, channel_src = circuit._vertex_names, circuit._channel_names, circuit._channel_src
     channel_dst, fanout, gate_fns = circuit._channel_dst, circuit._fanout, circuit._gate_fns
     initial = _initial_values(circuit, inputs)
-    pins = [chans and [initial[circuit._channel_src[c]] for c in chans] for chans in circuit._pin_channels]
+    pins = [chans and [initial[channel_src[c]] for c in chans] for chans in circuit._pin_channels]
     states = _channel_states(circuit, initial, log)
     feeds = [state.feed for state in states]
     decide_ats = [state.decide_at for state in states]

@@ -694,8 +694,10 @@ class TestCompositionFallsBackToTheEventLoop:
 
     def test_the_first_fault_in_time_is_raised_not_the_first_in_topological_order(self):
         # each channel raises at the decision of its third record, a surviving
-        # record with a negative delay (see the test above); port a's channel
-        # comes first in topological order, port b's faults first in time
+        # record with a negative delay, as in
+        # test_a_surviving_record_with_a_negative_delay_faults_at_its_decision;
+        # port a's channel comes first in topological order, port b's faults
+        # first in time
         df = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
         spec = EtaInvolution(df, EtaBounds(0.5, 0.5), FixedSequence((-0.1, 0.5, -0.5)))
         stim = {

@@ -6,8 +6,8 @@ import pytest
 
 import corpus
 import oracles
-from involution.channel import EtaBounds, EtaInvolution, UniformRandom, WorstCaseShrink, Zero
 from involution import circuit
+from involution.channel import EtaBounds, EtaInvolution, UniformRandom, WorstCaseShrink, Zero
 from involution.circuit import or_loop_circuit, verify_execution
 from involution.delay_model import ExpChannelParams, exp_channel
 from involution.signals import Signal, make_signal, pulse
