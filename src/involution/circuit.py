@@ -31,7 +31,7 @@ import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, cycle, islice, zip_longest
+from itertools import accumulate, compress, cycle, islice, zip_longest
 from typing import Any, Callable
 
 from . import channel as ch
@@ -498,9 +498,9 @@ def execute(
     execution that the event loop gives, ``event_count`` included, and runs
     the loop instead wherever it may not: on a channel fault, on a budget
     the loop would exhaust, on a delivery that would repeat a value or not
-    follow the last one, and on a delivery made at the instant it lands
-    whose order among that instant's events the composition cannot
-    reproduce.  Every error is the event loop's, raised at its first fault:
+    follow the last one, and on a delivery made at the instant it lands at a
+    gate pin, whose order among that instant's events the composition does
+    not reproduce.  Every error is the event loop's, raised at its first fault:
     :class:`HorizonExceeded` when the event budget runs out (near-critical
     feedback can oscillate for a long time), :class:`CausalityFault` if the
     engine's commit rule would be violated, and :class:`EngineError` for a
@@ -688,12 +688,10 @@ def _compose(
     evaluation per gate at 0 and at every other time a pin switches.
 
     A delivery made at the instant it lands, at a release or at a gate's
-    evaluation, comes after that instant's other deliveries and evaluations
-    and after some of its releases; one made at a stimulus, by a pure
-    channel, does not.  The loop's order there is the composition's if the
-    gate it lands at has no other delivery at that instant, so that it
-    evaluates once, and no channel the gate drives decides there a record
-    fed before.
+    evaluation, comes after some of that instant's other events in the loop,
+    so the composition returns None for one that lands at a gate pin, and for
+    a canceled one (a pure tie whose partner the loop delivered first).  One
+    made at a stimulus, by a pure channel, comes before them.
     """
     n_in = len(circuit.input_ports)
     channel_names, channel_src, channel_dst = circuit._channel_names, circuit._channel_src, circuit._channel_dst
@@ -701,7 +699,6 @@ def _compose(
     states = _channel_states(circuit, initial, log)
     vertex_times: list[tuple[float, ...]] = [()] * len(initial)
     channel_times: list[tuple[float, ...]] = [()] * len(states)
-    late: list[set[float]] = [set() for _ in initial]  # by gate: the times of the deliveries made as they land
     active: set[str] = set()
     event_count = 0
 
@@ -712,13 +709,11 @@ def _compose(
         event_count += n
         if n < len(times):
             active.add(p)
+    if event_count > events_max:
+        return None
     for x in (*range(n_in), *circuit._order):
         if x >= n_in:
             pins = [_unchecked(initial[channel_src[c]], channel_times[c]) for c in circuit._pin_channels[x]]
-            if late[x]:
-                switches = collections.Counter(chain.from_iterable(s.times for s in pins))
-                if any(switches[t] > 1 for t in late[x]):
-                    return None  # the gate would evaluate twice at one instant
             vertex_times[x] = _gate_output_times(circuit._gate_fns[x], pins, horizon, initial[x])
             event_count += len({0.0}.union(*(s.times for s in pins)))
         v0 = initial[x]
@@ -727,8 +722,6 @@ def _compose(
                 made, releases, due = _decide(states[c], vertex_times[x], v0, horizon)
             except ch.ChannelError:
                 return None
-            if late[x] and any(at in late[x] and rec.time < at for at, rec in releases):
-                return None  # the gate's output could reach the channel after it decides there
             hits = [(at, rec) for at, rec in made if rec.out_time <= horizon]
             out = [rec for _, rec in hits if not rec.canceled]
             if [rec.value for rec in out] != list(islice(cycle((1 - v0, v0)), len(out))):
@@ -744,11 +737,8 @@ def _compose(
                 vertex_times[y] = times
             if x >= n_in or not isinstance(circuit.channels[channel_names[c]].spec, ch.Pure):
                 for at, rec in hits:
-                    if at == rec.out_time:  # made as it lands
-                        if rec.canceled:  # its tie partner was delivered before the cancel
-                            return None
-                        if pin is not None:
-                            late[y].add(at)
+                    if at == rec.out_time and (rec.canceled or pin is not None):
+                        return None  # made as it lands, after some of that instant's events
         if event_count > events_max:
             return None
     return _execution(circuit, horizon, initial, vertex_times, channel_times, states, event_count, active, log)

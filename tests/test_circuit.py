@@ -728,6 +728,24 @@ class TestCompositionFallsBackToTheEventLoop:
         assert str(exc_info.value) == str(loop) == "event budget 500 exhausted at t=12.8 (oscillation?); last event eval 'b'"
         assert len(exc_info.value.events) == 100 and repr(exc_info.value.events) == repr(loop.events)
 
+    def test_a_stimulus_beyond_the_budget_feeds_no_channel_before_the_loop_runs(self, monkeypatch):
+        c = _buffer(Pure(0.5))
+        stim = make_signal(0, [(k / 10, (k + 1) % 2) for k in range(40)])
+        fed = []
+        real = channel.channel_state
+
+        def counting(*args):
+            state = real(*args)
+            feed = state.feed
+            state.feed = lambda t, v: (fed.append(t), feed(t, v))[1]
+            return state
+
+        monkeypatch.setattr(channel, "channel_state", counting)
+        assert circuit_module._compose(c, {"x": stim}, 100.0, 39, False) is None
+        assert fed == []
+        assert circuit_module._compose(c, {"x": stim}, 100.0, 10**6, False).event_count == 161
+        assert len(fed) == 80
+
     def test_a_late_delivery_beside_another_evaluates_its_gate_twice(self):
         # The inertial record is decided at its output time 1.0, after the OR
         # evaluated the pure channel's delivery there, so the loop evaluates the
