@@ -434,8 +434,12 @@ class _InvolutionState(_PureState):
         if self.source.bounds.eta_minus >= min(self.df.up(0.0), self.df.down(0.0)):
             raise ChannelError("eta_minus exceeds delta(0); pending outputs cannot be committed causally")
 
-    def decide_at(self, rec: Record) -> float:
-        return max(rec.time, math.nextafter(rec.out_time, -math.inf))
+    def decide_at(self, rec: Record, nextafter=math.nextafter, down=-math.inf) -> float:
+        # max(rec.time, one ulp below the output), ties to rec.time as max gives them;
+        # the defaults bind the function and the direction once, not on every call
+        at = nextafter(rec.out_time, down)
+        t = rec.time
+        return at if at > t else t
 
     def commit(self, rec: Record) -> bool:
         if rec.canceled:

@@ -31,7 +31,7 @@ import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, cycle, islice, zip_longest
+from itertools import accumulate, compress, cycle, islice, repeat, zip_longest
 from typing import Any, Callable
 
 from . import channel as ch
@@ -719,26 +719,33 @@ def _compose(
         v0 = initial[x]
         for c in circuit._fanout[x]:
             try:
-                made, releases, due = _decide(states[c], vertex_times[x], v0, horizon)
+                made_at, made, release_at, due = _decide(states[c], vertex_times[x], v0, horizon)
             except ch.ChannelError:
                 return None
-            hits = [(at, rec) for at, rec in made if rec.out_time <= horizon]
-            out = [rec for _, rec in hits if not rec.canceled]
+            ends = [rec.out_time for rec in made]
+            hit = list(map(operator.le, ends, repeat(horizon)))
+            if not all(hit):  # keep the deliveries up to the horizon; one beyond it that survives is due
+                due = due or not all(rec.canceled for rec in compress(made, map(operator.not_, hit)))
+                made_at, made, ends = (list(compress(seq, hit)) for seq in (made_at, made, ends))
+            live = [not rec.canceled for rec in made]
+            out, times = made, tuple(ends)
+            if not all(live):
+                out, times = list(compress(made, live)), tuple(compress(ends, live))
             if [rec.value for rec in out] != list(islice(cycle((1 - v0, v0)), len(out))):
                 return None  # a delivery would repeat a value
-            channel_times[c] = times = tuple(rec.out_time for rec in out)
             if not all(map(operator.lt, times, times[1:])):
                 return None  # a delivery would not follow the last one
-            event_count += len(hits) + sum(at <= horizon for at, _ in releases)
-            if due or len(out) < sum(not rec.canceled for _, rec in made):
+            channel_times[c] = times
+            event_count += len(made) + sum(map(operator.le, release_at, repeat(horizon)))
+            if due:
                 active.add(channel_names[c])
             y, pin = channel_dst[c]
             if pin is None:
                 vertex_times[y] = times
             if x >= n_in or not isinstance(circuit.channels[channel_names[c]].spec, ch.Pure):
-                for at, rec in hits:
-                    if at == rec.out_time and (rec.canceled or pin is not None):
-                        return None  # made as it lands, after some of that instant's events
+                late = list(compress(made, map(operator.eq, made_at, ends)))
+                if late and (pin is not None or any(rec.canceled for rec in late)):
+                    return None  # made as it lands, after some of that instant's events
         if event_count > events_max:
             return None
     return _execution(circuit, horizon, initial, vertex_times, channel_times, states, event_count, active, log)
@@ -750,32 +757,40 @@ def _decide(state, times: tuple[float, ...], v0: int, horizon: float):
 
     Each record is decided at its decision time, after the input at that
     instant.  A canceled record decides nothing, so it is taken as soon as it
-    is next.  Returns the deliveries the loop makes, as (time made, record),
-    the releases it schedules, as (decision time, record), and whether a
+    is next.  Returns four things: the deliveries the loop makes, as the
+    times they are made and their records, two parallel lists; the decision
+    times of the releases it schedules, in the order scheduled; and whether a
     record that is not canceled is still undecided after the horizon.
     """
     feed, decide_at, commit = state.feed, state.decide_at, getattr(state, "commit", None)
-    made: list[tuple[float, ch.Record]] = []
-    releases: list[tuple[float, ch.Record]] = []
-    k = 0  # releases[:k] are decided
+    made_at: list[float] = []
+    made: list[ch.Record] = []
+    release_at: list[float] = []
+    released: list[ch.Record] = []  # beside release_at
+    k = n = 0  # released[:k] are decided, of n
     for t, v in zip(times, cycle((1 - v0, v0))):
-        while k < len(releases) and (releases[k][0] < t or releases[k][1].canceled):
-            at, rec = releases[k]
-            k += 1
+        while k < n and (release_at[k] < t or released[k].canceled):
+            rec = released[k]
             if commit(rec):
-                made.append((at, rec))
+                made_at.append(release_at[k])
+                made.append(rec)
+            k += 1
         rec = feed(t, v)[0]
         at = decide_at(rec)
         if at is None:  # a pure record, delivered at its output time
-            made.append((t, rec))
+            made_at.append(t)
+            made.append(rec)
         elif not rec.canceled:
-            releases.append((at, rec))
-    while k < len(releases) and (releases[k][0] <= horizon or releases[k][1].canceled):
-        at, rec = releases[k]
-        k += 1
+            release_at.append(at)
+            released.append(rec)
+            n += 1
+    while k < n and (release_at[k] <= horizon or released[k].canceled):
+        rec = released[k]
         if commit(rec):
-            made.append((at, rec))
-    return made, releases, k < len(releases)
+            made_at.append(release_at[k])
+            made.append(rec)
+        k += 1
+    return made_at, made, release_at, k < n
 
 
 def _execution(

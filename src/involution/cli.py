@@ -38,7 +38,7 @@ from . import analysis, channel as ch, waveform_lab as wl
 from .circuit import EngineError, NetlistError, execute, parse_circuit
 from .delay_model import DelayModelError, ExpChannelParams, delta_min, exp_channel
 from .rootfind import XTOL, NoBracket
-from .signals import SignalError, read_text, read_trace, write_csv, write_trace
+from .signals import SignalError, read_text, read_trace, write_csv, write_traces
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -165,6 +165,11 @@ def _check_trace_names(circuit) -> None:
 
 
 def cmd_simulate(args) -> int:
+    """Execute the netlist on the stimulus; write one trace file per vertex and channel, then the manifest.
+
+    ``signals.write_traces`` renders the times that signals share once; the
+    trace files come in no set order, each published by ``_atomic_write``.
+    """
     circuit = parse_circuit(
         read_text(args.netlist, NetlistError), base_dir=os.path.dirname(os.path.abspath(args.netlist))
     )
@@ -172,8 +177,10 @@ def cmd_simulate(args) -> int:
     stimuli = read_trace(args.stimulus)
     e = execute(circuit, stimuli, args.horizon, events_max=args.events_max)
     os.makedirs(args.out, exist_ok=True)
-    for name, sig in {**e.vertex_signals, **{f"chan_{k}": v for k, v in e.channel_signals.items()}}.items():
-        _atomic_write(os.path.join(args.out, f"{name}.csv"), lambda tmp, s=sig, n=name: write_trace(tmp, {n: s}))
+    write_traces(
+        {**e.vertex_signals, **{f"chan_{k}": v for k, v in e.channel_signals.items()}},
+        lambda name, writer: _atomic_write(os.path.join(args.out, f"{name}.csv"), writer),
+    )
     seeds = {  # the uniform-random channels that drew an eta; eta_sequences holds the eta-involution ones
         name: edge.spec.strategy.seed
         for name, edge in circuit.channels.items()

@@ -14,7 +14,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import cycle, repeat
+from itertools import chain, cycle, repeat
 from typing import Any, Callable, Iterable, NamedTuple
 
 
@@ -254,17 +254,50 @@ def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
 # Trace file format: header "signal,time,value", rows sorted by (signal, time),
 # the initial value encoded as a row with time field "-inf".
 
+_TRACE_HEADER = "signal,time,value\r\n"
+
+
+def _trace_rows(name: str, initial_value: int, times: Iterable[str]) -> str:
+    """The rows of one signal: its initial-value row, then one row per rendered time, values alternating."""
+    head = io.StringIO()
+    csv.writer(head).writerow([name, "-inf", initial_value])
+    row = head.getvalue()
+    prefix = row[: -len(f"-inf,{initial_value}\r\n")]  # the name as csv quotes it, and the comma
+    values = cycle((f",{1 - initial_value}\r\n", f",{initial_value}\r\n"))
+    return row + "".join(chain.from_iterable(zip(repeat(prefix), times, values)))
+
+
 def write_trace(path, signals: dict[str, Signal]) -> None:
+    """Write ``signals`` to the trace file ``path``, sorted by name; each time is written as its ``repr``."""
     with open(path, "w", newline="") as fh:
-        fh.write("signal,time,value\r\n")
+        fh.write(_TRACE_HEADER)
         for name in sorted(signals):
             s = signals[name]
-            head = io.StringIO()
-            csv.writer(head).writerow([name, "-inf", s.initial_value])
-            row = head.getvalue()
-            prefix = row[: -len(f",-inf,{s.initial_value}\r\n")]  # the name as csv quotes it
-            values = cycle((1 - s.initial_value, s.initial_value))
-            fh.write(row + "".join([f"{prefix},{t!r},{v}\r\n" for t, v in zip(s.times, values)]))
+            fh.write(_trace_rows(name, s.initial_value, map(repr, s.times)))
+
+
+def write_traces(signals: dict[str, Signal], publish: Callable[[str, Callable[[Any], None]], None]) -> None:
+    """Write every signal to a trace file of its own: ``publish(name, writer)``
+    gets a ``writer(path)`` that writes what ``write_trace(path, {name: signal})`` does.
+
+    The signals are grouped by their times, and each group's times are
+    rendered once: a NOT gate's output shares them with the channel at its
+    pin, and an output port with its driving channel.  Only one group's
+    rendering is kept at a time.
+    """
+    groups: dict[tuple[float, ...], list[str]] = {}
+    for name, s in signals.items():
+        groups.setdefault(s.times, []).append(name)
+    for times, names in groups.items():
+        rendered = list(map(repr, times))
+        for name in names:
+
+            def writer(path, name=name, rendered=rendered):
+                with open(path, "w", newline="") as fh:
+                    fh.write(_TRACE_HEADER)
+                    fh.write(_trace_rows(name, signals[name].initial_value, rendered))
+
+            publish(name, writer)
 
 
 def read_trace(path) -> dict[str, Signal]:

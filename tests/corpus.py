@@ -45,7 +45,16 @@ from involution.channel import (
     WorstCaseShrink,
     Zero,
 )
-from involution.circuit import ChannelEdge, Circuit, EngineError, Gate, HorizonExceeded, execute, parse_circuit
+from involution.circuit import (
+    ChannelEdge,
+    Circuit,
+    EngineError,
+    Execution,
+    Gate,
+    HorizonExceeded,
+    execute,
+    parse_circuit,
+)
 from involution.delay_model import DelayModelError, ExpChannelParams, exp_channel
 from involution.signals import Signal, make_signal
 
@@ -299,14 +308,20 @@ def _signal(s: Signal) -> list:
     return [s.initial_value, [[tr.time, tr.value] for tr in s.transitions]]
 
 
-def run(case: Case) -> dict[str, str | None]:
-    """The trace and horizon digests of one case."""
+def outcome(case: Case, log: bool = True) -> Execution | EngineError:
+    """The execution of one case, or the engine error it raised; the digests read it with the log on."""
     try:
-        e = execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max, log=True)
+        return execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max, log=log)
     except EngineError as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, HorizonExceeded):
-            error["events"] = repr(exc.events)
+        return exc
+
+
+def digest(e: Execution | EngineError) -> dict[str, str | None]:
+    """The trace and horizon digests of one case's ``outcome`` with the log on."""
+    if isinstance(e, EngineError):
+        error = {"error": type(e).__name__, "message": str(e)}
+        if isinstance(e, HorizonExceeded):
+            error["events"] = repr(e.events)
         return {"trace": _sha(error), "horizon": None}
     trace = {
         "vertex": {k: _signal(s) for k, s in e.vertex_signals.items()},
@@ -326,6 +341,11 @@ def run(case: Case) -> dict[str, str | None]:
         "active": sorted(e.active_at_horizon),
     }
     return {"trace": _sha(trace), "horizon": _sha(horizon)}
+
+
+def run(case: Case) -> dict[str, str | None]:
+    """The trace and horizon digests of one case."""
+    return digest(outcome(case))
 
 
 def digests(names=None) -> dict[str, dict[str, str | None]]:

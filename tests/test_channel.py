@@ -16,6 +16,7 @@ from involution.channel import (
     Inertial,
     Involution,
     Pure,
+    Record,
     UniformRandom,
     WorstCaseShrink,
     Zero,
@@ -412,3 +413,26 @@ def test_sources_sharing_draws_across_threads_read_one_stream():
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == workers * rounds
     assert all(etas == want for etas in results)
+
+
+_BIG = 2.0**53
+
+
+@pytest.mark.parametrize(
+    "time, out_time",
+    [
+        (1.5, 1.5),  # the output at the input time
+        (1.5, math.nextafter(1.5, math.inf)),  # one ulp above it: a tie
+        (1.5, 0.75),  # below it
+        (0.0, 5e-324),  # one ulp below the output is 0.0: a tie with 0.0 and with -0.0
+        (-0.0, 5e-324),
+        (_BIG, _BIG + 2.0),  # the ulp above 2**53 is 2
+        (_BIG - 1.0, _BIG),
+        (_BIG, _BIG),
+        (_BIG, _BIG + 4.0),
+    ],
+)
+def test_decision_time_is_the_later_of_the_input_and_one_ulp_below_the_output(ref, time, out_time):
+    state = channel_state(Involution(ref), 0)
+    got = state.decide_at(Record(1, time, 1, out_time))
+    assert repr(got) == repr(max(time, math.nextafter(out_time, -math.inf)))

@@ -746,6 +746,21 @@ class TestCompositionFallsBackToTheEventLoop:
         assert circuit_module._compose(c, {"x": stim}, 100.0, 10**6, False).event_count == 161
         assert len(fed) == 80
 
+    def test_releases_scheduled_out_of_order_are_all_counted(self):
+        # the third input cancels the second record, and the fourth survives
+        # below it, so its release comes before the second record's, which lies
+        # beyond the horizon; the loop processes the releases at or before the
+        # horizon, whatever their order
+        spec = EtaInvolution(exp_channel(ExpChannelParams(1.0, 0.5, 0.5)), EtaBounds(0.2, 0.3), UniformRandom(7))
+        c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, spec)])
+        stim = make_signal(0, [(t, (k + 1) % 2) for k, t in enumerate([0.571, 2.411, 2.782, 2.852, 3.035])])
+        state = channel.channel_state(spec, 0, c._draws[0])
+        _, _, release_at, _ = circuit_module._decide(state, stim.times, 0, 3.6)
+        assert release_at[0] < release_at[2] < 3.6 < release_at[1]
+        composed = circuit_module._compose(c, {"i": stim}, 3.6, 10**6, True)
+        assert composed is not None
+        assert composed == _event_loop(c, {"i": stim}, 3.6, events_max=10**6, log=True)
+
     def test_a_late_delivery_beside_another_evaluates_its_gate_twice(self):
         # The inertial record is decided at its output time 1.0, after the OR
         # evaluated the pure channel's delivery there, so the loop evaluates the

@@ -72,6 +72,42 @@ class TestSimulate:
         for name in ("o.csv", "or1.csv", "chan_c.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_trace_files_equal_a_row_by_row_csv_writer(self, tmp_path):
+        # the NOT gate's output and the port o share their driving channel's
+        # times, the gate's name needs CSV quoting, and the CONST0 output never switches
+        doc = {
+            "ports": [{"name": n, "direction": d} for n, d in (("i", "in"), ("o", "out"), ("z", "out"))],
+            "gates": [
+                {"name": 'n,"1', "function": "NOT", "arity": 1, "initial": 1},
+                {"name": "zero", "function": "CONST0", "arity": 0, "initial": 0},
+            ],
+            "channels": [
+                {"name": "c1", "from": "i", "to": 'n,"1.0', "kind": "involution",
+                 "params": {"exp": {"tau": 1.0, "t_p": 0.5, "vth": 0.5}}},
+                {"name": "c2", "from": 'n,"1', "to": "o", "kind": "pure", "params": {"d": 0.5}},
+                {"name": "c3", "from": "zero", "to": "z", "kind": "pure", "params": {"d": 1.0}},
+            ],
+        }
+        netlist, out = tmp_path / "net.json", tmp_path / "out"
+        netlist.write_text(json.dumps(doc))
+        stim = write_stimulus(tmp_path, make_signal(0, [(0.3 + 1.7 * k, 1 - k % 2) for k in range(12)]))
+        assert main(["simulate", str(netlist), str(stim), "--horizon", "40", "--out", str(out)]) == EXIT_OK
+
+        e = involution.execute(involution.parse_circuit(doc), read_trace(stim), 40.0)
+        assert e.vertex_signals['n,"1'].times is e.channel_signals["c1"].times
+        assert e.vertex_signals["o"].times is e.channel_signals["c2"].times
+        assert e.vertex_signals["z"].times == ()
+        signals = {**e.vertex_signals, **{f"chan_{k}": v for k, v in e.channel_signals.items()}}
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *(f"{n}.csv" for n in signals)])
+        for name, s in signals.items():
+            with open(tmp_path / "rows.csv", "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["signal", "time", "value"])
+                w.writerow([name, "-inf", s.initial_value])
+                for tr in s.transitions:
+                    w.writerow([name, repr(tr.time), tr.value])
+            assert (out / f"{name}.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes(), name
+
 
     def test_rerun_publishes_only_changed_files(self, tmp_path):
         # two independent wires: changing b's stimulus leaves every a-file unchanged

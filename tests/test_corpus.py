@@ -13,11 +13,11 @@ from involution.delay_model import ExpChannelParams, exp_channel
 from involution.signals import Signal, make_signal, pulse
 
 
-def test_every_case_keeps_its_recorded_digests():
+def test_every_case_keeps_its_recorded_digests(logged_runs):
     recorded = json.loads(corpus.DIGESTS.read_text())
     if recorded["host"] != corpus.host():
         pytest.skip(f"digests recorded on {recorded['host']}, this host is {corpus.host()}")
-    got = corpus.digests()
+    got = {name: corpus.digest(e) for name, e in logged_runs.items()}
     assert sorted(got) == sorted(recorded["cases"])
     differ = sorted(name for name, d in got.items() if d != recorded["cases"][name])
     assert not differ, differ
@@ -30,34 +30,22 @@ def test_horizon_exceeded_case_carries_its_last_100_events():
     assert len(exc_info.value.events) == 100
 
 
+def _outcomes(log):
+    """Every corpus case within (C) by name: its ``corpus.outcome``."""
+    built = ((name, build()) for name, build in corpus.cases().items())
+    return {name: corpus.outcome(case, log) for name, case in built if case is not None}
+
+
 @pytest.fixture(scope="module")
 def runs():
-    """Every corpus case within (C) by name: its execution, or the engine error it raised."""
-    out = {}
-    for name, build in corpus.cases().items():
-        case = build()
-        if case is None:
-            continue
-        try:
-            out[name] = corpus.execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max)
-        except corpus.EngineError as exc:
-            out[name] = exc
-    return out
+    """Every corpus case within (C) by name: its execution with the log off, or the engine error it raised."""
+    return _outcomes(log=False)
 
 
 @pytest.fixture(scope="module")
 def logged_runs():
-    """``runs`` with the full per-transition log on."""
-    out = {}
-    for name, build in corpus.cases().items():
-        case = build()
-        if case is None:
-            continue
-        try:
-            out[name] = corpus.execute(case.circuit, case.inputs, case.horizon, events_max=case.events_max, log=True)
-        except corpus.EngineError as exc:
-            out[name] = exc
-    return out
+    """``runs`` with the full per-transition log on, what the corpus digests read."""
+    return _outcomes(log=True)
 
 
 @pytest.fixture(scope="module")
