@@ -261,10 +261,11 @@ def cmd_spf_sweep(args) -> int:
             p.pulses_observed,
             p.resolved_to,
             repr(p.stabilization_time) if math.isfinite(p.stabilization_time) else "-inf",
+            p.strategy_label,
         ]
         for p in points
     )
-    header = ["delta0", "regime", "pulses_observed", "resolved_to", "stabilization_time"]
+    header = ["delta0", "regime", "pulses_observed", "resolved_to", "stabilization_time", "strategy"]
     _atomic_write(os.path.join(args.out, "sweep.csv"), lambda tmp: write_csv(tmp, header, rows))
     ht_doc = {"tau": ht.tau, "t_p": ht.t_p, "vth": ht.vth_norm}
     verdict_doc = {"epsilon": epsilon, **dataclasses.asdict(verdict), "ht_params": ht_doc}

@@ -81,6 +81,8 @@ def _bisect_crossing(v, vth: float, lo: float, hi: float, rising: bool) -> tuple
     """The crossing of ``v`` through ``vth`` in the grid cell [lo, hi], as a (time, value) pair."""
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # no float lies between them: the bracket cannot shrink, and its midpoint is mid
+            return mid, int(rising)
         if ((v(mid) - vth) > 0) != rising:
             lo = mid
         else:
@@ -130,17 +132,16 @@ def synth_crossings(
     ``params.vth_norm``, and its drive follows the input ``params.t_p``
     later: with an undisturbed rail it realizes exactly the exp-channel of
     ``params``.  Rising segments charge toward the disturbed rail, falling
-    segments discharge toward undisturbed ground.  Each segment's trajectory
-    is read on a uniform grid; neighbouring grid points on opposite sides of
-    the threshold (a point on it counts as above) bracket a crossing, which
-    scalar bisection on the analytic trajectory then locates.  A monotone
-    segment (discharging, or charging on an undisturbed rail) crosses at most
-    once, so its grid cell is found by bisecting over the grid's indices.
+    segments discharge toward undisturbed ground.  A monotone segment
+    (discharging, or charging on an undisturbed rail) whose ends lie on
+    opposite sides of the threshold (a point on it counts as above) crosses
+    at the closed form t0 + tau ln((v0 - vp) / (vth - vp)), clamped to it.
+    A disturbed charging segment is bracketed on a uniform grid and bisected.
     Above amplitude 0 each stimulus draws its rail's phase from ``rng``, in
-    order.  Each crossing is a (time, value) pair, value 1 upward and 0
-    downward, the pairs that ``Signal(initial_value, pairs)`` reads.  A
-    disturbed rail's period below 2*pi*max(tau, horizon)/2**53, or a tau
-    whose grid step tau/50 underflows, raises :class:`WaveformError`.
+    order.  Crossings are (time, value) pairs, value 1 upward, as
+    ``Signal(initial_value, pairs)`` reads them.  A disturbed rail's period
+    below 2*pi*max(tau, horizon)/2**53, or a tau whose grid step tau/50
+    underflows, raises :class:`WaveformError`.
     """
     tau, vth, a = params.tau, params.vth_norm, disturbance.amplitude_fraction
     dt_cap = tau / 50.0  # the largest grid step
@@ -185,11 +186,11 @@ def synth_crossings(
         founds: list[list[tuple[float, int]]] = []
         v0 = float(stimulus.initial_value)
         for seg_start, seg_end, seg_drive in segments:
-            n = max(8, math.ceil(min(20000.0, (seg_end - seg_start) / dt_cap)))  # min first: the ratio may be inf
             found: list[tuple[float, int]] = []
             founds.append(found)
             # a rising segment from (t0, v0) follows v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}
             if seg_drive and a > 0.0:
+                n = max(8, math.ceil(min(20000.0, (seg_end - seg_start) / dt_cap)))  # min first: the ratio may be inf
                 th = omega * seg_start + phase
                 offset = v0 - (1.0 + alpha * math.sin(th) + beta * math.cos(th))
 
@@ -206,10 +207,8 @@ def synth_crossings(
 
                 first = v(seg_start) >= vth
                 if (v(seg_end) >= vth) != first:
-                    # monotone, so the grid's sign changes once: find its cell by bisecting the indices
-                    ts = np.linspace(seg_start, seg_end, n + 1)
-                    hi = bisect.bisect_left(range(n), True, 1, key=lambda k: (v(float(ts[k])) >= vth) != first)
-                    found.append(_bisect_crossing(v, vth, float(ts[hi - 1]), float(ts[hi]), not first))
+                    t = seg_start + tau * math.log((v0 - seg_drive) / (vth - seg_drive))
+                    found.append((min(max(t, seg_start), seg_end), int(not first)))
             v0 = v(seg_end)
         per_stimulus.append(founds)
     if scans:

@@ -159,6 +159,10 @@ def rc_crossings(params, disturbance, stimulus, horizon, rng=None):
     exactly on the threshold counts as above it, so one passage through the
     threshold gives one crossing.  Above amplitude 0 the rail's phase is
     drawn once from ``rng``.  Returns (time, value) pairs, value 1 upward.
+    On a disturbed rail's charging segments it is the reference bit for bit.
+    On monotone segments, which ``synth_crossings`` crosses in closed form,
+    it is the reference up to its bisection width of 1e-14, plus the time its
+    computed trajectory takes to move one ulp of the threshold.
     """
     import numpy as np
 

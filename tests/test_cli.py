@@ -337,7 +337,7 @@ class TestSpfSweep:
         result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert result == {"f2": True, "f3": True, "f4": True}
         rows = (out / "sweep.csv").read_text().splitlines()
-        assert rows[0] == "delta0,regime,pulses_observed,resolved_to,stabilization_time"
+        assert rows[0] == "delta0,regime,pulses_observed,resolved_to,stabilization_time,strategy"
         assert len(rows) == 1 + 1 + 5  # header + zero run + grid points
         verdict = json.loads((out / "spf_verdict.json").read_text())
         assert verdict["f4_witnesses"] == []

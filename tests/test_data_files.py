@@ -130,9 +130,10 @@ def test_spf_sweep_writes_the_same_sweep_csv_and_verdict_keys(tmp_path, capsys):
         "--horizon", "40", "--out", str(out),
     ]
     assert main(argv) == EXIT_OK
-    runs = b",zero,0,0,-inf\r\n0.3,pass_through,0,0,0.3\r\n1.5,lock,0,1,0.0\r\n"
-    header = b"delta0,regime,pulses_observed,resolved_to,stabilization_time\r\n"
-    assert (out / "sweep.csv").read_bytes() == header + runs + runs
+    runs = [b",zero,0,0,-inf,", b"0.3,pass_through,0,0,0.3,", b"1.5,lock,0,1,0.0,"]
+    header = b"delta0,regime,pulses_observed,resolved_to,stabilization_time,strategy\r\n"
+    rows = b"".join(run + strategy + b"\r\n" for strategy in (b"zero", b"worst") for run in runs)
+    assert (out / "sweep.csv").read_bytes() == header + rows
     verdict = json.loads((out / "spf_verdict.json").read_text())
     assert list(verdict) == ["epsilon", "f2_pass", "f3_pass", "f4_pass", "f4_witnesses", "ht_params"]
     assert verdict["epsilon"] == 0.25 and verdict["f4_witnesses"] == [] and verdict["f2_pass"] is True

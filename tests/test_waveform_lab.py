@@ -1,3 +1,4 @@
+import bisect
 import csv
 import math
 
@@ -43,6 +44,60 @@ def random_train(rng, n_max=10):
         t += 0.05 + float(rng.exponential(1.0))
         times.append(t)
     return make_signal(0, [(t, (i + 1) % 2) for i, t in enumerate(times)])
+
+
+# At the calibration's thresholds, a monotone segment's closed-form crossing lies
+# within this many ulps of the scalar trajectory's change of side.
+CLOSED_FORM_ULPS = 2
+
+
+def closed_form_slack(params, drive, t):
+    """How far a closed-form crossing at ``t`` may lie from the scalar trajectory's change of side.
+
+    CLOSED_FORM_ULPS ulps of t, plus the time the trajectory takes to move one
+    ulp of vth at its slope (vth - drive) / tau there: the computed trajectory
+    is exact to about one ulp of its value, and a charging node near vth = 1
+    moves that little over many ulps of t.
+    """
+    vth = params.vth_norm
+    return CLOSED_FORM_ULPS * math.ulp(t) + params.tau * math.ulp(vth) / abs(vth - drive)
+
+
+def assert_matches_the_oracle(params, disturbance, stimuli, got, want):
+    """``got`` (synth_crossings) against ``want`` (rc_crossings per stimulus), crossing by crossing.
+
+    Both give the same count and value bits.  A crossing on a disturbed rail's
+    charging segment is the same bisection in both, so its time matches bit for
+    bit.  A monotone segment's crossing is the closed form in ``got``, so its
+    time lies within the oracle's 1e-14 bisection bracket plus the closed form's
+    slack.
+    """
+    assert len(got) == len(want) == len(stimuli)
+    for stim, g, w in zip(stimuli, got, want):
+        assert [v for _, v in g] == [v for _, v in w]
+        switches = [t + params.t_p for t in stim.times]
+        for (g_t, _), (w_t, _) in zip(g, w):
+            drive = stim.initial_value ^ (bisect.bisect_left(switches, w_t) & 1)
+            if disturbance.amplitude_fraction > 0.0 and drive:
+                assert g_t == w_t
+            else:
+                assert abs(g_t - w_t) <= 1e-14 + closed_form_slack(params, drive, w_t)
+
+
+def clean_segments(params, stimulus, horizon):
+    """The undisturbed node's segments up to ``horizon`` as (start, end, v), v evaluated as rc_crossings does."""
+    tau, segments = params.tau, []
+    drive, start, v0 = stimulus.initial_value, 0.0, float(stimulus.initial_value)
+    for end in [t + params.t_p for t in stimulus.times if t + params.t_p <= horizon] + [horizon]:
+        if end > start:
+
+            def v(t, _vp=float(drive), _o=v0 - drive, _s=start):
+                return _vp + _o * math.exp(-(t - _s) / tau)
+
+            segments.append((start, end, v))
+            v0 = v(end)
+        start, drive = end, 1 - drive
+    return segments
 
 
 class TestSynthCrossings:
@@ -108,51 +163,57 @@ class TestSynthCrossings:
         for seed in seeds:
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for stim in stimuli:
-                got = synth_crossings(params, disturbance, [stim], 60.0, rng=got_rng)[0]
-                assert got == oracles.rc_crossings(params, disturbance, stim, 60.0, rng=want_rng)
+                got = synth_crossings(params, disturbance, [stim], 60.0, rng=got_rng)
+                want = [oracles.rc_crossings(params, disturbance, stim, 60.0, rng=want_rng)]
+                assert_matches_the_oracle(params, disturbance, [stim], got, want)
 
     # One segment on the grid linspace(0.5, 10, 476) after the stimulus edge at 0:
     # v(t) = 1 - e^{-(t - 0.5)} rising from 0, or e^{-(t - 0.5)} falling from 1.
-    # vth is set to v at a grid point, so the scalar scan reads an exact zero there.
     THRESHOLD_GRID = np.linspace(0.5, 10.0, 476)
 
     @staticmethod
-    def segment_value(initial, t, xp):
-        return 1.0 + -1.0 * xp.exp(-(t - 0.5) / 1.0) if initial == 0 else 1.0 * xp.exp(-(t - 0.5) / 1.0)
+    def segment_value(initial, t):
+        return 1.0 + -1.0 * math.exp(-(t - 0.5) / 1.0) if initial == 0 else 1.0 * math.exp(-(t - 0.5) / 1.0)
 
     @pytest.mark.parametrize("initial", [0, 1])
     def test_grid_point_on_the_threshold_opens_a_bracket(self, initial):
+        # vth is v at a grid point, so the scalar scan reads an exact zero there and
+        # the point counts as above: one crossing, in the cell that ends at the point
         grid = self.THRESHOLD_GRID
-        v = self.segment_value
-        exact = [k for k in range(1, 475) if v(initial, grid[k], np) == v(initial, float(grid[k]), math)]
-        assert exact  # a point where numpy agrees with math, so the zero rule fires without the guard
-        k = exact[0]
-        params = ExpChannelParams(1.0, 0.5, v(initial, float(grid[k]), math))
         stim = make_signal(initial, [(0.0, 1 - initial)])
-        want = oracles.rc_crossings(params, CLEAN, stim, 10.0)
-        assert synth_crossings(params, CLEAN, [stim], 10.0)[0] == want
-        # one passage through the threshold is one crossing, at the grid point
-        assert len(want) == 1 and want[0][0] == pytest.approx(grid[k], abs=1e-13)
+        for k in (1, 10, 237, 474):
+            params = ExpChannelParams(1.0, 0.5, self.segment_value(initial, float(grid[k])))
+            got = synth_crossings(params, CLEAN, [stim], 10.0)
+            assert_matches_the_oracle(params, CLEAN, [stim], got, [oracles.rc_crossings(params, CLEAN, stim, 10.0)])
+            ((t, value),) = got[0]
+            assert value == 1 - initial
+            assert grid[k - 1] < t <= grid[k] + closed_form_slack(params, 1 - initial, grid[k])
 
-    @pytest.mark.parametrize("direction", [-1.0, 1.0])
-    @pytest.mark.parametrize("initial", [0, 1])
-    def test_sign_guard_hides_numpy_rounding(self, initial, direction, monkeypatch):
-        # numpy's exp is moved one ulp off libm's at every grid point, so the grid
-        # value at the threshold point is nonzero unless the guard recomputes it
-        class OneUlpOff:
+    def test_a_crossing_where_the_drive_falls_stays_in_its_segment(self):
+        # the drive falls at a grid point where the rising trajectory reads exactly vth;
+        # the closed form can round past that point, and is clamped back into the segment
+        grid, past_the_end = self.THRESHOLD_GRID, 0
+        for k in range(1, 475):
+            stim = make_signal(0, [(0.0, 1), (float(grid[k]) - 0.5, 0)])
+            end = stim.times[1] + 0.5
+            params = ExpChannelParams(1.0, 0.5, self.segment_value(0, end))
+            past_the_end += 0.5 + math.log(-1.0 / (params.vth_norm - 1.0)) > end
+            (up, up_value), (down, down_value) = synth_crossings(params, CLEAN, [stim], 12.0)[0]
+            assert (up_value, down_value) == (1, 0) and up <= end == down
+        assert past_the_end
+
+    def test_amplitude_zero_touches_no_numpy(self, monkeypatch):
+        # an undisturbed rail has monotone segments only, each crossed in closed form
+        class NoNumpy:
             def __getattr__(self, name):
-                return getattr(np, name)
+                raise AssertionError(f"synth_crossings read np.{name}")
 
-            def exp(self, x):
-                return np.nextafter(np.exp(x), direction * np.inf)
-
-        grid, k = self.THRESHOLD_GRID, 10  # v near 0.2 or 0.8, where one ulp of exp shows in v
-        vth = self.segment_value(initial, float(grid[k]), math)
-        monkeypatch.setattr(waveform_lab, "np", OneUlpOff())
-        assert self.segment_value(initial, grid[k], waveform_lab.np) != vth
-        params = ExpChannelParams(1.0, 0.5, vth)
-        stim = make_signal(initial, [(0.0, 1 - initial)])
-        assert synth_crossings(params, CLEAN, [stim], 10.0)[0] == oracles.rc_crossings(params, CLEAN, stim, 10.0)
+        params = ExpChannelParams(1.0, 0.5, 0.6)
+        stimuli = calibration_stimuli(exp_channel(params)) + [random_train(np.random.default_rng(6))]
+        monkeypatch.setattr(waveform_lab, "np", NoNumpy())
+        got = synth_crossings(params, CLEAN, stimuli, 60.0, rng=np.random.default_rng(1))
+        want = [oracles.rc_crossings(params, CLEAN, s, 60.0) for s in stimuli]
+        assert_matches_the_oracle(params, CLEAN, stimuli, got, want)
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.01, 0.05, 0.2])
     def test_one_call_over_the_calibration_equals_the_oracle_per_stimulus(self, amplitude):
@@ -161,7 +222,8 @@ class TestSynthCrossings:
         for seed in (51, 52, 53):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = synth_crossings(params, disturbance, stimuli, 60.0, rng=got_rng)
-            assert got == [oracles.rc_crossings(params, disturbance, s, 60.0, rng=want_rng) for s in stimuli]
+            want = [oracles.rc_crossings(params, disturbance, s, 60.0, rng=want_rng) for s in stimuli]
+            assert_matches_the_oracle(params, disturbance, stimuli, got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_one_call_over_random_trains_equals_the_oracle_per_stimulus(self):
@@ -184,7 +246,8 @@ class TestSynthCrossings:
             seed = int(rng.integers(2**32))
             want_rng = np.random.default_rng(seed)
             want = [oracles.rc_crossings(params, disturbance, s, horizon, rng=want_rng) for s in stimuli]
-            assert synth_crossings(params, disturbance, stimuli, horizon, rng=np.random.default_rng(seed)) == want
+            got = synth_crossings(params, disturbance, stimuli, horizon, rng=np.random.default_rng(seed))
+            assert_matches_the_oracle(params, disturbance, stimuli, got, want)
             if amplitude > 0.0:
                 for stim, crossings in zip(stimuli, want):
                     # the drive rises at the 1st, 3rd, ... switch and falls at the next one
@@ -203,7 +266,8 @@ class TestSynthCrossings:
         want_rng = np.random.default_rng(9)
         want = [oracles.rc_crossings(params, disturbance, s, 1000.0, rng=want_rng) for s in stimuli]
         assert len(want[0]) > 100
-        assert synth_crossings(params, disturbance, stimuli, 1000.0, rng=np.random.default_rng(9)) == want
+        got = synth_crossings(params, disturbance, stimuli, 1000.0, rng=np.random.default_rng(9))
+        assert_matches_the_oracle(params, disturbance, stimuli, got, want)
 
     @pytest.mark.parametrize("initial", [0, 1])
     @pytest.mark.parametrize("cell", [0, -1])
@@ -212,12 +276,47 @@ class TestSynthCrossings:
         # halfway between v at the two ends of its first or its last cell
         grid = self.THRESHOLD_GRID
         lo, hi = (grid[0], grid[1]) if cell == 0 else (grid[-2], grid[-1])
-        ends = [self.segment_value(initial, float(t), math) for t in (lo, hi)]
+        ends = [self.segment_value(initial, float(t)) for t in (lo, hi)]
         params = ExpChannelParams(1.0, 0.5, 0.5 * (ends[0] + ends[1]))
         stim = make_signal(initial, [(0.0, 1 - initial)])
-        want = oracles.rc_crossings(params, CLEAN, stim, 10.0)
-        assert len(want) == 1 and lo < want[0][0] < hi
-        assert synth_crossings(params, CLEAN, [stim], 10.0) == [want]
+        got = synth_crossings(params, CLEAN, [stim], 10.0)
+        assert_matches_the_oracle(params, CLEAN, [stim], got, [oracles.rc_crossings(params, CLEAN, stim, 10.0)])
+        ((t, value),) = got[0]
+        assert value == 1 - initial and lo < t < hi
+
+    @pytest.mark.parametrize(
+        "params", [ExpChannelParams(1.0, 0.5, 0.6), ExpChannelParams(0.7, 0.3, 0.3), ExpChannelParams(2.0, 0.2, 0.8)]
+    )
+    def test_an_undisturbed_crossing_is_within_two_ulps_of_the_trajectory_changing_side(self, params):
+        # a bisection to a 1e-14 bracket, as in rc_crossings, misses by tens of ulps where t is small
+        stimuli = calibration_stimuli(exp_channel(params))
+        got = synth_crossings(params, CLEAN, stimuli, 60.0)
+        assert sum(map(len, got)) >= 3 * len(stimuli)
+        vth = params.vth_norm
+        for stim, crossings in zip(stimuli, got):
+            segments = clean_segments(params, stim, 60.0)
+            ends = [end for _, end, _ in segments]
+            for t, value in crossings:
+                _, _, v = segments[bisect.bisect_left(ends, t)]
+                before, after = t - CLOSED_FORM_ULPS * math.ulp(t), t + CLOSED_FORM_ULPS * math.ulp(t)
+                assert (v(before) >= vth, v(after) >= vth) == (not value, bool(value)), (t, value)
+
+    def test_a_disturbed_crossing_past_t_64_stops_its_bisection_at_neighbouring_floats(self, monkeypatch):
+        # one ulp of t exceeds the 1e-14 bracket width there, so the width never stops the bisection
+        bisect_crossing, evaluations = waveform_lab._bisect_crossing, []
+
+        def counting(v, *args):
+            calls = []
+            crossing = bisect_crossing(lambda t: calls.append(t) or v(t), *args)
+            evaluations.append((crossing[0], len(calls)))
+            return crossing
+
+        monkeypatch.setattr(waveform_lab, "_bisect_crossing", counting)
+        params, disturbance = ExpChannelParams(1.0, 0.5, 0.6), Disturbance(0.05, 1.0)
+        stim = make_signal(0, [(66.0, 1), (70.0, 0), (72.0, 1)])
+        got = synth_crossings(params, disturbance, [stim], 80.0, rng=np.random.default_rng(4))
+        assert got == [oracles.rc_crossings(params, disturbance, stim, 80.0, rng=np.random.default_rng(4))]
+        assert len(evaluations) == 2 and all(t > 64.0 and calls < 100 for t, calls in evaluations)
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.01])
     def test_one_phase_per_stimulus_in_order_and_none_for_no_stimulus(self, amplitude):
