@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import warnings
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -42,7 +43,7 @@ from .delay_model import (
     exp_channel,
 )
 from .rootfind import NoBracket, bisect_root, scan_sign_change
-from .signals import Signal, decompose_pulses, make_signal, pulse
+from .signals import Signal, make_signal, pulse
 
 
 class AnalysisError(ValueError):
@@ -331,20 +332,25 @@ def run_spf_sweep(
     One run per (width, strategy), plus one zero-input run per strategy that
     carries delta0=None.  The runs of a strategy share one circuit, whose
     loop channel ``c`` carries that strategy.  ``char`` is
-    ``characterize(df, bounds)``, which classifies each width.
+    ``characterize(df, bounds)``, which classifies each width.  Each width's
+    stimulus and regime are built once, before any run, and every strategy's
+    run of that width shares them; so a width that is not positive raises
+    :class:`NonPositiveLength` before anything executes.  The loop pulses of
+    a run are the rising edges of the OR output before the horizon, less the
+    input pulse.
     """
+    widths = [(None, make_signal(0, []), "zero")]
+    widths += [(d0, pulse(0.0, d0), classify_pulse(char, d0).value) for d0 in delta0_grid]
     points: list[SweepPoint] = []
     for label, strategy in strategies.items():
         circuit = or_loop_circuit(ch.EtaInvolution(df, bounds, strategy), ht_params)
         seed = strategy.seed if isinstance(strategy, ch.UniformRandom) else None
-        for delta0 in [None, *delta0_grid]:
-            stimulus = make_signal(0, []) if delta0 is None else pulse(0.0, delta0)
+        for delta0, stimulus, regime in widths:
             e = execute(circuit, {"i": stimulus}, horizon, events_max=events_max)
             or_sig, out_sig = e.vertex_signals["or1"], e.vertex_signals["o"]
-            loop_pulses = max(0, len(decompose_pulses(or_sig, horizon)) - 1)
+            rises = (bisect_left(or_sig.times, horizon) + 1 - or_sig.initial_value) // 2
             resolved = "osc" if "c" in e.active_at_horizon or not e.stabilized["o"] else str(e.resolved_value["o"])
-            regime = classify_pulse(char, delta0).value if delta0 is not None else "zero"
             points.append(
-                SweepPoint(delta0, label, seed, regime, loop_pulses, resolved, or_sig.last_time(), or_sig, out_sig)
+                SweepPoint(delta0, label, seed, regime, max(0, rises - 1), resolved, or_sig.last_time(), or_sig, out_sig)
             )
     return points

@@ -31,7 +31,7 @@ import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, cycle, islice, repeat, zip_longest
+from itertools import accumulate, compress, count, cycle, islice, repeat, zip_longest
 from typing import Any, Callable
 
 from . import channel as ch
@@ -212,18 +212,26 @@ class Circuit:
         self._drivers = {key: self.channels[who[0]] for key, who in drivers.items()}
 
     def _index(self) -> None:
-        """Number the vertices and channels, and order the gates, once for every ``execute`` of this circuit.
+        """Build the run template that every ``execute`` of this circuit reads, once.
 
         Vertices are the input ports, the gates, then the output ports in the
         order of their driving channels; channels keep their netlist order.
+        The template numbers them, orders the gates, and holds what a run
+        would otherwise rebuild: the input-port set, the gates' initial values
+        and time-0 evaluations, the source and driving channel of each output
+        port, and the number of each eta-involution channel.
         """
         edges = list(self.channels.values())
         self._vertex_names = [*self.input_ports, *self.gates, *(e.dst for e in edges if e.dst_pin is None)]
         at = {name: k for k, name in enumerate(self._vertex_names)}
+        self._input_set = set(self.input_ports)
+        self._gate_initials = [g.initial_value for g in self.gates.values()]
         self._channel_names = [e.name for e in edges]
         self._channel_src = [at[e.src] for e in edges]
         # a delivery sets gate pin (vertex, pin) or switches output port (vertex, None)
         self._channel_dst = [(at[e.dst], e.dst_pin) for e in edges]
+        self._port_srcs = [at[e.src] for e in edges if e.dst_pin is None]  # by output port, in vertex order
+        self._port_drivers = [(port, self._drivers[(port, None)].name) for port in self.output_ports]
         self._fanout = [tuple(c for c, e in enumerate(edges) if e.src == name) for name in self._vertex_names]
         # by vertex number up to the last gate: its function and the channels driving its pins (None for a port)
         ports = [None] * len(self.input_ports)
@@ -236,6 +244,7 @@ class Circuit:
         # the gates in an order where each follows the gates driving its pins, or None if the gates form a loop
         n_in = len(self.input_ports)
         gates = range(n_in, n_in + len(self.gates))
+        self._evals_at_0 = [(0.0, _EVAL, seq, x) for seq, x in enumerate(gates)]  # heap entries, see _run_events
         waiting = {x: sum(self._channel_src[c] >= n_in for c in self._pin_channels[x]) for x in gates}
         order = [x for x in gates if not waiting[x]]
         for x in order:  # grows while it is read
@@ -245,7 +254,7 @@ class Circuit:
                     if not waiting[y]:
                         order.append(y)
         self._order = order if len(order) == len(gates) else None
-        self._involutions = [e.name for e in edges if isinstance(e.spec, ch.EtaInvolution)]
+        self._involutions = [(e.name, c) for c, e in enumerate(edges) if isinstance(e.spec, ch.EtaInvolution)]
         dinfs = [e.spec.df.delta_inf_up for e in edges if isinstance(e.spec, ch.EtaInvolution)]
         delays = [e.spec.delay for e in edges if isinstance(e.spec, (ch.Pure, ch.Inertial))]
         # the stabilization guard, or None for a tenth of the horizon
@@ -506,11 +515,11 @@ def execute(
     engine's commit rule would be violated, and :class:`EngineError` for a
     NaN horizon or inputs that do not match the input ports.
     """
-    missing = [p for p in circuit.input_ports if p not in inputs]
-    if missing:
-        raise EngineError(f"missing input signals for ports {missing}")
-    unknown = [name for name in inputs if name not in circuit.input_ports]
-    if unknown:
+    if inputs.keys() != circuit._input_set:
+        missing = [p for p in circuit.input_ports if p not in inputs]
+        if missing:
+            raise EngineError(f"missing input signals for ports {missing}")
+        unknown = [name for name in inputs if name not in circuit.input_ports]
         raise EngineError(f"input signals {unknown} name no input port")
     if math.isnan(horizon):  # no time lies beyond it, so the loop would run every event
         raise EngineError(f"horizon must be a number, got {horizon}")
@@ -531,8 +540,8 @@ def _initial_values(circuit: Circuit, inputs: dict[str, Signal]) -> list[int]:
     its source vertex's initial value.
     """
     initial = [inputs[p].initial_value for p in circuit.input_ports]
-    initial += [g.initial_value for g in circuit.gates.values()]
-    initial += [initial[src] for src, (_, pin) in zip(circuit._channel_src, circuit._channel_dst) if pin is None]
+    initial += circuit._gate_initials
+    initial += [initial[x] for x in circuit._port_srcs]
     return initial
 
 
@@ -567,14 +576,13 @@ def _run_events(
     # kind orders them: stimuli, deliveries, gate evaluations, releases.
     # Payloads: STIM (port, value), EVAL gate, DELIVER and RELEASE (channel,
     # record), vertices and channels by number.
-    gates = range(len(circuit.input_ports), len(circuit.input_ports) + len(circuit.gates))
-    first = []
+    # Sequence numbers only order the entries of one time and kind, so the
+    # gates' evaluations at 0 come first, from the circuit's template.
+    heap: list[tuple[float, int, int, Any]] = circuit._evals_at_0[:]
     for k, p in enumerate(circuit.input_ports):
         v0 = inputs[p].initial_value
-        first += [(t, _STIM, x) for t, x in zip(inputs[p].times, cycle(((k, 1 - v0), (k, v0))))]
-    first += [(0.0, _EVAL, g) for g in gates]
-    heap: list[tuple[float, int, int, Any]]
-    heap = [(t, kind, seq, x) for seq, (t, kind, x) in enumerate(first)]
+        stims = zip(count(len(heap)), inputs[p].times, cycle(((k, 1 - v0), (k, v0))))
+        heap += [(t, _STIM, seq, x) for seq, t, x in stims]
     heapq.heapify(heap)
     seq = len(heap)
     # by gate: the time of its pending evaluation, else None (every gate evaluates at 0)
@@ -806,36 +814,30 @@ def _execution(
 ) -> Execution:
     """The execution with these transition times, strictly increasing, of every vertex and channel by number."""
     channel_names = circuit._channel_names
-    channel_signals = {
-        name: _unchecked(initial[src], tuple(times))
-        for name, src, times in zip(channel_names, circuit._channel_src, channel_times)
-    }
-    vertex_signals = {
-        name: _unchecked(v, tuple(times)) for name, v, times in zip(circuit._vertex_names, initial, vertex_times)
-    }
+    channel_initial = map(initial.__getitem__, circuit._channel_src)
+    channel_signals = dict(zip(channel_names, map(_unchecked, channel_initial, map(tuple, channel_times))))
+    vertex_signals = dict(zip(circuit._vertex_names, map(_unchecked, initial, map(tuple, vertex_times))))
 
     guard = circuit._guard if circuit._guard is not None else horizon / 10.0
     guard = min(guard, horizon / 2.0)  # the window must leave room before it
     stabilized = {}
     resolved = {}
-    for port in circuit.output_ports:
+    for port, driver in circuit._port_drivers:
         sig = vertex_signals[port]
-        driver = circuit.driver_of(port).name
         stabilized[port] = sig.last_time() <= horizon - guard and driver not in active
         resolved[port] = sig.value_at(horizon)
 
-    by_name = dict(zip(channel_names, states))
     return Execution(
         horizon=horizon,
         vertex_signals=vertex_signals,
         channel_signals=channel_signals,
-        channel_logs={name: state.transition_log() for name, state in by_name.items()} if log else {},
-        eta_sequences={name: by_name[name].etas for name in circuit._involutions},
+        channel_logs={name: state.transition_log() for name, state in zip(channel_names, states)} if log else {},
+        eta_sequences={name: states[c].etas for name, c in circuit._involutions},
         event_count=event_count,
         stabilized=stabilized,
         resolved_value=resolved,
         active_at_horizon=active,
-        commit_margins={name: by_name[name].commit_margin for name in circuit._involutions},
+        commit_margins={name: states[c].commit_margin for name, c in circuit._involutions},
         circuit=circuit,
     )
 

@@ -130,11 +130,20 @@ class Signal:
         return self if n == len(self.times) else _unchecked(self.initial_value, self.times[:n])
 
 
-def _unchecked(initial_value: int, times: tuple[float, ...]) -> Signal:
-    """A signal from times known to be valid (floats, 0 <= t_1 < t_2 < ... < inf), without checking them."""
-    s = object.__new__(Signal)
-    object.__setattr__(s, "initial_value", initial_value)
-    object.__setattr__(s, "times", times)
+def _unchecked(
+    initial_value: int,
+    times: tuple[float, ...],
+    new=object.__new__,
+    set_initial=Signal.initial_value.__set__,
+    set_times=Signal.times.__set__,
+) -> Signal:
+    """A signal from times known to be valid (floats, 0 <= t_1 < t_2 < ... < inf), without checking them.
+
+    The defaults bind the slots' descriptor setters once; like ``object.__setattr__``, they pass the frozen check by.
+    """
+    s = new(Signal)
+    set_initial(s, initial_value)
+    set_times(s, times)
     return s
 
 

@@ -31,7 +31,7 @@ from involution.channel import (
 )
 from involution.circuit import execute, or_loop_circuit
 from involution.delay_model import DomainViolation, ExpChannelParams, delta_min, derivative_up, exp_channel
-from involution.signals import decompose_pulses, make_signal, pulse
+from involution.signals import NonPositiveLength, decompose_pulses, make_signal, pulse
 
 import oracles
 
@@ -375,6 +375,22 @@ class TestSweepRunner:
                         )
                     )
             assert run_spf_sweep(ref, BOUNDS, char, ht, grid, strategies, horizon=horizon) == want
+
+    @pytest.mark.parametrize("bad", [0.0, -0.4])
+    def test_a_width_that_is_not_positive_raises_before_any_run(self, ref, monkeypatch, bad):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "execute", counted)
+        char = characterize(ref, BOUNDS)
+        with pytest.raises(NonPositiveLength):
+            run_spf_sweep(ref, BOUNDS, char, None, [0.3, bad, 0.9], {"zero": Zero(), "worst": WorstCaseShrink()})
+        assert runs == []
+        run_spf_sweep(ref, BOUNDS, char, None, [0.3], {"zero": Zero()}, horizon=10.0)
+        assert len(runs) == 2  # the wrapper counts: the zero-input run and the one width
 
     def test_regimes_and_verdict(self, ref, zero_eta):
         char = characterize(ref, zero_eta)

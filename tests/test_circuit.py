@@ -465,6 +465,34 @@ def test_causal_fault_is_raised_by_every_run(spec, message):
         assert str(exc_info.value) == message
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (["a"], "missing input signals for ports ['b']"),
+        (["b", "a", "z", "w"], "input signals ['z', 'w'] name no input port"),
+        (["z", "b"], "missing input signals for ports ['a']"),  # missing ports are named first
+        ([], "missing input signals for ports ['a', 'b']"),
+    ],
+    ids=["missing", "unknown", "both", "none"],
+)
+def test_inputs_that_do_not_match_the_input_ports_are_named(names, message):
+    c = Circuit(
+        ["a", "b"],
+        ["y"],
+        [Gate("g", "AND", 2, 0)],
+        [
+            ChannelEdge("ca", "a", "g", 0, Pure(1.0)),
+            ChannelEdge("cb", "b", "g", 1, Pure(1.0)),
+            ChannelEdge("co", "g", "y", None, Pure(0.0)),
+        ],
+    )
+    with pytest.raises(EngineError) as exc_info:
+        execute(c, dict.fromkeys(names, pulse(0, 2)), horizon=10.0)
+    assert str(exc_info.value) == message
+    e = execute(c, {"b": pulse(0, 2), "a": pulse(1, 2)}, horizon=10.0)  # the order of the inputs is free
+    assert e.vertex_signals["y"] == make_signal(0, [(2.0, 1), (3.0, 0)])
+
+
 def test_a_surviving_record_with_a_negative_delay_faults_at_its_decision():
     # the first two records cancel; the third measures T from the canceled second
     # and, with eta = -eta_minus, its output precedes its own input, so at its

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import math
 import pickle
 import re
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from involution.signals import (
     read_trace,
     value_at,
     write_trace,
+    _unchecked,
 )
 
 
@@ -283,6 +286,17 @@ def test_bulk_build_converts_like_the_loop():
     assert type(make_signal(True, [(1.0, 0)]).initial_value) is int
     from_float = make_signal(1.0, [(float(t), n % 2) for n, t in enumerate(times)])
     assert {type(tr.value) for tr in from_float.transitions} == {int}
+
+
+@pytest.mark.parametrize("initial, times", [(0, ()), (1, ()), (0, (0.0, 1.5)), (1, (0.25, 1.0, 7.5))])
+def test_an_unchecked_signal_is_the_checked_one(initial, times):
+    s = _unchecked(initial, times)
+    want = Signal(initial, list(zip(times, cycle((1 - initial, initial)))))
+    assert type(s) is Signal and s == want and hash(s) == hash(want) and repr(s) == repr(want)
+    for name in ("initial_value", "times"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, getattr(s, name))
+    assert s == want
 
 
 def test_transition_keeps_the_dataclass_contract():
