@@ -7,10 +7,11 @@ channel.  ``execute`` produces an execution: an assignment of signals to all
 vertices and edges consistent with the gate functions and channel functions
 for the adversary choices drawn during the run.
 
-The engine drives every channel through its incremental state
-(``channel.channel_state``) and releases a pending output to downstream
-consumers only at the state's decision time, which ``channel`` derives per
-kind (for the involution channels, from the commit rule documented there).
+The engine drives every channel through its incremental state, built fresh
+for every run (``channel.state_constructor``), and releases a pending output
+to downstream consumers only at the state's decision time, which ``channel``
+derives per kind (for the involution channels, from the commit rule
+documented there).
 A circuit with a loop runs as one discrete-event loop over all its channels
 and gates.  An acyclic circuit is executed as one composition of its channel
 and gate functions in topological order, which gives the loop's execution;
@@ -266,20 +267,17 @@ class Circuit:
             else None
             for e in edges
         ]
-        self._fault = self._causal_fault()
-
-    def _causal_fault(self) -> str | None:
-        """The message of the first channel that the engine cannot decide causally, or None.
-
-        Every ``execute`` of this circuit raises it.  No check reads the
-        channel's initial value, so any value builds the state to check.
-        """
-        for (name, edge), draws in zip(self.channels.items(), self._draws):
+        # by channel: the constructor of its fresh states, one per run; and the message of the
+        # first channel that the engine cannot decide causally, or None, which every execute raises
+        self._new_states: list[Callable | None] = []
+        self._fault = None
+        for e, draws in zip(edges, self._draws):
             try:
-                ch.channel_state(edge.spec, 0, draws).check_causal()
+                new = ch.state_constructor(e.spec, draws)
+                new(0).check_causal()  # no check reads the initial value
             except ch.ChannelError as exc:
-                return f"channel {name!r}: {exc}"
-        return None
+                new, self._fault = None, self._fault or f"channel {e.name!r}: {exc}"
+            self._new_states.append(new)
 
     def driver_of(self, dst: str, pin: int | None = None) -> ChannelEdge:
         return self._drivers[(dst, pin)]
@@ -547,10 +545,7 @@ def _initial_values(circuit: Circuit, inputs: dict[str, Signal]) -> list[int]:
 
 def _channel_states(circuit: Circuit, initial: list[int], log: bool) -> list:
     """A fresh state of every channel, by number."""
-    return [
-        ch.channel_state(edge.spec, initial[src], draws, log)
-        for edge, src, draws in zip(circuit.channels.values(), circuit._channel_src, circuit._draws)
-    ]
+    return [new(initial[src], log) for new, src in zip(circuit._new_states, circuit._channel_src)]
 
 
 def _run_events(
@@ -892,7 +887,13 @@ def verify_execution(e: Execution) -> VerificationReport:
     evaluated at 0 and at every pin time up to the horizon, and the times
     where its value changes must be the output's times; a mismatch names the
     first time where the two differ.  Each output port must equal its driving
-    channel.  This is the engine's independent self-check oracle.
+    channel.  Both execution paths drive the same ``feed``, so this checks
+    how a run drives the channels, not the channel algorithm itself.  The
+    event loop derives gate outputs by evaluating gates at its events, apart
+    from ``_gate_output_times``; an acyclic circuit's run is composed from
+    ``_gate_output_times`` too, so for it this checks only what the
+    composition does around the shared pieces: the feeding order, the
+    decisions, the truncation at the horizon and the eta draws.
     """
     mismatches: list[str] = []
     circuit = e.circuit

@@ -70,6 +70,9 @@ class DeviationSample:
 # numpy and math may round sin/cos/exp differently in the last bit, so a grid
 # value this close to the threshold is recomputed with math before its sign
 # is read; the trajectory and threshold are O(1), so the gap is far below it.
+# A charging segment's scan stops at its first grid point at or past t*, after
+# which the node stays at least twice this guard above the threshold (see
+# _scan_disturbed).
 _SIGN_GUARD = 1e-9
 
 # the charging segments on a disturbed rail are read on their grids in numpy,
@@ -77,13 +80,29 @@ _SIGN_GUARD = 1e-9
 _SCAN_CHUNK = 8192
 
 
-def _bisect_crossing(v, vth: float, lo: float, hi: float, rising: bool) -> tuple[float, int]:
-    """The crossing of ``v`` through ``vth`` in the grid cell [lo, hi], as a (time, value) pair."""
+def _charging_value(t: float, phase: float, offset: float, start: float, rail: tuple) -> float:
+    """vp(t) + offset e^{-(t-start)/tau}: the node at ``t`` as it charges toward the rail (omega, alpha, beta, tau)."""
+    omega, alpha, beta, tau = rail
+    th = omega * t + phase
+    return 1.0 + alpha * math.sin(th) + beta * math.cos(th) + offset * math.exp(-(t - start) / tau)
+
+
+def _bisect_crossing(
+    lo: float, hi: float, rising: bool, phase: float, offset: float, start: float, vth: float, rail: tuple
+) -> tuple[float, int]:
+    """The crossing through ``vth`` of the charging segment (phase, offset, start) in the grid cell [lo, hi].
+
+    Returns a (time, value) pair.  Each step evaluates ``_charging_value``'s
+    expression, written out so that a step makes no call.
+    """
+    omega, alpha, beta, tau = rail
+    sin, cos, exp = math.sin, math.cos, math.exp
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # no float lies between them: the bracket cannot shrink, and its midpoint is mid
             return mid, int(rising)
-        if ((v(mid) - vth) > 0) != rising:
+        th = omega * mid + phase
+        if ((1.0 + alpha * sin(th) + beta * cos(th) + offset * exp(-(mid - start) / tau) - vth) > 0) != rising:
             lo = mid
         else:
             hi = mid
@@ -92,31 +111,61 @@ def _bisect_crossing(v, vth: float, lo: float, hi: float, rising: bool) -> tuple
     return 0.5 * (lo + hi), int(rising)
 
 
-def _scan_disturbed(scans: list, vth: float, tau: float, omega: float, alpha: float, beta: float) -> None:
-    """Append each scan's crossings to its list; a scan is (v, (start, end, num, phase, offset v0 - vp(start)), list).
+def _scan_disturbed(scans: list, vth: float, rail: tuple) -> None:
+    """Append each scan's crossings to its list; a scan is (start, end, num, phase, offset v0 - vp(start), list).
 
-    A scan's grid is linspace(start, end, num).  A chunk holds the scans
-    whose first point lies in one block of _SCAN_CHUNK points of all the
+    A scan's grid is linspace(start, end, num), read up to its first point at
+    or past t*.  With A = hypot(alpha, beta) the node satisfies
+    v(t) >= 1 - A - |offset| e^{-(t-start)/tau}, so from
+    t* = start + tau ln(|offset| / (1 - A - vth - 2 _SIGN_GUARD)) on it lies at
+    least 2 _SIGN_GUARD above vth: no later point changes side or falls within
+    the guard.  Where that denominator is not positive, vth lies within the
+    rail's ripple and the whole grid is read.  The cut is checked on t - start,
+    the difference the node's value is computed from.  The grid points are
+    linspace's, i * step + start with the last one the end, bit for bit; a grid
+    whose step underflows to 0 is linspace's own.  A chunk holds the scans
+    whose first point lies in one block of _SCAN_CHUNK points of all the read
     grids laid end to end.
     """
-    first_points = itertools.accumulate((scan[1][2] for scan in scans), initial=0)
-    for _, group in itertools.groupby(zip(first_points, scans), key=lambda p: p[0] // _SCAN_CHUNK):
-        chunk = [scan for _, scan in group]
-        start, end, num, phase, offset = zip(*(scan[1] for scan in chunk))
-        ends = np.cumsum(num)
-        ts = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(start, end, num)])
-        th = omega * ts + np.repeat(phase, num)
+    omega, alpha, beta, tau = rail
+    starts, ends_t, nums, phases, offsets, found = zip(*scans)
+    start, end, num, offset = np.array(starts), np.array(ends_t), np.array(nums), np.array(offsets)
+    step = (end - start) / (num - 1)
+    keep = num  # the points read of each grid
+    room = 1.0 - math.hypot(alpha, beta) - vth - 2.0 * _SIGN_GUARD
+    if room > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):  # offset 0 cuts at -inf; step 0 cuts nothing
+            d_star = tau * np.log(np.abs(offset) / room)  # t* - start
+            last = np.clip(np.ceil(d_star / step), 0, num - 1)
+            cut = (step > 0) & ((last * step + start) - start >= d_star)
+        keep = np.where(cut, last + 1, num).astype(np.intp)
+
+    firsts = np.cumsum(keep) - keep
+    bounds = [0, *(np.flatnonzero(np.diff(firsts // _SCAN_CHUNK)) + 1).tolist(), len(scans)]
+    for a, b in zip(bounds, bounds[1:]):
+        k = keep[a:b]
+        ends = np.cumsum(k)
+        begin = ends - k
+        t0 = np.repeat(start[a:b], k)
+        ts = (np.arange(ends[-1], dtype=float) - np.repeat(begin, k)) * np.repeat(step[a:b], k) + t0
+        whole = k == num[a:b]
+        ts[ends[whole] - 1] = end[a:b][whole]
+        for j in np.flatnonzero(step[a:b] == 0.0).tolist():
+            ts[begin[j] : ends[j]] = np.linspace(starts[a + j], ends_t[a + j], nums[a + j])
+        th = omega * ts + np.repeat(phases[a:b], k)
         s = 1.0 + alpha * np.sin(th) + beta * np.cos(th)
-        s += np.repeat(offset, num) * np.exp(-(ts - np.repeat(start, num)) / tau)
+        s += np.repeat(offset[a:b], k) * np.exp(-(ts - t0) / tau)
         s -= vth
-        for k in np.flatnonzero(np.abs(s) <= _SIGN_GUARD):
-            s[k] = chunk[bisect.bisect_right(ends, k)][0](float(ts[k])) - vth
+        for q in np.flatnonzero(np.abs(s) <= _SIGN_GUARD).tolist():
+            j = a + bisect.bisect_right(ends, q)
+            s[q] = _charging_value(float(ts[q]), phases[j], offsets[j], starts[j], rail) - vth
         above = s >= 0
         change = above[:-1] != above[1:]
         change[ends[:-1] - 1] = False  # the last point of one grid and the first of the next
-        for k in np.flatnonzero(change):
-            v, _, found = chunk[bisect.bisect_right(ends, k)]
-            found.append(_bisect_crossing(v, vth, float(ts[k]), float(ts[k + 1]), bool(above[k + 1])))
+        qs = np.flatnonzero(change)
+        js = (np.searchsorted(ends, qs, side="right") + a).tolist()
+        for j, lo, hi, rising in zip(js, ts[qs].tolist(), ts[qs + 1].tolist(), above[qs + 1].tolist()):
+            found[j].append(_bisect_crossing(lo, hi, rising, phases[j], offsets[j], starts[j], vth, rail))
 
 
 def synth_crossings(
@@ -137,8 +186,12 @@ def synth_crossings(
     opposite sides of the threshold (a point on it counts as above) crosses
     at the closed form t0 + tau ln((v0 - vp) / (vth - vp)), clamped to it.
     A disturbed charging segment is bracketed on a uniform grid and bisected.
-    Above amplitude 0 each stimulus draws its rail's phase from ``rng``, in
-    order.  Crossings are (time, value) pairs, value 1 upward, as
+    Its grid is read only up to its first point at or past
+    t* = t0 + tau ln(|v0 - vp(t0)| / (1 - A - vth - 2 _SIGN_GUARD)), with A
+    the amplitude of vp's ripple about 1, after which the node stays above
+    the threshold; with the threshold inside the ripple (a denominator that
+    is not positive) it is read in whole.  Above amplitude 0 each stimulus
+    draws its rail's phase from ``rng``, in order.  Crossings are (time, value) pairs, value 1 upward, as
     ``Signal(initial_value, pairs)`` reads them.  A disturbed rail's period
     below 2*pi*max(tau, horizon)/2**53, or a tau whose grid step tau/50
     underflows, raises :class:`WaveformError`.
@@ -164,11 +217,14 @@ def synth_crossings(
         omega = 2.0 * math.pi / period
         denom = 1.0 + (omega * tau) ** 2
         alpha, beta = a / denom, -a * omega * tau / denom
+        rail = (omega, alpha, beta, tau)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=len(stimuli)).tolist()
+    else:
+        phases = itertools.repeat(0.0)
 
     per_stimulus = []  # per stimulus, one crossing list per segment
     scans = []  # the charging segments on a disturbed rail
-    for stimulus in stimuli:
-        phase = float(rng.uniform(0.0, 2.0 * math.pi)) if a > 0.0 else 0.0
+    for stimulus, phase in zip(stimuli, phases):
         # drive switch times: input transitions shifted by the pure delay
         segments = []
         drive = stimulus.initial_value
@@ -188,31 +244,24 @@ def synth_crossings(
         for seg_start, seg_end, seg_drive in segments:
             found: list[tuple[float, int]] = []
             founds.append(found)
-            # a rising segment from (t0, v0) follows v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}
             if seg_drive and a > 0.0:
+                # a rising segment from (t0, v0) follows v(t) = vp(t) + (v0 - vp(t0)) e^{-(t-t0)/tau}
                 n = max(8, math.ceil(min(20000.0, (seg_end - seg_start) / dt_cap)))  # min first: the ratio may be inf
                 th = omega * seg_start + phase
                 offset = v0 - (1.0 + alpha * math.sin(th) + beta * math.cos(th))
-
-                def v(t, _o=offset, _s=seg_start, _p=phase):
-                    th = omega * t + _p
-                    return 1.0 + alpha * math.sin(th) + beta * math.cos(th) + _o * math.exp(-(t - _s) / tau)
-
-                scans.append((v, (seg_start, seg_end, n + 1, phase, offset), found))
+                scans.append((seg_start, seg_end, n + 1, phase, offset, found))
+                v0 = _charging_value(seg_end, phase, offset, seg_start, rail)
             else:
-                # vp is the drive itself, 0 or the undisturbed rail 1; adding vp = 0.0 changes no value
-
-                def v(t, _vp=float(seg_drive), _o=v0 - seg_drive, _s=seg_start):
-                    return _vp + _o * math.exp(-(t - _s) / tau)
-
-                first = v(seg_start) >= vth
-                if (v(seg_end) >= vth) != first:
-                    t = seg_start + tau * math.log((v0 - seg_drive) / (vth - seg_drive))
+                # v(t) = vp + (v0 - vp) e^{-(t-t0)/tau}, vp the drive itself, 0 or the undisturbed rail 1
+                o = v0 - seg_drive
+                first = seg_drive + o >= vth
+                v0 = seg_drive + o * math.exp(-(seg_end - seg_start) / tau)
+                if (v0 >= vth) != first:
+                    t = seg_start + tau * math.log(o / (vth - seg_drive))
                     found.append((min(max(t, seg_start), seg_end), int(not first)))
-            v0 = v(seg_end)
         per_stimulus.append(founds)
     if scans:
-        _scan_disturbed(scans, vth, tau, omega, alpha, beta)
+        _scan_disturbed(scans, vth, rail)
     return [[c for found in founds for c in found] for founds in per_stimulus]
 
 

@@ -145,6 +145,14 @@ class TestPureAndInertial:
         with pytest.raises(ChannelError, match="inertial delay"):
             Inertial(math.nan, 0.1)
 
+    @pytest.mark.parametrize(
+        "delay, window, message",
+        [(0.0, 0.1, "inertial delay must be > 0, got 0.0"), (0.1, 0.0, "inertial window must be > 0, got 0.0")],
+    )
+    def test_an_inertial_delay_or_window_of_zero_is_rejected(self, delay, window, message):
+        with pytest.raises(ChannelError, match=message):
+            Inertial(delay, window)
+
     def test_pure_is_a_shift(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -270,6 +278,21 @@ class TestStrategies:
     def test_bounds_must_be_nonnegative(self):
         with pytest.raises(ChannelError):
             EtaBounds(-0.1, 0.0)
+
+    @pytest.mark.parametrize("eta_minus, eta_plus", [(0.0, math.inf), (math.inf, 0.0)])
+    def test_bounds_must_be_finite(self, eta_minus, eta_plus):
+        with pytest.raises(ChannelError, match="finite and non-negative"):
+            EtaBounds(eta_minus, eta_plus)
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_a_delay_of_zero_at_T_zero_is_not_strictly_causal(self, ref, branch):
+        # the exp pair with one branch shifted down by its own delay at T = 0
+        up = (lambda T: ref.up(T) - ref.up(0.0)) if branch == "up" else ref.up
+        down = (lambda T: ref.down(T) - ref.down(0.0)) if branch == "down" else ref.down
+        df = DelayFunction(ref.delta_inf_up, ref.delta_inf_down, up, down)
+        assert min(df.up(0.0), df.down(0.0)) == 0.0 < max(df.up(0.0), df.down(0.0))
+        with pytest.raises(ChannelError, match="strictly causal"):
+            EtaInvolution(df, EtaBounds())
 
     def test_uniform_random_seed_must_be_non_negative(self):
         with pytest.raises(ChannelError, match="seed must be >= 0"):

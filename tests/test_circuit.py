@@ -118,6 +118,13 @@ class TestParse:
         kinds = {type(v) for v in exc_info.value.violations}
         assert DanglingPin in kinds
 
+    def test_a_channel_into_the_pin_numbered_like_the_arity_is_out_of_range(self):
+        # the OR's pins 0 and 1 have drivers; a third channel into or1.2 must not pass as a pin
+        doc = json.loads(json.dumps(FIG4_NETLIST))
+        doc["channels"].append({"name": "extra", "from": "i", "to": "or1.2", "kind": "pure", "params": {"d": 1.0}})
+        with pytest.raises(DanglingPin, match=r"^channel 'extra': pin or1.2 out of range$"):
+            parse_circuit(doc)
+
     def test_unknown_keys_rejected(self):
         doc = json.loads(json.dumps(FIG4_NETLIST))
         doc["extra"] = 1
@@ -548,16 +555,9 @@ class _StubState:
     ],
     ids=["repeated_value", "same_time"],
 )
-def test_delivery_that_breaks_the_signal_rules_is_a_causality_fault(monkeypatch, times, values, delays, message):
+def test_delivery_that_breaks_the_signal_rules_is_a_causality_fault(times, values, delays, message):
     c = _buffer(Pure(1.0))
-    real = channel.channel_state
-    monkeypatch.setattr(
-        channel,
-        "channel_state",
-        lambda spec, v0, draws=None, log=False: (
-            _StubState(values, delays) if spec == Pure(1.0) else real(spec, v0, draws, log)
-        ),
-    )
+    c._new_states[0] = lambda v0, log=False: _StubState(values, delays)  # channel 'in'
     with pytest.raises(CausalityFault) as exc_info:
         execute(c, {"x": make_signal(0, [(times[0], 1), (times[1], 0)])}, horizon=10.0)
     assert str(exc_info.value) == message
@@ -704,6 +704,57 @@ class TestAcyclicEquivalence:
             assert report.ok, report.mismatches
 
 
+class TestEventsAtTheHorizon:
+    """An event at exactly the horizon is processed and counted; one ulp beyond it, it is due.
+
+    x -> 'in' (pure, 1) -> g.0 -> 'out' (inertial, delay and window 1) -> y, and
+    in the looped circuit g is an OR whose pin 1 is fed back from g by 'fb'
+    (pure, 4).  E = 10: x rises at E (a stimulus at E), at E - 1 ('in'
+    delivers at E, and g evaluates there) or at E - 2 ('out' is released at E
+    and delivers there).
+    """
+
+    E = 10.0
+
+    @staticmethod
+    def circuit(looped):
+        gate = Gate("g", "OR", 2, 0) if looped else Gate("g", "BUF", 1, 0)
+        channels = [
+            ChannelEdge("in", "x", "g", 0, Pure(1.0)),
+            ChannelEdge("out", "g", "y", None, Inertial(1.0, 1.0)),
+        ]
+        if looped:
+            channels.append(ChannelEdge("fb", "g", "g", 1, Pure(4.0)))
+        return Circuit(["x"], ["y"], [gate], channels)
+
+    @pytest.mark.parametrize("looped", [False, True], ids=["acyclic", "looped"])
+    @pytest.mark.parametrize(
+        "rise, signal, events_at_E, due",
+        [
+            (10.0, ("vertex", "x"), 1, "x"),
+            (9.0, ("channel", "in"), 2, "in"),
+            (8.0, ("channel", "out"), 2, "out"),
+        ],
+        ids=["stimulus", "delivery", "release"],
+    )
+    def test_an_event_at_the_horizon_is_processed_and_one_ulp_beyond_it_is_due(
+        self, looped, rise, signal, events_at_E, due
+    ):
+        c = self.circuit(looped)
+        stim = {"x": make_signal(0, [(rise, 1)])}
+        below = math.nextafter(self.E, 0.0)
+        if not looped:  # the composition runs, not the event loop it falls back to
+            assert c._order is not None and circuit_module._compose(c, stim, self.E, 10**6, False) is not None
+        at, before = execute(c, stim, self.E), execute(c, stim, below)
+        kind, name = signal
+        signals = f"{kind}_signals"
+        assert getattr(at, signals)[name].times == (self.E,) and getattr(before, signals)[name].times == ()
+        assert at.event_count == before.event_count + events_at_E
+        assert due in before.active_at_horizon and due not in at.active_at_horizon
+        if name == "out":  # its delivery at E switches the port
+            assert at.vertex_signals["y"].times == (self.E,) and before.vertex_signals["y"].times == ()
+
+
 def _outcome(run, c, stim, horizon, events_max=10**6):
     """What ``run`` gives for these inputs: the execution, or the engine error it raised."""
     try:
@@ -756,19 +807,21 @@ class TestCompositionFallsBackToTheEventLoop:
         assert str(exc_info.value) == str(loop) == "event budget 500 exhausted at t=12.8 (oscillation?); last event eval 'b'"
         assert len(exc_info.value.events) == 100 and repr(exc_info.value.events) == repr(loop.events)
 
-    def test_a_stimulus_beyond_the_budget_feeds_no_channel_before_the_loop_runs(self, monkeypatch):
+    def test_a_stimulus_beyond_the_budget_feeds_no_channel_before_the_loop_runs(self):
         c = _buffer(Pure(0.5))
         stim = make_signal(0, [(k / 10, (k + 1) % 2) for k in range(40)])
         fed = []
-        real = channel.channel_state
 
-        def counting(*args):
-            state = real(*args)
-            feed = state.feed
-            state.feed = lambda t, v: (fed.append(t), feed(t, v))[1]
-            return state
+        def counting(new):
+            def new_counting(*args):
+                state = new(*args)
+                feed = state.feed
+                state.feed = lambda t, v: (fed.append(t), feed(t, v))[1]
+                return state
 
-        monkeypatch.setattr(channel, "channel_state", counting)
+            return new_counting
+
+        c._new_states = list(map(counting, c._new_states))
         assert circuit_module._compose(c, {"x": stim}, 100.0, 39, False) is None
         assert fed == []
         assert circuit_module._compose(c, {"x": stim}, 100.0, 10**6, False).event_count == 161
@@ -850,13 +903,11 @@ class TestCompositionFallsBackToTheEventLoop:
         ],
         ids=["repeated_value", "same_time"],
     )
-    def test_a_delivery_that_breaks_the_signal_rules_at_a_port_runs_the_loop(
-        self, monkeypatch, times, values, delays, message
-    ):
+    def test_a_delivery_that_breaks_the_signal_rules_at_a_port_runs_the_loop(self, times, values, delays, message):
         # as test_delivery_that_breaks_the_signal_rules_is_a_causality_fault,
         # with no gate after the channel to switch twice at one instant
         c = Circuit(["x"], ["y"], [], [ChannelEdge("c", "x", "y", None, Pure(1.0))])
-        monkeypatch.setattr(channel, "channel_state", lambda spec, v0, draws=None, log=False: _StubState(values, delays))
+        c._new_states[0] = lambda v0, log=False: _StubState(values, delays)
         with pytest.raises(CausalityFault) as exc_info:
             execute(c, {"x": make_signal(0, [(times[0], 1), (times[1], 0)])}, horizon=10.0)
         assert str(exc_info.value) == message
@@ -928,19 +979,17 @@ class TestPureRoundingTie:
         assert [(r.canceled, r.canceled_with) for r in e.channel_logs["c"]] == pairs
         assert verify_execution(e).ok
 
-    def test_an_engine_pure_channel_keeps_one_pending_record(self, monkeypatch):
+    def test_an_engine_pure_channel_keeps_one_pending_record(self):
         # pure outputs never decrease, so only the newest pending record can still cancel
         c = _buffer(Pure(0.5))
         stim = make_signal(0, [(k / 100, (k + 1) % 2) for k in range(2000)])
         expected, _ = apply_channel(Pure(0.5), stim)
         built = []
-        real = channel.channel_state
 
-        def keep(*args):
-            built.append(real(*args))
-            return built[-1]
+        def keeping(new):
+            return lambda *args: built.append(new(*args)) or built[-1]
 
-        monkeypatch.setattr(channel, "channel_state", keep)
+        c._new_states = list(map(keeping, c._new_states))
         e = execute(c, {"x": stim}, horizon=30.0)
         assert len(built) == 2 and all(len(state.stack) <= 1 for state in built)
         assert e.channel_signals["in"] == expected

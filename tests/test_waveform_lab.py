@@ -302,21 +302,142 @@ class TestSynthCrossings:
                 assert (v(before) >= vth, v(after) >= vth) == (not value, bool(value)), (t, value)
 
     def test_a_disturbed_crossing_past_t_64_stops_its_bisection_at_neighbouring_floats(self, monkeypatch):
-        # one ulp of t exceeds the 1e-14 bracket width there, so the width never stops the bisection
-        bisect_crossing, evaluations = waveform_lab._bisect_crossing, []
+        # one ulp of t exceeds the 1e-14 bracket width there, so the width never stops the
+        # bisection; each of its steps reads math.sin once
+        steps, bisections = [], []
 
-        def counting(v, *args):
-            calls = []
-            crossing = bisect_crossing(lambda t: calls.append(t) or v(t), *args)
-            evaluations.append((crossing[0], len(calls)))
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def sin(self, x):
+                steps.append(x)
+                return math.sin(x)
+
+        bisect_crossing = waveform_lab._bisect_crossing
+
+        def counting(*args):
+            steps.clear()
+            crossing = bisect_crossing(*args)
+            bisections.append((crossing[0], len(steps)))
             return crossing
 
         monkeypatch.setattr(waveform_lab, "_bisect_crossing", counting)
+        monkeypatch.setattr(waveform_lab, "math", CountingMath())
         params, disturbance = ExpChannelParams(1.0, 0.5, 0.6), Disturbance(0.05, 1.0)
         stim = make_signal(0, [(66.0, 1), (70.0, 0), (72.0, 1)])
         got = synth_crossings(params, disturbance, [stim], 80.0, rng=np.random.default_rng(4))
         assert got == [oracles.rc_crossings(params, disturbance, stim, 80.0, rng=np.random.default_rng(4))]
-        assert len(evaluations) == 2 and all(t > 64.0 and calls < 100 for t, calls in evaluations)
+        assert len(bisections) == 2 and all(t > 64.0 and 0 < n < 100 for t, n in bisections)
+
+    @staticmethod
+    def ripple(tau, disturbance):
+        """hypot(alpha, beta) as synth_crossings computes it: the rail's ripple about 1 at the node."""
+        a, omega = disturbance.amplitude_fraction, 2.0 * math.pi / disturbance.period
+        denom = 1.0 + (omega * tau) ** 2
+        return math.hypot(a / denom, -a * omega * tau / denom)
+
+    @staticmethod
+    def points_read(monkeypatch):
+        """The grid points the disturbed scan reads from here on, counted at its np.sin."""
+        read = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sin(self, x):
+                read.append(len(x))
+                return np.sin(x)
+
+        monkeypatch.setattr(waveform_lab, "np", CountingNumpy())
+        return read
+
+    def test_a_short_period_at_the_largest_amplitude_equals_the_oracle(self):
+        # the grid step is period / 50 = 0.002, a fiftieth of tau / 50
+        params, disturbance = ExpChannelParams(1.0, 0.5, 0.6), Disturbance(0.2, 0.1)
+        stimuli = calibration_stimuli(exp_channel(params))[::12]
+        got_rng, want_rng = np.random.default_rng(51), np.random.default_rng(51)
+        got = synth_crossings(params, disturbance, stimuli, 20.0, rng=got_rng)
+        want = [oracles.rc_crossings(params, disturbance, s, 20.0, rng=want_rng) for s in stimuli]
+        assert_matches_the_oracle(params, disturbance, stimuli, got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_a_threshold_at_the_ripple_edge_is_read_in_whole_inside_and_up_to_t_star_outside(self, inside, monkeypatch):
+        # Settled, the node's lowest points lie at 1 - A.  A twentieth of A inside the ripple
+        # it dips below vth on every period up to the horizon, and the whole grid is read.
+        # 1e-6 below 1 - A - 2 guard it dips below only before t* = s + tau ln(|offset| / 1e-6),
+        # about 14 after the edge, and the grid is read up to there.
+        tau, disturbance = 1.0, Disturbance(0.2, 1.0)
+        ripple = self.ripple(tau, disturbance)
+        vth = 1.0 - 0.95 * ripple if inside else 1.0 - ripple - 2.0 * waveform_lab._SIGN_GUARD - 1e-6
+        params = ExpChannelParams(tau, 0.5, vth)
+        stim = make_signal(0, [(0.0, 1)])
+        want = oracles.rc_crossings(params, disturbance, stim, 40.0, rng=np.random.default_rng(3))
+        read = self.points_read(monkeypatch)
+        assert synth_crossings(params, disturbance, [stim], 40.0, rng=np.random.default_rng(3)) == [want]
+        grid = 1976  # the segment after the edge: 39.5 long, 1975 steps of tau / 50
+        assert len(want) > 10
+        if inside:
+            assert want[-1][0] > 39.0 and sum(read) == grid
+        else:
+            assert want[-1][0] < 16.0 and sum(read) < grid * 0.45
+
+    def test_a_charging_segment_that_starts_settled_reads_one_point(self, monkeypatch):
+        # High from the start and again after a 1e-3 glitch: both charging segments start
+        # within the ripple of the rail, where t* lies before their start, so each reads
+        # only its first point.  The fall at 6.5 then crosses down.
+        params, disturbance = ExpChannelParams(1.0, 0.5, 0.6), Disturbance(0.05, 1.0)
+        stim = make_signal(1, [(2.0, 0), (2.001, 1), (6.0, 0)])
+        want = [oracles.rc_crossings(params, disturbance, stim, 20.0, rng=np.random.default_rng(5))]
+        read = self.points_read(monkeypatch)
+        got = synth_crossings(params, disturbance, [stim], 20.0, rng=np.random.default_rng(5))
+        assert_matches_the_oracle(params, disturbance, [stim], got, want)
+        assert [v for _, v in got[0]] == [0] and sum(read) == 2
+
+    def test_a_charging_segment_that_ends_before_t_star_is_read_to_its_end(self):
+        # The fall ends the charge from 0.5 at 2.00644, 76 grid steps later, where 76 * step + 0.5
+        # rounds an ulp off the end.  vth lies halfway between the node at the last two grid
+        # points, so the crossing lies in the last cell and t* past the end: the whole grid is
+        # read, and its last cell must end at the segment's end, as linspace's does.
+        disturbance, seed, fall = Disturbance(0.2, 1.0), 0, 1.50644
+        start, end = 0.5, fall + 0.5
+        step = (end - start) / 76
+        assert math.ceil((end - start) / 0.02) == 76 and 76 * step + start != end
+        phase = float(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi))
+        omega = 2.0 * math.pi
+        alpha, beta = 0.2 / (1.0 + omega**2), -0.2 * omega / (1.0 + omega**2)
+
+        def v(t):  # the node charging from 0 at start, as synth_crossings computes it
+            th, th0 = omega * t + phase, omega * start + phase
+            offset = 0.0 - (1.0 + alpha * math.sin(th0) + beta * math.cos(th0))
+            return 1.0 + alpha * math.sin(th) + beta * math.cos(th) + offset * math.exp(-(t - start) / 1.0)
+
+        params = ExpChannelParams(1.0, 0.5, 0.5 * (v(75 * step + start) + v(end)))
+        stim = make_signal(0, [(0.0, 1), (fall, 0)])
+        want = [oracles.rc_crossings(params, disturbance, stim, 10.0, rng=np.random.default_rng(seed))]
+        got = synth_crossings(params, disturbance, [stim], 10.0, rng=np.random.default_rng(seed))
+        assert_matches_the_oracle(params, disturbance, [stim], got, want)
+        assert got[0][0][1] == 1 and 75 * step + start < got[0][0][0] <= end
+
+    def test_a_grid_step_that_underflows_is_linspaces_own(self, monkeypatch):
+        # t_p = 1e-323 makes the first segment, charging from 1 toward a rail below it, two
+        # subnormal floats long: its step 1e-323 / 8 underflows to 0, and linspace spreads the
+        # grid over 0, 5e-324 and 1e-323.  vth lies where the node falls through it there.
+        tau, disturbance, seed = 1e-321, Disturbance(0.2, 1.0), 0
+        phase = float(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi))
+        rail = 1.0 + 0.2 * math.sin(phase)
+        assert rail < 1.0
+        params = ExpChannelParams(tau, 1e-323, 1.0 - 0.9 * (1.0 - rail) * (1.0 - math.exp(-1e-323 / tau)))
+        stimuli = [make_signal(1, [(0.0, 0)]), make_signal(0, [(0.0, 1)])]
+        want_rng = np.random.default_rng(seed)
+        want = [oracles.rc_crossings(params, disturbance, s, 1e-319, rng=want_rng) for s in stimuli]
+        linspaces, linspace = [], np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *args: linspaces.append(args) or linspace(*args))
+        got = synth_crossings(params, disturbance, stimuli, 1e-319, rng=np.random.default_rng(seed))
+        assert_matches_the_oracle(params, disturbance, stimuli, got, want)
+        assert got[0][0] == (1e-323, 0) and linspaces == [(0.0, 1e-323, 9)]
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.01])
     def test_one_phase_per_stimulus_in_order_and_none_for_no_stimulus(self, amplitude):
