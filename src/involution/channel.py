@@ -20,18 +20,19 @@ keeps one record deep.
 The eta_n are adversarial perturbations within [-eta_minus, +eta_plus],
 consumed one per input transition index (including transitions whose
 output is later canceled).  An ``EtaSource`` holds each strategy as one
-iterator per value bit; the runs of one circuit read a ``uniform_random``
-channel's draws from one stream that the circuit keeps.
+iterator per value bit, and ``EtaSource.starter`` builds a fresh one per run;
+the runs of one circuit read a ``uniform_random`` channel's draws from one
+stream.
 
 The involution channel is the eta-involution channel with a zero budget
-(``Involution(df)``).  Every channel kind is one incremental state
-(``channel_state``, or per run from a ``state_constructor``): ``feed``
-processes an input transition, ``commit`` decides a record that can no
-longer be canceled, and ``survivors`` picks the output from all records
-fed.  ``apply_channel`` and the engine in ``circuit`` both drive it and
-differ only in when they decide a record: the engine
-decides each record at ``decide_at(record)`` (None: deliver at once), on
-channels whose ``check_causal`` its circuit ran once when it was built.
+(``Involution(df)``).  Every channel kind is one incremental state, built
+fresh per run by the channel's ``state_constructor``: ``feed`` processes an
+input transition, ``commit`` decides a record that can no longer be
+canceled, and ``survivors`` picks the output from all records fed.
+``apply_channel`` and the engine in ``circuit`` both drive it and differ
+only in when they decide a record: the engine decides each record at
+``decide_at(record)`` (None: deliver at once), on channels whose
+``check_causal`` its circuit ran once when it was built.
 
 Every arrival builds one :class:`Record`, what the engine and the audits
 read.  The full per-transition log is opt-in (``log=True``) and only
@@ -165,60 +166,46 @@ class _UniformDraws:
         return chain.from_iterable(map(self._block, count()))
 
 
-def _stream_starter(strategy: AdversaryStrategy, bounds: EtaBounds, draws: _UniformDraws | None):
-    """A function of no arguments that starts ``strategy``'s eta streams, one per value bit.
-
-    The strategy is read, and a fixed sequence checked against the bounds,
-    once, here.  A ``repeat`` stream holds no position, so every start
-    shares it; a uniform or fixed stream starts afresh at its first eta.
-    """
-    if isinstance(strategy, UniformRandom):
-        draws = draws or _UniformDraws(strategy.seed, bounds)
-        return lambda: (iter(draws),) * 2
-    if isinstance(strategy, FixedSequence):
-        etas = strategy.etas
-        lo, hi = -bounds.eta_minus - 1e-15, bounds.eta_plus + 1e-15
-        # both passes are False on a NaN, which min and max would let through
-        if not (all(map(operator.le, repeat(lo), etas)) and all(map(operator.le, etas, repeat(hi)))):
-            e = next(e for e in etas if not lo <= e <= hi)
-            raise ChannelError(f"eta={e} outside [{-bounds.eta_minus}, {bounds.eta_plus}]")
-        return lambda: (chain(etas, repeat(0.0)),) * 2
-    if isinstance(strategy, Zero):
-        streams = (repeat(0.0),) * 2
-    elif isinstance(strategy, WorstCaseShrink):
-        streams = (repeat(worst_case_eta(0, bounds)), repeat(worst_case_eta(1, bounds)))
-    else:
-        raise ChannelError(f"unknown strategy {strategy!r}")
-    return lambda: streams
-
-
 class EtaSource:
     """Per-run consumable view of a strategy: one eta per input transition index.
 
-    ``eta(value)`` takes the next value of the stream for that value bit;
-    the strategies that do not look at the value read one stream for both.
-    A fixed sequence is checked against the bounds once, when the source or
-    its ``starter`` is built; the other strategies draw within the bounds by
-    construction.  A ``UniformRandom`` strategy reads ``draws``, the
-    ``_UniformDraws`` of its seed and bounds that the runs of one circuit
-    share, or its own when None.
+    ``eta(value)`` takes the next value of ``streams[value]``; the
+    strategies that do not look at the value read one stream for both.  A
+    run's source comes from the strategy's ``starter``.
     """
 
-    def __init__(self, strategy: AdversaryStrategy, bounds: EtaBounds, draws: _UniformDraws | None = None):
+    def __init__(self, bounds: EtaBounds, streams):
         self.bounds = bounds
-        self._streams = _stream_starter(strategy, bounds, draws)()  # by value bit
+        self._streams = streams  # by value bit
 
     @classmethod
-    def starter(cls, strategy: AdversaryStrategy, bounds: EtaBounds, draws: _UniformDraws | None = None):
-        """A function of no arguments that returns a fresh ``EtaSource(strategy, bounds, draws)``."""
-        start = _stream_starter(strategy, bounds, draws)
+    def starter(cls, strategy: AdversaryStrategy, bounds: EtaBounds):
+        """A function of no arguments that returns a fresh source of ``strategy``.
 
-        def new() -> EtaSource:
-            source = cls.__new__(cls)
-            source.bounds, source._streams = bounds, start()
-            return source
-
-        return new
+        The strategy is read, and a fixed sequence checked against the
+        bounds, once, here; the other strategies draw within the bounds by
+        construction.  A ``repeat`` stream holds no position, so every
+        source shares it; a uniform or fixed stream starts afresh at its
+        first eta.  The sources of one starter read one ``_UniformDraws``.
+        """
+        if isinstance(strategy, UniformRandom):
+            draws = _UniformDraws(strategy.seed, bounds)
+            return lambda: cls(bounds, (iter(draws),) * 2)
+        if isinstance(strategy, FixedSequence):
+            etas = strategy.etas
+            lo, hi = -bounds.eta_minus - 1e-15, bounds.eta_plus + 1e-15
+            # both passes are False on a NaN, which min and max would let through
+            if not (all(map(operator.le, repeat(lo), etas)) and all(map(operator.le, etas, repeat(hi)))):
+                e = next(e for e in etas if not lo <= e <= hi)
+                raise ChannelError(f"eta={e} outside [{-bounds.eta_minus}, {bounds.eta_plus}]")
+            return lambda: cls(bounds, (chain(etas, repeat(0.0)),) * 2)
+        if isinstance(strategy, Zero):
+            streams = (repeat(0.0),) * 2
+        elif isinstance(strategy, WorstCaseShrink):
+            streams = (repeat(worst_case_eta(0, bounds)), repeat(worst_case_eta(1, bounds)))
+        else:
+            raise ChannelError(f"unknown strategy {strategy!r}")
+        return lambda: cls(bounds, streams)
 
     def eta(self, value: int) -> float:
         return next(self._streams[value])
@@ -478,28 +465,24 @@ class _InvolutionState(_PureState):
         return True
 
 
-def state_constructor(spec: ChannelSpec, draws: _UniformDraws | None = None):
+def state_constructor(spec: ChannelSpec):
     """The constructor of a channel's fresh incremental states, called as ``new(initial_value, log=False)``.
 
     ``initial_value`` is the value the channel's input starts at, and ``log``
     turns the full per-transition log on.  The spec is read, and an
-    eta-involution channel's strategy checked, once, here; ``draws`` goes to
-    its :class:`EtaSource`.  No two states share anything a run changes, so
-    the runs of one circuit can build their states from one constructor.
+    eta-involution channel's strategy checked, once, here.  No two states
+    share anything a run changes, so the runs of one circuit can build their
+    states from one constructor; a ``uniform_random`` channel's states read
+    one stream of draws (see :meth:`EtaSource.starter`).
     """
     if isinstance(spec, Pure):
         return lambda initial_value, log=False: _PureState(spec.delay, log)
     if isinstance(spec, Inertial):
         return lambda initial_value, log=False: _InertialState(spec.delay, spec.window, initial_value, log)
     if isinstance(spec, EtaInvolution):
-        new_source = EtaSource.starter(spec.strategy, spec.bounds, draws)
+        new_source = EtaSource.starter(spec.strategy, spec.bounds)
         return lambda initial_value, log=False: _InvolutionState(spec.df, new_source(), log)
     raise ChannelError(f"unknown channel spec {spec!r}")
-
-
-def channel_state(spec: ChannelSpec, initial_value: int, draws: _UniformDraws | None = None, log: bool = False):
-    """The incremental state of a channel whose input starts at ``initial_value``; see ``state_constructor``."""
-    return state_constructor(spec, draws)(initial_value, log)
 
 
 def apply_channel(
@@ -508,7 +491,7 @@ def apply_channel(
     """Channel function: map an input signal to the output signal plus the
     per-transition log, or None in its place with ``log=False``."""
     v0 = s.initial_value
-    state = channel_state(spec, v0, log=log)
+    state = state_constructor(spec)(v0, log)
     feed = state.feed
     fed = [feed(t, value)[0] for t, value in zip(s.times, cycle((1 - v0, v0)))]
     out = make_signal(v0, [(r.out_time, r.value) for r in state.survivors(fed)])

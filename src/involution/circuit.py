@@ -141,11 +141,11 @@ class Circuit:
         self.gates = {g.name: g for g in gates}
         self.channels = {c.name: c for c in channels}
         self.files: list[str] = []  # the data files a parsed netlist names; see parse_circuit
-        self._validate(gates, channels)
-        self._index()
+        self._index(self._validate(gates, channels))
 
-    def _validate(self, gates: list[Gate], channels: list[ChannelEdge]) -> None:
-        """Check the structural rules on the lists as given, before the dicts merged repeated names."""
+    def _validate(self, gates: list[Gate], channels: list[ChannelEdge]) -> dict:
+        """Check the structural rules on the lists as given, before the dicts merged repeated names;
+        returns the name of the channel driving each gate pin ``(gate, pin)`` and output port ``(port, None)``."""
         violations: list[NetlistError] = []
         vertices = [*self.input_ports, *self.output_ports, *(g.name for g in gates)]
         for kind, listed in (("vertex", vertices), ("channel", [c.name for c in channels])):
@@ -210,9 +210,9 @@ class Circuit:
                 f"{len(violations)} netlist violations: " + "; ".join(str(v) for v in violations),
                 violations,
             )
-        self._drivers = {key: self.channels[who[0]] for key, who in drivers.items()}
+        return {key: who[0] for key, who in drivers.items()}
 
-    def _index(self) -> None:
+    def _index(self, drivers: dict) -> None:
         """Build the run template that every ``execute`` of this circuit reads, once.
 
         Vertices are the input ports, the gates, then the output ports in the
@@ -232,7 +232,7 @@ class Circuit:
         # a delivery sets gate pin (vertex, pin) or switches output port (vertex, None)
         self._channel_dst = [(at[e.dst], e.dst_pin) for e in edges]
         self._port_srcs = [at[e.src] for e in edges if e.dst_pin is None]  # by output port, in vertex order
-        self._port_drivers = [(port, self._drivers[(port, None)].name) for port in self.output_ports]
+        self._port_drivers = [(port, drivers[(port, None)]) for port in self.output_ports]
         self._fanout = [tuple(c for c, e in enumerate(edges) if e.src == name) for name in self._vertex_names]
         # by vertex number up to the last gate: its function and the channels driving its pins (None for a port)
         ports = [None] * len(self.input_ports)
@@ -240,7 +240,7 @@ class Circuit:
         number = {e.name: c for c, e in enumerate(edges)}
         self._pin_channels = [
             *ports,
-            *([number[self._drivers[(name, pin)].name] for pin in range(g.arity)] for name, g in self.gates.items()),
+            *([number[drivers[(name, pin)]] for pin in range(g.arity)] for name, g in self.gates.items()),
         ]
         # the gates in an order where each follows the gates driving its pins, or None if the gates form a loop
         n_in = len(self.input_ports)
@@ -260,27 +260,17 @@ class Circuit:
         delays = [e.spec.delay for e in edges if isinstance(e.spec, (ch.Pure, ch.Inertial))]
         # the stabilization guard, or None for a tenth of the horizon
         self._guard = 10.0 * max(dinfs) if dinfs else (10.0 * max(delays) if delays and max(delays) > 0 else None)
-        # by channel: the uniform eta draws that every run of a uniform_random channel reads, else None
-        self._draws = [
-            ch._UniformDraws(e.spec.strategy.seed, e.spec.bounds)
-            if isinstance(e.spec, ch.EtaInvolution) and isinstance(e.spec.strategy, ch.UniformRandom)
-            else None
-            for e in edges
-        ]
         # by channel: the constructor of its fresh states, one per run; and the message of the
         # first channel that the engine cannot decide causally, or None, which every execute raises
         self._new_states: list[Callable | None] = []
         self._fault = None
-        for e, draws in zip(edges, self._draws):
+        for e in edges:
             try:
-                new = ch.state_constructor(e.spec, draws)
+                new = ch.state_constructor(e.spec)
                 new(0).check_causal()  # no check reads the initial value
             except ch.ChannelError as exc:
                 new, self._fault = None, self._fault or f"channel {e.name!r}: {exc}"
             self._new_states.append(new)
-
-    def driver_of(self, dst: str, pin: int | None = None) -> ChannelEdge:
-        return self._drivers[(dst, pin)]
 
 
 def _parse_endpoint(text: str) -> tuple[str, int | None]:
@@ -897,6 +887,8 @@ def verify_execution(e: Execution) -> VerificationReport:
     """
     mismatches: list[str] = []
     circuit = e.circuit
+    # the driving channel of each gate pin and output port, read from the netlist, not the run template
+    driver = {(edge.dst, edge.dst_pin): name for name, edge in circuit.channels.items()}
 
     for name, edge in circuit.channels.items():
         spec = edge.spec
@@ -918,7 +910,7 @@ def verify_execution(e: Execution) -> VerificationReport:
 
     for gate in circuit.gates.values():
         fn = _GATES[gate.function][0]
-        pins = [e.channel_signals[circuit.driver_of(gate.name, pin).name] for pin in range(gate.arity)]
+        pins = [e.channel_signals[driver[(gate.name, pin)]] for pin in range(gate.arity)]
         out = e.vertex_signals[gate.name]
         if out.initial_value != gate.initial_value:
             mismatches.append(f"gate {gate.name}: initial value mismatch")
@@ -930,8 +922,8 @@ def verify_execution(e: Execution) -> VerificationReport:
             mismatches.append(f"gate {gate.name}: value at t={t} is {got}, expected {1 - got}")
 
     for port in circuit.output_ports:
-        edge = circuit.driver_of(port)
-        if e.vertex_signals[port] != e.channel_signals[edge.name]:
-            mismatches.append(f"output port {port}: signal differs from driving channel {edge.name}")
+        name = driver[(port, None)]
+        if e.vertex_signals[port] != e.channel_signals[name]:
+            mismatches.append(f"output port {port}: signal differs from driving channel {name}")
 
     return VerificationReport(not mismatches, mismatches)

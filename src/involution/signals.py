@@ -69,10 +69,6 @@ class Pulse:
             return 0.0
         return self.up_time / (self.up_time + self.down_time)
 
-    @property
-    def period(self) -> float:
-        return self.up_time + self.down_time
-
 
 _new_tuple = tuple.__new__
 
@@ -109,12 +105,6 @@ class Signal:
     def value_at(self, t: float) -> int:
         """Value of the most recent transition at or before ``t`` (right-continuous)."""
         return self.initial_value ^ (bisect_right(self.times, t) & 1)
-
-    def values_at(self, times: Iterable[float]) -> list[int]:
-        """``value_at`` of every time in ``times``, in one pass."""
-        by_parity = (self.initial_value, 1 - self.initial_value)
-        counts = map(bisect_right, repeat(self.times), times)
-        return list(map(by_parity.__getitem__, map(operator.and_, counts, repeat(1))))
 
     @property
     def is_zero(self) -> bool:

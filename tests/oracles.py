@@ -297,6 +297,7 @@ def verify_execution_per_time(e):
 
     mismatches = []
     circuit = e.circuit
+    driver = {(edge.dst, edge.dst_pin): name for name, edge in circuit.channels.items()}
     for name, edge in circuit.channels.items():
         spec = edge.spec
         if isinstance(spec, ch.EtaInvolution):
@@ -314,7 +315,7 @@ def verify_execution_per_time(e):
                 f"(expected {len(expected.transitions)} transitions, got {len(got.transitions)})"
             )
     for gate in circuit.gates.values():
-        pins = [e.channel_signals[circuit.driver_of(gate.name, pin).name] for pin in range(gate.arity)]
+        pins = [e.channel_signals[driver[(gate.name, pin)]] for pin in range(gate.arity)]
         out = e.vertex_signals[gate.name]
         if out.initial_value != gate.initial_value:
             mismatches.append(f"gate {gate.name}: initial value mismatch")
@@ -327,10 +328,10 @@ def verify_execution_per_time(e):
                 mismatches.append(f"gate {gate.name}: value at t={t} is {out.value_at(t)}, expected {want}")
                 break
     for port in circuit.output_ports:
-        edge = circuit.driver_of(port)
-        sig, driver = e.vertex_signals[port], e.channel_signals[edge.name]
-        if sig.initial_value != driver.initial_value or sig.transitions != driver.transitions:
-            mismatches.append(f"output port {port}: signal differs from driving channel {edge.name}")
+        name = driver[(port, None)]
+        sig, drive = e.vertex_signals[port], e.channel_signals[name]
+        if sig.initial_value != drive.initial_value or sig.transitions != drive.transitions:
+            mismatches.append(f"output port {port}: signal differs from driving channel {name}")
     return VerificationReport(not mismatches, mismatches)
 
 

@@ -20,10 +20,9 @@ from involution.channel import (
     UniformRandom,
     WorstCaseShrink,
     Zero,
-    _UniformDraws,
     apply_channel,
-    channel_state,
     read_eta_sequence,
+    state_constructor,
     worst_case_eta,
     write_eta_sequence,
 )
@@ -118,7 +117,7 @@ class TestApplyInvolution:
         fed = {}
         for log in (True, False):
             calls.clear()
-            state = channel_state(spec, s.initial_value, log=log)
+            state = state_constructor(spec)(s.initial_value, log)
             fed[log] = [state.feed(tr.time, tr.value) for tr in s.transitions]
             assert sorted(calls) == ["down", "down", "eta", "eta", "eta", "eta", "up", "up"]
             assert all(type(r) is tuple and len(r) == 2 for r in fed[log])
@@ -303,7 +302,11 @@ class TestStrategies:
         with pytest.raises(ChannelError, match=r"eta=0.5 outside \[-0.1, 0.1\]"):
             apply_channel(spec, make_signal(0, []))
 
-    @pytest.mark.parametrize("bad", [math.nan, 0.5, -0.7])
+    @pytest.mark.parametrize(
+        "bad",
+        # the last two lie one ulp beyond the 1e-15 slack that the bounds allow for rounding
+        [math.nan, 0.5, -0.7, math.nextafter(0.1 + 1e-15, 1), math.nextafter(-0.1 - 1e-15, -1)],
+    )
     @pytest.mark.parametrize("at", [0, 2, 4])
     def test_fixed_sequence_rejection_names_the_first_offender(self, bad, at):
         etas = [0.0, 0.1, -0.1, 0.05, 0.0]
@@ -311,19 +314,22 @@ class TestStrategies:
         if at < 4:
             etas[4] = -0.9  # a second offender after the first
         with pytest.raises(ChannelError, match=rf"^eta={bad} outside \[-0.1, 0.1\]$"):
-            EtaSource(FixedSequence(tuple(etas)), EtaBounds(0.1, 0.1))
+            EtaSource.starter(FixedSequence(tuple(etas)), EtaBounds(0.1, 0.1))
 
-    @pytest.mark.parametrize("etas", [(), (0.01,), (0.01, -0.02, 0.03), (0.01, -0.02, 0.03, -0.04, 0.05)])
+    @pytest.mark.parametrize(
+        "etas",
+        [(), (0.01,), (0.01, -0.02, 0.03), (0.01, -0.02, 0.03, -0.04, 0.05), (0.1 + 1e-15, -0.1 - 1e-15)],
+    )
     @pytest.mark.parametrize("shared", [False, True])
     def test_fixed_sequence_draws(self, etas, shared):
         """The sequence, then zeros; a strategy shared by runs (as in ``run_spf_sweep``) restarts in each."""
         n = 3  # input transitions
-        strategy = FixedSequence(etas)
-        if shared:  # an earlier run drew from the same strategy
-            earlier = EtaSource(strategy, EtaBounds(0.1, 0.1))
+        start = EtaSource.starter(FixedSequence(etas), EtaBounds(0.1, 0.1))
+        if shared:  # an earlier run drew from the same starter
+            earlier = start()
             for k in range(n):
                 earlier.eta(k % 2)
-        source = EtaSource(strategy, EtaBounds(0.1, 0.1))
+        source = start()
         assert [source.eta(k % 2) for k in range(n)] == [*etas[:n], *[0.0] * (n - len(etas))]
 
     @pytest.mark.parametrize(
@@ -331,7 +337,7 @@ class TestStrategies:
         [Zero(), WorstCaseShrink(), UniformRandom(3), FixedSequence((0.01,)), FixedSequence(())],
     )
     def test_eta_source_is_freed_without_the_cycle_collector(self, strategy):
-        source = EtaSource(strategy, EtaBounds(0.05, 0.1))
+        source = EtaSource.starter(strategy, EtaBounds(0.05, 0.1))()
         source.eta(1)
         freed = weakref.ref(source)
         del source
@@ -399,7 +405,7 @@ def test_malformed_eta_sequence_names_the_line(tmp_path, text, line):
 def test_uniform_eta_stream_equals_scalar_draws(seed, eta_minus, eta_plus):
     # 3000 draws cross the boundaries between blocks after 1024 and 2048 draws
     n = 3000
-    source = EtaSource(UniformRandom(seed), EtaBounds(eta_minus, eta_plus))
+    source = EtaSource.starter(UniformRandom(seed), EtaBounds(eta_minus, eta_plus))()
     got = [source.eta(k % 2) for k in range(n)]
     rng = np.random.default_rng(seed)
     expected = [float(rng.uniform(-eta_minus, eta_plus)) for _ in range(n)]
@@ -411,16 +417,16 @@ def test_sources_sharing_draws_across_threads_read_one_stream():
     # one circuit's draws together, as concurrent runs of one circuit do; a
     # block drawn twice or out of order would give some source another stream.
     bounds, n, workers, rounds = EtaBounds(0.05, 0.1), 2100, 8, 100  # 2100 draws: blocks 0 to 2
-    fresh = EtaSource(UniformRandom(7), bounds)
+    fresh = EtaSource.starter(UniformRandom(7), bounds)()
     want = [fresh.eta(k % 2) for k in range(n)]
-    shared = [_UniformDraws(7, bounds) for _ in range(rounds)]
-    start = threading.Barrier(workers)
+    starters = [EtaSource.starter(UniformRandom(7), bounds) for _ in range(rounds)]
+    go = threading.Barrier(workers)
     results = []
 
     def work():
-        for draws in shared:
-            start.wait(timeout=60)
-            source = EtaSource(UniformRandom(7), bounds, draws)
+        for start in starters:
+            go.wait(timeout=60)
+            source = start()
             results.append([source.eta(k % 2) for k in range(n)])
 
     interval = sys.getswitchinterval()
@@ -456,6 +462,31 @@ _BIG = 2.0**53
     ],
 )
 def test_decision_time_is_the_later_of_the_input_and_one_ulp_below_the_output(ref, time, out_time):
-    state = channel_state(Involution(ref), 0)
+    state = state_constructor(Involution(ref))(0)
     got = state.decide_at(Record(1, time, 1, out_time))
     assert repr(got) == repr(max(time, math.nextafter(out_time, -math.inf)))
+
+
+class TestAuditsAtEquality:
+    """The involution state's audits at the boundary: an output exactly at the
+    last committed one is a retro-cancel, one exactly at its input time is not
+    before its decision."""
+
+    def test_an_arrival_whose_output_equals_the_committed_output_raises(self, ref):
+        # the second arrival lands at the first output, T = 0, and eta = -delta(0) gives it delay 0
+        d0 = ref.down(0.0)
+        state = state_constructor(EtaInvolution(ref, EtaBounds(d0, 0.0), FixedSequence((0.0, -d0))))(0)
+        rec, _ = state.feed(0.0, 1)
+        assert state.commit(rec)
+        with pytest.raises(ChannelError) as exc_info:
+            state.feed(rec.out_time, 0)
+        u = rec.out_time
+        assert str(exc_info.value) == f"arrival at t={u} would retro-cancel a committed output at {u}"
+
+    def test_a_survivor_with_delay_zero_commits(self, ref):
+        d_inf = ref.delta_inf_up
+        state = state_constructor(EtaInvolution(ref, EtaBounds(d_inf, 0.0), FixedSequence((-d_inf,))))(0)
+        rec, partner = state.feed(1.0, 1)
+        assert partner is None and rec.out_time == rec.time == 1.0
+        assert state.commit(rec)
+        assert state.committed_last == 1.0

@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from involution import channel
 from involution import circuit as circuit_module
 from involution.channel import (
     EtaBounds,
@@ -39,7 +38,7 @@ from involution.circuit import (
 from involution.delay_model import ExpChannelParams, exp_channel, tabulated_channel
 from involution.signals import Signal, make_signal, pulse
 
-from corpus import xor_self_loop_case
+from corpus import random_dag_case, xor_self_loop_case
 
 FIG4_NETLIST = {
     "ports": [{"name": "i", "direction": "in"}, {"name": "o", "direction": "out"}],
@@ -435,6 +434,9 @@ class TestChains:
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
 
 
+_SYMMETRIC = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
+
+
 def _buffer(spec):
     """x -> channel 'in' with ``spec`` -> BUF b -> channel 'out' (Pure(0)) -> y."""
     return Circuit(
@@ -452,6 +454,11 @@ def _buffer(spec):
             EtaInvolution(exp_channel(ExpChannelParams(1.0, 0.5, 0.5)), EtaBounds(eta_minus=0.9, eta_plus=0.0)),
             "channel 'in': eta_minus exceeds delta(0); pending outputs cannot be committed causally",
         ),
+        (
+            # eta_minus equal to delta(0): an input at a pending output's time can land on it, after its decision
+            EtaInvolution(_SYMMETRIC, EtaBounds(eta_minus=min(_SYMMETRIC.up(0.0), _SYMMETRIC.down(0.0)))),
+            "channel 'in': eta_minus exceeds delta(0); pending outputs cannot be committed causally",
+        ),
         (Inertial(0.5, 1.0), "channel 'in': inertial window exceeds delay; not causally executable"),
         (
             EtaInvolution(
@@ -460,7 +467,7 @@ def _buffer(spec):
             "channel 'in': eta=0.5 outside [-0.1, 0.1]",
         ),
     ],
-    ids=["eta_minus", "inertial_window", "fixed_sequence"],
+    ids=["eta_minus", "eta_minus_at_delta_0", "inertial_window", "fixed_sequence"],
 )
 def test_causal_fault_is_raised_by_every_run(spec, message):
     c = _buffer(spec)  # building the circuit succeeds; its runs fault
@@ -703,6 +710,18 @@ class TestAcyclicEquivalence:
             report = verify_execution(e)
             assert report.ok, report.mismatches
 
+    def test_every_composed_random_dag_equals_the_event_loop(self):
+        # seeds 60 to 1059, past the 60 recorded dag corpus cases; 577 are
+        # composed and 423 fall back to the loop
+        composed = 0
+        for seed in range(60, 1060):
+            c, stim, horizon, events_max = random_dag_case(seed)
+            got = circuit_module._compose(c, stim, horizon, events_max, False)
+            if got is not None:
+                composed += 1
+                assert got == _event_loop(c, stim, horizon, events_max=events_max, log=False), seed
+        assert composed > 500
+
 
 class TestEventsAtTheHorizon:
     """An event at exactly the horizon is processed and counted; one ulp beyond it, it is due.
@@ -835,7 +854,7 @@ class TestCompositionFallsBackToTheEventLoop:
         spec = EtaInvolution(exp_channel(ExpChannelParams(1.0, 0.5, 0.5)), EtaBounds(0.2, 0.3), UniformRandom(7))
         c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, spec)])
         stim = make_signal(0, [(t, (k + 1) % 2) for k, t in enumerate([0.571, 2.411, 2.782, 2.852, 3.035])])
-        state = channel.channel_state(spec, 0, c._draws[0])
+        state = c._new_states[0](0)
         _, _, release_at, _ = circuit_module._decide(state, stim.times, 0, 3.6)
         assert release_at[0] < release_at[2] < 3.6 < release_at[1]
         composed = circuit_module._compose(c, {"i": stim}, 3.6, 10**6, True)

@@ -1,15 +1,20 @@
+import argparse
+import ast
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 import involution
+from involution import cli
 from involution.channel import write_eta_sequence
 from involution.cli import EXIT_CONSTRAINT, EXIT_ENGINE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, _atomic_write, main
 from involution.delay_model import ExpChannelParams
@@ -481,6 +486,29 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, fig4):
     assert main(["analyze", *ref, "--horizon", "5"]) == 2
     assert main(["simulate", str(fig4), str(stim), "--horizon", "30", "--tol", "1e-9", *out]) == 2
     assert main(["spf-sweep", *ref, "--grid", "0.3", "0.3", "0.3", "--horizon", "20", "--seed", "1", *out]) == 2
+
+
+def _reads_of_args(fn) -> set[str]:
+    """The attributes that ``fn``'s source reads from ``args``: ``args.x`` and ``getattr(args, "x", ...)``."""
+    reads = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr":
+            target, attr = node.args[:2]
+            if isinstance(target, ast.Name) and target.id == "args" and isinstance(attr, ast.Constant):
+                reads.add(attr.value)
+    return reads
+
+
+def test_every_flag_is_read_by_its_command():
+    # a flag exists only where its subcommand reads it: in its cmd_* or in the manifest that every cmd_* writes
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == ["analyze", "simulate", "spf-sweep", "waveform"]
+    for name, p in subparsers.choices.items():
+        read = _reads_of_args(p.get_default("func")) | _reads_of_args(cli._manifest)
+        dests = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests - read == set(), name
 
 
 REF = ["--tau", "1", "--t-p", "0.5", "--vth", "0.5"]

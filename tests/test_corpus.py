@@ -232,8 +232,9 @@ def _retimed(s, times):
 def _pulse_between_pin_times(e, rng):
     """One gate output with a pulse inserted strictly between two adjacent switch times of its pins."""
     spots = []
+    driver = {(edge.dst, edge.dst_pin): c for c, edge in e.circuit.channels.items()}
     for name, gate in sorted(e.circuit.gates.items()):
-        pins = (e.channel_signals[e.circuit.driver_of(name, pin).name] for pin in range(gate.arity))
+        pins = (e.channel_signals[driver[(name, pin)]] for pin in range(gate.arity))
         times = sorted({t for s in pins for t in s.truncated(e.horizon).times})
         for a, b in zip(times, times[1:]):
             lo, hi = a + (b - a) / 3, a + 2 * (b - a) / 3

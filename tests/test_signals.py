@@ -149,14 +149,6 @@ def test_value_at_matches_last_transition_rule(s, t):
     assert s.value_at(t) == expected
 
 
-@given(signals(), st.lists(st.floats(-10, 110, allow_nan=False), max_size=20))
-@settings(max_examples=200)
-def test_values_at_equals_value_at_of_each_time(s, times):
-    times += [tr.time for tr in s.transitions]  # exactly on an edge, too
-    assert s.values_at(times) == [s.value_at(t) for t in times]
-    assert s.values_at(sorted(times)) == [s.value_at(t) for t in sorted(times)]
-
-
 def test_truncated_keeps_a_transition_at_the_horizon():
     s = make_signal(0, [(1.0, 1), (2.0, 0), (3.0, 1)])
     assert s.truncated(2.0) == make_signal(0, [(1.0, 1), (2.0, 0)])
@@ -363,7 +355,6 @@ def test_signal_equals_the_per_pair_references(tmp_path_factory, case, probes):
     probes = probes + [t for t, _ in want]  # exactly on an edge, too
     expected = [oracles.reference_value_at(initial, want, t) for t in probes]
     assert [s.value_at(t) for t in probes] == expected
-    assert s.values_at(probes) == expected
     path = tmp_path_factory.mktemp("trace") / "s.csv"
     write_trace(path, {"s": s})
     assert read_trace(path) == {"s": s}
