@@ -312,7 +312,6 @@ class SweepPoint:
     pulses_observed: int
     resolved_to: str
     stabilization_time: float
-    or_signal: Signal
     out_signal: Signal
 
 
@@ -351,6 +350,6 @@ def run_spf_sweep(
             rises = (bisect_left(or_sig.times, horizon) + 1 - or_sig.initial_value) // 2
             resolved = "osc" if "c" in e.active_at_horizon or not e.stabilized["o"] else str(e.resolved_value["o"])
             points.append(
-                SweepPoint(delta0, label, seed, regime, max(0, rises - 1), resolved, or_sig.last_time(), or_sig, out_sig)
+                SweepPoint(delta0, label, seed, regime, max(0, rises - 1), resolved, or_sig.last_time(), out_sig)
             )
     return points

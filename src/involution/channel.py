@@ -26,13 +26,13 @@ stream.
 
 The involution channel is the eta-involution channel with a zero budget
 (``Involution(df)``).  Every channel kind is one incremental state, built
-fresh per run by the channel's ``state_constructor``: ``feed`` processes an
-input transition, ``commit`` decides a record that can no longer be
-canceled, and ``survivors`` picks the output from all records fed.
+fresh per run from its spec alone by ``state_constructor``: ``feed``
+processes an input transition, ``commit`` decides a record that can no
+longer be canceled, and ``survivors`` picks the output from all records fed.
 ``apply_channel`` and the engine in ``circuit`` both drive it and differ
 only in when they decide a record: the engine decides each record at
-``decide_at(record)`` (None: deliver at once), on channels whose
-``check_causal`` its circuit ran once when it was built.
+``decide_at(record)`` (None: deliver at once), on channels whose spec
+passed ``check_causal`` when their circuit was built.
 
 Every arrival builds one :class:`Record`, what the engine and the audits
 read.  The full per-transition log is opt-in (``log=True``) and only
@@ -47,7 +47,7 @@ A pending output at time u is canceled only by a later input transition
 whose output lands at or before u.  An input at t >= u that follows the
 pending record directly has T = t - u >= 0, so its delay is at least
 delta(0) - eta_minus, which is positive unless eta_minus >= delta(0) of that
-edge; ``check_causal`` rejects such a budget up front.  So once simulation
+edge; ``check_causal`` rejects such a spec up front.  So once simulation
 time reaches u the output is final, and the engine decides it there: one ulp
 before u (``decide_at``), after every other event of that instant and before
 the deliveries at u.  Decisions then come in output order, so ``commit``
@@ -174,8 +174,7 @@ class EtaSource:
     run's source comes from the strategy's ``starter``.
     """
 
-    def __init__(self, bounds: EtaBounds, streams):
-        self.bounds = bounds
+    def __init__(self, streams):
         self._streams = streams  # by value bit
 
     @classmethod
@@ -190,7 +189,7 @@ class EtaSource:
         """
         if isinstance(strategy, UniformRandom):
             draws = _UniformDraws(strategy.seed, bounds)
-            return lambda: cls(bounds, (iter(draws),) * 2)
+            return lambda: cls((iter(draws),) * 2)
         if isinstance(strategy, FixedSequence):
             etas = strategy.etas
             lo, hi = -bounds.eta_minus - 1e-15, bounds.eta_plus + 1e-15
@@ -198,14 +197,14 @@ class EtaSource:
             if not (all(map(operator.le, repeat(lo), etas)) and all(map(operator.le, etas, repeat(hi)))):
                 e = next(e for e in etas if not lo <= e <= hi)
                 raise ChannelError(f"eta={e} outside [{-bounds.eta_minus}, {bounds.eta_plus}]")
-            return lambda: cls(bounds, (chain(etas, repeat(0.0)),) * 2)
+            return lambda: cls((chain(etas, repeat(0.0)),) * 2)
         if isinstance(strategy, Zero):
             streams = (repeat(0.0),) * 2
         elif isinstance(strategy, WorstCaseShrink):
             streams = (repeat(worst_case_eta(0, bounds)), repeat(worst_case_eta(1, bounds)))
         else:
             raise ChannelError(f"unknown strategy {strategy!r}")
-        return lambda: cls(bounds, streams)
+        return lambda: cls(streams)
 
     def eta(self, value: int) -> float:
         return next(self._streams[value])
@@ -328,9 +327,6 @@ class _PureState:
         rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
         return rec, self._pend(rec)
 
-    def check_causal(self) -> None:
-        """Raise ChannelError if the engine cannot decide this channel's records causally."""
-
     def decide_at(self, rec: Record) -> float | None:
         """When the engine decides ``rec``: the time after which it can no longer
         be canceled, or None to deliver it at its output time without a decision."""
@@ -355,38 +351,31 @@ class _InertialState(_PureState):
     standing, so the engine's decision there is final whichever of the two
     it processes first.
 
-    Every record waits on the stack until it is decided.  Decision times
-    increase with the input times, so records are decided in the order they
-    were fed.  Only the newest record can be suppressed, and only while it
-    waits: an arrival after its decision lies outside its window.
+    Only the newest record, ``last``, can be suppressed, and only before its
+    decision, which the window test says by itself.  Input values alternate,
+    so the output starts at the value opposite the first arrival's.
     """
 
-    def __init__(self, delay: float, window: float, initial_value: int, log: bool = False):
+    def __init__(self, delay: float, window: float, log: bool = False):
         super().__init__(delay, log)
-        self.stack = deque()  # every undecided record, oldest first
         self.window = window
-        self.value = initial_value
+        self.last: Record | None = None
 
     def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
-        stack = self.stack
-        prev = stack[-1] if stack else None
-        if prev is not None and not prev.canceled and t < prev.time + self.window:
+        prev = self.last
+        if prev is None:
+            self.value = 1 - value
+        elif not prev.canceled and t < prev.time + self.window:
             prev.canceled = True
         else:
             prev = None
-        rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
-        stack.append(rec)
+        self.last = rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
         return rec, prev
-
-    def check_causal(self) -> None:
-        if self.window > self.delay:
-            raise ChannelError("inertial window exceeds delay; not causally executable")
 
     def decide_at(self, rec: Record) -> float:
         return rec.time + self.window
 
     def commit(self, rec: Record) -> bool:
-        self.stack.popleft()  # that is ``rec``: records are decided in the order they were fed
         if rec.canceled:
             return False
         if rec.value == self.value:
@@ -442,10 +431,6 @@ class _InvolutionState(_PureState):
                     )
         return rec, partner
 
-    def check_causal(self) -> None:
-        if self.source.bounds.eta_minus >= min(self.df.up(0.0), self.df.down(0.0)):
-            raise ChannelError("eta_minus exceeds delta(0); pending outputs cannot be committed causally")
-
     def decide_at(self, rec: Record, nextafter=math.nextafter, down=-math.inf) -> float:
         # max(rec.time, one ulp below the output), ties to rec.time as max gives them;
         # the defaults bind the function and the direction once, not on every call
@@ -466,23 +451,31 @@ class _InvolutionState(_PureState):
 
 
 def state_constructor(spec: ChannelSpec):
-    """The constructor of a channel's fresh incremental states, called as ``new(initial_value, log=False)``.
+    """The constructor of a channel's fresh incremental states, called as ``new(log=False)``.
 
-    ``initial_value`` is the value the channel's input starts at, and ``log``
-    turns the full per-transition log on.  The spec is read, and an
+    ``log`` turns the full per-transition log on.  The spec is read, and an
     eta-involution channel's strategy checked, once, here.  No two states
     share anything a run changes, so the runs of one circuit can build their
     states from one constructor; a ``uniform_random`` channel's states read
     one stream of draws (see :meth:`EtaSource.starter`).
     """
     if isinstance(spec, Pure):
-        return lambda initial_value, log=False: _PureState(spec.delay, log)
+        return lambda log=False: _PureState(spec.delay, log)
     if isinstance(spec, Inertial):
-        return lambda initial_value, log=False: _InertialState(spec.delay, spec.window, initial_value, log)
+        return lambda log=False: _InertialState(spec.delay, spec.window, log)
     if isinstance(spec, EtaInvolution):
         new_source = EtaSource.starter(spec.strategy, spec.bounds)
-        return lambda initial_value, log=False: _InvolutionState(spec.df, new_source(), log)
+        return lambda log=False: _InvolutionState(spec.df, new_source(), log)
     raise ChannelError(f"unknown channel spec {spec!r}")
+
+
+def check_causal(spec: ChannelSpec) -> None:
+    """Raise ChannelError if the engine cannot decide a channel's records causally:
+    an inertial window above its delay, or an eta_minus not below both delta(0)."""
+    if isinstance(spec, Inertial) and spec.window > spec.delay:
+        raise ChannelError("inertial window exceeds delay; not causally executable")
+    if isinstance(spec, EtaInvolution) and spec.bounds.eta_minus >= min(spec.df.up(0.0), spec.df.down(0.0)):
+        raise ChannelError("eta_minus is not below delta(0); pending outputs cannot be committed causally")
 
 
 def apply_channel(
@@ -491,7 +484,7 @@ def apply_channel(
     """Channel function: map an input signal to the output signal plus the
     per-transition log, or None in its place with ``log=False``."""
     v0 = s.initial_value
-    state = state_constructor(spec)(v0, log)
+    state = state_constructor(spec)(log)
     feed = state.feed
     fed = [feed(t, value)[0] for t, value in zip(s.times, cycle((1 - v0, v0)))]
     out = make_signal(v0, [(r.out_time, r.value) for r in state.survivors(fed)])

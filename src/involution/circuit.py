@@ -267,7 +267,7 @@ class Circuit:
         for e in edges:
             try:
                 new = ch.state_constructor(e.spec)
-                new(0).check_causal()  # no check reads the initial value
+                ch.check_causal(e.spec)
             except ch.ChannelError as exc:
                 new, self._fault = None, self._fault or f"channel {e.name!r}: {exc}"
             self._new_states.append(new)
@@ -533,11 +533,6 @@ def _initial_values(circuit: Circuit, inputs: dict[str, Signal]) -> list[int]:
     return initial
 
 
-def _channel_states(circuit: Circuit, initial: list[int], log: bool) -> list:
-    """A fresh state of every channel, by number."""
-    return [new(initial[src], log) for new, src in zip(circuit._new_states, circuit._channel_src)]
-
-
 def _run_events(
     circuit: Circuit, inputs: dict[str, Signal], horizon: float, events_max: int, log: bool
 ) -> Execution:
@@ -548,7 +543,7 @@ def _run_events(
     channel_dst, fanout, gate_fns = circuit._channel_dst, circuit._fanout, circuit._gate_fns
     initial = _initial_values(circuit, inputs)
     pins = [chans and [initial[channel_src[c]] for c in chans] for chans in circuit._pin_channels]
-    states = _channel_states(circuit, initial, log)
+    states = [new(log) for new in circuit._new_states]
     feeds = [state.feed for state in states]
     decide_ats = [state.decide_at for state in states]
     # the transition times of every channel and vertex; values alternate from
@@ -689,7 +684,7 @@ def _compose(
     n_in = len(circuit.input_ports)
     channel_names, channel_src, channel_dst = circuit._channel_names, circuit._channel_src, circuit._channel_dst
     initial = _initial_values(circuit, inputs)
-    states = _channel_states(circuit, initial, log)
+    states = [new(log) for new in circuit._new_states]
     vertex_times: list[tuple[float, ...]] = [()] * len(initial)
     channel_times: list[tuple[float, ...]] = [()] * len(states)
     active: set[str] = set()

@@ -370,7 +370,6 @@ class TestSweepRunner:
                             max(0, len(decompose_pulses(or_sig, horizon)) - 1),
                             resolved,
                             or_sig.last_time(),
-                            or_sig,
                             out_sig,
                         )
                     )

@@ -117,7 +117,7 @@ class TestApplyInvolution:
         fed = {}
         for log in (True, False):
             calls.clear()
-            state = state_constructor(spec)(s.initial_value, log)
+            state = state_constructor(spec)(log)
             fed[log] = [state.feed(tr.time, tr.value) for tr in s.transitions]
             assert sorted(calls) == ["down", "down", "eta", "eta", "eta", "eta", "up", "up"]
             assert all(type(r) is tuple and len(r) == 2 for r in fed[log])
@@ -462,7 +462,7 @@ _BIG = 2.0**53
     ],
 )
 def test_decision_time_is_the_later_of_the_input_and_one_ulp_below_the_output(ref, time, out_time):
-    state = state_constructor(Involution(ref))(0)
+    state = state_constructor(Involution(ref))()
     got = state.decide_at(Record(1, time, 1, out_time))
     assert repr(got) == repr(max(time, math.nextafter(out_time, -math.inf)))
 
@@ -475,7 +475,7 @@ class TestAuditsAtEquality:
     def test_an_arrival_whose_output_equals_the_committed_output_raises(self, ref):
         # the second arrival lands at the first output, T = 0, and eta = -delta(0) gives it delay 0
         d0 = ref.down(0.0)
-        state = state_constructor(EtaInvolution(ref, EtaBounds(d0, 0.0), FixedSequence((0.0, -d0))))(0)
+        state = state_constructor(EtaInvolution(ref, EtaBounds(d0, 0.0), FixedSequence((0.0, -d0))))()
         rec, _ = state.feed(0.0, 1)
         assert state.commit(rec)
         with pytest.raises(ChannelError) as exc_info:
@@ -485,7 +485,7 @@ class TestAuditsAtEquality:
 
     def test_a_survivor_with_delay_zero_commits(self, ref):
         d_inf = ref.delta_inf_up
-        state = state_constructor(EtaInvolution(ref, EtaBounds(d_inf, 0.0), FixedSequence((-d_inf,))))(0)
+        state = state_constructor(EtaInvolution(ref, EtaBounds(d_inf, 0.0), FixedSequence((-d_inf,))))()
         rec, partner = state.feed(1.0, 1)
         assert partner is None and rec.out_time == rec.time == 1.0
         assert state.commit(rec)

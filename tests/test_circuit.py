@@ -308,7 +308,7 @@ class TestReleaseWindow:
 
     def test_huge_eta_minus_is_rejected_not_overflowed(self, ref):
         c = or_loop_circuit(EtaInvolution(ref, EtaBounds(eta_minus=1000.0, eta_plus=0.0), Zero()))
-        with pytest.raises(CausalityFault, match="eta_minus exceeds delta"):
+        with pytest.raises(CausalityFault, match="eta_minus is not below delta"):
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
 
     def test_fixed_sequence_override_is_checked_before_the_first_event(self, ref):
@@ -434,6 +434,39 @@ class TestChains:
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
 
 
+class TestStabilizationGuard:
+    """An output is stabilized when its last transition lies at or before the
+    horizon less the guard: ten times the largest positive constant delay (with
+    no involution channel), else a tenth of the horizon, and never more than
+    half the horizon.  Port y switches when x does, so its last transition is
+    the stimulus'; channels beside it, to other ports, set the guard."""
+
+    @pytest.mark.parametrize(
+        "beside, horizon, edge",
+        [
+            ((), 10.0, 9.0),  # only Pure(0.0): a zero delay gives no guard, so a tenth of the horizon
+            ((Pure(0.25),), 10.0, 7.5),  # ten times the largest delay
+            ((Pure(5.0),), 10.0, 5.0),  # ten times 5.0, clamped to half the horizon
+        ],
+        ids=["zero_delay", "largest_delay", "clamped"],
+    )
+    def test_an_output_is_stabilized_up_to_the_guard_edge_and_not_one_ulp_later(self, beside, horizon, edge):
+        ports = [f"z{k}" for k in range(len(beside))]
+        c = Circuit(
+            ["x"],
+            ["y", *ports],
+            [],
+            [
+                ChannelEdge("c", "x", "y", None, Pure(0.0)),
+                *(ChannelEdge(f"c{z}", "x", z, None, spec) for z, spec in zip(ports, beside)),
+            ],
+        )
+        for last, stabilized in ((edge, True), (math.nextafter(edge, math.inf), False)):
+            e = execute(c, {"x": make_signal(0, [(last / 2, 1), (last, 0)])}, horizon)
+            assert e.vertex_signals["y"].last_time() == last
+            assert e.stabilized["y"] is stabilized, last
+
+
 _SYMMETRIC = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
 
 
@@ -452,12 +485,12 @@ def _buffer(spec):
     [
         (
             EtaInvolution(exp_channel(ExpChannelParams(1.0, 0.5, 0.5)), EtaBounds(eta_minus=0.9, eta_plus=0.0)),
-            "channel 'in': eta_minus exceeds delta(0); pending outputs cannot be committed causally",
+            "channel 'in': eta_minus is not below delta(0); pending outputs cannot be committed causally",
         ),
         (
             # eta_minus equal to delta(0): an input at a pending output's time can land on it, after its decision
             EtaInvolution(_SYMMETRIC, EtaBounds(eta_minus=min(_SYMMETRIC.up(0.0), _SYMMETRIC.down(0.0)))),
-            "channel 'in': eta_minus exceeds delta(0); pending outputs cannot be committed causally",
+            "channel 'in': eta_minus is not below delta(0); pending outputs cannot be committed causally",
         ),
         (Inertial(0.5, 1.0), "channel 'in': inertial window exceeds delay; not causally executable"),
         (
@@ -564,7 +597,7 @@ class _StubState:
 )
 def test_delivery_that_breaks_the_signal_rules_is_a_causality_fault(times, values, delays, message):
     c = _buffer(Pure(1.0))
-    c._new_states[0] = lambda v0, log=False: _StubState(values, delays)  # channel 'in'
+    c._new_states[0] = lambda log=False: _StubState(values, delays)  # channel 'in'
     with pytest.raises(CausalityFault) as exc_info:
         execute(c, {"x": make_signal(0, [(times[0], 1), (times[1], 0)])}, horizon=10.0)
     assert str(exc_info.value) == message
@@ -617,7 +650,7 @@ def test_xor_self_loop_family_verifies_or_faults(seeds):
             e = execute(c, {"i": stim}, horizon=15.0, events_max=20000)
         except CausalityFault as exc:
             assert seeds is not WINDOW_RULE_FAULTS, (seed, exc)
-            assert re.search("eta_minus exceeds delta|would retro-cancel a committed output", str(exc)), seed
+            assert re.search("eta_minus is not below delta|would retro-cancel a committed output", str(exc)), seed
             continue
         except HorizonExceeded:
             continue
@@ -854,7 +887,7 @@ class TestCompositionFallsBackToTheEventLoop:
         spec = EtaInvolution(exp_channel(ExpChannelParams(1.0, 0.5, 0.5)), EtaBounds(0.2, 0.3), UniformRandom(7))
         c = Circuit(["i"], ["o"], [], [ChannelEdge("c", "i", "o", None, spec)])
         stim = make_signal(0, [(t, (k + 1) % 2) for k, t in enumerate([0.571, 2.411, 2.782, 2.852, 3.035])])
-        state = c._new_states[0](0)
+        state = c._new_states[0]()
         _, _, release_at, _ = circuit_module._decide(state, stim.times, 0, 3.6)
         assert release_at[0] < release_at[2] < 3.6 < release_at[1]
         composed = circuit_module._compose(c, {"i": stim}, 3.6, 10**6, True)
@@ -926,7 +959,7 @@ class TestCompositionFallsBackToTheEventLoop:
         # as test_delivery_that_breaks_the_signal_rules_is_a_causality_fault,
         # with no gate after the channel to switch twice at one instant
         c = Circuit(["x"], ["y"], [], [ChannelEdge("c", "x", "y", None, Pure(1.0))])
-        c._new_states[0] = lambda v0, log=False: _StubState(values, delays)
+        c._new_states[0] = lambda log=False: _StubState(values, delays)
         with pytest.raises(CausalityFault) as exc_info:
             execute(c, {"x": make_signal(0, [(times[0], 1), (times[1], 0)])}, horizon=10.0)
         assert str(exc_info.value) == message

@@ -232,7 +232,7 @@ class TestSimulate:
     def test_huge_eta_minus_is_engine_error(self, tmp_path, capsys):
         assert self._run_eta_minus(tmp_path, 1000.0) == EXIT_ENGINE
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "engine" and "eta_minus exceeds delta(0)" in err["message"]
+        assert err["error"] == "engine" and "eta_minus is not below delta(0)" in err["message"]
 
 
 def test_failed_write_keeps_old_file_and_leaves_no_tmp(tmp_path):

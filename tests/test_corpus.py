@@ -151,7 +151,7 @@ def test_runs_on_one_circuit_equal_runs_on_fresh_circuits():
     ht = ExpChannelParams(4.0, 0.2, 0.75)
     strategies = [Zero(), WorstCaseShrink(), *map(UniformRandom, range(3))]
     specs = [EtaInvolution(df, EtaBounds(0.05, 0.1), s) for s in strategies]
-    specs.append(EtaInvolution(df, EtaBounds(0.9, 0.0)))  # eta_minus exceeds delta(0): every run faults
+    specs.append(EtaInvolution(df, EtaBounds(0.9, 0.0)))  # eta_minus is not below delta(0): every run faults
     stimuli = [make_signal(0, []), *(pulse(0.0, w) for w in (0.3, 0.7, 0.9, 1.2, 1.6))]
     for n, spec in enumerate(specs):
         shared = or_loop_circuit(spec, ht)
