@@ -303,7 +303,7 @@ def spf_check(
     return SpfVerdict(f2, f3, not witnesses, witnesses)
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepPoint:
     delta0: float | None
     strategy_label: str

@@ -284,22 +284,11 @@ class Record:
         return self.out_time == -math.inf
 
 
-class _PureState:
-    """Incremental pure delay: every record survives, except that two records
-    rounded onto one output time cancel, by ``_pend``, the pair-cancellation
-    step that the involution channels share.
-
-    It keeps only its newest pending record: outputs t + d never decrease, so
-    only the newest survivor can share a later output time, and once a pair
-    cancels, every earlier survivor lies below every later output.  With
-    ``log``, ``rows`` holds (record, T, delta, eta, partner index) per arrival.
-    """
-
-    def __init__(self, delay: float, log: bool = False):
-        self.delay = delay
-        self.fed = 0  # arrivals so far
-        self.rows: list[list] | None = [] if log else None
-        self.stack: deque[Record] = deque(maxlen=1)  # the newest pending record
+class _State:
+    """What every channel state keeps: ``fed``, the number of arrivals so far,
+    and with ``log``, ``rows``, one (record, T, delta, eta, partner index) per
+    arrival, else None.  Each kind's constructor sets these and what that kind
+    keeps itself, once each."""
 
     def _record(self, t: float, value: int, T: float, delta: float, eta: float, out_time: float) -> Record:
         """The record of the next arrival, with its row if the log is on."""
@@ -308,6 +297,30 @@ class _PureState:
         if self.rows is not None:
             self.rows.append([rec, T, delta, eta, None])
         return rec
+
+    def transition_log(self) -> list[TransitionRecord]:
+        """The full per-transition log, built from ``rows`` (``log=True`` only)."""
+        return [
+            TransitionRecord(r.index, r.time, r.value, T, delta, eta, r.out_time, r.canceled, partner, r.guard_hit)
+            for r, T, delta, eta, partner in self.rows
+        ]
+
+
+class _PureState(_State):
+    """Incremental pure delay: every record survives, except that two records
+    rounded onto one output time cancel, by ``_pend``, the pair-cancellation
+    step that the involution channels share.
+
+    It keeps only its newest pending record: outputs t + d never decrease, so
+    only the newest survivor can share a later output time, and once a pair
+    cancels, every earlier survivor lies below every later output.
+    """
+
+    def __init__(self, delay: float, log: bool = False):
+        self.delay = delay
+        self.fed = 0
+        self.rows: list[list] | None = [] if log else None
+        self.stack: deque[Record] = deque(maxlen=1)  # the newest pending record
 
     def _pend(self, rec: Record) -> Record | None:
         """Cancel ``rec`` with the latest pending survivor whose output is not
@@ -336,15 +349,8 @@ class _PureState:
         """The output records among ``fed``, every record of the whole input (batch use only)."""
         return [r for r in fed if not r.canceled]
 
-    def transition_log(self) -> list[TransitionRecord]:
-        """The full per-transition log, built from ``rows`` (``log=True`` only)."""
-        return [
-            TransitionRecord(r.index, r.time, r.value, T, delta, eta, r.out_time, r.canceled, partner, r.guard_hit)
-            for r, T, delta, eta, partner in self.rows
-        ]
 
-
-class _InertialState(_PureState):
+class _InertialState(_State):
     """Incremental inertial delay: an arrival before ``prev.time + window``
     suppresses the previous record.  The window is half-open, like a VHDL
     reject limit: an arrival at exactly ``decide_at(prev)`` leaves the record
@@ -357,8 +363,10 @@ class _InertialState(_PureState):
     """
 
     def __init__(self, delay: float, window: float, log: bool = False):
-        super().__init__(delay, log)
+        self.delay = delay
         self.window = window
+        self.fed = 0
+        self.rows: list[list] | None = [] if log else None
         self.last: Record | None = None
 
     def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
@@ -398,10 +406,11 @@ class _InvolutionState(_PureState):
     """
 
     def __init__(self, df: DelayFunction, source: EtaSource, log: bool = False):
-        super().__init__(math.nan, log)  # no constant delay
-        self.stack = deque()  # every pending record, oldest first
         self.df = df
         self.source = source
+        self.fed = 0
+        self.rows: list[list] | None = [] if log else None
+        self.stack: deque[Record] = deque()  # every pending record, oldest first
         self.etas: list[float] = []
         self.prev_t = -math.inf
         self.prev_delta = 0.0
@@ -454,7 +463,9 @@ def state_constructor(spec: ChannelSpec):
     """The constructor of a channel's fresh incremental states, called as ``new(log=False)``.
 
     ``log`` turns the full per-transition log on.  The spec is read, and an
-    eta-involution channel's strategy checked, once, here.  No two states
+    eta-involution channel's strategy checked, once, here.  Each kind's
+    constructor builds only what that kind keeps, each attribute once; an
+    inertial state has no pending stack.  No two states
     share anything a run changes, so the runs of one circuit can build their
     states from one constructor; a ``uniform_random`` channel's states read
     one stream of draws (see :meth:`EtaSource.starter`).

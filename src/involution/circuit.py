@@ -449,7 +449,7 @@ def or_loop_circuit(
     return Circuit(["i"], ["o"], gates, edges)
 
 
-@dataclass
+@dataclass(slots=True)
 class Execution:
     """An executed assignment of signals to every vertex and channel.
 
@@ -544,8 +544,6 @@ def _run_events(
     initial = _initial_values(circuit, inputs)
     pins = [chans and [initial[channel_src[c]] for c in chans] for chans in circuit._pin_channels]
     states = [new(log) for new in circuit._new_states]
-    feeds = [state.feed for state in states]
-    decide_ats = [state.decide_at for state in states]
     # the transition times of every channel and vertex; values alternate from
     # ``initial``, and ``values`` holds each vertex's current one
     channel_times: list[list[float]] = [[] for _ in states]
@@ -567,8 +565,8 @@ def _run_events(
     seq = len(heap)
     # by gate: the time of its pending evaluation, else None (every gate evaluates at 0)
     pending_eval: list[float | None] = [0.0] * len(pins)
-    trail: collections.deque[tuple] = collections.deque(maxlen=100)  # the last events before the budget runs out
-    trail_from = events_max - trail.maxlen
+    trail: list[tuple] = []  # the events after trail_from: the last 100 before the budget runs out
+    trail_from = events_max - 100
     push, pop = heapq.heappush, heapq.heappop
 
     event_count = 0
@@ -638,11 +636,12 @@ def _run_events(
         times.append(t)
         values[x] = v
         for c in fanout[x]:
+            state = states[c]
             try:
-                rec, _ = feeds[c](t, v)
+                rec, _ = state.feed(t, v)
             except ch.ChannelError as exc:
                 raise CausalityFault(f"channel {channel_names[c]!r}: {exc}") from exc
-            at = decide_ats[c](rec)
+            at = state.decide_at(rec)
             seq += 1
             if at is None:
                 push(heap, (rec.out_time, _DELIVER, seq, (c, rec)))
@@ -792,11 +791,19 @@ def _execution(
     active: set[str],
     log: bool,
 ) -> Execution:
-    """The execution with these transition times, strictly increasing, of every vertex and channel by number."""
+    """The execution with these transition times, strictly increasing, of every vertex and channel by number.
+
+    Each signal map is built in one pass; the states it reads hold only what
+    their kind keeps (``channel.state_constructor``).
+    """
     channel_names = circuit._channel_names
-    channel_initial = map(initial.__getitem__, circuit._channel_src)
-    channel_signals = dict(zip(channel_names, map(_unchecked, channel_initial, map(tuple, channel_times))))
-    vertex_signals = dict(zip(circuit._vertex_names, map(_unchecked, initial, map(tuple, vertex_times))))
+    channel_signals = {
+        name: _unchecked(initial[x], tuple(times))
+        for name, x, times in zip(channel_names, circuit._channel_src, channel_times)
+    }
+    vertex_signals = {
+        name: _unchecked(v0, tuple(times)) for name, v0, times in zip(circuit._vertex_names, initial, vertex_times)
+    }
 
     guard = circuit._guard if circuit._guard is not None else horizon / 10.0
     guard = min(guard, horizon / 2.0)  # the window must leave room before it
@@ -808,17 +815,17 @@ def _execution(
         resolved[port] = sig.value_at(horizon)
 
     return Execution(
-        horizon=horizon,
-        vertex_signals=vertex_signals,
-        channel_signals=channel_signals,
-        channel_logs={name: state.transition_log() for name, state in zip(channel_names, states)} if log else {},
-        eta_sequences={name: states[c].etas for name, c in circuit._involutions},
-        event_count=event_count,
-        stabilized=stabilized,
-        resolved_value=resolved,
-        active_at_horizon=active,
-        commit_margins={name: states[c].commit_margin for name, c in circuit._involutions},
-        circuit=circuit,
+        horizon,
+        vertex_signals,
+        channel_signals,
+        {name: state.transition_log() for name, state in zip(channel_names, states)} if log else {},
+        {name: states[c].etas for name, c in circuit._involutions},
+        event_count,
+        stabilized,
+        resolved,
+        active,
+        {name: states[c].commit_margin for name, c in circuit._involutions},
+        circuit,
     )
 
 

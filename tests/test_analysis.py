@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -374,6 +377,40 @@ class TestSweepRunner:
                         )
                     )
             assert run_spf_sweep(ref, BOUNDS, char, ht, grid, strategies, horizon=horizon) == want
+
+    def test_runs_of_one_circuit_from_four_threads_equal_the_serial_runs(self, ref):
+        # runs of one circuit may go on concurrently: four threads, with a short
+        # switch interval, run the sweep's widths on one uniform-random storage
+        # loop, each from another width; every execution is the serial run's
+        char = characterize(ref, BOUNDS)
+        ht = dimension_ht_buffer(3.0 * char.tau_star, char.duty)
+        stimuli = [make_signal(0, []), *(pulse(0.0, d0) for d0 in np.arange(0.1, 1.6, 0.05).tolist())]
+        horizon, workers = 60.0, 4
+
+        def loop():
+            return or_loop_circuit(EtaInvolution(ref, BOUNDS, UniformRandom(seed=5)), ht)
+
+        alone, shared = loop(), loop()
+        serial = [dataclasses.replace(execute(alone, {"i": s}, horizon), circuit=shared) for s in stimuli]
+        go = threading.Barrier(workers)
+        got = [None] * workers
+
+        def work(k):
+            go.wait(timeout=60)
+            got[k] = [execute(shared, {"i": s}, horizon) for s in stimuli[k:] + stimuli[:k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [serial[k:] + serial[:k] for k in range(workers)]
 
     @pytest.mark.parametrize("bad", [0.0, -0.4])
     def test_a_width_that_is_not_positive_raises_before_any_run(self, ref, monkeypatch, bad):

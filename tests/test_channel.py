@@ -190,6 +190,15 @@ class TestPureAndInertial:
         out, _ = apply_channel(Inertial(1.0, 0.2), s)
         assert [(t.time, t.value) for t in out.transitions] == [(1.0, 1), (3.0, 0)]
 
+    @pytest.mark.parametrize("log", [False, True], ids=["unlogged", "logged"])
+    def test_an_inertial_state_keeps_no_pending_stack(self, log):
+        # only its newest record can be suppressed, so that record is all it keeps;
+        # the glitch train above gives the same output
+        state = state_constructor(Inertial(1.0, 0.2))(log)
+        fed = [state.feed(t, v)[0] for t, v in [(0.0, 1), (0.5, 0), (0.55, 1), (2.0, 0)]]
+        assert not hasattr(state, "stack")
+        assert [(r.out_time, r.value) for r in state.survivors(fed)] == [(1.0, 1), (3.0, 0)]
+
 
 class TestInertialOracle:
     WINDOW = 0.2

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import re
@@ -1045,6 +1047,54 @@ class TestPureRoundingTie:
         e = execute(c, {"x": stim}, horizon=30.0)
         assert len(built) == 2 and all(len(state.stack) <= 1 for state in built)
         assert e.channel_signals["in"] == expected
+
+
+@pytest.mark.parametrize("run", [execute, _event_loop], ids=["execute", "event_loop"])
+def test_an_engine_inertial_channel_keeps_no_pending_stack(run):
+    # the glitch train of the channel tests: the 0.05 low pulse is suppressed
+    spec = Inertial(1.0, 0.2)
+    c = _buffer(spec)
+    stim = make_signal(0, [(0.0, 1), (0.5, 0), (0.55, 1), (2.0, 0)])
+    built = []
+    c._new_states = [lambda log=False, new=new: built.append(new(log)) or built[-1] for new in c._new_states]
+    e = run(c, {"x": stim}, 10.0, events_max=10**6, log=False)
+    assert not hasattr(built[0], "stack")
+    assert e.channel_signals["in"] == apply_channel(spec, stim)[0] == make_signal(0, [(1.0, 1), (3.0, 0)])
+
+
+def _ring_oscillator(ref):
+    """A NOT gate fed back through a uniform-random eta-involution channel: it never settles."""
+    loop = EtaInvolution(ref, EtaBounds(0.05, 0.1), UniformRandom(3))
+    channels = [ChannelEdge("fb", "n", "n", 0, loop), ChannelEdge("out", "n", "y", None, Pure(0.0))]
+    return Circuit([], ["y"], [Gate("n", "NOT", 1, 0)], channels)
+
+
+def _run_template(c):
+    return copy.deepcopy([c._evals_at_0, c._gate_initials, c._pin_channels, c._fanout, c._port_drivers])
+
+
+@pytest.mark.parametrize(
+    "case, fault, next_horizon",
+    [("ring", HorizonExceeded, 20.0), ("xor1681", CausalityFault, 1.5)],
+    ids=["horizon_exceeded", "causality_fault"],
+)
+def test_a_run_that_raises_leaves_the_run_template_untouched(ref, case, fault, next_horizon):
+    # the ring runs out of a budget of 500 events; the XOR self-loop's feed audit
+    # raises at t=2.06 (test_a_channel_audit_in_an_xor_self_loop_is_a_causality_fault)
+    def build():
+        if case == "ring":
+            return _ring_oscillator(ref), {}
+        xor, stim = xor_self_loop_case(1681)
+        return xor, {"i": stim}
+
+    c, inputs = build()
+    template = _run_template(c)
+    with pytest.raises(fault):
+        execute(c, inputs, 1e9 if case == "ring" else 15.0, events_max=500)
+    assert _run_template(c) == template
+    fresh, _ = build()
+    e = execute(c, inputs, next_horizon)
+    assert e == dataclasses.replace(execute(fresh, inputs, next_horizon), circuit=c)
 
 
 class TestVerifyExecution:
