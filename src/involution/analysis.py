@@ -307,7 +307,6 @@ def spf_check(
 class SweepPoint:
     delta0: float | None
     strategy_label: str
-    seed: int | None
     regime: str
     pulses_observed: int
     resolved_to: str
@@ -343,13 +342,12 @@ def run_spf_sweep(
     points: list[SweepPoint] = []
     for label, strategy in strategies.items():
         circuit = or_loop_circuit(ch.EtaInvolution(df, bounds, strategy), ht_params)
-        seed = strategy.seed if isinstance(strategy, ch.UniformRandom) else None
         for delta0, stimulus, regime in widths:
             e = execute(circuit, {"i": stimulus}, horizon, events_max=events_max)
             or_sig, out_sig = e.vertex_signals["or1"], e.vertex_signals["o"]
             rises = (bisect_left(or_sig.times, horizon) + 1 - or_sig.initial_value) // 2
             resolved = "osc" if "c" in e.active_at_horizon or not e.stabilized["o"] else str(e.resolved_value["o"])
             points.append(
-                SweepPoint(delta0, label, seed, regime, max(0, rises - 1), resolved, or_sig.last_time(), out_sig)
+                SweepPoint(delta0, label, regime, max(0, rises - 1), resolved, or_sig.last_time(), out_sig)
             )
     return points

@@ -34,12 +34,12 @@ only in when they decide a record: the engine decides each record at
 ``decide_at(record)`` (None: deliver at once), on channels whose spec
 passed ``check_causal`` when their circuit was built.
 
-Every arrival builds one :class:`Record`, what the engine and the audits
-read.  The full per-transition log is opt-in (``log=True``) and only
-observes: a state then also keeps a row of T, delta, eta and the canceled
-partner per arrival, from which ``transition_log`` builds the
-:class:`TransitionRecord` log.  ``apply_channel`` logs unless told not to;
-the engine and the engine's self-check do not.
+Every arrival builds one record, what the engine and the audits read.  The
+full per-transition log is opt-in (``log=True``) and only observes: a state
+then builds each arrival as a :class:`TransitionRecord`, a :class:`Record`
+that also keeps T, delta, eta and the canceled partner, and appends it to
+its ``log``, the list that is the log.  ``apply_channel`` logs unless told
+not to; the engine and the engine's self-check do not.
 
 Commit rule of the involution channels
 --------------------------------------
@@ -217,6 +217,8 @@ class Pure:
     def __post_init__(self) -> None:
         if not self.delay >= 0:
             raise ChannelError(f"pure delay must be >= 0, got {self.delay}")
+        if self.delay == math.inf:
+            raise ChannelError(f"pure delay must be finite, got {self.delay}")
 
 
 @dataclass(frozen=True)
@@ -227,10 +229,11 @@ class Inertial:
     window: float
 
     def __post_init__(self) -> None:
-        if not self.delay > 0:
-            raise ChannelError(f"inertial delay must be > 0, got {self.delay}")
-        if not self.window > 0:
-            raise ChannelError(f"inertial window must be > 0, got {self.window}")
+        for name, x in (("delay", self.delay), ("window", self.window)):
+            if not x > 0:
+                raise ChannelError(f"inertial {name} must be > 0, got {x}")
+            if x == math.inf:
+                raise ChannelError(f"inertial {name} must be finite, got {x}")
 
 
 @dataclass(frozen=True)
@@ -253,22 +256,6 @@ ChannelSpec = Union[Pure, Inertial, EtaInvolution]
 
 
 @dataclass(slots=True)
-class TransitionRecord:
-    """One input transition in the full per-transition log (``log=True``)."""
-
-    index: int
-    time: float
-    value: int
-    T: float
-    delta: float
-    eta: float
-    out_time: float
-    canceled: bool = False
-    canceled_with: int | None = None
-    guard_hit: bool = False
-
-
-@dataclass(slots=True)
 class Record:
     """One input transition as a channel state keeps it: what the engine and the audits read."""
 
@@ -284,26 +271,33 @@ class Record:
         return self.out_time == -math.inf
 
 
+@dataclass(slots=True)
+class TransitionRecord(Record):
+    """One input transition in the full per-transition log (``log=True``):
+    its record, with T, delta and eta, and the index of the record it
+    canceled with.  A pure or inertial channel has no T, and its delta is
+    its delay."""
+
+    T: float = math.nan
+    delta: float = math.nan
+    eta: float = 0.0
+    canceled_with: int | None = None
+
+
 class _State:
     """What every channel state keeps: ``fed``, the number of arrivals so far,
-    and with ``log``, ``rows``, one (record, T, delta, eta, partner index) per
-    arrival, else None.  Each kind's constructor sets these and what that kind
-    keeps itself, once each."""
+    and ``log``, with the log on the list of every arrival's
+    TransitionRecord, else None.  Each kind's constructor sets these and what
+    that kind keeps itself, once each."""
 
     def _record(self, t: float, value: int, T: float, delta: float, eta: float, out_time: float) -> Record:
-        """The record of the next arrival, with its row if the log is on."""
+        """The record of the next arrival, logged if the log is on."""
         self.fed = n = self.fed + 1
-        rec = Record(n, t, value, out_time)
-        if self.rows is not None:
-            self.rows.append([rec, T, delta, eta, None])
+        if self.log is None:
+            return Record(n, t, value, out_time)
+        rec = TransitionRecord(n, t, value, out_time, False, T, delta, eta)
+        self.log.append(rec)
         return rec
-
-    def transition_log(self) -> list[TransitionRecord]:
-        """The full per-transition log, built from ``rows`` (``log=True`` only)."""
-        return [
-            TransitionRecord(r.index, r.time, r.value, T, delta, eta, r.out_time, r.canceled, partner, r.guard_hit)
-            for r, T, delta, eta, partner in self.rows
-        ]
 
 
 class _PureState(_State):
@@ -319,7 +313,7 @@ class _PureState(_State):
     def __init__(self, delay: float, log: bool = False):
         self.delay = delay
         self.fed = 0
-        self.rows: list[list] | None = [] if log else None
+        self.log: list[TransitionRecord] | None = [] if log else None
         self.stack: deque[Record] = deque(maxlen=1)  # the newest pending record
 
     def _pend(self, rec: Record) -> Record | None:
@@ -329,8 +323,8 @@ class _PureState(_State):
         if stack and stack[-1].out_time >= rec.out_time:
             partner = stack.pop()
             partner.canceled = rec.canceled = True
-            if self.rows is not None:  # the row of record n is rows[n - 1]
-                self.rows[-1][4], self.rows[partner.index - 1][4] = partner.index, rec.index
+            if self.log is not None:
+                rec.canceled_with, partner.canceled_with = partner.index, rec.index
             return partner
         stack.append(rec)
         return None
@@ -366,7 +360,7 @@ class _InertialState(_State):
         self.delay = delay
         self.window = window
         self.fed = 0
-        self.rows: list[list] | None = [] if log else None
+        self.log: list[TransitionRecord] | None = [] if log else None
         self.last: Record | None = None
 
     def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
@@ -409,7 +403,7 @@ class _InvolutionState(_PureState):
         self.df = df
         self.source = source
         self.fed = 0
-        self.rows: list[list] | None = [] if log else None
+        self.log: list[TransitionRecord] | None = [] if log else None
         self.stack: deque[Record] = deque()  # every pending record, oldest first
         self.etas: list[float] = []
         self.prev_t = -math.inf
@@ -499,7 +493,7 @@ def apply_channel(
     feed = state.feed
     fed = [feed(t, value)[0] for t, value in zip(s.times, cycle((1 - v0, v0)))]
     out = make_signal(v0, [(r.out_time, r.value) for r in state.survivors(fed)])
-    return out, state.transition_log() if log else None
+    return out, state.log
 
 
 # eta-sequence file for FixedSequence strategies: header "n,eta", 1-based index.

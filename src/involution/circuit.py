@@ -457,10 +457,12 @@ class Execution:
     with a stimulus, delivery or release still due after the horizon.  A
     record canceled before the horizon has nothing left to deliver and marks
     no channel active.  ``channel_logs`` holds every channel's full
-    per-transition log when ``execute`` ran with ``log=True`` and is empty
-    otherwise; ``eta_sequences`` and ``commit_margins`` are always there.
-    The log only observes: each channel state builds the same records with
-    it on or off, so every other field, and any error raised, is the same.
+    per-transition log, the ``log`` list of its state, when ``execute`` ran
+    with ``log=True`` and is empty otherwise; ``eta_sequences`` and
+    ``commit_margins`` are always there.  The log only observes: with it on,
+    each channel state builds its records as TransitionRecords, which the
+    engine reads as plain records, so every other field, and any error raised
+    (a budget trail reports plain records), is the same.
     """
 
     horizon: float
@@ -807,18 +809,20 @@ def _execution(
 
     guard = circuit._guard if circuit._guard is not None else horizon / 10.0
     guard = min(guard, horizon / 2.0)  # the window must leave room before it
+    # inf less the guard may be NaN; at an infinite horizon only what is still active counts
+    settled = horizon - guard if horizon != math.inf else horizon
     stabilized = {}
     resolved = {}
     for port, driver in circuit._port_drivers:
         sig = vertex_signals[port]
-        stabilized[port] = sig.last_time() <= horizon - guard and driver not in active
+        stabilized[port] = sig.last_time() <= settled and driver not in active
         resolved[port] = sig.value_at(horizon)
 
     return Execution(
         horizon,
         vertex_signals,
         channel_signals,
-        {name: state.transition_log() for name, state in zip(channel_names, states)} if log else {},
+        {name: state.log for name, state in zip(channel_names, states)} if log else {},
         {name: states[c].etas for name, c in circuit._involutions},
         event_count,
         stabilized,
@@ -840,8 +844,9 @@ def _named(circuit: Circuit, item: tuple) -> tuple:
         payload = (circuit._vertex_names[payload[0]], payload[1])
     elif kind == _EVAL:
         payload = circuit._vertex_names[payload]
-    else:
-        payload = (circuit._channel_names[payload[0]], payload[1])
+    else:  # a plain record whichever kind the state built, so the trail reads the same with the log on or off
+        c, r = payload
+        payload = (circuit._channel_names[c], ch.Record(r.index, r.time, r.value, r.out_time, r.canceled))
     return t, _KIND_NAMES[kind], payload
 
 

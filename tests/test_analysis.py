@@ -33,7 +33,14 @@ from involution.channel import (
     apply_channel,
 )
 from involution.circuit import execute, or_loop_circuit
-from involution.delay_model import DomainViolation, ExpChannelParams, delta_min, derivative_up, exp_channel
+from involution.delay_model import (
+    DomainViolation,
+    ExpChannelParams,
+    InvalidParams,
+    delta_min,
+    derivative_up,
+    exp_channel,
+)
 from involution.signals import NonPositiveLength, decompose_pulses, make_signal, pulse
 
 import oracles
@@ -151,6 +158,9 @@ class TestFMap:
     def test_domain_violation(self, ref, zero_eta):
         with pytest.raises(DomainViolation):
             f_map(ref, zero_eta, 2.0 * ref.delta_inf_down)
+        # inside delta_up's domain, but a late rising edge pushes delta_down's argument past its edge
+        with pytest.raises(DomainViolation, match="f-map argument .* outside delta_down domain"):
+            f_map(ref, EtaBounds(0.0, 5.0), 0.4)
 
 
 class TestTildeDelta0:
@@ -208,6 +218,21 @@ class TestDimensionHtBuffer:
         monkeypatch.setattr(analysis, "_MAX_DOUBLINGS", 0)
         with pytest.raises(SearchFailed):
             dimension_ht_buffer(1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "theta, gamma_cap, message",
+        [
+            (0.0, 0.5, "theta must be > 0, got 0.0"),
+            (-1.0, 0.5, "theta must be > 0, got -1.0"),
+            (1.0, -0.1, r"gamma_cap must lie in \[0, 1\), got -0.1"),
+            (1.0, 1.0, r"gamma_cap must lie in \[0, 1\), got 1.0"),
+        ],
+    )
+    def test_a_theta_of_zero_or_below_or_a_gamma_cap_outside_the_unit_interval_is_rejected(
+        self, theta, gamma_cap, message
+    ):
+        with pytest.raises(InvalidParams, match=message):
+            dimension_ht_buffer(theta, gamma_cap)
 
 
 class TestSpfCheck:
@@ -368,7 +393,6 @@ class TestSweepRunner:
                         SweepPoint(
                             d0,
                             label,
-                            strategy.seed if isinstance(strategy, UniformRandom) else None,
                             "zero" if d0 is None else classify_pulse(char, d0).value,
                             max(0, len(decompose_pulses(or_sig, horizon)) - 1),
                             resolved,

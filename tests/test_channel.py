@@ -138,11 +138,19 @@ class TestPureAndInertial:
         assert [(t.time, t.value) for t in out.transitions] == [(1.0, 1), (1.1, 0)]
 
     def test_nan_delays_rejected(self):
-        # a NaN pure delay surfaced as "transition times not strictly increasing at t=nan"
+        # a NaN pure delay surfaced as "transition times not strictly increasing at t=nan";
+        # an infinite one left the channel active forever, and an infinite window
+        # failed only at execute, as a causality fault
         with pytest.raises(ChannelError, match="pure delay"):
             Pure(math.nan)
         with pytest.raises(ChannelError, match="inertial delay"):
             Inertial(math.nan, 0.1)
+        with pytest.raises(ChannelError, match="pure delay must be finite, got inf"):
+            Pure(math.inf)
+        with pytest.raises(ChannelError, match="inertial delay must be finite, got inf"):
+            Inertial(math.inf, 1.0)
+        with pytest.raises(ChannelError, match="inertial window must be finite, got inf"):
+            Inertial(1.0, math.inf)
 
     @pytest.mark.parametrize(
         "delay, window, message",

@@ -468,6 +468,17 @@ class TestStabilizationGuard:
             assert e.vertex_signals["y"].last_time() == last
             assert e.stabilized["y"] is stabilized, last
 
+    @pytest.mark.parametrize("delay", [0.0, 1.0], ids=["zero_delay", "unit_delay"])
+    @pytest.mark.parametrize("path", ["execute", "event_loop"])
+    def test_at_an_infinite_horizon_an_output_is_stabilized_when_its_driver_is_not_active(self, delay, path):
+        # with only zero delays the guard is a tenth of the horizon, so here it is
+        # infinite too, and only the driver's activity decides
+        c = _buffer(Pure(delay))
+        run = execute if path == "execute" else _event_loop
+        e = run(c, {"x": make_signal(0, [(1.0, 1), (2.0, 0)])}, math.inf, events_max=10**6, log=False)
+        assert e.vertex_signals["y"].times == (1.0 + delay, 2.0 + delay)
+        assert e.active_at_horizon == set() and e.stabilized == {"y": True}
+
 
 _SYMMETRIC = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
 
@@ -1095,6 +1106,25 @@ def test_a_run_that_raises_leaves_the_run_template_untouched(ref, case, fault, n
     fresh, _ = build()
     e = execute(c, inputs, next_horizon)
     assert e == dataclasses.replace(execute(fresh, inputs, next_horizon), circuit=c)
+
+
+@pytest.mark.parametrize("case", ["acyclic_pure", "eta_ring"])
+def test_a_budget_trail_reports_plain_records_with_the_log_on(ref, case):
+    # a logged state builds TransitionRecords; the trail snapshots each as the
+    # Record an unlogged run reports, so the error reads the same either way
+    if case == "eta_ring":
+        c, inputs = _ring_oscillator(ref), {}
+    else:
+        c, inputs = _buffer(Pure(0.5)), {"x": make_signal(0, [(k / 10, (k + 1) % 2) for k in range(400)])}
+    raised = {}
+    for log in (False, True):
+        with pytest.raises(HorizonExceeded) as exc_info:
+            execute(c, inputs, 1e9, events_max=500, log=log)
+        raised[log] = exc_info.value
+    records = [payload[1] for _, kind, payload in raised[True].events if kind in ("deliver", "release")]
+    assert records and all(type(r) is Record for r in records)
+    assert repr(raised[True].events) == repr(raised[False].events)
+    assert str(raised[True]) == str(raised[False])
 
 
 class TestVerifyExecution:

@@ -216,6 +216,28 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "parse" and "must be an object" in err["message"]
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("pure", '{"d": 1e999}', "pure delay must be finite, got inf"),
+            ("inertial", '{"d": 1e999, "window": 0.5}', "inertial delay must be finite, got inf"),
+            ("inertial", '{"d": 1.0, "window": 1e999}', "inertial window must be finite, got inf"),
+        ],
+        ids=["pure_delay", "inertial_delay", "inertial_window"],
+    )
+    def test_an_infinite_channel_delay_or_window_is_a_parse_error_naming_the_channel(
+        self, tmp_path, capsys, kind, params, message
+    ):
+        netlist = tmp_path / "inf.json"
+        netlist.write_text(
+            '{"ports": [{"name": "i", "direction": "in"}, {"name": "o", "direction": "out"}],'
+            f' "channels": [{{"name": "c1", "from": "i", "to": "o", "kind": "{kind}", "params": {params}}}]}}'
+        )
+        stim = write_stimulus(tmp_path, pulse(0, 1.5))
+        assert main(["simulate", str(netlist), str(stim), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "parse", "message": f"channel 'c1': {message}"}
+
     def _run_eta_minus(self, tmp_path, eta_minus):
         doc = json.loads(json.dumps(FIG4_NETLIST))
         doc["channels"][1]["eta"]["minus"] = eta_minus

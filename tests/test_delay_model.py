@@ -262,10 +262,13 @@ class TestDerivatives:
         tab = DelayFunction(ref.delta_inf_up, ref.delta_inf_down, ref.up, ref.down)
         for T in (-0.4, 0.0, 1.0, 5.0):
             assert derivative_up(tab, T) == pytest.approx(derivative_up(ref, T), rel=1e-6)
+            assert derivative_down(tab, T) == pytest.approx(derivative_down(ref, T), rel=1e-6)
 
     def test_domain_violation(self, ref):
         with pytest.raises(DomainViolation):
             derivative_up(ref, -ref.delta_inf_down)
+        with pytest.raises(DomainViolation, match="delta_down domain"):
+            derivative_down(ref, -ref.delta_inf_up)
 
 
 class TestShapeInvariants:
@@ -308,3 +311,11 @@ def test_bisect_root_tolerance():
     assert root == pytest.approx(math.sqrt(2), abs=1e-11)
     with pytest.raises(NoBracket):
         bisect_root(lambda x: 1.0 + x * x, -1.0, 1.0)
+    # an exact zero at an endpoint, or at the first midpoint, is returned as is
+    assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    assert bisect_root(lambda x: x - 1.0, 0.0, 2.0) == 1.0
+    # a NaN at either edge has no sign to bracket with
+    for lo_nan in (True, False):
+        with pytest.raises(NoBracket, match="NaN at bracket edge"):
+            bisect_root(lambda x: math.nan if (x < 0) == lo_nan else x, -1.0, 1.0)

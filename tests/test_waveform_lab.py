@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from involution import cli, waveform_lab
 from involution.channel import Involution, apply_channel
-from involution.delay_model import ExpChannelParams, delta_min, exp_channel, read_delay_samples, tabulated_channel
+from involution.delay_model import (
+    ExpChannelParams,
+    InvalidParams,
+    delta_min,
+    exp_channel,
+    read_delay_samples,
+    tabulated_channel,
+)
 from involution.signals import make_signal, pulse
 from involution.waveform_lab import (
     DeviationResult,
@@ -125,6 +132,11 @@ class TestSynthCrossings:
                     delta = t_c - rec.time
                     want = ref.up(rec.T) if rec.value == 1 else ref.down(rec.T)
                     assert delta == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan])
+    def test_a_disturbance_period_of_zero_or_below_is_rejected(self, period):
+        with pytest.raises(InvalidParams, match=f"period must be > 0, got {period}"):
+            Disturbance(0.01, period)
 
     def test_zero_amplitude_is_seed_independent(self):
         stim = pulse(0, 2.0)
