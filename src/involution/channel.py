@@ -13,9 +13,9 @@ transitions n < m cancel pairwise when t_n + delta_n >= t_m + delta_m
 (ties cancel); the incremental form cancels a new pending transition
 backward against the latest surviving one, which keeps the surviving list
 strictly increasing and alternating.  A pure delay follows the same rule,
-where only inputs rounded onto one output time cancel: both states share one
-cancellation step, ``_PureState._pend``, on a pending stack that a pure delay
-keeps one record deep.
+where only inputs rounded onto one output time cancel: each of the two
+states runs that step in its own ``feed``, on a pending stack that a pure
+delay keeps one record deep.
 
 The eta_n are adversarial perturbations within [-eta_minus, +eta_plus],
 consumed one per input transition index (including transitions whose
@@ -32,7 +32,9 @@ longer be canceled, and ``survivors`` picks the output from all records fed.
 ``apply_channel`` and the engine in ``circuit`` both drive it and differ
 only in when they decide a record: the engine decides each record at
 ``decide_at(record)`` (None: deliver at once), on channels whose spec
-passed ``check_causal`` when their circuit was built.
+passed ``check_causal`` when their circuit was built.  ``apply_channel``
+builds its output signal from the surviving records of ``_replay``, which
+the engine's self-check compares with a recorded signal directly.
 
 Every arrival builds one record, what the engine and the audits read.  The
 full per-transition log is opt-in (``log=True``) and only observes: a state
@@ -302,8 +304,8 @@ class _State:
 
 class _PureState(_State):
     """Incremental pure delay: every record survives, except that two records
-    rounded onto one output time cancel, by ``_pend``, the pair-cancellation
-    step that the involution channels share.
+    rounded onto one output time cancel, by the pair-cancellation rule of the
+    involution channels.
 
     It keeps only its newest pending record: outputs t + d never decrease, so
     only the newest survivor can share a later output time, and once a pair
@@ -316,23 +318,21 @@ class _PureState(_State):
         self.log: list[TransitionRecord] | None = [] if log else None
         self.stack: deque[Record] = deque(maxlen=1)  # the newest pending record
 
-    def _pend(self, rec: Record) -> Record | None:
-        """Cancel ``rec`` with the latest pending survivor whose output is not
-        earlier, else keep it pending; returns that partner or None."""
-        stack = self.stack
-        if stack and stack[-1].out_time >= rec.out_time:
-            partner = stack.pop()
+    def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
+        """Process one input transition; returns (record, canceled partner or None).
+
+        The record cancels with the newest pending survivor if that one's
+        output is not earlier, and is kept pending otherwise.
+        """
+        rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
+        if self.stack and self.stack[-1].out_time >= rec.out_time:
+            partner = self.stack.pop()
             partner.canceled = rec.canceled = True
             if self.log is not None:
                 rec.canceled_with, partner.canceled_with = partner.index, rec.index
-            return partner
-        stack.append(rec)
-        return None
-
-    def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
-        """Process one input transition; returns (record, canceled partner or None)."""
-        rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
-        return rec, self._pend(rec)
+            return rec, partner
+        self.stack.append(rec)
+        return rec, None
 
     def decide_at(self, rec: Record) -> float | None:
         """When the engine decides ``rec``: the time after which it can no longer
@@ -393,7 +393,9 @@ class _InertialState(_State):
 class _InvolutionState(_PureState):
     """Incremental eta-involution channel (with a zero budget, the involution channel).
 
-    Records are decided oldest first, so every pending record lies above the
+    ``feed`` runs an arrival in its own frame: it builds the record, runs the
+    pair-cancellation step and audits a new survivor itself.  Records are
+    decided oldest first, so every pending record lies above the
     last committed output; a new survivor at or before it raises.  ``etas``
     lists the eta drawn for every arrival, and ``commit_margin`` is the least
     distance of a surviving output above the last committed one.
@@ -418,21 +420,28 @@ class _InvolutionState(_PureState):
         self.etas.append(eta)
         delta = base + eta
         self.prev_t, self.prev_delta = t, delta
-        rec = self._record(t, value, T, delta, eta, t + delta)
-        partner = self._pend(rec)
-        if partner is None:
-            if rec.out_time == -math.inf:
-                raise ChannelError(
-                    f"guard-canceled transition at t={t} has no surviving predecessor"
-                )
-            margin = rec.out_time - self.committed_last
-            if margin < self.commit_margin:
-                self.commit_margin = margin
-                if margin <= 0:
-                    raise ChannelError(
-                        f"arrival at t={t} would retro-cancel a committed output at {self.committed_last}"
-                    )
-        return rec, partner
+        self.fed = n = self.fed + 1
+        if self.log is None:
+            rec = Record(n, t, value, t + delta)
+        else:
+            rec = TransitionRecord(n, t, value, t + delta, False, T, delta, eta)
+            self.log.append(rec)
+        # cancel with the latest pending survivor whose output is not earlier, as a pure delay does
+        if self.stack and self.stack[-1].out_time >= rec.out_time:
+            partner = self.stack.pop()
+            partner.canceled = rec.canceled = True
+            if self.log is not None:
+                rec.canceled_with, partner.canceled_with = partner.index, rec.index
+            return rec, partner
+        self.stack.append(rec)
+        if rec.out_time == -math.inf:
+            raise ChannelError(f"guard-canceled transition at t={t} has no surviving predecessor")
+        margin = rec.out_time - self.committed_last
+        if margin < self.commit_margin:
+            self.commit_margin = margin
+            if margin <= 0:
+                raise ChannelError(f"arrival at t={t} would retro-cancel a committed output at {self.committed_last}")
+        return rec, None
 
     def decide_at(self, rec: Record, nextafter=math.nextafter, down=-math.inf) -> float:
         # max(rec.time, one ulp below the output), ties to rec.time as max gives them;
@@ -488,12 +497,18 @@ def apply_channel(
 ) -> tuple[Signal, list[TransitionRecord] | None]:
     """Channel function: map an input signal to the output signal plus the
     per-transition log, or None in its place with ``log=False``."""
+    survivors, records = _replay(spec, s, log)
+    return make_signal(s.initial_value, [(r.out_time, r.value) for r in survivors]), records
+
+
+def _replay(spec: ChannelSpec, s: Signal, log: bool = False) -> tuple[list[Record], list[TransitionRecord] | None]:
+    """The output records of a fresh state of ``spec`` fed every transition of
+    ``s``, in input order, and the state's log (None with ``log=False``)."""
     v0 = s.initial_value
     state = state_constructor(spec)(log)
     feed = state.feed
     fed = [feed(t, value)[0] for t, value in zip(s.times, cycle((1 - v0, v0)))]
-    out = make_signal(v0, [(r.out_time, r.value) for r in state.survivors(fed)])
-    return out, state.log
+    return state.survivors(fed), state.log
 
 
 # eta-sequence file for FixedSequence strategies: header "n,eta", 1-based index.

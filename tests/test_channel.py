@@ -97,6 +97,20 @@ class TestApplyInvolution:
         assert log[2].canceled_with == 2 and log[1].canceled_with == 3
         assert [t.value for t in out.transitions] == [1, 0]
 
+    def test_an_eta_that_lands_an_output_on_the_pending_survivor_cancels_both(self, ref):
+        # the falling edge's eta puts its output exactly on the rising edge's: ties cancel
+        t = 0.7
+        u = ref.up(math.inf)  # the first output, with eta 0
+        base = ref.down(t - u)
+        eta = (u - t) - base
+        assert t + (base + eta) == u and abs(eta) < 0.05
+        spec = EtaInvolution(ref, EtaBounds(0.05, 0.05), FixedSequence((0.0, eta)))
+        out, log = apply_channel(spec, make_signal(0, [(0.0, 1), (t, 0), (3.0, 1)]))
+        assert log[0].out_time == log[1].out_time == u
+        assert [r.canceled for r in log] == [True, True, False]
+        assert log[0].canceled_with == 2 and log[1].canceled_with == 1
+        assert [(tr.time, tr.value) for tr in out.transitions] == [(log[2].out_time, 1)]
+
     def test_feed_returns_the_record_and_partner_the_benchmark_tracer_reads(self, ref, monkeypatch):
         # bench/tracer.py wraps feed, EtaSource.eta and DelayFunction.up/down, and
         # reads guard_hit and the partner from what feed returns; the input is

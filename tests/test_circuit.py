@@ -1005,6 +1005,17 @@ class TestCompositionFallsBackToTheEventLoop:
             execute(c, {port: pulse(0.0, 1.0)}, horizon=math.nan)
 
 
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "cyclic"])
+    def test_a_horizon_of_minus_inf_is_rejected_and_a_finite_negative_one_is_stabilized(self, cyclic, loop_no_ht):
+        # the horizon less the guard was NaN at -inf, so every output read as unstabilized
+        c = loop_no_ht if cyclic else _buffer(Pure(0.0))
+        port = c.input_ports[0]
+        with pytest.raises(EngineError, match=r"^horizon must be above -inf, got -inf$"):
+            execute(c, {port: pulse(1.0, 1.0)}, horizon=-math.inf)
+        e = execute(c, {port: pulse(1.0, 1.0)}, horizon=-1.0)
+        assert e.stabilized == dict.fromkeys(c.output_ports, True)
+
+
 class TestPureRoundingTie:
     def test_tied_records_are_not_delivered(self):
         # the delay rounds the inputs at t1 < t2 onto one output time: the pair
@@ -1127,6 +1138,10 @@ def test_a_budget_trail_reports_plain_records_with_the_log_on(ref, case):
     assert str(raised[True]) == str(raised[False])
 
 
+def _channel_differs(name: str, expected: int, got: int) -> str:
+    return f"channel {name}: recorded output differs from channel function (expected {expected} transitions, got {got})"
+
+
 class TestVerifyExecution:
     def test_clean_execution_passes(self, loop_no_ht):
         e = execute(loop_no_ht, {"i": pulse(0, 0.9)}, horizon=60.0)
@@ -1144,6 +1159,53 @@ class TestVerifyExecution:
         report = verify_execution(e)
         assert not report.ok
         assert any("channel c" in m for m in report.mismatches)
+
+    @pytest.mark.parametrize(
+        "horizon, recorded, counts",
+        [
+            (2.0, None, None),  # the last survivor lies exactly at the horizon
+            (2.0, Signal(1, [(2.0, 0)]), (1, 1)),  # the initial value flipped
+            (1.5, Signal(1, []), (0, 0)),  # the initial value flipped, before any transition
+            (math.nextafter(2.0, 0.0), Signal(0, [(2.0, 1)]), (0, 1)),  # an extra transition one ulp above it
+            (2.0, Signal(0, [(math.nextafter(2.0, 3.0), 1)]), (1, 1)),  # the last transition moved one ulp past it
+            (2.0, Signal(0, []), (1, 0)),  # the last transition, at the horizon, dropped
+        ],
+        ids=[
+            "at_horizon",
+            "initial_flipped",
+            "initial_flipped_alone",
+            "extra_past_horizon",
+            "last_moved_past_horizon",
+            "last_dropped",
+        ],
+    )
+    def test_recorded_channel_output_is_compared_up_to_the_horizon(self, horizon, recorded, counts):
+        # the channel's one survivor lies at 2.0: at the horizon, or beyond it
+        e = execute(_buffer(Pure(1.0)), {"x": make_signal(0, [(1.0, 1)])}, horizon)
+        assert verify_execution(e).ok
+        if recorded is None:
+            assert e.channel_signals["in"].times == (2.0,)
+            return
+        e.channel_signals["in"] = recorded
+        report = verify_execution(e)
+        assert _channel_differs("in", *counts) in report.mismatches
+
+    @pytest.mark.parametrize(
+        "survivors, counts",
+        [
+            ([(2.0, 0)], (1, 1)),  # a value that repeats the initial one
+            ([(2.0, 1), (1.5, 0)], (2, 1)),  # a time before its predecessor's
+            ([(math.nan, 1)], (1, 1)),  # a time that is not a number
+            ([(2.0, 1), (math.nan, 0)], (2, 1)),  # and one after the recorded transitions
+        ],
+        ids=["repeated_value", "decreasing_time", "nan_time", "trailing_nan_time"],
+    )
+    def test_a_replay_that_breaks_a_signal_rule_is_a_mismatch(self, monkeypatch, survivors, counts):
+        e = execute(_buffer(Pure(1.0)), {"x": make_signal(0, [(1.0, 1)])}, 2.0)
+        records = [Record(k, 1.0, value, t) for k, (t, value) in enumerate(survivors, 1)]
+        monkeypatch.setattr(circuit_module.ch, "_replay", lambda spec, s: (records, None))
+        report = verify_execution(e)
+        assert _channel_differs("in", *counts) in report.mismatches
 
     def test_inverted_gate_output_flagged(self, loop_no_ht):
         e = execute(loop_no_ht, {"i": pulse(0, 0.5)}, horizon=30.0)
