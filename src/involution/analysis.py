@@ -346,7 +346,7 @@ def run_spf_sweep(
             e = execute(circuit, {"i": stimulus}, horizon, events_max=events_max)
             or_sig, out_sig = e.vertex_signals["or1"], e.vertex_signals["o"]
             rises = (bisect_left(or_sig.times, horizon) + 1 - or_sig.initial_value) // 2
-            resolved = "osc" if "c" in e.active_at_horizon or not e.stabilized["o"] else str(e.resolved_value["o"])
+            resolved = str(e.resolved_value["o"]) if e.stabilized["o"] else "osc"
             points.append(
                 SweepPoint(delta0, label, regime, max(0, rises - 1), resolved, or_sig.last_time(), out_sig)
             )

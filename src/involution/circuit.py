@@ -113,9 +113,6 @@ class Gate:
         if self.initial_value not in (0, 1):
             raise NetlistError(f"gate {self.name!r}: initial value must be 0 or 1")
 
-    def evaluate(self, values: tuple[int, ...]) -> int:
-        return _GATES[self.function][0](values)
-
 
 @dataclass(frozen=True)
 class ChannelEdge:
@@ -219,8 +216,8 @@ class Circuit:
         order of their driving channels; channels keep their netlist order.
         The template numbers them, orders the gates, and holds what a run
         would otherwise rebuild: the input-port set, the gates' initial values
-        and time-0 evaluations, the source and driving channel of each output
-        port, and the number of each eta-involution channel.
+        and time-0 evaluations, the source and fan-in cone of each output port,
+        and the number of each eta-involution channel.
         """
         edges = list(self.channels.values())
         self._vertex_names = [*self.input_ports, *self.gates, *(e.dst for e in edges if e.dst_pin is None)]
@@ -232,7 +229,6 @@ class Circuit:
         # a delivery sets gate pin (vertex, pin) or switches output port (vertex, None)
         self._channel_dst = [(at[e.dst], e.dst_pin) for e in edges]
         self._port_srcs = [at[e.src] for e in edges if e.dst_pin is None]  # by output port, in vertex order
-        self._port_drivers = [(port, drivers[(port, None)]) for port in self.output_ports]
         self._fanout = [tuple(c for c, e in enumerate(edges) if e.src == name) for name in self._vertex_names]
         # by vertex number up to the last gate: its function and the channels driving its pins (None for a port)
         ports = [None] * len(self.input_ports)
@@ -242,8 +238,22 @@ class Circuit:
             *ports,
             *([number[drivers[(name, pin)]] for pin in range(g.arity)] for name, g in self.gates.items()),
         ]
-        # the gates in an order where each follows the gates driving its pins, or None if the gates form a loop
         n_in = len(self.input_ports)
+        # by output port: the names of the channels and input ports that it depends on, back from its driving channel
+        self._port_cones = []
+        for port in self.output_ports:
+            cone, todo = set(), [number[drivers[(port, None)]]]
+            while todo:
+                c = todo.pop()
+                if self._channel_names[c] not in cone:
+                    cone.add(self._channel_names[c])
+                    x = self._channel_src[c]
+                    if x < n_in:
+                        cone.add(self.input_ports[x])
+                    else:
+                        todo += self._pin_channels[x]
+            self._port_cones.append((port, cone))
+        # the gates in an order where each follows the gates driving its pins, or None if the gates form a loop
         gates = range(n_in, n_in + len(self.gates))
         self._evals_at_0 = [(0.0, _EVAL, seq, x) for seq, x in enumerate(gates)]  # heap entries, see _run_events
         waiting = {x: sum(self._channel_src[c] >= n_in for c in self._pin_channels[x]) for x in gates}
@@ -256,10 +266,6 @@ class Circuit:
                         order.append(y)
         self._order = order if len(order) == len(gates) else None
         self._involutions = [(e.name, c) for c, e in enumerate(edges) if isinstance(e.spec, ch.EtaInvolution)]
-        dinfs = [e.spec.df.delta_inf_up for e in edges if isinstance(e.spec, ch.EtaInvolution)]
-        delays = [e.spec.delay for e in edges if isinstance(e.spec, (ch.Pure, ch.Inertial))]
-        # the stabilization guard, or None for a tenth of the horizon
-        self._guard = 10.0 * max(dinfs) if dinfs else (10.0 * max(delays) if delays and max(delays) > 0 else None)
         # by channel: the constructor of its fresh states, one per run; and the message of the
         # first channel that the engine cannot decide causally, or None, which every execute raises
         self._new_states: list[Callable | None] = []
@@ -453,16 +459,36 @@ def or_loop_circuit(
 class Execution:
     """An executed assignment of signals to every vertex and channel.
 
-    ``active_at_horizon`` names the input ports and channels (never a gate)
-    with a stimulus, delivery or release still due after the horizon.  A
-    record canceled before the horizon has nothing left to deliver and marks
-    no channel active.  ``channel_logs`` holds every channel's full
-    per-transition log, the ``log`` list of its state, when ``execute`` ran
-    with ``log=True`` and is empty otherwise; ``eta_sequences`` and
-    ``commit_margins`` are always there.  The log only observes: with it on,
-    each channel state builds its records as TransitionRecords, which the
-    engine reads as plain records, so every other field, and any error raised
-    (a budget trail reports plain records), is the same.
+    A run up to the horizon H processes every event at or before H, the
+    zero-delay cascades at H included, and none after it.  Three fields say
+    what that leaves open:
+
+    - ``active_at_horizon`` names the input ports and channels (never a
+      gate) with a stimulus, delivery or release still due after H.  A record
+      canceled at or before H has nothing left to deliver and marks no
+      channel active.
+    - ``stabilized`` holds, per output port, whether nothing in its fan-in
+      cone is active: no channel on a path to it, and no input port feeding
+      one.  Only such an event can switch the port after H, so a stabilized
+      port's signal is final: a run to any later horizon gives it the same.
+      The converse does not hold, since a gate can mask what is due (an AND
+      with a pin held at 0); a port that is not stabilized has something
+      upstream still due.
+    - ``resolved_value`` holds each output port's value at H, final where
+      the port is stabilized.
+
+    For a loop this means: a loop that has settled, such as a storage loop
+    locked at 1, has nothing pending and its outputs read stabilized; a loop
+    that still oscillates at H has a channel in its own cone due, so its
+    outputs do not, and their values at H are a sample of the oscillation.
+
+    ``channel_logs`` holds every channel's full per-transition log, the
+    ``log`` list of its state, when ``execute`` ran with ``log=True`` and is
+    empty otherwise; ``eta_sequences`` and ``commit_margins`` are always
+    there.  The log only observes: with it on, each channel state builds its
+    records as TransitionRecords, which the engine reads as plain records, so
+    every other field, and any error raised (a budget trail reports plain
+    records), is the same.
     """
 
     horizon: float
@@ -503,9 +529,9 @@ def execute(
     :class:`HorizonExceeded` when the event budget runs out (near-critical
     feedback can oscillate for a long time), :class:`CausalityFault` if the
     engine's commit rule would be violated, and :class:`EngineError` for
-    inputs that do not match the input ports or a horizon that is NaN or
-    -inf: no time lies beyond NaN, and none at or before -inf, where every
-    output would have to settle.
+    inputs that do not match the input ports or a horizon that is not a
+    number >= 0.  No time lies beyond NaN, and below 0 the gates'
+    evaluations at 0 would still be pending, which no field reports.
     """
     if inputs.keys() != circuit._input_set:
         missing = [p for p in circuit.input_ports if p not in inputs]
@@ -513,12 +539,12 @@ def execute(
             raise EngineError(f"missing input signals for ports {missing}")
         unknown = [name for name in inputs if name not in circuit.input_ports]
         raise EngineError(f"input signals {unknown} name no input port")
-    if not horizon > -math.inf:  # no time lies beyond NaN (the loop would run every event) or at or before -inf
-        raise EngineError(f"horizon must be {'a number' if math.isnan(horizon) else 'above -inf'}, got {horizon}")
+    if not horizon >= 0:  # NaN too: no time lies beyond it, so the loop would run every event
+        raise EngineError(f"horizon must be a number >= 0, got {horizon}")
 
     if circuit._fault is not None:
         raise CausalityFault(circuit._fault)
-    if circuit._order is not None and horizon >= 0:  # the composition evaluates every gate at 0
+    if circuit._order is not None:
         e = _compose(circuit, inputs, horizon, events_max, log)
         if e is not None:
             return e
@@ -809,17 +835,6 @@ def _execution(
         name: _unchecked(v0, tuple(times)) for name, v0, times in zip(circuit._vertex_names, initial, vertex_times)
     }
 
-    guard = circuit._guard if circuit._guard is not None else horizon / 10.0
-    guard = min(guard, horizon / 2.0)  # the window must leave room before it
-    # inf less the guard may be NaN; at an infinite horizon only what is still active counts
-    settled = horizon - guard if horizon != math.inf else horizon
-    stabilized = {}
-    resolved = {}
-    for port, driver in circuit._port_drivers:
-        sig = vertex_signals[port]
-        stabilized[port] = sig.last_time() <= settled and driver not in active
-        resolved[port] = sig.value_at(horizon)
-
     return Execution(
         horizon,
         vertex_signals,
@@ -827,8 +842,8 @@ def _execution(
         {name: state.log for name, state in zip(channel_names, states)} if log else {},
         {name: states[c].etas for name, c in circuit._involutions},
         event_count,
-        stabilized,
-        resolved,
+        {port: active.isdisjoint(cone) for port, cone in circuit._port_cones},
+        {port: vertex_signals[port].value_at(horizon) for port in circuit.output_ports},
         active,
         {name: states[c].commit_margin for name, c in circuit._involutions},
         circuit,

@@ -279,6 +279,23 @@ def greedy_pairing(log, crossings, window):
     return out
 
 
+def gate_value(function, values):
+    """A gate's output on its pin values, from the number of pins at 1: the engine's gate table is not read."""
+    ones, n = sum(values), len(values)
+    table = {
+        "NOT": ones == 0,
+        "BUF": ones == 1,
+        "OR": ones >= 1,
+        "NOR": ones == 0,
+        "AND": ones == n,
+        "NAND": ones != n,
+        "XOR": ones % 2 == 1,
+        "CONST0": False,
+        "CONST1": True,
+    }
+    return int(table[function])
+
+
 def verify_execution_per_time(e):
     """The engine self-check, one ``value_at`` per pin and time: the reference for ``verify_execution``.
 
@@ -323,7 +340,7 @@ def verify_execution_per_time(e):
         times.update(tr.time for s in pins for tr in s.transitions if tr.time <= e.horizon)
         times.update(tr.time for tr in out.transitions)
         for t in sorted(times):
-            want = gate.evaluate(tuple(s.value_at(t) for s in pins))
+            want = gate_value(gate.function, [s.value_at(t) for s in pins])
             if out.value_at(t) != want:
                 mismatches.append(f"gate {gate.name}: value at t={t} is {out.value_at(t)}, expected {want}")
                 break

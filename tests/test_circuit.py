@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from involution import circuit as circuit_module
 from involution.channel import (
     EtaBounds,
@@ -436,48 +437,64 @@ class TestChains:
             execute(c, {"i": pulse(0, 1)}, horizon=5.0)
 
 
-class TestStabilizationGuard:
-    """An output is stabilized when its last transition lies at or before the
-    horizon less the guard: ten times the largest positive constant delay (with
-    no involution channel), else a tenth of the horizon, and never more than
-    half the horizon.  Port y switches when x does, so its last transition is
-    the stimulus'; channels beside it, to other ports, set the guard."""
+class TestStabilizationCone:
+    """An output port is stabilized when no channel or input port in its fan-in
+    cone has a stimulus, delivery or release due after the horizon."""
 
-    @pytest.mark.parametrize(
-        "beside, horizon, edge",
-        [
-            ((), 10.0, 9.0),  # only Pure(0.0): a zero delay gives no guard, so a tenth of the horizon
-            ((Pure(0.25),), 10.0, 7.5),  # ten times the largest delay
-            ((Pure(5.0),), 10.0, 5.0),  # ten times 5.0, clamped to half the horizon
-        ],
-        ids=["zero_delay", "largest_delay", "clamped"],
-    )
-    def test_an_output_is_stabilized_up_to_the_guard_edge_and_not_one_ulp_later(self, beside, horizon, edge):
-        ports = [f"z{k}" for k in range(len(beside))]
-        c = Circuit(
-            ["x"],
-            ["y", *ports],
-            [],
-            [
-                ChannelEdge("c", "x", "y", None, Pure(0.0)),
-                *(ChannelEdge(f"c{z}", "x", z, None, spec) for z, spec in zip(ports, beside)),
-            ],
-        )
-        for last, stabilized in ((edge, True), (math.nextafter(edge, math.inf), False)):
-            e = execute(c, {"x": make_signal(0, [(last / 2, 1), (last, 0)])}, horizon)
-            assert e.vertex_signals["y"].last_time() == last
-            assert e.stabilized["y"] is stabilized, last
+    @pytest.mark.parametrize("path", ["execute", "event_loop"])
+    def test_a_pending_stimulus_two_channels_upstream_keeps_the_output_unstabilized(self, path):
+        # the output's own driving channel is idle at 0.5; only x is still due
+        run = execute if path == "execute" else _event_loop
+        c, stim = _buffer(Pure(0.0)), {"x": make_signal(0, [(1.0, 1)])}
+        e = run(c, stim, 0.5, events_max=10**6, log=False)
+        assert e.active_at_horizon == {"x"}
+        assert e.stabilized == {"y": False} and e.resolved_value == {"y": 0}
+        e = run(c, stim, 5.0, events_max=10**6, log=False)
+        assert e.active_at_horizon == set()
+        assert e.stabilized == {"y": True} and e.resolved_value == {"y": 1}
+
+    @pytest.mark.parametrize("path", ["execute", "event_loop"])
+    def test_an_output_switching_at_the_horizon_is_stabilized_and_not_one_ulp_earlier(self, path):
+        # x rises at 1.0 and y at 2.0: at H = 2.0 nothing is due, one ulp below it the delivery is
+        run = execute if path == "execute" else _event_loop
+        c = Circuit(["x"], ["y"], [], [ChannelEdge("c", "x", "y", None, Pure(1.0))])
+        stim = {"x": make_signal(0, [(1.0, 1)])}
+        e = run(c, stim, 2.0, events_max=10**6, log=False)
+        assert e.vertex_signals["y"].last_time() == 2.0
+        assert e.active_at_horizon == set() and e.stabilized == {"y": True}
+        e = run(c, stim, math.nextafter(2.0, 0.0), events_max=10**6, log=False)
+        assert e.vertex_signals["y"].times == ()
+        assert e.active_at_horizon == {"c"} and e.stabilized == {"y": False}
 
     @pytest.mark.parametrize("delay", [0.0, 1.0], ids=["zero_delay", "unit_delay"])
     @pytest.mark.parametrize("path", ["execute", "event_loop"])
-    def test_at_an_infinite_horizon_an_output_is_stabilized_when_its_driver_is_not_active(self, delay, path):
-        # with only zero delays the guard is a tenth of the horizon, so here it is
-        # infinite too, and only the driver's activity decides
+    def test_at_an_infinite_horizon_every_output_is_stabilized(self, delay, path):
         c = _buffer(Pure(delay))
         run = execute if path == "execute" else _event_loop
         e = run(c, {"x": make_signal(0, [(1.0, 1), (2.0, 0)])}, math.inf, events_max=10**6, log=False)
         assert e.vertex_signals["y"].times == (1.0 + delay, 2.0 + delay)
         assert e.active_at_horizon == set() and e.stabilized == {"y": True}
+
+    def test_a_masked_ring_keeps_its_output_unstabilized_and_leaves_a_port_beside_it_stabilized(self):
+        # an AND with pin 0 held at 0 by z and pin 1 fed by a ring: y never
+        # switches, but the ring is still due; w depends on z alone
+        c = Circuit(
+            ["z"],
+            ["y", "w"],
+            [Gate("n", "NOT", 1, 0), Gate("a", "AND", 2, 0)],
+            [
+                ChannelEdge("hold", "z", "a", 0, Pure(0.0)),
+                ChannelEdge("fb", "n", "n", 0, Pure(0.25)),
+                ChannelEdge("ring", "n", "a", 1, Pure(0.5)),
+                ChannelEdge("out", "a", "y", None, Pure(0.0)),
+                ChannelEdge("cw", "z", "w", None, Pure(0.0)),
+            ],
+        )
+        e = execute(c, {"z": make_signal(0, [])}, 10.0)
+        assert {"fb", "ring"} <= e.active_at_horizon
+        assert e.vertex_signals["y"].times == ()
+        assert e.stabilized == {"y": False, "w": True}
+        assert e.resolved_value == {"y": 0, "w": 0}
 
 
 _SYMMETRIC = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
@@ -705,7 +722,7 @@ def gate_signal_oracle(gate: Gate, pins: list[Signal], horizon: float) -> Signal
     value = gate.initial_value
     out = []
     for t in times:
-        v = gate.evaluate(tuple(s.value_at(t) for s in pins))
+        v = oracles.gate_value(gate.function, [s.value_at(t) for s in pins])
         if v != value:
             out.append((t, v))
             value = v
@@ -1001,19 +1018,21 @@ class TestCompositionFallsBackToTheEventLoop:
         c = loop_no_ht if cyclic else _buffer(Pure(0.5))
         assert (c._order is None) == cyclic
         port = c.input_ports[0]
-        with pytest.raises(EngineError, match=r"^horizon must be a number, got nan$"):
+        with pytest.raises(EngineError, match=r"^horizon must be a number >= 0, got nan$"):
             execute(c, {port: pulse(0.0, 1.0)}, horizon=math.nan)
 
-
     @pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "cyclic"])
-    def test_a_horizon_of_minus_inf_is_rejected_and_a_finite_negative_one_is_stabilized(self, cyclic, loop_no_ht):
-        # the horizon less the guard was NaN at -inf, so every output read as unstabilized
+    def test_a_negative_horizon_is_rejected_and_a_horizon_of_0_runs(self, cyclic, loop_no_ht):
+        # below 0 the gates' evaluations at 0 are still pending, and no field reports them
         c = loop_no_ht if cyclic else _buffer(Pure(0.0))
+        assert (c._order is None) == cyclic
         port = c.input_ports[0]
-        with pytest.raises(EngineError, match=r"^horizon must be above -inf, got -inf$"):
-            execute(c, {port: pulse(1.0, 1.0)}, horizon=-math.inf)
-        e = execute(c, {port: pulse(1.0, 1.0)}, horizon=-1.0)
-        assert e.stabilized == dict.fromkeys(c.output_ports, True)
+        for horizon in (-math.inf, -1.0):
+            with pytest.raises(EngineError, match=rf"^horizon must be a number >= 0, got {horizon}$"):
+                execute(c, {port: pulse(1.0, 1.0)}, horizon=horizon)
+        e = execute(c, {port: pulse(1.0, 1.0)}, horizon=0.0)
+        assert e.active_at_horizon == {port}
+        assert e.stabilized == dict.fromkeys(c.output_ports, False)
 
 
 class TestPureRoundingTie:
@@ -1092,7 +1111,7 @@ def _ring_oscillator(ref):
 
 
 def _run_template(c):
-    return copy.deepcopy([c._evals_at_0, c._gate_initials, c._pin_channels, c._fanout, c._port_drivers])
+    return copy.deepcopy([c._evals_at_0, c._gate_initials, c._pin_channels, c._fanout, c._port_cones])
 
 
 @pytest.mark.parametrize(

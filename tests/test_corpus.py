@@ -137,6 +137,21 @@ def test_every_completing_case_verifies(completed):
     assert not failing, failing
 
 
+def test_a_stabilized_output_keeps_its_signal_in_a_longer_run(completed):
+    # nothing in a stabilized port's fan-in cone is due after the horizon, so running on cannot switch it
+    checked = 0
+    for name, build in corpus.cases().items():
+        e = completed.get(name)
+        if e is None or not any(e.stabilized.values()):
+            continue
+        case = build()
+        later = corpus.outcome(case._replace(horizon=case.horizon + 200.0), log=False)
+        for port in (port for port, settled in e.stabilized.items() if settled):
+            assert later.vertex_signals[port] == e.vertex_signals[port], (name, port)
+            checked += 1
+    assert checked == 280
+
+
 def test_every_engine_signal_is_a_valid_signal(completed):
     # the engine builds its signals from their times without the constructor's checks
     for name, e in completed.items():
