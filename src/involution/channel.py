@@ -12,10 +12,10 @@ cancellation with the previous surviving pending transition.  Pending
 transitions n < m cancel pairwise when t_n + delta_n >= t_m + delta_m
 (ties cancel); the incremental form cancels a new pending transition
 backward against the latest surviving one, which keeps the surviving list
-strictly increasing and alternating.  A pure delay follows the same rule,
-where only inputs rounded onto one output time cancel: each of the two
-states runs that step in its own ``feed``, on a pending stack that a pure
-delay keeps one record deep.
+strictly increasing and alternating.  The other kinds cancel in pairs
+too, each in its own ``feed``: a pure delay where two inputs round onto one
+output time, and an inertial delay where an input arrives within the window
+of the newest surviving record; each keeps only that record pending.
 
 The eta_n are adversarial perturbations within [-eta_minus, +eta_plus],
 consumed one per input transition index (including transitions whose
@@ -27,13 +27,14 @@ stream.
 The involution channel is the eta-involution channel with a zero budget
 (``Involution(df)``).  Every channel kind is one incremental state, built
 fresh per run from its spec alone by ``state_constructor``: ``feed``
-processes an input transition, ``commit`` decides a record that can no
-longer be canceled, and ``survivors`` picks the output from all records fed.
-``apply_channel`` and the engine in ``circuit`` both drive it and differ
-only in when they decide a record: the engine decides each record at
-``decide_at(record)`` (None: deliver at once), on channels whose spec
-passed ``check_causal`` when their circuit was built.  ``apply_channel``
-builds its output signal from the surviving records of ``_replay``, which
+processes an input transition and marks the records it cancels, and every
+record it leaves standing is an output.  ``apply_channel`` and the engine in
+``circuit`` both drive it and differ only in when they take a record as
+final: the engine delivers a pure or inertial record at its output time,
+skipping a canceled one, and decides an eta-involution record with
+``commit`` at ``decide_at(record)``, on channels whose spec passed
+``check_causal`` when their circuit was built.  ``apply_channel`` builds its
+output signal from the records of ``_replay`` that are not canceled, which
 the engine's self-check compares with a recorded signal directly.
 
 Every arrival builds one record, what the engine and the audits read.  The
@@ -339,21 +340,19 @@ class _PureState(_State):
         be canceled, or None to deliver it at its output time without a decision."""
         return None
 
-    def survivors(self, fed: list[Record]) -> list[Record]:
-        """The output records among ``fed``, every record of the whole input (batch use only)."""
-        return [r for r in fed if not r.canceled]
 
+class _InertialState(_PureState):
+    """Incremental inertial delay: an arrival before ``last.time + window``,
+    ``last`` the newest surviving record, cancels with it, and any other
+    arrival becomes the new ``last``.  The window is half-open, like a VHDL
+    reject limit.
 
-class _InertialState(_State):
-    """Incremental inertial delay: an arrival before ``prev.time + window``
-    suppresses the previous record.  The window is half-open, like a VHDL
-    reject limit: an arrival at exactly ``decide_at(prev)`` leaves the record
-    standing, so the engine's decision there is final whichever of the two
-    it processes first.
-
-    Only the newest record, ``last``, can be suppressed, and only before its
-    decision, which the window test says by itself.  Input values alternate,
-    so the output starts at the value opposite the first arrival's.
+    The pair is a suppressed record and the arrival that suppressed it, whose
+    output would repeat the output value before them (it is coalesced).  A
+    window of at most the delay (``check_causal``) puts every such arrival
+    before the output time of the record it cancels, so the engine delivers
+    each record at its output time and skips a canceled one, as for a pure
+    delay.
     """
 
     def __init__(self, delay: float, window: float, log: bool = False):
@@ -364,33 +363,19 @@ class _InertialState(_State):
         self.last: Record | None = None
 
     def feed(self, t: float, value: int) -> tuple[Record, Record | None]:
+        rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
         prev = self.last
-        if prev is None:
-            self.value = 1 - value
-        elif not prev.canceled and t < prev.time + self.window:
-            prev.canceled = True
-        else:
-            prev = None
-        self.last = rec = self._record(t, value, math.nan, self.delay, 0.0, t + self.delay)
+        if prev is None or not t < prev.time + self.window:
+            self.last = rec
+            return rec, None
+        prev.canceled = rec.canceled = True
+        self.last = None
+        if self.log is not None:
+            rec.canceled_with, prev.canceled_with = prev.index, rec.index
         return rec, prev
 
-    def decide_at(self, rec: Record) -> float:
-        return rec.time + self.window
 
-    def commit(self, rec: Record) -> bool:
-        if rec.canceled:
-            return False
-        if rec.value == self.value:
-            rec.canceled = True  # coalesced: output already at this value
-            return False
-        self.value = rec.value
-        return True
-
-    def survivors(self, fed: list[Record]) -> list[Record]:
-        return [r for r in fed if self.commit(r)]
-
-
-class _InvolutionState(_PureState):
+class _InvolutionState(_State):
     """Incremental eta-involution channel (with a zero budget, the involution channel).
 
     ``feed`` runs an arrival in its own frame: it builds the record, runs the
@@ -508,7 +493,7 @@ def _replay(spec: ChannelSpec, s: Signal, log: bool = False) -> tuple[list[Recor
     state = state_constructor(spec)(log)
     feed = state.feed
     fed = [feed(t, value)[0] for t, value in zip(s.times, cycle((1 - v0, v0)))]
-    return state.survivors(fed), state.log
+    return [r for r in fed if not r.canceled], state.log
 
 
 # eta-sequence file for FixedSequence strategies: header "n,eta", 1-based index.

@@ -8,10 +8,11 @@ vertices and edges consistent with the gate functions and channel functions
 for the adversary choices drawn during the run.
 
 The engine drives every channel through its incremental state, built fresh
-for every run (``channel.state_constructor``), and releases a pending output
-to downstream consumers only at the state's decision time, which ``channel``
-derives per kind (for the involution channels, from the commit rule
-documented there).
+for every run (``channel.state_constructor``).  It delivers a pure or
+inertial record at its output time unless the state canceled it by then, and
+releases an eta-involution record to downstream consumers only at the
+state's decision time, which ``channel`` derives from the commit rule
+documented there.
 A circuit with a loop runs as one discrete-event loop over all its channels
 and gates.  An acyclic circuit is executed as one composition of its channel
 and gate functions in topological order, which gives the loop's execution;
@@ -150,7 +151,10 @@ class Circuit:
             if repeated:
                 violations.append(NetlistError(f"duplicate {kind} names {repeated}"))
         names = set(vertices)
-        channel_names = set(self.channels)
+        shared = sorted(names.intersection(self.channels))
+        if shared:  # active_at_horizon and the fan-in cones name vertices and channels in one set
+            violations.append(NetlistError(f"names {shared} are both vertex and channel names"))
+        channel_names = set(self.channels) - names
 
         drivers: dict[tuple[str, int | None], list[str]] = {}
         for edge in channels:
@@ -524,8 +528,9 @@ def execute(
     the loop instead wherever it may not: on a channel fault, on a budget
     the loop would exhaust, on a delivery that would repeat a value or not
     follow the last one, and on a delivery made at the instant it lands at a
-    gate pin, whose order among that instant's events the composition does
-    not reproduce.  Every error is the event loop's, raised at its first fault:
+    gate pin (a delay that rounds to zero at its input time), whose order
+    among that instant's events the composition does not reproduce.  Every
+    error is the event loop's, raised at its first fault:
     :class:`HorizonExceeded` when the event budget runs out (near-critical
     feedback can oscillate for a long time), :class:`CausalityFault` if the
     engine's commit rule would be violated, and :class:`EngineError` for
@@ -567,7 +572,8 @@ def _run_events(
     circuit: Circuit, inputs: dict[str, Signal], horizon: float, events_max: int, log: bool
 ) -> Execution:
     """The discrete-event loop: every stimulus, delivery, gate evaluation and
-    release up to ``horizon``, one at a time from a heap."""
+    release up to ``horizon``, one at a time from a heap; only an
+    eta-involution channel schedules releases."""
     # Vertices and channels are numbered by ``Circuit._index``.
     vertex_names, channel_names, channel_src = circuit._vertex_names, circuit._channel_names, circuit._channel_src
     channel_dst, fanout, gate_fns = circuit._channel_dst, circuit._fanout, circuit._gate_fns
@@ -618,7 +624,7 @@ def _run_events(
 
         if kind == _DELIVER:
             c, rec = payload
-            if rec.canceled:  # a pure record can cancel with a later one rounded onto its time
+            if rec.canceled:  # a pure or inertial record can cancel with a later arrival
                 continue
             v = rec.value
             x, pin = channel_dst[c]
@@ -700,15 +706,16 @@ def _compose(
     decision time, after the input at that instant, as the loop's event kinds
     order them (``_decide``).  Each gate output switches where the gate's
     function of its pins changes (``_gate_output_times``).  ``event_count``
-    counts what the loop would process: the stimuli, deliveries (a pure
-    channel's canceled ones too) and releases up to the horizon, and one
-    evaluation per gate at 0 and at every other time a pin switches.
+    counts what the loop would process: the stimuli, deliveries (a pure or
+    inertial channel's canceled ones too) and releases up to the horizon, and
+    one evaluation per gate at 0 and at every other time a pin switches.
 
-    A delivery made at the instant it lands, at a release or at a gate's
-    evaluation, comes after some of that instant's other events in the loop,
-    so the composition returns None for one that lands at a gate pin, and for
-    a canceled one (a pure tie whose partner the loop delivered first).  One
-    made at a stimulus, by a pure channel, comes before them.
+    A delivery made at the instant it lands, where a delay rounds to zero at
+    its input time, comes after some of that instant's other events in the
+    loop when it is made at a release or at a gate's evaluation, so the
+    composition returns None for one that lands at a gate pin, and for a
+    canceled one (a pure tie whose partner the loop delivered first).  One
+    made at a stimulus, by a pure or inertial channel, comes before them.
     """
     n_in = len(circuit.input_ports)
     channel_names, channel_src, channel_dst = circuit._channel_names, circuit._channel_src, circuit._channel_dst
@@ -759,7 +766,7 @@ def _compose(
             y, pin = channel_dst[c]
             if pin is None:
                 vertex_times[y] = times
-            if x >= n_in or not isinstance(circuit.channels[channel_names[c]].spec, ch.Pure):
+            if x >= n_in or release_at:  # not made at a stimulus
                 late = list(compress(made, map(operator.eq, made_at, ends)))
                 if late and (pin is not None or any(rec.canceled for rec in late)):
                     return None  # made as it lands, after some of that instant's events
@@ -794,7 +801,7 @@ def _decide(state, times: tuple[float, ...], v0: int, horizon: float):
             k += 1
         rec = feed(t, v)[0]
         at = decide_at(rec)
-        if at is None:  # a pure record, delivered at its output time
+        if at is None:  # a pure or inertial record, delivered at its output time
             made_at.append(t)
             made.append(rec)
         elif not rec.canceled:

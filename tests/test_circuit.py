@@ -106,6 +106,16 @@ class TestParse:
             parse_circuit(doc)
         assert any(isinstance(v, AlternationViolation) for v in exc_info.value.violations)
 
+    @pytest.mark.parametrize(
+        "ports, gates",
+        [(["x", "c"], []), (["x"], [Gate("c", "CONST0", 0, 0)])],
+        ids=["input_port", "gate"],
+    )
+    def test_a_vertex_named_like_a_channel_is_rejected(self, ports, gates):
+        # active_at_horizon and the fan-in cones name vertices and channels in one set
+        with pytest.raises(NetlistError, match=r"^names \['c'\] are both vertex and channel names$"):
+            Circuit(ports, ["y"], gates, [ChannelEdge("c", "x", "y", None, Pure(1.0))])
+
     def test_unknown_function(self):
         with pytest.raises(UnknownFunction):
             Gate("g", "MAJ3", 3, 0)
@@ -369,9 +379,9 @@ class TestChains:
         with pytest.raises(CausalityFault):
             execute(c, {"x": pulse(0, 2)}, horizon=10.0)
 
-    def test_inertial_window_equal_to_its_delay_is_a_causality_fault(self):
-        # The inertial record is decided at (1.0, after the gate's evaluation
-        # at 1.0), so its delivery would switch the XOR a second time at 1.0.
+    def test_an_inertial_window_equal_to_its_delay_completes_on_both_engine_paths(self):
+        # both pins of the XOR switch at 1.0, where the inertial record is
+        # delivered at its output time like the pure one, so g stays at 0
         c = Circuit(
             ["i"],
             ["o"],
@@ -382,8 +392,13 @@ class TestChains:
                 ChannelEdge("out", "g", "o", None, Pure(0.0)),
             ],
         )
-        with pytest.raises(CausalityFault, match=r"vertex 'g': transition at t=1.0 does not follow"):
-            execute(c, {"i": make_signal(0, [(0.0, 1)])}, horizon=10.0)
+        stim = {"i": make_signal(0, [(0.0, 1)])}
+        assert circuit_module._compose(c, stim, 10.0, 10**6, False) is not None
+        e = execute(c, stim, horizon=10.0, log=True)
+        assert e.vertex_signals["o"].times == ()
+        assert e.event_count == 5  # the stimulus, g's evaluations at 0 and 1.0, and the two deliveries
+        assert verify_execution(e).ok
+        assert e == _event_loop(c, stim, 10.0, events_max=10**6, log=True)
 
     def test_arrival_one_ulp_above_the_domain_edge_is_guard_canceled(self):
         # T = -d_inf_up + 1 ulp: the exponential in delta_down rounds to 1
@@ -465,6 +480,16 @@ class TestStabilizationCone:
         e = run(c, stim, math.nextafter(2.0, 0.0), events_max=10**6, log=False)
         assert e.vertex_signals["y"].times == ()
         assert e.active_at_horizon == {"c"} and e.stabilized == {"y": False}
+
+    @pytest.mark.parametrize("path", ["execute", "event_loop"])
+    def test_an_inertial_pulse_suppressed_before_the_horizon_leaves_its_output_stabilized(self, path):
+        # the fall at 1.5 arrives within the window of the rise at 1.0: the two
+        # records cancel there, and neither delivery is due
+        run = execute if path == "execute" else _event_loop
+        c = Circuit(["x"], ["y"], [], [ChannelEdge("c", "x", "y", None, Inertial(5.0, 1.0))])
+        e = run(c, {"x": pulse(1.0, 0.5)}, 2.0, events_max=10**6, log=False)
+        assert e.active_at_horizon == set() and e.stabilized == {"y": True}
+        assert e.vertex_signals["y"].times == () and e.resolved_value == {"y": 0}
 
     @pytest.mark.parametrize("delay", [0.0, 1.0], ids=["zero_delay", "unit_delay"])
     @pytest.mark.parametrize("path", ["execute", "event_loop"])
@@ -774,8 +799,8 @@ class TestAcyclicEquivalence:
             assert report.ok, report.mismatches
 
     def test_every_composed_random_dag_equals_the_event_loop(self):
-        # seeds 60 to 1059, past the 60 recorded dag corpus cases; 577 are
-        # composed and 423 fall back to the loop
+        # seeds 60 to 1059, past the 60 recorded dag corpus cases; 995 are
+        # composed and 5 fall back to the loop
         composed = 0
         for seed in range(60, 1060):
             c, stim, horizon, events_max = random_dag_case(seed)
@@ -783,28 +808,29 @@ class TestAcyclicEquivalence:
             if got is not None:
                 composed += 1
                 assert got == _event_loop(c, stim, horizon, events_max=events_max, log=False), seed
-        assert composed > 500
+        assert composed >= 995
 
 
 class TestEventsAtTheHorizon:
     """An event at exactly the horizon is processed and counted; one ulp beyond it, it is due.
 
-    x -> 'in' (pure, 1) -> g.0 -> 'out' (inertial, delay and window 1) -> y, and
-    in the looped circuit g is an OR whose pin 1 is fed back from g by 'fb'
-    (pure, 4).  E = 10: x rises at E (a stimulus at E), at E - 1 ('in'
-    delivers at E, and g evaluates there) or at E - 2 ('out' is released at E
-    and delivers there).
+    x -> 'in' (pure, 1) -> g.0 -> 'out' (eta-involution) -> y, and in the
+    looped circuit g is an OR whose pin 1 is fed back from g by 'fb' (pure,
+    4).  E = 10: x rises at E (a stimulus at E) or at E - 1 ('in' delivers at
+    E, and g evaluates there); or at E - 2, when 'out' releases g's rise at
+    E, one ulp below its output time, and delivers it one ulp beyond E.
     """
 
     E = 10.0
+    DF = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
+    # the eta that puts the output of g's rise at E - 1 one ulp above E
+    ETA = (math.nextafter(E, math.inf) - (E - 1.0)) - DF.delta_inf_up
 
-    @staticmethod
-    def circuit(looped):
+    @classmethod
+    def circuit(cls, looped):
         gate = Gate("g", "OR", 2, 0) if looped else Gate("g", "BUF", 1, 0)
-        channels = [
-            ChannelEdge("in", "x", "g", 0, Pure(1.0)),
-            ChannelEdge("out", "g", "y", None, Inertial(1.0, 1.0)),
-        ]
+        out = EtaInvolution(cls.DF, EtaBounds(-cls.ETA, 0.0), FixedSequence((cls.ETA,)))
+        channels = [ChannelEdge("in", "x", "g", 0, Pure(1.0)), ChannelEdge("out", "g", "y", None, out)]
         if looped:
             channels.append(ChannelEdge("fb", "g", "g", 1, Pure(4.0)))
         return Circuit(["x"], ["y"], [gate], channels)
@@ -812,12 +838,8 @@ class TestEventsAtTheHorizon:
     @pytest.mark.parametrize("looped", [False, True], ids=["acyclic", "looped"])
     @pytest.mark.parametrize(
         "rise, signal, events_at_E, due",
-        [
-            (10.0, ("vertex", "x"), 1, "x"),
-            (9.0, ("channel", "in"), 2, "in"),
-            (8.0, ("channel", "out"), 2, "out"),
-        ],
-        ids=["stimulus", "delivery", "release"],
+        [(10.0, ("vertex", "x"), 1, "x"), (9.0, ("channel", "in"), 2, "in")],
+        ids=["stimulus", "delivery"],
     )
     def test_an_event_at_the_horizon_is_processed_and_one_ulp_beyond_it_is_due(
         self, looped, rise, signal, events_at_E, due
@@ -833,8 +855,23 @@ class TestEventsAtTheHorizon:
         assert getattr(at, signals)[name].times == (self.E,) and getattr(before, signals)[name].times == ()
         assert at.event_count == before.event_count + events_at_E
         assert due in before.active_at_horizon and due not in at.active_at_horizon
-        if name == "out":  # its delivery at E switches the port
-            assert at.vertex_signals["y"].times == (self.E,) and before.vertex_signals["y"].times == ()
+
+    @pytest.mark.parametrize("looped", [False, True], ids=["acyclic", "looped"])
+    def test_a_release_at_the_horizon_is_processed_and_its_delivery_one_ulp_beyond_it_is_due(self, looped):
+        c = self.circuit(looped)
+        stim = {"x": make_signal(0, [(self.E - 2.0, 1)])}
+        beyond = math.nextafter(self.E, math.inf)
+        if not looped:
+            assert circuit_module._compose(c, stim, self.E, 10**6, False) is not None
+        before, at, after = (execute(c, stim, h, log=True) for h in (math.nextafter(self.E, 0.0), self.E, beyond))
+        (rec,) = after.channel_logs["out"]
+        assert rec.time == self.E - 1.0 and rec.out_time == beyond
+        assert at.event_count == before.event_count + 1 and after.event_count == at.event_count + 1
+        # the release is due below E, its delivery at E, and nothing beyond it
+        assert "out" in before.active_at_horizon and "out" in at.active_at_horizon
+        assert "out" not in after.active_at_horizon
+        assert at.vertex_signals["y"].times == () and after.vertex_signals["y"].times == (beyond,)
+        assert at == _event_loop(c, stim, self.E, events_max=10**6, log=True)
 
 
 def _outcome(run, c, stim, horizon, events_max=10**6):
@@ -924,41 +961,60 @@ class TestCompositionFallsBackToTheEventLoop:
         assert composed is not None
         assert composed == _event_loop(c, {"i": stim}, 3.6, events_max=10**6, log=True)
 
-    def test_a_late_delivery_beside_another_evaluates_its_gate_twice(self):
-        # The inertial record is decided at its output time 1.0, after the OR
-        # evaluated the pure channel's delivery there, so the loop evaluates the
-        # OR a second time at 1.0.  Its output does not change again; with an
-        # XOR it would, and the run faults (see TestChains).
-        c = Circuit(
+    @staticmethod
+    def twice_evaluated(function):
+        """i -> 'p' (pure, 1) -> g.0, and i -> 'q' (pure, 1) -> BUF b -> 'n'
+        (pure, 1e-17) -> g.1: b's rise at 1.0 reaches g at 1.0 too."""
+        return Circuit(
             ["i"],
             ["o"],
-            [Gate("g", "OR", 2, 0)],
+            [Gate("g", function, 2, 0), Gate("b", "BUF", 1, 0)],
             [
                 ChannelEdge("p", "i", "g", 0, Pure(1.0)),
-                ChannelEdge("n", "i", "g", 1, Inertial(1.0, 1.0)),
+                ChannelEdge("q", "i", "b", 0, Pure(1.0)),
+                ChannelEdge("n", "b", "g", 1, Pure(1e-17)),
                 ChannelEdge("out", "g", "o", None, Pure(0.0)),
             ],
         )
+
+    def test_a_late_delivery_beside_another_evaluates_its_gate_twice(self):
+        # 'n' delays b's rise at 1.0 by 0 there, and the loop makes that
+        # delivery at b's evaluation, after the OR evaluated the pure channel's
+        # delivery at 1.0, so it evaluates the OR a second time at 1.0.  Its
+        # output does not change again; with an XOR it would, and the run faults.
+        assert 1.0 + 1e-17 == 1.0
         stim = {"i": make_signal(0, [(0.0, 1)])}
+        c = self.twice_evaluated("OR")
+        assert circuit_module._compose(c, stim, 10.0, 10**6, False) is None
         e = execute(c, stim, horizon=10.0, log=True)
-        # stimulus, evaluation at 0, and at 1.0: two deliveries to g, two
-        # evaluations of it, the release and the delivery to o
-        assert e.event_count == 8
+        # the stimulus, g's and b's evaluations at 0, and at 1.0: the deliveries
+        # to g and b, g's evaluation and its delivery to o, b's evaluation, its
+        # delivery to g and g's second evaluation
+        assert e.event_count == 10
         assert e.vertex_signals["o"].times == (1.0,)
         assert e == _outcome(_event_loop, c, stim, 10.0)
+        with pytest.raises(CausalityFault, match=r"^vertex 'g': transition at t=1.0 does not follow its last one"):
+            execute(self.twice_evaluated("XOR"), stim, horizon=10.0)
 
     def test_a_late_delivery_where_a_driven_channel_decides_a_record_runs_the_loop(self):
-        # At t = 1.0 the loop decides d's first record, committed at 1 + 1 ulp,
-        # before the inertial record it released later, whose delivery switches
-        # g: g's fall then reaches d after the commit.  With a delay of 0 there,
-        # d's second record lands on the committed output and raises; fed before
-        # the commit, it would have canceled the first record instead.
+        # n's third record has delay 0 at its input time 1.0 (its eta cancels
+        # its delta), so the loop releases and delivers it at 1.0.  It releases
+        # d's first record, committed at 1 + 1 ulp, there first, and the
+        # delivery then switches g: g's fall reaches d after the commit.  With a
+        # delay of 0 there, d's second record lands on the committed output and
+        # raises; fed before the commit, it would have canceled the first record
+        # instead.
         df = exp_channel(ExpChannelParams(1.0, 0.5, 0.5))
         d0 = df.down(0.0)
         assert df.up(0.0) == d0
+        eta_minus = math.nextafter(d0, 0.0)
         eta_first = (math.nextafter(1.0, 2.0) - 0.25) - df.delta_inf_up
         assert 0.25 + (df.delta_inf_up + eta_first) == math.nextafter(1.0, 2.0)
-        eta_minus = math.nextafter(d0, 0.0)
+        # i2's pulse from 0 to 0.65 cancels in n, and its rise at 1.0 measures T from the fall
+        eta_third = -df.up(1.0 - 0.65 - df.down(0.65 - df.delta_inf_up))
+        n = EtaInvolution(df, EtaBounds(eta_minus, 0.0), FixedSequence((0.0, 0.0, eta_third)))
+        i2 = make_signal(0, [(0.0, 1), (0.65, 0), (1.0, 1)])
+        assert [(r.canceled, r.out_time) for r in apply_channel(n, i2)[1]][2] == (False, 1.0)
         spec = EtaInvolution(df, EtaBounds(eta_minus, 0.0), FixedSequence((eta_first, -eta_minus)))
         c = Circuit(
             ["i1", "i2"],
@@ -966,11 +1022,12 @@ class TestCompositionFallsBackToTheEventLoop:
             [Gate("g", "XOR", 2, 0)],
             [
                 ChannelEdge("p", "i1", "g", 0, Pure(0.25)),
-                ChannelEdge("n", "i2", "g", 1, Inertial(0.5, 0.5)),
+                ChannelEdge("n", "i2", "g", 1, n),
                 ChannelEdge("d", "g", "o", None, spec),
             ],
         )
-        stim = {"i1": make_signal(0, [(0.0, 1)]), "i2": make_signal(0, [(0.5, 1)])}
+        stim = {"i1": make_signal(0, [(0.0, 1)]), "i2": i2}
+        assert circuit_module._compose(c, stim, 10.0, 10**6, False) is None
         with pytest.raises(CausalityFault) as exc_info:
             execute(c, stim, horizon=10.0)
         assert str(exc_info.value) == (
